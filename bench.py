@@ -6,7 +6,7 @@ reflecting the round-3 single-exchange architecture:
   1. rollup:   transcripts (pruned read) -> ONE groupby(part) exchange
                that co-locates conversations AND computes latency + the
                exact 3-tier gap-filled rollup in the same map_groups
-               (rollup_colocated) -> materialized (shared below) ->
+               (rollup_pipeline) -> materialized (shared below) ->
                partitioned parquet. The old derive-shuffle +
                partial-merge-shuffle pair is gone; partial aggregation
                runs once instead of once per consumer.
@@ -53,13 +53,11 @@ def run_bench() -> dict:
     import pyarrow.parquet as pq
     import ray.data as rd
 
-    from tsfeatures_ray.pipelines.flagship import _slim_with_part
+    from tsfeatures_ray.pipelines import rollup_pipeline
     from tsfeatures_ray.sources.synth import transcripts_path
     from tsfeatures_ray.stages.compress import compress_rollup
-    from tsfeatures_ray.stages.derive import _latency_per_partition
     from tsfeatures_ray.stages.features import features_over_packed
     from tsfeatures_ray.stages.pack import pack_series
-    from tsfeatures_ray.stages.rollup import rollup_colocated
 
     tpath = transcripts_path(sf_dir)  # generated+cached before timing
     out_root = f"/tmp/tsfr_bench_{num_cpus}"
@@ -92,11 +90,7 @@ def run_bench() -> dict:
     # compute latency + the exact gap-filled rollup in the same
     # map_groups; materialized once (orders of magnitude smaller than
     # the input) and shared by the sink, the feature path and the codec
-    slim = _slim_with_part(sf_dir, None)
-    rolled = rollup_colocated(
-        slim, gapfill=True, per_partition=_latency_per_partition,
-        presorted=True,
-    ).materialize()
+    rolled = rollup_pipeline(sf_dir, gapfill=True).materialize()
     rolled.write_parquet(rollup_dir)
     timings["rollup"] = time.perf_counter() - t0
     n_points = rolled.count()

@@ -169,3 +169,53 @@ def test_rolling_origin_backtest_validation(ray_session):
         rolling_origin_backtest(None, "k", "b", "y", horizons=())
     with pytest.raises(ValueError):
         rolling_origin_backtest(None, "k", "b", "y", horizons=(0,))
+
+
+def test_rolling_origin_backtest_block_layout_invariant(ray_session):
+    """A key split across blocks must still contribute every (origin,
+    origin + h) pair: the result on a 97-way repartitioned panel equals
+    the result on the intact one-block panel."""
+    import ray.data as rd
+
+    from tsfeatures_ray.metrics import rolling_origin_backtest
+
+    rng = np.random.default_rng(5)
+    hours = np.sort(rng.choice(60, size=(6, 40), replace=True), axis=1)
+    df = pd.DataFrame(
+        {
+            "k": np.repeat([f"k{i}" for i in range(6)], 40),
+            "bucket": (pd.Timestamp("2024-01-01")
+                       + pd.to_timedelta(hours.ravel(), unit="h")),
+            "y": rng.integers(0, 50, 240).astype("float64"),
+        }
+    ).drop_duplicates(["k", "bucket"])
+    df["bucket"] = df["bucket"].astype("datetime64[us]")
+    intact = rd.from_pandas(df)  # one block: every key whole
+    want = rolling_origin_backtest(intact, "k", "bucket", "y").to_pandas()
+    got = rolling_origin_backtest(intact.repartition(97), "k", "bucket", "y")
+    pd.testing.assert_frame_equal(got.to_pandas(), want)
+
+
+def test_evaluate_panel_custom_callable(ray_session):
+    """A user metric callable (not a built-in name) runs as given, on
+    both the pandas and the Dataset path."""
+    import ray.data as rd
+
+    def max_abs_err(y, y_hat):
+        return float(np.max(np.abs(y - y_hat)))
+
+    y_test = pd.DataFrame(
+        {"unique_id": ["a"] * 3 + ["b"] * 3, "ds": [0, 1, 2] * 2,
+         "y": [1.0, 2.0, 3.0, 5.0, 5.0, 5.0]}
+    )
+    y_hat = y_test.rename(columns={"y": "y_hat"}).assign(
+        y_hat=[1.5, 2.0, 1.0, 5.0, 9.0, 4.0]
+    )
+    want = pd.DataFrame({"unique_id": ["a", "b"], "error": [2.0, 4.0]})
+    got = evaluate_panel(y_test, y_hat, metric=max_abs_err)
+    pd.testing.assert_frame_equal(got, want)
+    got_ds = evaluate_panel(
+        rd.from_pandas(y_test), rd.from_pandas(y_hat), metric=[max_abs_err, "mse"]
+    ).to_pandas().sort_values("unique_id").reset_index(drop=True)
+    assert list(got_ds.columns) == ["unique_id", "max_abs_err", "mse"]
+    assert got_ds["max_abs_err"].tolist() == [2.0, 4.0]

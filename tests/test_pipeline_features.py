@@ -105,20 +105,25 @@ def test_tsfeatures_wide_api(ray_session):
 
 
 def test_rollup_packed_fused_matches_shuffle_pack(ray_session):
-    """The fused rollup+pack (layout-independent map_groups) must produce
-    exactly the series of the explicit shuffle pack path."""
+    """feature_pipeline's fused rollup+pack (turn_rollup_fn with
+    pack_metrics in the one layout-independent by_partition exchange)
+    must produce exactly the series of the explicit rollup -> shuffle
+    pack path."""
     import pandas as pd
 
     from tsfeatures_ray.pipelines import derived_pipeline
+    from tsfeatures_ray.pipelines.flagship import slim_turns
+    from tsfeatures_ray.stages.derive import by_partition
     from tsfeatures_ray.stages.pack import pack_series
-    from tsfeatures_ray.stages.rollup import rollup, rollup_packed
+    from tsfeatures_ray.stages.rollup import rollup, turn_rollup_fn
 
     sf = "/root/testdata/sf0.001"
     derived = derived_pipeline(sf, slim=True).materialize()
-    fused = rollup_packed(derived, tiers=["1m", "1h"]).to_pandas()
-    shuffled = pack_series(
-        rollup(derived, tiers=["1m", "1h"]), pre_partitioned=False
+    fused = by_partition(
+        slim_turns(sf), "conv_id",
+        turn_rollup_fn(["1m", "1h"], pack_metrics="token_len_sum"),
     ).to_pandas()
+    shuffled = pack_series(rollup(derived, tiers=["1m", "1h"])).to_pandas()
     key = ["unique_id", "tier", "metric"]
     fused = fused.sort_values(key).reset_index(drop=True)
     shuffled = shuffled.sort_values(key).reset_index(drop=True)
@@ -128,28 +133,6 @@ def test_rollup_packed_fused_matches_shuffle_pack(ray_session):
     )
     for a, b in zip(fused["y"], shuffled["y"]):
         assert list(a) == list(b)
-
-
-def test_pre_partitioned_pack_fails_loudly_on_split_blocks(ray_session):
-    """Simulate Ray's dynamic block splitting (repartition slices the
-    rollup partitions arbitrarily): the pre-partitioned fast path then
-    produces split series, and assert_unique_series must catch it
-    instead of letting the pipeline silently emit duplicates."""
-    import pytest as _pytest
-
-    from tsfeatures_ray.pipelines import derived_pipeline
-    from tsfeatures_ray.stages.pack import assert_unique_series, pack_series
-    from tsfeatures_ray.stages.rollup import rollup
-
-    sf = "/root/testdata/sf0.001"
-    rolled = rollup(derived_pipeline(sf, slim=True), tiers=["1m"])
-    resplit = rolled.repartition(97)  # breaks block == partition
-    packed = pack_series(resplit, pre_partitioned=True)
-    with _pytest.raises(ValueError, match="split across blocks"):
-        assert_unique_series(packed)
-    # and the guard passes on an intact layout
-    ok = pack_series(rolled.materialize(), pre_partitioned=True)
-    assert_unique_series(ok)
 
 
 def _make_packed(lengths: dict[str, int]):

@@ -163,25 +163,20 @@ def test_salted_rollup_exact(ray_session, tpath):
 
 
 def test_rollup_colocated_single_exchange_matches_two_exchange(ray_session):
-    """The single-exchange fused path (rollup_colocated with the latency
-    hook) must produce exactly the rows of the two-exchange
+    """The single-exchange fused path (rollup_pipeline: by_partition with
+    turn_rollup_fn) must produce exactly the rows of the two-exchange
     derive -> rollup() composition, including gapfill."""
     import pandas as pd
 
-    from tsfeatures_ray.pipelines import derived_pipeline
-    from tsfeatures_ray.pipelines.flagship import _slim_with_part
-    from tsfeatures_ray.stages.derive import _latency_per_partition
-    from tsfeatures_ray.stages.rollup import rollup, rollup_colocated
+    from tsfeatures_ray.pipelines import derived_pipeline, rollup_pipeline
+    from tsfeatures_ray.stages.rollup import rollup
 
     sf = "/root/testdata/sf0.001"
     for gapfill in (False, True):
         two = rollup(
             derived_pipeline(sf, slim=True), tiers=["1m", "1h"], gapfill=gapfill
         ).to_pandas()
-        one = rollup_colocated(
-            _slim_with_part(sf, None), tiers=["1m", "1h"], gapfill=gapfill,
-            per_partition=_latency_per_partition, presorted=True,
-        ).to_pandas()
+        one = rollup_pipeline(sf, tiers=["1m", "1h"], gapfill=gapfill).to_pandas()
         key = ["conv_id", "tier", "bucket_us"]
         two = two.drop(columns=["part"], errors="ignore").sort_values(key).reset_index(drop=True)
         one = one.drop(columns=["part"], errors="ignore").sort_values(key).reset_index(drop=True)

@@ -118,3 +118,29 @@ def test_resumable_with_features(ray_session):
         ]
     )
     assert len(feats) > 0 and "x_acf1" in feats.columns
+
+    # same rows as the flagship feature pipeline, at perfbench's tolerance
+    from tsfeatures_ray.pipelines import feature_pipeline
+
+    key = ["unique_id", "tier", "metric"]
+    got = feats.sort_values(key).reset_index(drop=True)
+    want = (
+        feature_pipeline(SF, tiers=["1d"]).to_pandas()
+        .sort_values(key).reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want, check_exact=False, rtol=1e-6, atol=1e-6)
+
+
+def test_resume_rejects_changed_num_parts(ray_session):
+    """Stage A is skipped on resume, so a different num_parts would
+    leave the sunk partitions >= the new count un-rolled-up: refuse it
+    instead of returning a partial output."""
+    from tsfeatures_ray.state.lineage import _Killed, run_resumable_rollup
+
+    out = "/tmp/tsfr_resume_parts"
+    if os.path.exists(out):
+        shutil.rmtree(out)
+    with pytest.raises(_Killed):
+        run_resumable_rollup(SF, out, tiers=["1h"], num_parts=6, kill_after=2)
+    with pytest.raises(ValueError, match="num_parts"):
+        run_resumable_rollup(SF, out, tiers=["1h"], num_parts=2)

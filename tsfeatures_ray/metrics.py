@@ -5,8 +5,8 @@ Metric kernels are exact ports of the reference formulas (pure NumPy).
 ``evaluate_panel`` replaces the reference's Pool.map -- which pickles the
 ENTIRE indexed panel to every worker (reference metrics.py:334-341, an
 O(uids x panel) shipping cost) -- with key co-partitioning: all four
-panels get the same stable hash-partition key, one ``groupby("part")``
-aligns them, and each partition evaluates its own series vectorized.
+panels get the same stable hash-partition key, one ``by_partition``
+exchange aligns them, and each partition evaluates its own series vectorized.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pandas as pd
 
 import ray
 
-from .stages.derive import default_num_parts, stable_part
+from .stages.derive import by_partition
 
 AVAILABLE_METRICS = [
     "mse", "rmse", "mape", "smape", "mase", "rmsse", "mini_owa", "pinball_loss",
@@ -114,20 +114,20 @@ def evaluate_panel(
     # one output column per metric (the multi-metric panel eval would
     # otherwise pay one shuffle per metric)
     multi = isinstance(metric, (list, tuple))
-    names = [
-        m if isinstance(m, str) else m.__name__
-        for m in (metric if multi else [metric])
-    ]
-    fns = {nm: _METRICS[nm] for nm in names}
+    metrics = metric if multi else [metric]
+    names = [m if isinstance(m, str) else m.__name__ for m in metrics]
+    # built-in names resolve through _METRICS; a callable runs as given
+    fns = {
+        nm: _METRICS[m] if isinstance(m, str) else m
+        for nm, m in zip(names, metrics)
+    }
     needs_train = any(
         nm in ("mase", "rmsse", "mini_owa") for nm in names
     )
     has_bench = "mini_owa" in names
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def tag(df: pd.DataFrame, role: str, value_col: str) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "unique_id": df["unique_id"].astype(str),
                 "ds": df["ds"],
@@ -135,8 +135,6 @@ def evaluate_panel(
                 "role": role,
             }
         )
-        out["part"] = stable_part(out["unique_id"].to_numpy(), num_parts)
-        return out
 
     out_cols = names if multi else ["error"]
 
@@ -172,9 +170,7 @@ def evaluate_panel(
             for src, role, vc in roles
         ]
         allp = streams[0].union(*streams[1:])
-        return allp.groupby("part").map_groups(
-            eval_partition, batch_format="pandas"
-        )
+        return by_partition(allp, "unique_id", eval_partition, num_parts=num_parts)
 
     uids = y_test["unique_id"].unique()
     assert len(y_test) == len(y_hat), "not same length"
@@ -182,11 +178,9 @@ def evaluate_panel(
     allp = rd.from_pandas(
         pd.concat([tag(df, r, vc) for df, r, vc in roles], ignore_index=True)
     )
-    res = (
-        allp.groupby("part")
-        .map_groups(eval_partition, batch_format="pandas")
-        .to_pandas()
-    )
+    res = by_partition(
+        allp, "unique_id", eval_partition, num_parts=num_parts
+    ).to_pandas()
     return res.sort_values("unique_id", kind="mergesort").reset_index(drop=True)
 
 
@@ -210,12 +204,12 @@ def rolling_origin_backtest(
     the baseline denominator at corpus scale.
 
     Exactness: errors are differences of integer-valued float64 series,
-    |e| and e^2 accumulate as int64 partials (bounded by the per-batch
-    series size), so mae/rmse are single float expressions on exact
-    integer sums -- same algebra as the SQL oracle's CAST(SUM(...) AS
-    DOUBLE). Input batches must be key-complete and sorted (the rollup
-    pipeline's map_groups blocks are); pass batch_size=None semantics
-    by calling this on such a Dataset."""
+    |e| and e^2 accumulate as int64 partials (bounded by the
+    per-partition series size), so mae/rmse are single float expressions
+    on exact integer sums -- same algebra as the SQL oracle's
+    CAST(SUM(...) AS DOUBLE). The per-key partials run through
+    ``by_partition`` on ``key``, so every series arrives whole whatever
+    the input block layout."""
     if step_us is None:
         step_us = 3_600_000_000  # hourly buckets
     hs = [int(h) for h in horizons]
@@ -255,11 +249,7 @@ def rolling_origin_backtest(
             rows, columns=["horizon", "n", "sae", "sse"]
         ).astype({"horizon": np.int64})
 
-    merged = (
-        ds.map_batches(partial, batch_format="pandas", batch_size=None)
-        .groupby("horizon")
-        .sum(["n", "sae", "sse"])
-    )
+    merged = by_partition(ds, key, partial).groupby("horizon").sum(["n", "sae", "sse"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values("horizon")

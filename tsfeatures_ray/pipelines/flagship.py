@@ -3,7 +3,7 @@
 ``tsfeatures`` / ``tsfeatures_wide`` mirror the reference's entry points
 (reference tsfeatures.py:930-976, 1001-1039) with a Ray Data execution
 model: long panel Dataset -> per-key shuffle -> packed list<double>
-series -> kernel actor pool -> wide feature Dataset. The flagship
+series -> kernel tasks -> wide feature Dataset. The flagship
 transcript pipeline composes derive -> rollup -> pack -> features.
 """
 
@@ -17,16 +17,10 @@ import ray
 import ray.data as rd
 
 from ..sources.synth import transcripts_path
-from ..stages.derive import (
-    _add_token_len_and_part,
-    _latency_per_partition,
-    default_num_parts,
-    derive_turn_metrics,
-    stable_part,
-)
+from ..stages.derive import _add_token_len, by_partition, derive_turn_metrics
 from ..stages.features import features_over_packed
 from ..stages.pack import PACKED_SCHEMA
-from ..stages.rollup import rollup_colocated
+from ..stages.rollup import turn_rollup_fn
 
 
 def derived_pipeline(
@@ -42,20 +36,15 @@ def derived_pipeline(
     return derive_turn_metrics(ds, num_parts=num_parts, slim=slim)
 
 
-def _slim_with_part(sf_dir: str, num_parts: int | None) -> "rd.Dataset":
-    """Pruned read + token_len/part tagging, NO exchange yet -- the
-    single groupby(part) downstream both co-locates conversations and
-    computes everything that needs co-location."""
-    if num_parts is None:
-        num_parts = default_num_parts()
+def slim_turns(sf_dir: str) -> "rd.Dataset":
+    """Pruned read + token_len, NO exchange yet: (conv_id, turn_idx, ts,
+    token_len). The single exchange downstream both co-locates
+    conversations and computes everything that needs co-location."""
     ds = rd.read_parquet(
         transcripts_path(sf_dir), columns=["conv_id", "turn_idx", "ts", "text"]
     )
-    ds = ds.map_batches(
-        _add_token_len_and_part(num_parts), batch_format="pyarrow",
-        batch_size=65536,
-    )
-    return ds.select_columns(["conv_id", "turn_idx", "ts", "token_len", "part"])
+    ds = ds.map_batches(_add_token_len, batch_format="pyarrow", batch_size=65536)
+    return ds.select_columns(["conv_id", "turn_idx", "ts", "token_len"])
 
 
 def rollup_pipeline(
@@ -65,15 +54,14 @@ def rollup_pipeline(
     num_parts: int | None = None,
 ) -> "rd.Dataset":
     """transcripts parquet -> rollup Dataset at the given tiers in ONE
-    exchange: the groupby(part) that co-locates each conversation also
+    exchange: the by_partition that co-locates each conversation also
     computes latency and the exact rollup inside the same map_groups
-    (rollup_colocated) -- the old derive-shuffle + partial-merge-shuffle
+    (turn_rollup_fn) -- the old derive-shuffle + partial-merge-shuffle
     pair collapsed into one. The shuffle runs slim: payload columns
     never enter the exchange."""
-    slim = _slim_with_part(sf_dir, num_parts)
-    return rollup_colocated(
-        slim, tiers=tiers, gapfill=gapfill,
-        per_partition=_latency_per_partition, presorted=True,
+    return by_partition(
+        slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, gapfill),
+        num_parts=num_parts,
     )
 
 
@@ -95,18 +83,17 @@ def feature_pipeline(
     lengths so one multi-million-point series cannot pin a core for
     the whole stage.
 
-    Derive + rollup + pack run FUSED in ONE groupby(part).map_groups
-    (rollup_colocated with the latency hook and pack_metrics): the single
-    full-data exchange both co-locates conversations and produces packed
+    Derive + rollup + pack run FUSED in ONE by_partition exchange
+    (turn_rollup_fn with ``pack_metrics``): the single full-data
+    exchange both co-locates conversations and produces packed
     list<double> series directly, so the feature stage consumes packed
     rows with no second exchange. Pack depends only on groupby semantics
     -- never block layout -- and engine-packed input skips the balancing
     random_shuffle (pack already mixes series within each partition; the
     fine repartition in the feature stage slices those mixed runs)."""
-    slim = _slim_with_part(sf_dir, num_parts)
-    packed = rollup_colocated(
-        slim, tiers=tiers, per_partition=_latency_per_partition,
-        pack_metrics=metric, presorted=True,
+    packed = by_partition(
+        slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, pack_metrics=metric),
+        num_parts=num_parts,
     )
     return features_over_packed(
         packed, features=features, scale=scale, concurrency=concurrency,
@@ -197,23 +184,18 @@ def tsfeatures(
         concurrency = threads
     if isinstance(panel, pd.DataFrame):
         panel = rd.from_pandas(panel)
-    if num_parts is None:
-        num_parts = default_num_parts()
     if freq is None:
         head = panel.limit(2000).to_pandas()
         one = head[head["unique_id"] == head["unique_id"].iloc[0]]
         freq = infer_panel_freq(one.sort_values("ds"), dict_freqs)
 
     def add_cols(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df["unique_id"].astype(str).to_numpy(), num_parts)
-        df["freq"] = np.int32(freq)
-        return df
+        # hash the series key as str, the type the packed rows carry
+        return df.assign(unique_id=df["unique_id"].astype(str), freq=np.int32(freq))
 
-    packed = (
-        panel.map_batches(add_cols, batch_format="pandas")
-        .groupby("part")
-        .map_groups(_pack_long_partition, batch_format="pandas")
+    packed = by_partition(
+        panel.map_batches(add_cols, batch_format="pandas"), "unique_id",
+        _pack_long_partition, num_parts=num_parts,
     )
     return features_over_packed(
         packed, features=features, scale=scale, concurrency=concurrency

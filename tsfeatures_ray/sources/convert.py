@@ -16,7 +16,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 from ..stages.pack import PACKED_SCHEMA
 
 
@@ -52,14 +52,11 @@ def long_to_wide(
 ) -> "rd.Dataset":
     """Pack a long panel (unique_id, ds, y) into wide rows with list
     cells -- the reference's wide format (tsfeatures.py:1014-1016).
-    One shuffle on the series key."""
-    if num_parts is None:
-        num_parts = default_num_parts()
+    One shuffle on the series key (hashed as str, the type the packed
+    rows carry)."""
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df["unique_id"].astype(str).to_numpy(), num_parts)
-        return df
+    def as_str(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(unique_id=df["unique_id"].astype(str))
 
     def pack(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["unique_id", "ds"], kind="mergesort")
@@ -84,8 +81,9 @@ def long_to_wide(
             schema=PACKED_SCHEMA,
         )
 
-    return ds.map_batches(add_part, batch_format="pandas").groupby("part").map_groups(
-        pack, batch_format="pandas"
+    return by_partition(
+        ds.map_batches(as_str, batch_format="pandas"), "unique_id", pack,
+        num_parts=num_parts,
     )
 
 
@@ -107,13 +105,6 @@ def train_test_split(
     in the test panel), or 'drop' (exclude them from both panels)."""
     if short not in ("raise", "all_test", "drop"):
         raise ValueError(f"train_test_split: unknown short policy {short!r}")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df["unique_id"].astype(str).to_numpy(), num_parts)
-        return df
 
     def tag(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["unique_id", "ds"], kind="mergesort")
@@ -138,12 +129,7 @@ def train_test_split(
             out = out[~np.repeat(is_short, counts)]
         return out
 
-    tagged = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(tag, batch_format="pandas")
-        .materialize()
-    )
+    tagged = by_partition(ds, "unique_id", tag, num_parts=num_parts).materialize()
     train = tagged.filter(expr="_test == False").drop_columns(["_test"])
     test = tagged.filter(expr="_test == True").drop_columns(["_test"])
     return train, test

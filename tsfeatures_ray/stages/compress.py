@@ -377,7 +377,14 @@ def compress_rollup(
     num_parts: int | None = None,
     pre_partitioned: bool = False,
 ) -> "ray.data.Dataset":
-    from .derive import default_num_parts, stable_part
+    """Rollup Dataset -> one Gorilla block per (key, tier), through one
+    ``by_partition`` exchange on ``key``. ``pre_partitioned=True`` skips
+    the exchange and encodes each BLOCK on its own. Partitioning
+    assumption (SURVEY.md §2 custom-operator rule): every (key, tier)
+    series lies within one block, as in a rollup straight out of its
+    map_groups; a repartition or Ray's dynamic block splitting breaks it
+    silently (a split series becomes two blocks)."""
+    from .derive import by_partition
 
     codec = BlockCodec(key=key, metric=metric)
 
@@ -385,16 +392,7 @@ def compress_rollup(
         return codec(g)
 
     if pre_partitioned:
-        # same block-alignment assumption as pack_series(pre_partitioned=True)
         return rollup_ds.map_batches(
             encode_partition, batch_format="pandas", batch_size=None
         )
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
-
-    ds = rollup_ds.map_batches(add_part, batch_format="pandas")
-    return ds.groupby("part").map_groups(encode_partition, batch_format="pandas")
+    return by_partition(rollup_ds, key, encode_partition, num_parts=num_parts)

@@ -3,10 +3,11 @@
 Ray-Data-first layout:
 
 1. a stateless ``map_batches`` (pyarrow, zero-copy) computes
-   ``token_len = utf8_length(text)`` and a stable partition key
+   ``token_len = utf8_length(text)``;
+2. ``by_partition`` tags the stable partition key
    ``part = stable_hash(conv_id) % P`` -- the ONE partitioning key the
-   whole engine reuses (SURVEY.md §7);
-2. ``groupby("part").map_groups`` (the engine's single full-data
+   whole engine reuses (SURVEY.md §7) -- and its
+   ``groupby("part").map_groups`` (the engine's single full-data
    shuffle) sorts each partition by (conv_id, ts, turn_idx) and computes
    ``latency_us = ts - lag(ts)`` per conversation with vectorized pandas
    (no per-conversation Python calls -- one vectorized pass per
@@ -54,15 +55,50 @@ def default_num_parts(n_rows: int | None = None) -> int:
     return max(4, parts)
 
 
-def _add_token_len_and_part(num_parts: int):
-    def fn(batch: pa.Table) -> pa.Table:
-        token_len = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
-        part = stable_part(batch["conv_id"].to_numpy(zero_copy_only=False), num_parts)
-        return batch.append_column("token_len", token_len).append_column(
-            "part", pa.array(part, type=pa.int64())
-        )
+def with_part(
+    ds: "ray.data.Dataset", key: str, num_parts: int | None = None
+) -> "ray.data.Dataset":
+    """Tag every row with ``part = stable_part(key)`` (a per-batch map,
+    no exchange). The one place the engine computes the partition key;
+    ``by_partition`` exchanges on it, and the resumable run sinks it as
+    ``partition_cols`` to co-locate without an exchange. A ``part``
+    column already on the input is replaced.
 
-    return fn
+    The tag runs in each block's native format (pyarrow for Arrow
+    blocks, pandas for pandas blocks): the exchange's sort is stable on
+    Arrow blocks but not on pandas ones, so converting would reorder the
+    rows a partition function sees within its partition."""
+    if num_parts is None:
+        num_parts = default_num_parts()
+
+    def tag(batch):
+        part = stable_part(batch[key], num_parts)
+        if isinstance(batch, pd.DataFrame):
+            batch["part"] = part
+            return batch
+        if "part" in batch.column_names:
+            batch = batch.drop_columns(["part"])
+        return batch.append_column("part", pa.array(part, type=pa.int64()))
+
+    return ds.map_batches(tag, batch_format=None)
+
+
+def by_partition(
+    ds: "ray.data.Dataset", key: str, fn, *, num_parts: int | None = None
+) -> "ray.data.Dataset":
+    """The engine's co-partition exchange: tag ``part`` from ``key``,
+    then ONE ``groupby("part").map_groups(fn)``. ``fn`` gets a pandas
+    frame holding every row of each key that hashes to its partition
+    (plus the ``part`` column), whatever the input block layout."""
+    return with_part(ds, key, num_parts).groupby("part").map_groups(
+        fn, batch_format="pandas"
+    )
+
+
+def _add_token_len(batch: pa.Table) -> pa.Table:
+    """``token_len = utf8_length(text)`` (pyarrow, zero-copy)."""
+    token_len = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
+    return batch.append_column("token_len", token_len)
 
 
 def _latency_per_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -93,16 +129,10 @@ def derive_turn_metrics(
     per-turn products that must carry text (the per-row text-equality
     invariant is checked against that path).
     """
-    if num_parts is None:
-        num_parts = default_num_parts()
-    ds = ds.map_batches(
-        _add_token_len_and_part(num_parts),
-        batch_format="pyarrow",
-        batch_size=65536,
-    )
+    ds = ds.map_batches(_add_token_len, batch_format="pyarrow", batch_size=65536)
     if slim:
-        ds = ds.select_columns(["conv_id", "turn_idx", "ts", "token_len", "part"])
-    return ds.groupby("part").map_groups(_latency_per_partition, batch_format="pandas")
+        ds = ds.select_columns(["conv_id", "turn_idx", "ts", "token_len"])
+    return by_partition(ds, "conv_id", _latency_per_partition, num_parts=num_parts)
 
 
 def _dialogue_stats_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -175,12 +205,8 @@ def dialogue_stats(
     transcript-corpus curation -- e.g. filtering conversations by
     tool-usage or turn-taking profile before feature extraction.
     """
-    if num_parts is None:
-        num_parts = default_num_parts()
-
     def slim(batch: pa.Table) -> pa.Table:
         token_len = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
-        part = stable_part(batch["conv_id"].to_numpy(zero_copy_only=False), num_parts)
         return pa.Table.from_arrays(
             [
                 batch["conv_id"].combine_chunks(),
@@ -189,15 +215,13 @@ def dialogue_stats(
                 batch["tool"].combine_chunks(),
                 batch["ts"].combine_chunks(),
                 token_len,
-                pa.array(part, type=pa.int64()),
             ],
-            names=["conv_id", "turn_idx", "role", "tool", "ts", "token_len", "part"],
+            names=["conv_id", "turn_idx", "role", "tool", "ts", "token_len"],
         )
 
-    return (
-        ds.map_batches(slim, batch_format="pyarrow", batch_size=65536)
-        .groupby("part")
-        .map_groups(_dialogue_stats_partition, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(slim, batch_format="pyarrow", batch_size=65536),
+        "conv_id", _dialogue_stats_partition, num_parts=num_parts,
     )
 
 
@@ -212,19 +236,14 @@ def role_transitions(
     tool call). Same one conv-hash exchange as dialogue_stats, each
     partition reduced to at most |roles|^2 partial rows, then a tiny
     single-group fold."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
     def slim(batch: pa.Table) -> pa.Table:
-        part = stable_part(batch["conv_id"].to_numpy(zero_copy_only=False), num_parts)
         return pa.Table.from_arrays(
             [
                 batch["conv_id"].combine_chunks(),
                 batch["turn_idx"].combine_chunks(),
                 batch["role"].combine_chunks(),
-                pa.array(part, type=pa.int64()),
             ],
-            names=["conv_id", "turn_idx", "role", "part"],
+            names=["conv_id", "turn_idx", "role"],
         )
 
     def count_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -252,9 +271,10 @@ def role_transitions(
         return out
 
     return (
-        ds.map_batches(slim, batch_format="pyarrow", batch_size=65536)
-        .groupby("part")
-        .map_groups(count_pairs, batch_format="pandas")
+        by_partition(
+            ds.map_batches(slim, batch_format="pyarrow", batch_size=65536),
+            "conv_id", count_pairs, num_parts=num_parts,
+        )
         .groupby("__g")
         .map_groups(
             lambda d: fold(d.drop(columns=["__g"])), batch_format="pandas"
@@ -279,8 +299,6 @@ def topic_drift(ds, num_parts: int | None = None):
     each conversation, whose half split and cosine then run locally."""
     import re
 
-    if num_parts is None:
-        num_parts = default_num_parts()
     word = re.compile(r"[a-z]+")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -323,7 +341,6 @@ def topic_drift(ds, num_parts: int | None = None):
                 else pd.Series([], dtype="int64"),
             }
         )
-        out["__part"] = stable_part(out["conv_id"].to_numpy(), num_parts)
         return out
 
     def drift(g: pd.DataFrame) -> pd.DataFrame:
@@ -368,8 +385,7 @@ def topic_drift(ds, num_parts: int | None = None):
                      "cosine_halves"],
         ).astype({"tokens_first": np.int64, "tokens_second": np.int64})
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(drift, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas"), "conv_id", drift,
+        num_parts=num_parts,
     )

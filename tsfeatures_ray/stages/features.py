@@ -1,13 +1,12 @@
-"""Stage 4: the feature-kernel actor pool.
+"""Stage 4: the feature kernels.
 
 The reference's execution model is one OS process per series
-(tsfeatures.py:970-971). Ours is the idiomatic Ray Data equivalent: a
-callable CLASS passed to ``map_batches(FeatureKernels,
-batch_format="pyarrow", concurrency=N, num_cpus=1)`` -- an actor pool
-whose per-actor setup (feature list resolution, scratch state) runs once
-in ``__init__`` and whose ``__call__`` processes a BATCH of packed
-series (amortizing task overhead over many series, unlike the
-reference's task-per-series).
+(tsfeatures.py:970-971). Ours is the idiomatic Ray Data equivalent:
+stateless ``map_batches(..., batch_format="pyarrow", num_cpus=1)``
+tasks, each calling a per-worker cached ``FeatureKernels`` whose setup
+(feature list resolution, scratch state) runs once per worker and whose
+``__call__`` processes a BATCH of packed series (amortizing task
+overhead over many series, unlike the reference's task-per-series).
 
 Output is a wide feature table with a FIXED schema: the seasonal
 superset of the default feature set (42 feature columns, SURVEY.md
@@ -16,7 +15,7 @@ schema is what lets blocks concatenate without Arrow schema conflicts.
 
 BLAS threading: the reference pins MKL/OMP to one thread per worker
 (tsfeatures.py:6-8); Ray already exports OMP_NUM_THREADS=1 to workers,
-so each num_cpus=1 actor is single-threaded by construction.
+so each num_cpus=1 task is single-threaded by construction.
 """
 
 from __future__ import annotations
@@ -85,14 +84,14 @@ def _resolve(features) -> list[Callable]:
 
 
 class FeatureKernels:
-    """Actor-pool stage: packed series batches -> wide feature rows."""
+    """Packed series batches -> wide feature rows."""
 
     def __init__(self, features=None, scale: bool = True, columns=None):
         self.features = _resolve(features)
         self.scale = scale
         if columns is None:
             # derive the column set from a probe run on tiny seasonal and
-            # nonseasonal series (cheap; once per actor)
+            # nonseasonal series (cheap; once per instance)
             cols = []
             seen = set()
             probe = np.arange(64, dtype=float) + np.sin(np.arange(64) / 3)
@@ -250,7 +249,6 @@ def features_over_packed(
     concurrency=None,
     batch_size: int = 1024,
     balance: bool = True,
-    use_actors: bool = False,
     giant_threshold: "int | str | None" = "auto",
 ) -> "ray.data.Dataset":
     """Run the feature kernels over a packed Dataset.
@@ -278,11 +276,9 @@ def features_over_packed(
     are inherent to per-series kernels -- this policy bounds their
     damage rather than pretending to parallelize one series.
 
-    Execution: stateless tasks by default (kernels hold no model state;
-    a per-worker cache amortizes setup, and tasks avoid actor-pool
-    spin-up and scale elastically). ``use_actors=True`` switches to a
-    fixed ``map_batches(FeatureKernels, concurrency=N)`` actor pool --
-    the right shape when a future kernel loads real per-actor state.
+    Execution: stateless tasks (kernels hold no model state; a
+    per-worker cache amortizes setup, and tasks avoid actor-pool
+    spin-up and scale elastically).
     """
     if concurrency is None:
         try:
@@ -365,8 +361,7 @@ def features_over_packed(
     else:
         n_rows_plain = None
     return _dispatch(
-        packed, kernel_fn, features, scale, concurrency, batch_size,
-        balance, use_actors, n_rows=n_rows_plain,
+        packed, kernel_fn, concurrency, batch_size, balance, n_rows=n_rows_plain
     )
 
 
@@ -412,8 +407,7 @@ def _dispatch_grouped(packed, kernel_fn, concurrency, giant_threshold,
     )
 
 
-def _dispatch(packed, kernel_fn, features, scale, concurrency, batch_size,
-              balance, use_actors, n_rows=None):
+def _dispatch(packed, kernel_fn, concurrency, batch_size, balance, n_rows=None):
     # pack already mixes series within each block (pack.py), so the plain
     # repartition below slices those mixed runs into fine-grained,
     # cost-balanced blocks; balance=True adds a full random_shuffle for
@@ -443,17 +437,7 @@ def _dispatch(packed, kernel_fn, features, scale, concurrency, batch_size,
         n_blocks = max(concurrency * 2, n_rows // max(1, batch_size), 1)
     else:
         n_blocks = concurrency * 4
-    packed = packed.repartition(n_blocks)
-    if use_actors:
-        return packed.map_batches(
-            FeatureKernels,
-            fn_constructor_kwargs={"features": features, "scale": scale},
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=1,
-        )
-    return packed.map_batches(
+    return packed.repartition(n_blocks).map_batches(
         kernel_fn,
         batch_format="pyarrow",
         batch_size=batch_size,

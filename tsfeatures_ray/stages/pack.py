@@ -19,7 +19,7 @@ import pyarrow as pa
 import ray
 
 from ..schema import TIERS
-from .derive import default_num_parts, stable_part
+from .derive import by_partition
 
 PACKED_SCHEMA = pa.schema(
     [
@@ -93,56 +93,15 @@ def _pack_partition(metrics):
     return fn
 
 
-def assert_unique_series(packed: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Loud guard for the pre-partitioned fast path: raises ValueError if
-    any (unique_id, tier, metric) series spans more than one packed row --
-    the symptom of a violated block-alignment assumption (e.g. Ray split
-    a rollup partition into several blocks before a
-    ``pack_series(pre_partitioned=True)``). Cheap: aggregates only the
-    packed table (one row per series). Returns the materialized packed
-    Dataset so callers can keep streaming from it."""
-    packed = packed.materialize()
-    total = packed.count()
-    distinct = (
-        packed.groupby(["unique_id", "tier", "metric"]).count().count()
-    )
-    if total != distinct:
-        raise ValueError(
-            f"pack produced {total} rows for {distinct} distinct "
-            "(unique_id, tier, metric) series: a series was split across "
-            "blocks. Use rollup_packed() (fused, layout-independent) or "
-            "pack_series(pre_partitioned=False)."
-        )
-    return packed
-
-
 def pack_series(
     rollup_ds: "ray.data.Dataset",
     metric: str | list[str] = "token_len_sum",
     num_parts: int | None = None,
-    pre_partitioned: bool = False,
 ) -> "ray.data.Dataset":
-    """Rollup Dataset -> packed wide Dataset (PACKED_SCHEMA).
-
-    ``pre_partitioned=True`` skips the shuffle entirely and packs each
-    BLOCK independently (``batch_size=None`` -> one batch per block).
-    Partitioning assumption (SURVEY.md §2 custom-operator rule): every
-    (conv_id, tier) group lies within one block. Ray's dynamic block
-    splitting CAN break this silently (duplicate partial series), so the
-    fast path is only for callers that control the upstream block layout
-    and should be guarded with ``assert_unique_series``; the
-    layout-independent shapes are ``rollup_packed`` (fused, preferred)
-    or the shuffle path below.
-    """
-    fn = _pack_partition(metric)
-    if pre_partitioned:
-        return rollup_ds.map_batches(fn, batch_format="pandas", batch_size=None)
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df["part"] = stable_part(df["conv_id"].to_numpy(), num_parts)
-        return df
-
-    ds = rollup_ds.map_batches(add_part, batch_format="pandas")
-    return ds.groupby("part").map_groups(fn, batch_format="pandas")
+    """Rollup Dataset -> packed wide Dataset (PACKED_SCHEMA), one
+    ``by_partition`` exchange on conv_id over the rollup rows. Raw turns
+    pack inside the flagship's own exchange instead
+    (``turn_rollup_fn(pack_metrics=...)``)."""
+    return by_partition(
+        rollup_ds, "conv_id", _pack_partition(metric), num_parts=num_parts
+    )

@@ -28,7 +28,7 @@ import pandas as pd
 import ray
 
 from ..schema import TIERS
-from .derive import default_num_parts, stable_part
+from .derive import by_partition
 from .rollup import DEFAULT_SPEC, RollupSpec
 
 
@@ -68,8 +68,6 @@ def compact_tier(
     """Fine-tier rollup rows -> coarser-tier rollup rows (exact)."""
     key = spec.key
     w_dst = TIERS[dst_tier].bucket_us
-    if num_parts is None:
-        num_parts = default_num_parts()
     prefixes = list(spec.values.values())
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -82,9 +80,7 @@ def compact_tier(
         )
         for p in prefixes:
             g[f"{p}_lastsrc"] = np.where(g[f"{p}_last"].notna(), g["_fine"], np.nan)
-        out = _fold(g, key, prefixes)
-        out["part"] = stable_part(out[key].to_numpy(), num_parts)
-        return out
+        return _fold(g, key, prefixes)
 
     partials = rollup_ds.map_batches(partial, batch_format="pandas")
 
@@ -100,7 +96,7 @@ def compact_tier(
         cols = [key, "tier", "bucket", "bucket_us"] + spec.agg_cols + ["filled"]
         return out[cols]
 
-    return partials.groupby("part").map_groups(merge, batch_format="pandas")
+    return by_partition(partials, key, merge, num_parts=num_parts)
 
 
 DEFAULT_RETENTION_US = {

@@ -6,8 +6,10 @@ re-shuffled. A stateless ``map_batches`` computes PARTIAL aggregates per
 associative, and ``last`` carries its ordering key (e.g. (ts, turn_idx))
 so partials merge exactly (merge-on-read). Only the partials (orders of
 magnitude smaller than the input) go through the final
-``groupby("part").map_groups`` merge, which also gap-fills each key's
-bucket range when asked.
+``by_partition`` merge, which also gap-fills each key's bucket range
+when asked. Input that is raw turns skips the partial step:
+``turn_rollup_fn`` computes the exact rollup inside the one exchange
+that co-locates each conversation (the flagship and resumable runs).
 
 This replaces the reference's single-shot in-memory pandas aggregation
 model (reference tsfeatures.py:970-976 materializes the whole panel on
@@ -40,7 +42,8 @@ import ray
 
 from ..schema import TIERS, Tier
 from ._util import ts_to_us
-from .derive import default_num_parts, stable_part
+from .derive import _latency_per_partition, by_partition
+from .pack import _pack_partition
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,8 @@ def rollup(
     """Keyed stream Dataset -> rollup Dataset at the given tiers.
 
     ``salt_window_us`` enables SALTED repartitioning for hot keys
-    (SURVEY.md §4): the merge partition becomes
-    hash(key) (+) bucket_us // salt_window_us, so one giant key's
+    (SURVEY.md §4): the merge partition key becomes
+    (key, bucket_us // salt_window_us), so one giant key's
     partials spread across many partitions instead of pinning one
     straggler. Safe because every (key, tier, bucket) group still lands
     intact in exactly one partition and the merge is associative
@@ -214,8 +217,6 @@ def rollup(
     """
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
     tier_widths = {t.name: t.bucket_us for t in tier_objs}
-    if num_parts is None:
-        num_parts = default_num_parts()
     if salt_window_us is not None and gapfill:
         raise ValueError(
             "salted rollup cannot gap-fill inline; run gapfill_rollup() after"
@@ -224,110 +225,55 @@ def rollup(
         raise ValueError("keep_ord rollups cannot gap-fill inline (gap "
                          "rows have no ordering key); gap-fill after the "
                          "final merge_rollups instead")
-    partials = _partials_with_part(ds, tier_objs, spec, num_parts, salt_window_us)
-    return partials.groupby("part").map_groups(
-        _final_merge(gapfill, tier_widths, spec, keep_ord), batch_format="pandas"
-    )
-
-
-def _partials_with_part(ds, tier_objs, spec, num_parts, salt_window_us=None):
     partials = ds.map_batches(
         _partial_agg(tier_objs, spec), batch_format="pandas", batch_size=65536
     )
+    key = spec.key
+    if salt_window_us is not None:
+        def salt(df: pd.DataFrame) -> pd.DataFrame:
+            df["salted_key"] = (df[spec.key].astype(str) + "@"
+                                + (df["bucket_us"] // salt_window_us).astype(str))
+            return df
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        part = stable_part(df[spec.key].to_numpy(), num_parts).astype(np.uint64)
-        if salt_window_us is not None:
-            salt = (df["bucket_us"].to_numpy().astype(np.uint64)
-                    // np.uint64(salt_window_us))
-            part = (part + salt * np.uint64(0x9E3779B9)) % np.uint64(num_parts)
-        df["part"] = part.astype(np.int64)
-        return df
-
-    return partials.map_batches(add_part, batch_format="pandas")
-
-
-def rollup_packed(
-    ds: "ray.data.Dataset",
-    tiers: list[str] | None = None,
-    metrics: str | list[str] = "token_len_sum",
-    num_parts: int | None = None,
-    spec: RollupSpec = DEFAULT_SPEC,
-) -> "ray.data.Dataset":
-    """Rollup + pack fused into ONE ``groupby(part).map_groups``: each
-    hash partition is merged and immediately packed to list<double>
-    series inside the same group call.
-
-    This is the scale-safe replacement for
-    ``pack_series(rollup(...), pre_partitioned=True)``: map_groups hands
-    the ENTIRE partition to the function regardless of how Ray split the
-    underlying blocks, so correctness never depends on block layout --
-    the assumption that made the pre-partitioned fast path silently wrong
-    under dynamic block splitting -- and the packed table needs no second
-    exchange."""
-    from .pack import _pack_partition
-
-    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
-    tier_widths = {t.name: t.bucket_us for t in tier_objs}
-    if num_parts is None:
-        num_parts = default_num_parts()
-    merge_fn = _final_merge(False, tier_widths, spec)
-    pack_fn = _pack_partition(metrics)
-
-    def fused(g: pd.DataFrame):
-        return pack_fn(merge_fn(g))
-
-    partials = _partials_with_part(ds, tier_objs, spec, num_parts)
-    return partials.groupby("part").map_groups(fused, batch_format="pandas")
+        partials, key = partials.map_batches(salt, batch_format="pandas"), "salted_key"
+    return by_partition(
+        partials, key, _final_merge(gapfill, tier_widths, spec, keep_ord),
+        num_parts=num_parts,
+    )
 
 
-def rollup_colocated(
-    ds_with_part: "ray.data.Dataset",
+def turn_rollup_fn(
     tiers: list[str] | None = None,
     gapfill: bool = False,
-    spec: RollupSpec = DEFAULT_SPEC,
-    per_partition: "callable | None" = None,
     pack_metrics: str | list[str] | None = None,
-    presorted: bool = False,
-) -> "ray.data.Dataset":
-    """Single-exchange rollup for an input that already carries the
-    engine's ``part`` column: ONE ``groupby(part).map_groups`` both
-    co-locates every key's rows AND computes the EXACT rollup (each
-    partition holds complete keys, so the per-batch partial aggregation
-    is already final -- no second partial->merge exchange is needed).
+):
+    """Partition function of the flagship's single exchange. Over one
+    co-located partition of raw turns (conv_id, turn_idx, ts,
+    token_len) it derives latency, computes the EXACT rollup -- the
+    partition holds complete conversations, so the partial aggregation
+    is already final and no second partial->merge exchange is needed --
+    and, with ``pack_metrics``, packs the series to list<double> rows.
 
-    ``per_partition`` is an optional row-deriving hook run on each
-    co-located partition first (the flagship passes the latency
-    derivation here, fusing derive+rollup+pack into one exchange);
-    ``pack_metrics`` additionally fuses the pack step, emitting packed
-    list<double> series straight out of the same map_groups.
-
-    Partitioning assumption (SURVEY.md §2 custom-operator rule): all
-    rows of one key hash to one partition -- guaranteed by ``part =
-    stable_part(key) % P`` computed upstream. Outputs are byte-identical
-    to rollup()/rollup_packed(): the same _partial/_final_merge code
-    runs, just over whole partitions instead of batches."""
+    ``rollup_pipeline`` and ``feature_pipeline`` hand it to
+    ``by_partition``; the resumable run applies it to each sunk
+    ``derived/part=<p>``. Partitioning assumption (SURVEY.md §2
+    custom-operator rule): every row of a conversation is in the
+    partition. Rows equal those of derive -> rollup(): the same
+    _partial_agg/_final_merge code runs, over whole partitions instead
+    of batches."""
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
     tier_widths = {t.name: t.bucket_us for t in tier_objs}
-    # presorted=True: caller guarantees per_partition leaves the
-    # partition sorted by (key, ts, *order) (the latency hook does), so
-    # the per-tier partial sorts are redundant
-    partial_fn = _partial_agg(tier_objs, spec, presorted=presorted)
-    merge_fn = _final_merge(gapfill, tier_widths, spec)
-    if pack_metrics is not None:
-        from .pack import _pack_partition
+    # the latency derivation leaves the partition sorted by (conv_id,
+    # ts, turn_idx), so the per-tier partial sorts are redundant
+    partial_fn = _partial_agg(tier_objs, DEFAULT_SPEC, presorted=True)
+    merge_fn = _final_merge(gapfill, tier_widths, DEFAULT_SPEC)
+    pack_fn = None if pack_metrics is None else _pack_partition(pack_metrics)
 
-        pack_fn = _pack_partition(pack_metrics)
+    def fn(g: pd.DataFrame):
+        out = merge_fn(partial_fn(_latency_per_partition(g)))
+        return out if pack_fn is None else pack_fn(out)
 
-    def fused(g: pd.DataFrame):
-        if per_partition is not None:
-            g = per_partition(g)
-        out = merge_fn(partial_fn(g))
-        if pack_metrics is not None:
-            return pack_fn(out)
-        return out
-
-    return ds_with_part.groupby("part").map_groups(fused, batch_format="pandas")
+    return fn
 
 
 def merge_rollups(
@@ -349,8 +295,6 @@ def merge_rollups(
     ``rollup_incremental_1h`` driver oracle and pytest)."""
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
     tier_widths = {t.name: t.bucket_us for t in tier_objs}
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def to_partial(df: pd.DataFrame) -> pd.DataFrame:
         if "last_ord_ts" not in df.columns:
@@ -359,17 +303,14 @@ def merge_rollups(
                 "(the 'last' aggregate is only mergeable when each row "
                 "carries its ordering key)"
             )
-        df = df.drop(columns=["bucket", "filled", "part"], errors="ignore")
-        df["part"] = stable_part(df[spec.key].to_numpy(), num_parts)
-        return df
+        return df.drop(columns=["bucket", "filled"], errors="ignore")
 
     ds = rollups[0]
     for other in rollups[1:]:
         ds = ds.union(other)
-    partials = ds.map_batches(to_partial, batch_format="pandas")
-    return partials.groupby("part").map_groups(
-        _final_merge(gapfill, tier_widths, spec, keep_ord),
-        batch_format="pandas",
+    return by_partition(
+        ds.map_batches(to_partial, batch_format="pandas"), spec.key,
+        _final_merge(gapfill, tier_widths, spec, keep_ord), num_parts=num_parts,
     )
 
 
@@ -379,8 +320,6 @@ def gapfill_rollup(
     spec: RollupSpec = DEFAULT_SPEC,
 ):
     """Densify an existing (sparse) rollup Dataset."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     tier_widths = {t.name: t.bucket_us for t in TIERS.values()}
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
@@ -391,9 +330,4 @@ def gapfill_rollup(
         out["bucket"] = out["bucket_us"].astype("datetime64[us]")
         return out[cols]
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df["part"] = stable_part(df[spec.key].to_numpy(), num_parts)
-        return df
-
-    ds = rollup_ds.map_batches(add_part, batch_format="pandas")
-    return ds.groupby("part").map_groups(fn, batch_format="pandas")
+    return by_partition(rollup_ds, spec.key, fn, num_parts=num_parts)

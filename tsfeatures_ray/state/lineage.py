@@ -2,20 +2,26 @@
 
 A run is split into:
 
-- stage A (one streaming Dataset job): derive + the conv_id hash shuffle,
-  sunk as Parquet partitioned by the stable ``part`` key
-  (``derived/part=<p>/``). Recorded in the manifest as one record with
-  the input fragment list.
-- stage B (per-partition): for each hash partition, rollup (+ optionally
-  features) over ``derived/part=<p>`` only, written to a temp dir and
-  atomically renamed to ``rollup/part=<p>/``, then a manifest record
-  {partition, rows, checksum, inputs} is appended (write+flush+fsync).
+- stage A (one streaming Dataset job, no exchange): the flagship's
+  slim read (conv_id, turn_idx, ts, token_len) tagged with the stable
+  ``part`` key and sunk as Parquet partitioned by it
+  (``derived/part=<p>/``) -- the partitioned write co-locates each
+  conversation. Recorded in the manifest as one record with the input
+  fragment list and ``num_parts``.
+- stage B (per-partition): one Ray task per hash partition runs the
+  flagship's partition function (``turn_rollup_fn``: latency + exact
+  rollup) over ``derived/part=<p>`` only -- the same code the
+  benchmarked ``rollup_pipeline`` runs inside its exchange -- (+
+  optionally pack + features), written to a temp dir and atomically
+  renamed to ``rollup/part=<p>/``, then a manifest record {partition,
+  rows, checksum, inputs} is appended (write+flush+fsync).
 
-Resume = rerun the same command: completed partitions are found in the
-manifest (and their output dirs exist) and are skipped; a killed run
-therefore never recomputes finished work and the final output is
-byte-identical in content. The manifest is JSONL so concurrent readers
-see a prefix; a partial last line (crash mid-append) is ignored.
+Resume = rerun the same command with the same ``num_parts``: completed
+partitions are found in the manifest (and their output dirs exist) and
+are skipped; a killed run therefore never recomputes finished work and
+the final output is byte-identical in content. The manifest is JSONL so
+concurrent readers see a prefix; a partial last line (crash mid-append)
+is ignored.
 
 The reference has no checkpoint/resume at all (a failed Pool run
 recomputes everything, reference tsfeatures.py:970-976); this module is
@@ -74,7 +80,7 @@ class _Killed(RuntimeError):
     pass
 
 
-def _rollup_partition_local(
+def _stage_b_task(
     part_dir: str,
     tmp_dir: str,
     tiers: list[str] | None,
@@ -82,37 +88,28 @@ def _rollup_partition_local(
     with_features: bool,
     sleep_s: float = 0.0,
 ) -> dict:
-    """Stage-B body for ONE hash partition, pandas-local: the partition
-    is 1/num_parts of the input by construction, so the partial+merge
-    runs in-process (the same ``_partial_agg`` -> ``_final_merge``
-    kernels the distributed ``rollup()`` applies, hence identical rows)
-    and writes to ``tmp_dir``; the caller owns the atomic rename and the
-    manifest append. Runs as a Ray task so K missing partitions recover
-    in ~max(partition) wall, not ~sum. ``sleep_s`` is a test hook that
-    makes the parallel-recovery timing gate deterministic."""
-    import time as _time
+    """Stage-B body for ONE hash partition: the flagship's partition
+    function over the sunk partition, written to ``tmp_dir``; the caller
+    owns the atomic rename and the manifest append. Runs as a Ray task so
+    K missing partitions recover in ~max(partition) wall, not ~sum.
+    ``sleep_s`` is a test hook that makes the parallel-recovery timing
+    gate deterministic."""
+    import shutil
+    import time
 
     from ..stages.features import FeatureKernels
     from ..stages.pack import _pack_partition
-    from ..stages.rollup import DEFAULT_SPEC, TIERS, _final_merge, _partial_agg
+    from ..stages.rollup import turn_rollup_fn
 
     if sleep_s:
-        _time.sleep(sleep_s)
-    spec = DEFAULT_SPEC
-    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
-    tier_widths = {t.name: t.bucket_us for t in tier_objs}
-    df_in = pd.read_parquet(part_dir)
-    partials = _partial_agg(tier_objs, spec)(df_in)
-    df = _final_merge(gapfill, tier_widths, spec)(partials)
+        time.sleep(sleep_s)
+    df = turn_rollup_fn(tiers, gapfill)(pd.read_parquet(part_dir))
     if os.path.exists(tmp_dir):
-        import shutil
-
         shutil.rmtree(tmp_dir)  # stale temp from a killed run
     os.makedirs(tmp_dir, exist_ok=True)
     df.to_parquet(os.path.join(tmp_dir, "data.parquet"), index=False)
     if with_features:
-        packed = _pack_partition("token_len_sum")(df)
-        feats = FeatureKernels()(packed)
+        feats = FeatureKernels()(_pack_partition("token_len_sum")(df))
         feats.to_pandas().to_parquet(
             os.path.join(tmp_dir, "features.parquet"), index=False
         )
@@ -139,28 +136,30 @@ def run_resumable_rollup(
     hook for the kill-and-resume gate). Missing partitions are
     recomputed as PARALLEL Ray tasks -- the driver keeps only the
     atomic rename + manifest bookkeeping, in task-completion order, so
-    recovering K partitions costs ~max(partition) wall, not ~sum."""
-    import ray
-    import ray.data as rd
+    recovering K partitions costs ~max(partition) wall, not ~sum.
+    Resuming with a ``num_parts`` other than the one stage A was sunk
+    with raises ValueError (the sunk partitions would not line up)."""
+    import shutil
 
+    import ray
+
+    from ..pipelines.flagship import slim_turns
     from ..sources.synth import transcripts_path
-    from ..stages.derive import derive_turn_metrics
+    from ..stages.derive import with_part
 
     manifest = Manifest(os.path.join(out_dir, "manifest.jsonl"))
     done = manifest.load()
     tpath = transcripts_path(sf_dir)
     derived_dir = os.path.join(out_dir, "derived")
 
-    # ---- stage A: derive + shuffle, partitioned sink -------------------
+    # ---- stage A: slim read + part tag, partitioned sink (no exchange) --
     if "derived" not in done:
-        ds = rd.read_parquet(tpath)
-        derived = derive_turn_metrics(ds, num_parts=num_parts)
         tmp = derived_dir + ".tmp"
         if os.path.exists(tmp):
-            import shutil
-
             shutil.rmtree(tmp)
-        derived.write_parquet(tmp, partition_cols=["part"])
+        with_part(slim_turns(sf_dir), "conv_id", num_parts).write_parquet(
+            tmp, partition_cols=["part"]
+        )
         os.replace(tmp, derived_dir)
         manifest.append(
             {
@@ -172,10 +171,16 @@ def run_resumable_rollup(
             }
         )
         done = manifest.load()
+    elif done["derived"].get("num_parts") != num_parts:
+        raise ValueError(
+            f"resume with num_parts={num_parts}, but {derived_dir} was "
+            f"written with num_parts={done['derived'].get('num_parts')}; "
+            "rerun with that value or start in a fresh out_dir"
+        )
 
     # ---- stage B: per-partition rollup, parallel Ray tasks -------------
     computed, skipped = 0, 0
-    task = ray.remote(num_cpus=1)(_rollup_partition_local)
+    task = ray.remote(num_cpus=1)(_stage_b_task)
     pending: dict = {}  # ObjectRef -> (pid, part_dir, tmp, final)
     for p in range(num_parts):
         pid = f"part-{p}"
@@ -204,8 +209,6 @@ def run_resumable_rollup(
             pid, part_dir, tmp, final = pending.pop(ref)
             rec = ray.get(ref)
             if os.path.exists(final):
-                import shutil
-
                 shutil.rmtree(final)
             os.replace(tmp, final)
             manifest.append(
