@@ -492,7 +492,7 @@ def _q_turns_dialogue_stats(sf_dir: str):
     """Per-conversation dialogue statistics (round-5 addition): turn /
     role counts, tool-call count + distinct tools, per-role character
     volume, role-alternation (turn-taking) count, duration, mean turn
-    length. ONE stable_part(conv_id) exchange; text never shuffles
+    length. ONE by_partition(conv_id) exchange; text never shuffles
     (reduced to token_len before the exchange). Oracle: live SQL with a
     lag(role) window for alternations."""
     import ray.data as rd
@@ -851,26 +851,26 @@ def _q_events_forecast_metrics(sf_dir: str):
     (SURVEY.md §2.5) -- SQL-checkable.
 
     Fully distributed (round 3): the events table never touches the
-    driver. ONE groupby(part) sorts each user, assigns ordinals, splits
-    the holdout and synthesizes the naive forecast; the tagged panels
-    are materialized once (object-store, spillable) and fed to the
-    Dataset-native evaluate_panel overload per metric. Only the per-user
-    error rows (one per user) reach the driver for the final merge."""
+    driver. ONE by_partition(unique_id) sorts each user, assigns
+    ordinals, splits the holdout and synthesizes the naive forecast;
+    the tagged panels are materialized once (object-store, spillable)
+    and fed to the Dataset-native evaluate_panel overload per metric.
+    Only the per-user error rows (one per user) reach the driver for
+    the final merge."""
     import pandas as pd
     import ray.data as rd
 
     from tsfeatures_ray.metrics import evaluate_panel
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition
 
-    num_parts = default_num_parts()
     h = 10
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_id", "ts", "value"],
     )
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def to_panel(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "unique_id": df["user_id"].astype(str),
                 "ts": df["ts"],
@@ -878,8 +878,6 @@ def _q_events_forecast_metrics(sf_dir: str):
                 "y": df["value"].astype("float64"),
             }
         )
-        out["part"] = stable_part(out["unique_id"].to_numpy(), num_parts)
-        return out
 
     def split(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["unique_id", "ts", "event_id"], kind="mergesort")
@@ -895,12 +893,9 @@ def _q_events_forecast_metrics(sf_dir: str):
         hat["role"] = "hat"
         return pd.concat([out, hat], ignore_index=True)
 
-    tagged = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(split, batch_format="pandas")
-        .materialize()
-    )
+    tagged = by_partition(
+        ds.map_batches(to_panel, batch_format="pandas"), "unique_id", split
+    ).materialize()
     test = tagged.filter(expr="role == 'test'").select_columns(
         ["unique_id", "ds", "y"]
     )
@@ -1624,14 +1619,12 @@ def _q_q3_top_orders(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount"],
     )
 
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
-
-    num_parts = default_num_parts()
+    from tsfeatures_ray.stages.derive import by_partition
 
     def to_cents_partial(df: pd.DataFrame) -> pd.DataFrame:
         price_c = np.rint(df["l_extendedprice"].to_numpy() * 100).astype(np.int64)
         disc_p = np.rint(df["l_discount"].to_numpy() * 100).astype(np.int64)
-        g = (
+        return (
             pd.DataFrame(
                 {
                     "l_orderkey": df["l_orderkey"].to_numpy(),
@@ -1642,8 +1635,6 @@ def _q_q3_top_orders(sf_dir: str):
             .sum()
             .reset_index()
         )
-        g["part"] = stable_part(g["l_orderkey"].to_numpy(), num_parts)
-        return g
 
     def merge_rev(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -1654,10 +1645,9 @@ def _q_q3_top_orders(sf_dir: str):
 
     # partial per-batch pre-agg + ONE bounded exchange (Ray's native
     # groupby.sum was ~25s here on 60k rows; this shape is <1s)
-    li_agg = (
-        li.map_batches(to_cents_partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(merge_rev, batch_format="pandas")
+    li_agg = by_partition(
+        li.map_batches(to_cents_partial, batch_format="pandas"),
+        "l_orderkey", merge_rev,
     )
 
     orders = rd.read_parquet(
@@ -3170,9 +3160,8 @@ def _q_docs_source_overlap(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition
 
-    num_parts = default_num_parts()
     ds = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text", "source"],
@@ -3187,9 +3176,7 @@ def _q_docs_source_overlap(sf_dir: str):
             {"content_hash": h, "source": df["source"], "n_docs": 1}
         )
         out = out.groupby(["content_hash", "source"], sort=False).size()
-        out = out.rename("n_docs").reset_index()
-        out["__part"] = stable_part(out["content_hash"].to_numpy(), num_parts)
-        return out
+        return out.rename("n_docs").reset_index()
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("content_hash", sort=False).agg(
@@ -3200,10 +3187,8 @@ def _q_docs_source_overlap(sf_dir: str):
         m["n_docs"] = m["n_docs"].astype("int64")
         return m
 
-    out = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
+    out = by_partition(
+        ds.map_batches(partial, batch_format="pandas"), "content_hash", merge
     )
     return out.sort("content_hash")
 
@@ -3368,16 +3353,12 @@ def _q_events_burstiness(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition, pandas_blocks
 
-    num_parts = default_num_parts()
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id"],
     )
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df["user_id"].to_numpy(), num_parts))
 
     def burst(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -3402,11 +3383,7 @@ def _q_events_burstiness(sf_dir: str):
             }
         )
 
-    out = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(burst, batch_format="pandas")
-    )
+    out = by_partition(pandas_blocks(ds), "user_id", burst)
     return _round_floats(out.sort("user_id"), 6)
 
 
@@ -3421,16 +3398,12 @@ def _q_events_type_entropy_rate(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition, pandas_blocks
 
-    num_parts = default_num_parts()
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "event_type", "ts", "event_id"],
     )
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df["user_id"].to_numpy(), num_parts))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -3455,9 +3428,7 @@ def _q_events_type_entropy_rate(sf_dir: str):
         )
 
     out = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(pairs, batch_format="pandas")
+        by_partition(pandas_blocks(ds), "user_id", pairs)
         .groupby("__g")
         .map_groups(
             lambda d: entropy(d.drop(columns=["__g"])), batch_format="pandas"
@@ -4100,7 +4071,7 @@ def _q_turns_transition_latency(sf_dir: str):
     import ray.data as rd
 
     from tsfeatures_ray.pipelines import derived_pipeline
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition
 
     turns = derived_pipeline(sf_dir)
 
@@ -4117,17 +4088,9 @@ def _q_turns_transition_latency(sf_dir: str):
                 "latency_us": df["latency_us"],
             }
         )
-        return out[out["prev_role"].notna() & out["latency_us"].notna()]
-
-    # batch_size=None: batches == the conv-complete map_groups blocks,
-    # so a conversation never splits across a shift() boundary
-    num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        key = (
-            df["prev_role"].astype(str) + "\x00" + df["role"].astype(str)
-        ).to_numpy()
-        return df.assign(__part=stable_part(key, num_parts))
+        out = out[out["prev_role"].notna() & out["latency_us"].notna()]
+        pair = out["prev_role"].astype(str) + "\x00" + out["role"].astype(str)
+        return out.assign(pair=pair)
 
     def kth(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4141,14 +4104,12 @@ def _q_turns_transition_latency(sf_dir: str):
             rows, columns=["prev_role", "role", "n", "q50", "q95"]
         ).astype({"n": np.int64})
 
+    # batch_size=None: batches == the conv-complete map_groups blocks,
+    # so a conversation never splits across a shift() boundary
     pairs = turns.map_batches(
         transitions, batch_format="pandas", batch_size=None
     )
-    return (
-        pairs.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(kth, batch_format="pandas")
-    )
+    return by_partition(pairs, "pair", kth)
 
 
 def _q_events_welch_weekend(sf_dir: str):
@@ -4569,19 +4530,16 @@ def _q_events_windowed_funnel(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition
 
     window_us = 3_600_000_000
-    num_parts = default_num_parts()
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_type"],
     )
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(["view", "purchase"])].copy()
-        df["__part"] = stable_part(df["user_id"].to_numpy(), num_parts)
-        return df
+    def views_and_buys(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"].isin(["view", "purchase"])].copy()
 
     def funnel(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -4600,10 +4558,9 @@ def _q_events_windowed_funnel(sf_dir: str):
             rows.append((uid, bool(ok.any())))
         return pd.DataFrame(rows, columns=["user_id", "converted"])
 
-    per_user = (
-        ev.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(funnel, batch_format="pandas")
+    per_user = by_partition(
+        ev.map_batches(views_and_buys, batch_format="pandas"), "user_id",
+        funnel,
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -4677,9 +4634,8 @@ def _q_docs_split_leakage(sf_dir: str):
     import ray.data as rd
 
     from tsfeatures_ray.functions import hash_split
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition
 
-    num_parts = default_num_parts()
     docs = rd.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
         columns=["doc_id", "text"],
@@ -4691,9 +4647,7 @@ def _q_docs_split_leakage(sf_dir: str):
             hashlib.md5((t or "")[:64].encode("utf-8")).hexdigest()
             for t in df["text"]
         ]
-        out = pd.DataFrame({"fp": h, "split": df["split"]})
-        out["__part"] = stable_part(out["fp"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"fp": h, "split": df["split"]})
 
     def per_group(g: pd.DataFrame) -> pd.DataFrame:
         a = g.groupby("fp", sort=False).agg(
@@ -4711,10 +4665,8 @@ def _q_docs_split_leakage(sf_dir: str):
             }
         )
 
-    parts = (
-        tagged.map_batches(fp, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(per_group, batch_format="pandas")
+    parts = by_partition(
+        tagged.map_batches(fp, batch_format="pandas"), "fp", per_group
     )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -4782,10 +4734,9 @@ def _q_events_purchase_survival(sf_dir: str):
     import ray.data as rd
 
     from tsfeatures_ray.functions.stats import kaplan_meier
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition
 
     day_us = 86_400_000_000
-    num_parts = default_num_parts()
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "event_type"],
@@ -4796,12 +4747,10 @@ def _q_events_purchase_survival(sf_dir: str):
         .astype("int64")
     )
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"] == "purchase"][
+    def purchases(df: pd.DataFrame) -> pd.DataFrame:
+        return df[df["event_type"] == "purchase"][
             ["user_id", "ts", "event_id"]
         ].copy()
-        df["__part"] = stable_part(df["user_id"].to_numpy(), num_parts)
-        return df
 
     def durations(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -4820,10 +4769,8 @@ def _q_events_purchase_survival(sf_dir: str):
         )
         return out
 
-    durs = (
-        ev.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(durations, batch_format="pandas")
+    durs = by_partition(
+        ev.map_batches(purchases, batch_format="pandas"), "user_id", durations
     )
     return kaplan_meier(durs, "dur", "event")
 
@@ -4840,18 +4787,12 @@ def _q_events_markov_top1(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import default_num_parts, stable_part
+    from tsfeatures_ray.stages.derive import by_partition, pandas_blocks
 
-    num_parts = default_num_parts()
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
         columns=["user_id", "ts", "event_id", "event_type"],
     )
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__part"] = stable_part(df["user_id"].to_numpy(), num_parts)
-        return df
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -4869,9 +4810,7 @@ def _q_events_markov_top1(sf_dir: str):
         return out.astype({"n": np.int64})
 
     merged = (
-        ev.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(pairs, batch_format="pandas")
+        by_partition(pandas_blocks(ev), "user_id", pairs)
         .groupby(["prev", "next"])
         .sum("n")
     )
@@ -8321,11 +8260,12 @@ r AS (SELECT *, row_number() OVER (PARTITION BY qid
                                    ORDER BY cosine DESC, vec_id) AS rk
       FROM s),
 t AS (SELECT qid, qlab,
-             SUM(CASE WHEN nlab = qlab THEN 1 ELSE 0 END) AS m
+             SUM(CASE WHEN nlab = qlab THEN 1 ELSE 0 END) AS m,
+             COUNT(*) AS nn
       FROM r WHERE rk <= 10 GROUP BY 1, 2)
 SELECT CAST(qlab AS BIGINT) AS label,
        CAST(COUNT(*) AS BIGINT) AS n_vectors,
-       ROUND(CAST(SUM(m) AS DOUBLE) / (COUNT(*) * 10) + 0.0000001, 6)
+       ROUND(CAST(SUM(m) AS DOUBLE) / SUM(nn) + 0.0000001, 6)
            AS purity
 FROM t GROUP BY 1
 """,

@@ -123,6 +123,8 @@ def test_evaluate_panel_dataset_path_agrees(ray_session):
         assert hasattr(got_ds, "to_pandas")  # streaming Dataset out
         got = got_ds.to_pandas().sort_values(
             "unique_id", kind="mergesort").reset_index(drop=True)
+        want = want.sort_values(
+            "unique_id", kind="mergesort").reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want)
 
 
@@ -194,6 +196,21 @@ def test_rolling_origin_backtest_block_layout_invariant(ray_session):
     want = rolling_origin_backtest(intact, "k", "bucket", "y").to_pandas()
     got = rolling_origin_backtest(intact.repartition(97), "k", "bucket", "y")
     pd.testing.assert_frame_equal(got.to_pandas(), want)
+
+
+def test_evaluate_panel_pandas_keeps_id_dtype_and_order(ray_session):
+    """Reference parity: the pandas path returns the ids in their own
+    dtype and in y_test's first-appearance order, not as sorted str."""
+    y_test = pd.DataFrame(
+        {"unique_id": [3, 3, 1, 1, 2, 2], "ds": [0, 1] * 3,
+         "y": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}
+    )
+    y_hat = y_test.rename(columns={"y": "y_hat"}).assign(
+        y_hat=[1.0, 4.0, 3.0, 3.0, 5.0, 7.0]
+    )
+    got = evaluate_panel(y_test, y_hat, metric="mse")
+    want = pd.DataFrame({"unique_id": [3, 1, 2], "error": [2.0, 0.5, 0.5]})
+    pd.testing.assert_frame_equal(got, want)
 
 
 def test_evaluate_panel_custom_callable(ray_session):

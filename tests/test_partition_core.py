@@ -1,0 +1,106 @@
+"""One partition core: every hash co-partition in the engine and the
+operator library goes through ``stages.derive.by_partition`` /
+``with_part``, so the partition id of a row is computed in exactly one
+place. The AST guard keeps hand-written ``stable_part`` tags from
+growing back; the list-key tests pin the multi-column rule."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CORE = ROOT / "tsfeatures_ray" / "stages" / "derive.py"
+
+# sites that may still call stable_part directly: path relative to the
+# repo root -> one-line reason (empty: every site is ported)
+ALLOWED: dict[str, str] = {}
+
+
+def _calls(path: pathlib.Path, name: str) -> list[int]:
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            called = (
+                fn.id if isinstance(fn, ast.Name)
+                else fn.attr if isinstance(fn, ast.Attribute) else None
+            )
+            if called == name:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_stable_part_only_in_partition_core():
+    files = sorted((ROOT / "tsfeatures_ray").rglob("*.py"))
+    files.append(ROOT / "__ray_entry__.py")
+    offenders = []
+    for f in files:
+        rel = str(f.relative_to(ROOT))
+        if f == CORE or rel in ALLOWED:
+            continue
+        offenders += [f"{rel}:{ln}" for ln in _calls(f, "stable_part")]
+    assert not offenders, (
+        "hand-written stable_part tag(s); route the exchange through "
+        f"stages.derive.by_partition: {offenders}"
+    )
+
+
+def _frame() -> pd.DataFrame:
+    rng = np.random.default_rng(11)
+    n = 500
+    return pd.DataFrame(
+        {
+            "a": rng.choice(["x", "y", "zz", "w"], n),
+            "b": rng.integers(-3, 40, n),
+            # integer-valued: partial sums are exact in any order
+            "v": rng.integers(-50, 50, n).astype("float64"),
+        }
+    )
+
+
+def test_with_part_list_key_matches_multicolumn_rule(ray_session):
+    """``with_part`` on a key list tags the same ids as the multi-column
+    rule the operator library always used: one column -> stable_part,
+    several -> hash_pandas_object(df[keys], index=False) % P."""
+    import ray.data as rd
+
+    from tsfeatures_ray.stages.derive import stable_part, with_part
+
+    df = _frame()
+    P = 7
+    want2 = (
+        pd.util.hash_pandas_object(df[["a", "b"]], index=False).to_numpy()
+        % np.uint64(P)
+    ).astype(np.int64)
+    want1 = stable_part(df["a"].to_numpy(), P)
+    arrow = pa.Table.from_pandas(df, preserve_index=False)
+    for src in (rd.from_pandas(df), rd.from_arrow(arrow)):
+        got = with_part(src, ["a", "b"], P).to_pandas()
+        np.testing.assert_array_equal(got["part"].to_numpy(), want2)
+        got = with_part(src, ["a"], P).to_pandas()
+        np.testing.assert_array_equal(got["part"].to_numpy(), want1)
+
+
+def test_two_column_grouped_agg_block_layout_invariant(ray_session):
+    import ray.data as rd
+
+    from tsfeatures_ray.functions import grouped_agg
+
+    df = _frame()
+    aggs = {"v": ["sum", "count", "min", "max"]}
+    keys = ["a", "b"]
+
+    def run(ds):
+        return (
+            grouped_agg(ds, keys, aggs).to_pandas()
+            .sort_values(keys, kind="mergesort").reset_index(drop=True)
+        )
+
+    one = rd.from_pandas(df)
+    want = run(one)
+    got = run(one.repartition(97))
+    assert len(want) == df.groupby(keys).ngroups
+    pd.testing.assert_frame_equal(got, want)

@@ -817,3 +817,41 @@ def test_knn_purity_planted_clusters(ray_session):
     df2 = df.assign(label=rng.permutation(df["label"].to_numpy()))
     got2 = knn_purity(_ds(df2), k=5).to_pandas()
     assert got2["purity"].mean() < 0.6
+
+
+def test_knn_purity_fewer_vectors_than_k(ray_session):
+    """With 5 vectors and k=10 every vector has only 4 neighbours: the
+    purity denominator is the neighbours actually found, checked
+    against a brute-force numpy kNN."""
+    from tsfeatures_ray.functions.similarity import knn_purity
+
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(5, 8))
+    labels = np.array([0, 0, 1, 1, 1], dtype=np.int64)
+    df = pd.DataFrame(
+        {
+            "vec_id": np.arange(5, dtype=np.int64),
+            "embedding": list(m.astype(np.float32)),
+            "label": labels,
+        }
+    )
+    got = (
+        knn_purity(_ds(df), k=10).to_pandas()
+        .sort_values("label").reset_index(drop=True)
+    )
+
+    mn = m.astype(np.float32).astype(np.float64)
+    mn = mn / np.linalg.norm(mn, axis=1, keepdims=True)
+    sims = mn @ mn.T
+    match = {0: 0, 1: 0}
+    found = {0: 0, 1: 0}
+    for i in range(5):
+        others = [j for j in range(5) if j != i]
+        nbr = sorted(others, key=lambda j: (-sims[i, j], j))[:10]
+        match[labels[i]] += int((labels[nbr] == labels[i]).sum())
+        found[labels[i]] += len(nbr)
+    want = [match[c] / found[c] for c in (0, 1)]
+    assert found == {0: 8, 1: 12}
+    assert got["label"].tolist() == [0, 1]
+    assert got["n_vectors"].tolist() == [2, 3]
+    np.testing.assert_allclose(got["purity"], want, atol=2e-6)

@@ -35,7 +35,7 @@ import pandas as pd
 
 import ray
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
 _END = "</w>"
 
@@ -48,8 +48,6 @@ def word_counts(
 ) -> "ray.data.Dataset":
     """Corpus -> exact (word, count) table: per-batch vectorized partial
     counts, one (word,count) exchange, per-partition final sum."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     rx = re.compile(pattern)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -57,23 +55,20 @@ def word_counts(
         for t in df[text_col]:
             toks.extend(rx.findall(t.lower()))
         if not toks:
-            return pd.DataFrame({"word": [], "count": [], "__part": []}).astype(
-                {"word": "object", "count": "int64", "__part": "int64"}
+            return pd.DataFrame({"word": [], "count": []}).astype(
+                {"word": "object", "count": "int64"}
             )
         vc = pd.Series(toks).value_counts()
-        out = pd.DataFrame({"word": vc.index, "count": vc.to_numpy(np.int64)})
-        out["__part"] = stable_part(out["word"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"word": vc.index, "count": vc.to_numpy(np.int64)})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("word", sort=False)["count"].sum().reset_index()
         out["count"] = out["count"].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas"), "word", merge,
+        num_parts=num_parts,
     )
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, pandas_blocks
 
 
 def cusum_changepoint(
@@ -58,14 +58,6 @@ def cusum_changepoint(
     stay below 2^53 for the bit-exact-location guarantee (e.g. series
     of 1e5 points with values up to 1e3 -- ample for rollup counts);
     beyond that the scan still runs with ordinary float64 rounding."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
-
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort")
         x = g[col].to_numpy(dtype=np.float64)
@@ -118,8 +110,6 @@ def cusum_changepoint(
         })
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds), key, per_part, num_parts=num_parts
     )

@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
 _SEP = "\x1f"
 
@@ -43,8 +43,6 @@ def bigram_pmi(
     from .bpe import word_counts
     from .join import partitioned_join
 
-    if num_parts is None:
-        num_parts = default_num_parts()
     rx = re.compile(pattern)
 
     uni = word_counts(ds, text_col=text_col, pattern=pattern,
@@ -59,13 +57,11 @@ def bigram_pmi(
                 a + _SEP + b for a, b in zip(ws, ws[1:])
             )
         if not pairs:
-            return pd.DataFrame({"bg": [], "c": [], "__part": []}).astype(
-                {"bg": "object", "c": "int64", "__part": "int64"}
+            return pd.DataFrame({"bg": [], "c": []}).astype(
+                {"bg": "object", "c": "int64"}
             )
         vc = pd.Series(pairs).value_counts()
-        out = pd.DataFrame({"bg": vc.index, "c": vc.to_numpy(np.int64)})
-        out["__part"] = stable_part(out["bg"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"bg": vc.index, "c": vc.to_numpy(np.int64)})
 
     def bigram_merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("bg", sort=False)["c"].sum().reset_index()
@@ -82,10 +78,9 @@ def bigram_pmi(
              "pair_count": m["c"].to_numpy(np.int64)}
         )
 
-    bi = (
-        ds.map_batches(bigram_partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(bigram_merge, batch_format="pandas")
+    bi = by_partition(
+        ds.map_batches(bigram_partial, batch_format="pandas"), "bg",
+        bigram_merge, num_parts=num_parts,
     )
 
     # T_bi = total adjacent pairs = sum over docs of (n_words - 1): one

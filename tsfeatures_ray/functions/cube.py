@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
-_PART = "__gs_part"
+_COMBO = "__gs_combo"
 _SET = "__gs_set"
 
 
@@ -66,8 +66,6 @@ def grouping_sets_agg(
     (k, k-1, ..., ()) over ``keys``.
     """
     gsets = _normalize_sets(keys, sets, mode)
-    if num_parts is None:
-        num_parts = default_num_parts()
     kbits = {k: 1 << (len(keys) - 1 - i) for i, k in enumerate(keys)}
     gids = [sum(kbits[k] for k in keys if k not in s) for s in gsets]
 
@@ -106,11 +104,11 @@ def grouping_sets_agg(
             combo = combo + "\x1f" + pd.Series(
                 np.where(s_k.isna(), "\x00", s_k.astype(str)), index=out.index
             )
-        out[_PART] = stable_part(combo.to_numpy(), num_parts)
+        out[_COMBO] = combo.to_numpy()
         return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[_PART])
+        g = g.drop(columns=[_COMBO, "part"])
         m = (
             g.groupby([_SET] + keys, dropna=False, sort=False)
             .agg(
@@ -127,9 +125,9 @@ def grouping_sets_agg(
         m.loc[m["n"] == 0, "total"] = np.nan
         return m[keys + ["grouping_id", "n", "total", "vmin", "vmax"]]
 
-    return (
-        ds.select_columns(keys + [value_col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.select_columns(keys + [value_col]).map_batches(
+            partial, batch_format="pandas"
+        ),
+        _COMBO, merge, num_parts=num_parts,
     )

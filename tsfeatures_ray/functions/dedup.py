@@ -820,21 +820,11 @@ def jaccard_near_dups(
     """
     import pandas as pd
 
-    from ..stages.derive import stable_part
+    from .similarity import _pair_buckets
 
     P = num_parts
     CHUNK = 1 << 24  # max expanded (doc_a, doc_b) occurrence pairs per bincount
     DENSE_COST = 4096  # df_a*df_b above this -> dense-matmul counting
-
-    def replicate(df: pd.DataFrame) -> pd.DataFrame:
-        p = stable_part(df[id_col].to_numpy(), P)
-        rep = df.iloc[np.repeat(np.arange(len(df)), P)].reset_index(drop=True)
-        p_rep = np.repeat(p, P)
-        kk = np.tile(np.arange(P, dtype=np.int64), len(df))
-        lo, hi = np.minimum(p_rep, kk), np.maximum(p_rep, kk)
-        rep["side"] = p_rep
-        rep["pairb"] = lo * P + hi
-        return rep
 
     _EMPTY_J = pd.DataFrame(
         {"id_a": pd.Series([], dtype="int64"),
@@ -940,7 +930,7 @@ def jaccard_near_dups(
         )
 
     return (
-        ds.map_batches(replicate, batch_format="pandas")
+        _pair_buckets(ds, id_col, P)
         .groupby("pairb")
         .map_groups(bucket_pairs, batch_format="pandas")
     )
@@ -974,7 +964,7 @@ def conversation_fingerprints(
     The transcripts-native analog of per-document ``exact_dedup``: a
     duplicate CONVERSATION is byte-identical turn text in the same turn
     order, which no per-turn/per-doc hash can decide. Two bounded
-    exchanges: (1) the engine's standard ``stable_part(conv_id)``
+    exchanges: (1) the engine's standard ``by_partition`` on conv_id
     co-location, concat + one md5 per conversation (hashing is the
     per-group semantic unit -- the loop is per conversation, never per
     row); (2) a (hash -> min key) exchange of one slim row per
@@ -983,16 +973,9 @@ def conversation_fingerprints(
     """
     import hashlib
 
-    from ..stages.derive import default_num_parts, stable_part
+    from ..stages.derive import by_partition, pandas_blocks
 
-    if num_parts is None:
-        num_parts = default_num_parts()
     sep = chr(31)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            __part=stable_part(df[key_col].to_numpy(), num_parts)
-        )
 
     def fingerprint(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, order_col], kind="mergesort")
@@ -1005,28 +988,17 @@ def conversation_fingerprints(
         out["n_turns"] = grp.size().reindex(out[key_col]).to_numpy().astype(np.int64)
         return out[[key_col, "n_turns", "conv_hash"]]
 
-    def add_hash_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(
-            __part=stable_part(df["conv_hash"].to_numpy(), num_parts)
-        )
-
     def canonical(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__part"])
+        g = g.drop(columns=["part"])
         first = g.groupby("conv_hash", sort=False)[key_col].transform("min")
         g = g.assign(is_canonical=(g[key_col] == first).astype(np.int64))
         return g
 
-    fps = (
-        ds.select_columns([key_col, order_col, text_col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(fingerprint, batch_format="pandas")
+    fps = by_partition(
+        pandas_blocks(ds.select_columns([key_col, order_col, text_col])),
+        key_col, fingerprint, num_parts=num_parts,
     )
-    return (
-        fps.map_batches(add_hash_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(canonical, batch_format="pandas")
-    )
+    return by_partition(fps, "conv_hash", canonical, num_parts=num_parts)
 
 
 def _containment_blocked(
@@ -1045,23 +1017,13 @@ def _containment_blocked(
     jaccard_near_dups vs its substring oracle)."""
     import pandas as pd
 
-    from ..stages.derive import stable_part
+    from .similarity import _pair_buckets
 
     P = num_parts
 
-    def replicate(df: pd.DataFrame) -> pd.DataFrame:
+    def long_enough(df: pd.DataFrame) -> pd.DataFrame:
         keep = df[text_col].fillna("").str.len() >= k
-        df = df.loc[keep, [id_col, text_col]].reset_index(drop=True)
-        p = stable_part(df[id_col].to_numpy(), P)
-        rep = df.iloc[np.repeat(np.arange(len(df)), P)].reset_index(
-            drop=True
-        )
-        p_rep = np.repeat(p, P)
-        kk = np.tile(np.arange(P, dtype=np.int64), len(df))
-        lo, hi = np.minimum(p_rep, kk), np.maximum(p_rep, kk)
-        rep["side"] = p_rep
-        rep["pairb"] = lo * P + hi
-        return rep
+        return df.loc[keep, [id_col, text_col]].reset_index(drop=True)
 
     empty = pd.DataFrame(
         {"id_a": pd.Series([], dtype="int64"),
@@ -1135,7 +1097,9 @@ def _containment_blocked(
         return pd.concat(outs, ignore_index=True) if outs else empty.copy()
 
     return (
-        ds.map_batches(replicate, batch_format="pandas")
+        _pair_buckets(
+            ds.map_batches(long_enough, batch_format="pandas"), id_col, P
+        )
         .groupby("pairb")
         .map_groups(bucket, batch_format="pandas")
     )
@@ -1186,7 +1150,7 @@ def containment_pairs(
     import math
 
     from .join import partitioned_join
-    from ..stages.derive import default_num_parts, stable_part
+    from ..stages.derive import by_partition, default_num_parts
 
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
@@ -1285,28 +1249,22 @@ def containment_pairs(
     pre = sh.map_batches(prefix, batch_format="pandas")
     gram_schema_a = pa.schema([("gram", pa.string()), ("a", pa.int64())])
     gram_schema_b = pa.schema([("gram", pa.string()), ("b", pa.int64())])
+
+    def off_diagonal(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.loc[df["a"] != df["b"], ["a", "b"]]
+        return df.assign(
+            pair=df["a"].to_numpy() * np.int64(1_000_003) + df["b"].to_numpy()
+        )
+
     cand = partitioned_join(
         pre, posts, left_on="gram", how="inner",
         num_parts=num_parts,
         left_schema=gram_schema_a, right_schema=gram_schema_b,
-    ).map_batches(
-        lambda d: d.loc[d["a"] != d["b"], ["a", "b"]],
-        batch_format="pandas",
-    )
-
-    def add_pair_part(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["a"].to_numpy() * np.int64(1_000_003) + df["b"].to_numpy()
-        df = df.copy()
-        df["__part"] = stable_part(key, num_parts)
-        return df
-
-    distinct = (
-        cand.map_batches(add_pair_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(
-            lambda g: g.drop_duplicates(["a", "b"]).drop(columns="__part"),
-            batch_format="pandas",
-        )
+    ).map_batches(off_diagonal, batch_format="pandas")
+    distinct = by_partition(
+        cand, "pair",
+        lambda g: g.drop_duplicates(["a", "b"]).drop(columns=["pair", "part"]),
+        num_parts=num_parts,
     )
 
     sh_a = sh.map_batches(

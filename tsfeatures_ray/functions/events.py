@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 
 from ..stages._util import ts_to_us
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, pandas_blocks
 
 _DAY_US = 86_400_000_000
 _NAT_I64 = np.iinfo(np.int64).min  # int64 min IS datetime64 NaT
@@ -48,13 +48,6 @@ def funnel_conversion(
     """
     if len(steps) < 1:
         raise ValueError("funnel needs at least one step")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def funnel(g: pd.DataFrame) -> pd.DataFrame:
         us = ts_to_us(g[ts]).to_numpy()
@@ -85,11 +78,7 @@ def funnel_conversion(
         out["steps_completed"] = completed
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(funnel, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, funnel, num_parts=num_parts)
 
 
 def cohort_retention(
@@ -105,14 +94,6 @@ def cohort_retention(
     key's events are co-located on one hash partition, so per-partition
     distinct counts are disjoint partials and the final merge is a tiny
     (cohort_day, day_offset) sum."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
-
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         day = (ts_to_us(g[ts]).to_numpy() // _DAY_US).astype(np.int64)
         df = pd.DataFrame({key: g[key].to_numpy(), "_day": day})
@@ -138,12 +119,10 @@ def cohort_retention(
             ["n_users"].sum().astype("int64").reset_index()
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(partial, batch_format="pandas")
-        .groupby(["cohort_day", "day_offset"])
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds), key, partial, num_parts=num_parts
+    ).groupby(["cohort_day", "day_offset"]).map_groups(
+        merge, batch_format="pandas"
     )
 
 
@@ -163,14 +142,6 @@ def top_event_paths(
     reduces to its distinct path counts (vectorized shift comparison,
     no per-key loop), a tiny fold sums and takes the global top-k with
     deterministic ties (count DESC, then path lexicographic)."""
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df[key].to_numpy(), num_parts))
-
     def count_paths(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts_col, order_col], kind="mergesort")
         cols = {}
@@ -207,11 +178,12 @@ def top_event_paths(
         m["n"] = m["n"].astype(np.int64)
         return m.reset_index(drop=True)
 
+    cols = [key, type_col, ts_col, order_col]
     return (
-        ds.select_columns([key, type_col, ts_col, order_col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(count_paths, batch_format="pandas")
+        by_partition(
+            pandas_blocks(ds.select_columns(cols)), key, count_paths,
+            num_parts=num_parts,
+        )
         .groupby("__g")
         .map_groups(lambda d: fold(d.drop(columns=["__g"])),
                     batch_format="pandas")
@@ -238,15 +210,6 @@ def session_cooccurrence(
     computed inside the partition (types per session is tiny, so the
     pair expansion is bounded); a |types|^2-bounded fold merges counts
     and computes lift against per-type session counts."""
-    from ..stages.derive import default_num_parts, stable_part
-    from ..stages._util import ts_to_us  # same unit normalization as sessionize
-
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df[key].to_numpy(), num_parts))
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts_col, order_col], kind="mergesort")
         ts_us = ts_to_us(g[ts_col]).to_numpy()
@@ -304,11 +267,12 @@ def session_cooccurrence(
             }
         )
 
+    cols = [key, type_col, ts_col, order_col]
     return (
-        ds.select_columns([key, type_col, ts_col, order_col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(pairs, batch_format="pandas")
+        by_partition(
+            pandas_blocks(ds.select_columns(cols)), key, pairs,
+            num_parts=num_parts,
+        )
         .groupby("__g")
         .map_groups(lambda d: fold(d.drop(columns=["__g"])),
                     batch_format="pandas")
@@ -337,14 +301,6 @@ def session_attribution(
     touch is the first row of each (key, session) run, and the batch
     collapses straight to per-first-touch partials -- the final
     exchange is |event types| rows."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
-
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
             return pd.DataFrame(
@@ -385,10 +341,8 @@ def session_attribution(
             out[c] = out[c].astype(np.int64)
         return out
 
-    partials = (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(partial, batch_format="pandas")
+    partials = by_partition(
+        pandas_blocks(ds), key, partial, num_parts=num_parts
     )
     merged = partials.groupby("first_touch").sum(["ns", "nc", "nconv"])
 
@@ -431,18 +385,11 @@ def scd2_build(
     absorbed. Ties at one timestamp are ordered by ``order`` on both
     sides of the contract.
 
-    Scale shape: ONE bounded exchange on ``stable_part(key)``; inside
+    Scale shape: ONE ``by_partition`` exchange on ``key``; inside
     the sorted partition runs are a vectorized change-flag cumsum (no
     per-key Python loop) and every key's versions complete locally
     because keys never straddle partitions."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     sentinel = np.datetime64(end_sentinel, "us")
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[key, ts, order, attr]].copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def versions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts, order], kind="mergesort")
@@ -477,8 +424,7 @@ def scd2_build(
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(versions, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key, ts, order, attr])), key,
+        versions, num_parts=num_parts,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
 
 def _edit_le1(s: str, t: str) -> int:
@@ -54,8 +54,6 @@ def edit1_pairs(
     """Dataset -> all pairs (id_a < id_b, dist) with Levenshtein
     distance <= 1 between their ``str_col`` values. ``dist`` is exact
     (0 for identical strings, else 1)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def variants(df: pd.DataFrame) -> pd.DataFrame:
         ids_out: list = []
@@ -68,15 +66,13 @@ def edit1_pairs(
             v_out.extend(vs)
             ids_out.extend([i] * len(vs))
             s_out.extend([s] * len(vs))
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "v": np.asarray(v_out, dtype=object),
                 id_col: np.asarray(ids_out, dtype=np.int64),
                 "s": np.asarray(s_out, dtype=object),
             }
         )
-        out["part"] = stable_part(out["v"].to_numpy(), num_parts)
-        return out
 
     _EMPTY = pd.DataFrame(
         {
@@ -84,6 +80,7 @@ def edit1_pairs(
             "id_b": pd.Series([], dtype="int64"),
             "s_a": pd.Series([], dtype="object"),
             "s_b": pd.Series([], dtype="object"),
+            "pair": pd.Series([], dtype="int64"),
         }
     )
 
@@ -117,16 +114,14 @@ def edit1_pairs(
         # the same pair can surface under several shared variants that
         # hash to DIFFERENT variant partitions: route by pair hash so the
         # second exchange makes the dedup global
-        out["ppart"] = stable_part(
-            out["id_a"].to_numpy() * 1_000_003 + out["id_b"].to_numpy(),
-            num_parts,
+        out["pair"] = (
+            out["id_a"].to_numpy() * 1_000_003 + out["id_b"].to_numpy()
         )
         return out
 
-    cand = (
-        ds.map_batches(variants, batch_format="pandas")
-        .groupby("part")
-        .map_groups(candidates, batch_format="pandas")
+    cand = by_partition(
+        ds.map_batches(variants, batch_format="pandas"), "v", candidates,
+        num_parts=num_parts,
     )
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
@@ -156,4 +151,4 @@ def edit1_pairs(
             }
         )
 
-    return cand.groupby("ppart").map_groups(verify, batch_format="pandas")
+    return by_partition(cand, "pair", verify, num_parts=num_parts)

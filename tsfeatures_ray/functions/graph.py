@@ -20,12 +20,12 @@ is a safety bound, not the expected count.
 
 Scale contract: each round is ONE hash-partitioned exchange
 (``partitioned_join`` of the symmetrized edge table against the current
-label table, then a ``groupby(part)`` min-reduce). Nothing ever lands on
-the driver except a per-round scalar (count of changed labels, computed
-inside the same reduce -- no extra exchange). The edge table and the
-label table are both bounded by the DUPLICATE-PAIR graph, which at
-corpus scale is orders of magnitude smaller than the corpus itself; the
-corpus is never part of the iteration.
+label table, then a ``by_partition`` min-reduce on the node). Nothing
+ever lands on the driver except a per-round scalar (count of changed
+labels, computed inside the same reduce -- no extra exchange). The
+edge table and the label table are both bounded by the DUPLICATE-PAIR
+graph, which at corpus scale is orders of magnitude smaller than the
+corpus itself; the corpus is never part of the iteration.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..stages.derive import default_num_parts, stable_part
-
-_PART = "__cc_part"
+from ..stages.derive import by_partition, default_num_parts
 
 
 def _min_reduce(df: pd.DataFrame) -> pd.DataFrame:
@@ -44,7 +42,7 @@ def _min_reduce(df: pd.DataFrame) -> pd.DataFrame:
     node's label changed iff the min beats its unique is_old row (at
     init every is_old row carries node==label, so dup old rows are
     value-identical and min() is exact)."""
-    df = df.drop(columns=[_PART])
+    df = df.drop(columns=["part"])
     g = df.groupby("node", sort=False)
     new = g["label"].min()
     old = df.loc[df["is_old"] == 1].groupby("node", sort=False)["label"].min()
@@ -53,14 +51,6 @@ def _min_reduce(df: pd.DataFrame) -> pd.DataFrame:
         np.int64
     )
     return out
-
-
-def _partition_on(col: str, num_parts: int):
-    def fn(t: pa.Table) -> pa.Table:
-        p = stable_part(t[col].to_numpy(zero_copy_only=False), num_parts)
-        return t.append_column(_PART, pa.array(p, type=pa.int64()))
-
-    return fn
 
 
 def connected_components(
@@ -133,9 +123,7 @@ def connected_components(
     labels = None
     for _ in range(max_iters):
         reduced = (
-            cand.map_batches(_partition_on("node", num_parts), batch_format="pyarrow")
-            .groupby(_PART)
-            .map_groups(_min_reduce, batch_format="pandas")
+            by_partition(cand, "node", _min_reduce, num_parts=num_parts)
             # map_groups emits blocks tracking its INPUT block count, and
             # cand unions 3 label-derived branches -- without this cap the
             # label table's block count grows ~4x per round (measured:
@@ -317,11 +305,7 @@ def triangle_count(
     semi join hash-partitioned on the closing pair (v, w). Only (v, w)
     pairs and 16-byte edges move; the driver sees one row.
     """
-    import ray
     import ray.data as rd
-
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def clean(df: pd.DataFrame) -> pd.DataFrame:
         a = df[src].to_numpy(dtype=np.int64)
@@ -329,20 +313,14 @@ def triangle_count(
         keep = a != b
         lo = np.minimum(a[keep], b[keep])
         hi = np.maximum(a[keep], b[keep])
-        out = pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
-        out["part"] = stable_part(out["a"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
 
     # block-level dedup; exact dedup happens inside the per-a partition
-    e = (
-        edges.map_batches(clean, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda g: g.drop(columns=["part"]).drop_duplicates(),
-            batch_format="pandas",
-        )
-        .materialize()
-    )
+    e = by_partition(
+        edges.map_batches(clean, batch_format="pandas"), "a",
+        lambda g: g.drop(columns=["part"]).drop_duplicates(),
+        num_parts=num_parts,
+    ).materialize()
 
     # pass 1: degrees (node, n) -- bounded by |V|
     def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -406,9 +384,7 @@ def triangle_count(
         swap = (da > db) | ((da == db) & (a > b))
         u = np.where(swap, b, a)
         v = np.where(swap, a, b)
-        out = pd.DataFrame({"u": u, "v": v})
-        out["part"] = stable_part(out["u"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"u": u, "v": v})
 
     oriented = ed.map_batches(orient, batch_format="pandas").materialize()
 
@@ -432,7 +408,7 @@ def triangle_count(
         out["is_edge"] = np.int8(0)
         return out
 
-    w = oriented.groupby("part").map_groups(wedges, batch_format="pandas")
+    w = by_partition(oriented, "u", wedges, num_parts=num_parts)
 
     # pass 3: close wedges against the UNDIRECTED edge set, partitioned
     # on the unordered closing pair
@@ -441,28 +417,27 @@ def triangle_count(
             {"x": df["a"], "y": df["b"], "is_edge": np.int8(1)}
         )
 
-    def pair_part(df: pd.DataFrame) -> pd.DataFrame:
+    def pair_key(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         lo = np.minimum(df["x"].to_numpy(), df["y"].to_numpy())
         hi = np.maximum(df["x"].to_numpy(), df["y"].to_numpy())
         df["x"], df["y"] = lo, hi
-        df["ppart"] = stable_part(lo * 1_000_003 + hi, num_parts)
+        df["pair"] = lo * 1_000_003 + hi
         return df
 
     both = w.union(e.map_batches(edge_rows, batch_format="pandas"))
 
     def close(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["ppart"])
+        g = g.drop(columns=["pair", "part"])
         key = g["x"].to_numpy() * (1 << 32) + g["y"].to_numpy()
         is_e = g["is_edge"].to_numpy() == 1
         edge_keys = np.unique(key[is_e])
         hits = np.isin(key[~is_e], edge_keys)
         return pd.DataFrame({"t": np.array([int(hits.sum())], dtype=np.int64)})
 
-    parts = (
-        both.map_batches(pair_part, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(close, batch_format="pandas")
+    parts = by_partition(
+        both.map_batches(pair_key, batch_format="pandas"), "pair", close,
+        num_parts=num_parts,
     )
     total = parts.sum("t")
     n_edges = e.count()
@@ -513,9 +488,7 @@ def pagerank(
         keep = a != b
         lo = np.minimum(a[keep], b[keep])
         hi = np.maximum(a[keep], b[keep])
-        out = pd.DataFrame({"lo": lo, "hi": hi}).drop_duplicates()
-        out["part"] = stable_part(out["lo"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"lo": lo, "hi": hi}).drop_duplicates()
 
     def sym(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop(columns=["part"]).drop_duplicates()
@@ -526,12 +499,10 @@ def pagerank(
             }
         )
 
-    e = (
-        edges.map_batches(clean, batch_format="pandas")
-        .groupby("part")
-        .map_groups(sym, batch_format="pandas")
-        .materialize()
-    )
+    e = by_partition(
+        edges.map_batches(clean, batch_format="pandas"), "lo", sym,
+        num_parts=num_parts,
+    ).materialize()
 
     def deg_partial(df: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -581,7 +552,6 @@ def pagerank(
             .reset_index()
         )
         out["kind"] = np.int8(0)
-        out["part"] = stable_part(out["node"].to_numpy(), num_parts)
         return out
 
     def deg_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -592,10 +562,9 @@ def pagerank(
             }
         )
         out["kind"] = np.int8(1)
-        out["part"] = stable_part(out["node"].to_numpy(), num_parts)
         return out
 
-    deg_tagged = deg.map_batches(deg_rows, batch_format="pandas").materialize()
+    deg_kind = deg.map_batches(deg_rows, batch_format="pandas").materialize()
 
     def reduce_ranks(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop(columns=["part"])
@@ -625,11 +594,10 @@ def pagerank(
             right_schema=r_schema,
         )
         cand = joined.map_batches(contrib, batch_format="pandas").union(
-            deg_tagged
+            deg_kind
         )
         ranks = (
-            cand.groupby("part")
-            .map_groups(reduce_ranks, batch_format="pandas")
+            by_partition(cand, "node", reduce_ranks, num_parts=num_parts)
             .repartition(num_parts)
             .materialize()
         )

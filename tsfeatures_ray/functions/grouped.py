@@ -7,8 +7,8 @@ input batch is pruned to at most k rows per group BEFORE the exchange
 (one C-speed sort + ``groupby(...).head(k)``), so the shuffle moves at
 most ``k × groups-per-batch`` rows, never the raw table; the final
 per-partition pass re-sorts the survivors and takes the true top k.
-The exchange key is the bounded ``stable_part(group) % num_parts`` --
-never a raw high-cardinality group key.
+The exchange is ``by_partition`` on the group columns -- a bounded
+``hash % num_parts`` key, never a raw high-cardinality group key.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, pandas_blocks
 
 
 def grouped_top_k(
@@ -40,24 +40,14 @@ def grouped_top_k(
     ties = tie_cols or []
     sort_cols = gcols + [order_col] + ties
     ascending = [True] * len(gcols) + [not descending] + [True] * len(ties)
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def _part(df: pd.DataFrame) -> np.ndarray:
-        if len(gcols) == 1:
-            return stable_part(df[gcols[0]].to_numpy(), num_parts)
-        h = pd.util.hash_pandas_object(df[gcols], index=False).to_numpy()
-        return (h % np.uint64(num_parts)).astype(np.int64)
 
     def prune(df: pd.DataFrame) -> pd.DataFrame:
-        out = (
+        return (
             df.sort_values(sort_cols, ascending=ascending, kind="mergesort")
             .groupby(gcols, sort=False)
             .head(k)
             .copy()
         )
-        out["part"] = _part(out)
-        return out
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         out = (
@@ -70,10 +60,9 @@ def grouped_top_k(
         out["rk"] = out.groupby(gcols, sort=False).cumcount() + 1
         return out
 
-    return (
-        ds.map_batches(prune, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(final, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(prune, batch_format="pandas", batch_size=65536),
+        gcols, final, num_parts=num_parts,
     )
 
 
@@ -99,8 +88,6 @@ def grouped_agg(
     merged associatively by carrying the partial's max order.
     """
     kcols = [keys] if isinstance(keys, str) else list(keys)
-    if num_parts is None:
-        num_parts = default_num_parts()
     for c, fns in aggs.items():
         for f in fns:
             if f not in _AGG_FUNCS:
@@ -135,9 +122,7 @@ def grouped_agg(
                 cols[f"{name}__ord"] = idx.set_index(kcols)[order_col]
             else:
                 cols[name] = getattr(g[c], f)()
-        out = pd.DataFrame(cols).reset_index()
-        out["part"] = _part_of(out, kcols, num_parts)
-        return out
+        return pd.DataFrame(cols).reset_index()
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         gg = g.groupby(kcols, sort=False)
@@ -168,18 +153,10 @@ def grouped_agg(
         ]
         return out[keep]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        kcols, merge, num_parts=num_parts,
     )
-
-
-def _part_of(df: pd.DataFrame, kcols: list, num_parts: int) -> np.ndarray:
-    if len(kcols) == 1:
-        return stable_part(df[kcols[0]].to_numpy(), num_parts)
-    h = pd.util.hash_pandas_object(df[kcols], index=False).to_numpy()
-    return (h % np.uint64(num_parts)).astype(np.int64)
 
 
 def pivot_agg(
@@ -210,9 +187,6 @@ def pivot_agg(
         raise ValueError("pivot_agg: explicit pivot `values` required")
     vnames = [f"{value_col}_{v}" for v in values]
 
-    if num_parts is None:
-        num_parts = default_num_parts()
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         full = df
         df = df[df[pivot_col].isin(values)]
@@ -233,8 +207,6 @@ def pivot_agg(
             piv = piv.reindex(columns=values)
             piv.columns = [f"{value_col}_{c}" for c in piv.columns]
             out = piv.reset_index().reindex(columns=icols + vnames)
-        out["part"] = _part_of(out, icols, num_parts) if len(out) else \
-            np.array([], dtype=np.int64)
         return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -249,10 +221,9 @@ def pivot_agg(
             out = gg.agg(agg).reset_index()
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        icols, merge, num_parts=num_parts,
     )
 
 
@@ -289,8 +260,6 @@ def grouped_corr(
     Output: key columns + ``n_pairs:int64`` + ``corr:float64``.
     """
     kcols = [keys] if isinstance(keys, str) else list(keys)
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         x = df[x_col].to_numpy(dtype=np.float64, copy=True)
@@ -311,12 +280,10 @@ def grouped_corr(
         d["m2x"] = dx * dx
         d["m2y"] = dy * dy
         d["cxy"] = dx * dy
-        out = g.agg(
+        return g.agg(
             n=("n", "sum"), sx=("sx", "sum"), sy=("sy", "sum"),
             m2x=("m2x", "sum"), m2y=("m2y", "sum"), cxy=("cxy", "sum"),
         ).reset_index()
-        out["part"] = _part_of(out, kcols, num_parts)
-        return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         # partial rows arrive in shuffle-completion order; float sums are
@@ -357,10 +324,9 @@ def grouped_corr(
         out["n_pairs"] = npair.astype(np.int64)
         return out[kcols + ["n_pairs", "corr"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        kcols, merge, num_parts=num_parts,
     )
 
 
@@ -391,8 +357,6 @@ def grouped_regr(
     Output: key columns + ``n_pairs:int64`` + ``slope`` +
     ``intercept`` + ``r2`` (float64)."""
     kcols = [keys] if isinstance(keys, str) else list(keys)
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         x = df[x_col].to_numpy(dtype=np.float64, copy=True)
@@ -412,12 +376,10 @@ def grouped_regr(
         d["m2x"] = dx * dx
         d["m2y"] = dy * dy
         d["cxy"] = dx * dy
-        out = g.agg(
+        return g.agg(
             n=("n", "sum"), sx=("sx", "sum"), sy=("sy", "sum"),
             m2x=("m2x", "sum"), m2y=("m2y", "sum"), cxy=("cxy", "sum"),
         ).reset_index()
-        out["part"] = _part_of(out, kcols, num_parts)
-        return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         g = (
@@ -464,10 +426,9 @@ def grouped_regr(
         out["n_pairs"] = npair.astype(np.int64)
         return out[kcols + ["n_pairs", "slope", "intercept", "r2"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        kcols, merge, num_parts=num_parts,
     )
 
 
@@ -503,13 +464,6 @@ def grouped_quantiles(
     qnames = [f"q{round(q * 100):d}" for q in qlist]
     if len(set(qnames)) != len(qnames):
         raise ValueError("qs collide after percent rounding")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[kcols + [col]].copy()
-        out["part"] = _part_of(out, kcols, num_parts)
-        return out
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop(columns="part")
@@ -521,10 +475,9 @@ def grouped_quantiles(
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns(kcols + [col])), kcols, per_part,
+        num_parts=num_parts,
     )
 
 
@@ -553,13 +506,6 @@ def winsorize(
     kcols = [keys] if isinstance(keys, str) else list(keys)
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError("need 0 <= lo <= hi <= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = _part_of(df, kcols, num_parts)
-        return df
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop(columns="part")
@@ -577,10 +523,8 @@ def winsorize(
         )
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds), kcols, per_part, num_parts=num_parts
     )
 
 
@@ -599,23 +543,13 @@ def grouped_mode(
     bounded by distinct combos per batch, never rows; one group-hash
     exchange merges the counts and picks the winner per group.
     """
-    import numpy as np
-    import pandas as pd
-
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        p = (
+        return (
             df.groupby([group, value_col], sort=False, dropna=False)
             .size()
             .rename("c")
             .reset_index()
         )
-        p["__part"] = stable_part(p[group].to_numpy(), num_parts)
-        return p
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = (
@@ -635,11 +569,11 @@ def grouped_mode(
             }
         )
 
-    return (
-        ds.select_columns([group, value_col])
-        .map_batches(partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.select_columns([group, value_col]).map_batches(
+            partial, batch_format="pandas"
+        ),
+        group, merge, num_parts=num_parts,
     )
 
 
@@ -658,31 +592,19 @@ def grouped_pct_rank(
     One key-hash exchange; ranks via one vectorized pandas
     ``groupby.rank(method='min')`` per partition. ``order_col`` (if
     given) rides along to keep the output row-identifiable."""
-    import numpy as np
-    import pandas as pd
-
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
     cols = [group, value_col] + ([order_col] if order_col else [])
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df[group].to_numpy(), num_parts))
-
     def rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__part"])
+        g = g.drop(columns=["part"])
         grp = g.groupby(group, sort=False)[value_col]
         r = grp.rank(method="min").to_numpy(np.float64)
         n = grp.transform("size").to_numpy(np.float64)
         pct = np.where(n > 1, (r - 1.0) / (n - 1.0), 0.0)
         return g.assign(pct_rank=pct)
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(rank, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns(cols)), group, rank,
+        num_parts=num_parts,
     )
 
 
@@ -703,19 +625,8 @@ def grouped_mad(
     vectorized pandas pass (two grouped quantiles; deviations computed
     in place). Nulls are ignored as SQL aggregates do.
     """
-    import numpy as np
-    import pandas as pd
-
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df[group].to_numpy(), num_parts))
-
     def mad(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__part"])
+        g = g.drop(columns=["part"])
         grp = g.groupby(group, sort=False)[value_col]
         med = grp.transform("median")
         dev = (g[value_col] - med).abs()
@@ -729,11 +640,9 @@ def grouped_mad(
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    return (
-        ds.select_columns([group, value_col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(mad, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([group, value_col])), group, mad,
+        num_parts=num_parts,
     )
 
 
@@ -759,13 +668,6 @@ def grouped_trimmed_mean(
     kcols = [keys] if isinstance(keys, str) else list(keys)
     if not (0.0 <= trim < 0.5):
         raise ValueError("trim must be in [0, 0.5)")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        out = df[kcols + [col]].copy()
-        out["part"] = _part_of(out, kcols, num_parts)
-        return out
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -794,8 +696,7 @@ def grouped_trimmed_mean(
             rows, columns=kcols + ["n", "n_trimmed", "trimmed_mean", "mean"]
         ).astype({"n": np.int64, "n_trimmed": np.int64})
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns(kcols + [col])), kcols, per_part,
+        num_parts=num_parts,
     )

@@ -6,11 +6,12 @@
   re-shipped per batch, never shuffled. Requires the small side to fit
   in memory.
 - ``partitioned_join``: distributed hash-partitioned join for two
-  Datasets of arbitrary size. Both sides are hash-partitioned on the
-  join key (same ``stable_part`` as every other stage) and co-grouped in
-  ONE ``groupby(part).map_groups`` exchange; nothing is materialized on
-  the driver. This is the scale path for keeper-set semi joins and
-  candidate-pair lookups where the "small" side is unbounded.
+  Datasets of arbitrary size. The union of both sides goes through ONE
+  ``by_partition`` exchange on the join key (the same partitioning as
+  every other stage) and is merged per partition; nothing is
+  materialized on the driver. This is the scale path for keeper-set
+  semi joins and candidate-pair lookups where the "small" side is
+  unbounded.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pyarrow as pa
 
 import ray
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
 
 class _BroadcastJoiner:
@@ -73,7 +74,7 @@ def broadcast_join(
     )
 
 
-_SIDE, _PART = "__join_side", "__join_part"
+_SIDE = "__join_side"
 
 
 def _pa_type(t) -> pa.DataType:
@@ -104,7 +105,7 @@ def partitioned_join(
 ) -> "ray.data.Dataset":
     """Distributed hash-partitioned join of two Datasets (no driver
     materialization, no broadcast -- both sides stream through ONE
-    ``groupby(part)`` exchange and merge per partition).
+    ``by_partition`` exchange and merge per partition).
 
     ``how`` in {'inner', 'left', 'right', 'full', 'semi', 'anti'} --
     'full' is the SQL FULL OUTER JOIN (keys coalesce into the shared key
@@ -112,8 +113,9 @@ def partitioned_join(
     must be disjoint between the two sides (rename before joining).
     Partitioning assumption (SURVEY.md §2 custom-operator rule): rows of
     both sides with equal key hash land in the same partition -- enforced
-    here by computing the same ``stable_part`` on both sides, so it holds
-    regardless of upstream block layout.
+    here by hashing the union of both sides on the unified key column, so
+    it holds regardless of upstream block layout. ``part`` is the
+    exchange's own column, so neither side may carry one.
 
     Pass ``left_schema`` / ``right_schema`` (pyarrow) when the side is a
     lazy multi-stage pipeline: ``Dataset.schema()`` on such a Dataset
@@ -121,8 +123,6 @@ def partitioned_join(
     upstream pipeline an extra time.
     """
     right_on = right_on or left_on
-    if num_parts is None:
-        num_parts = default_num_parts()
     lschema = left_schema if left_schema is not None else left.schema()
     rschema = right_schema if right_schema is not None else right.schema()
     lnames = list(lschema.names)
@@ -132,6 +132,11 @@ def partitioned_join(
         raise ValueError(
             f"partitioned_join: overlapping non-key columns {sorted(overlap)}; "
             "rename before joining"
+        )
+    if "part" in lnames or "part" in rnames:
+        raise ValueError(
+            "partitioned_join: 'part' is the exchange's partition column; "
+            "rename it before joining"
         )
     semi_like = how in ("semi", "anti")
     # semi/anti only need the right KEY -- never ship right payload
@@ -159,16 +164,15 @@ def partitioned_join(
         except (pa.ArrowInvalid, pa.ArrowNotImplementedError, pa.ArrowTypeError):
             return pa.array(col.to_pylist(), type=typ)
 
-    def tag(side: int):
+    def unify(side: int):
         def fn(t: pa.Table) -> pa.Table:
             n = len(t)
             # cast BOTH sides' keys to the unified key type BEFORE hashing:
-            # stable_part hashes int64 and float64 representations of the
-            # same value differently, so an int-keyed side joined against a
+            # the partition hash of int64 and float64 representations of
+            # the same value differs, so an int-keyed side joined against a
             # float-keyed side would silently drop matches otherwise (the
             # cast raises on lossy values instead of mis-joining)
             key_col = t[left_on if side == 0 else right_on].cast(types[left_on])
-            part = stable_part(key_col.to_numpy(zero_copy_only=False), num_parts)
             arrays = []
             for name in out_names:
                 if name == left_on:
@@ -177,16 +181,13 @@ def partitioned_join(
                     arrays.append(_coerce(t[name], types[name]))
                 else:
                     arrays.append(pa.nulls(n, types[name]))
-            arrays += [
-                pa.array(np.full(n, side, dtype=np.int8)),
-                pa.array(part, type=pa.int64()),
-            ]
-            return pa.Table.from_arrays(arrays, names=out_names + [_SIDE, _PART])
+            arrays.append(pa.array(np.full(n, side, dtype=np.int8)))
+            return pa.Table.from_arrays(arrays, names=out_names + [_SIDE])
 
         return fn
 
-    both = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
+    both = left.map_batches(unify(0), batch_format="pyarrow").union(
+        right.map_batches(unify(1), batch_format="pyarrow")
     )
 
     def restore_dtypes(df: pd.DataFrame) -> pd.DataFrame:
@@ -232,7 +233,7 @@ def partitioned_join(
             return empty_schema.empty_table()
         return restore_dtypes(out)
 
-    return both.groupby(_PART).map_groups(merge, batch_format="pandas")
+    return by_partition(both, left_on, merge, num_parts=num_parts)
 
 
 def bloom_semi_join(
@@ -380,28 +381,23 @@ def skew_join(
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"skew_join supports inner/left/semi/anti, got {how!r}")
     right_on = right_on or left_on
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     # 1. distributed per-key counts on the left; collect ONLY keys over
     # the threshold (bounded by max_hot_keys)
     def count_partial(df: pd.DataFrame) -> pd.DataFrame:
         vc = df[left_on].value_counts()
-        out = pd.DataFrame({"k": vc.index, "c": vc.to_numpy(np.int64)})
-        out["__part"] = stable_part(out["k"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"k": vc.index, "c": vc.to_numpy(np.int64)})
 
     def count_merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("k", sort=False)["c"].sum().reset_index()
         return m[m["c"] >= hot_threshold]
 
-    hot_rows = (
-        left.select_columns([left_on])
-        .map_batches(count_partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(count_merge, batch_format="pandas")
-        .take_all()
-    )
+    hot_rows = by_partition(
+        left.select_columns([left_on]).map_batches(
+            count_partial, batch_format="pandas"
+        ),
+        "k", count_merge, num_parts=num_parts,
+    ).take_all()
     hot_keys = {r["k"] for r in hot_rows}
     if len(hot_keys) > max_hot_keys:
         raise ValueError(
@@ -476,23 +472,18 @@ def upsert_merge(
     sort + first-per-key pick -- no driver materialization, so the
     "table" side can be arbitrarily large (this is the compaction step
     a snapshot maintenance job runs over partitioned Parquet)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def tag(src: int):
+    def mark(src: int):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.assign(__src=np.int8(src))
-            df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-            return df
+            return df.assign(__src=np.int8(src))
 
         return fn
 
-    both = base.map_batches(tag(0), batch_format="pandas").union(
-        updates.map_batches(tag(1), batch_format="pandas")
+    both = base.map_batches(mark(0), batch_format="pandas").union(
+        updates.map_batches(mark(1), batch_format="pandas")
     )
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__part"])
+        g = g.drop(columns=["part"])
         g = g.sort_values(
             [key, version_col, "__src"],
             ascending=[True, False, False],
@@ -501,7 +492,7 @@ def upsert_merge(
         out = g.drop_duplicates(subset=[key], keep="first")
         return out.drop(columns=["__src"])
 
-    return both.groupby("__part").map_groups(pick, batch_format="pandas")
+    return by_partition(both, key, pick, num_parts=num_parts)
 
 
 def reconcile_tables(
@@ -526,26 +517,21 @@ def reconcile_tables(
     never reach the driver. NaN == NaN counts as 'same' (documented
     one-sided choice; both oracle and engine pin it).
     """
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def tag(src: int):
+    def mark(src: int):
         def fn(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.assign(__src=np.int8(src))
-            df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-            return df
+            return df.assign(__src=np.int8(src))
 
         return fn
 
-    both = left.map_batches(tag(0), batch_format="pandas").union(
-        right.map_batches(tag(1), batch_format="pandas")
+    both = left.map_batches(mark(0), batch_format="pandas").union(
+        right.map_batches(mark(1), batch_format="pandas")
     )
 
     gcol = group_col if group_col is not None else "__all"
 
     def diff(g: pd.DataFrame) -> pd.DataFrame:
-        l = g[g["__src"] == 0].drop(columns=["__src", "__part"])
-        r = g[g["__src"] == 1].drop(columns=["__src", "__part"])
+        l = g[g["__src"] == 0].drop(columns=["__src", "part"])
+        r = g[g["__src"] == 1].drop(columns=["__src", "part"])
         m = l.merge(
             r, on=key, how="outer", suffixes=("_l", "_r"), indicator=True
         )
@@ -580,7 +566,7 @@ def reconcile_tables(
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    partials = both.groupby("__part").map_groups(diff, batch_format="pandas")
+    partials = by_partition(both, key, diff, num_parts=num_parts)
     merged = partials.groupby([gcol, "status"]).sum("n")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:

@@ -237,10 +237,8 @@ def pack_bins(
 
     Output: ``(id, size:int64, bin_id:int64, oversize:int64)``.
     """
-    from ..stages.derive import default_num_parts, stable_part
+    from ..stages.derive import by_partition
 
-    if num_parts is None:
-        num_parts = default_num_parts()
     if capacity <= 0:
         raise ValueError("capacity must be positive")
 
@@ -249,14 +247,12 @@ def pack_bins(
             size = df[size_col].to_numpy(np.int64)
         else:
             size = df[text_col].str.len().to_numpy(np.int64)
-        out = pd.DataFrame({id_col: df[id_col], "size": size})
-        out["__part"] = stable_part(out[id_col].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({id_col: df[id_col], "size": size})
 
     def ffd(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["size", id_col], ascending=[False, True],
                           kind="mergesort")
-        part = int(g["__part"].iloc[0])
+        part = int(g["part"].iloc[0])
         base = part << 32
         sizes = g["size"].to_numpy(np.int64)
         fills: list[int] = []  # open-bin fill levels, index = local bin id
@@ -285,8 +281,7 @@ def pack_bins(
             }
         )
 
-    return (
-        ds.map_batches(slim, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(ffd, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(slim, batch_format="pandas"), id_col, ffd,
+        num_parts=num_parts,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
 
 def _canon(s: pd.Series) -> pd.Series:
@@ -41,8 +41,6 @@ def profile_table(
     per column: ``(column, n:int64, n_nulls:int64, n_distinct:int64,
     vmin:float64, vmax:float64)`` -- vmin/vmax are NaN for non-numeric
     columns (strings/timestamps profile counts + distinct only)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     if columns is not None:
         ds = ds.select_columns(columns)
 
@@ -69,12 +67,11 @@ def profile_table(
                      "vmin": np.nan, "vmax": np.nan}
                 )
         out = pd.DataFrame(rows)
-        key = out["column"] + "\x1f" + out["value"].fillna("\x00")
-        out["__part"] = stable_part(key.to_numpy(), num_parts)
+        out["__key"] = out["column"] + "\x1f" + out["value"].fillna("\x00")
         return out
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__part"])
+        g = g.drop(columns=["__key", "part"])
         scal = g[g["value"].isna()]
         dist = g[g["value"].notna()]
         agg = scal.groupby("column", sort=False).agg(
@@ -105,10 +102,9 @@ def profile_table(
     # for one column may land in DIFFERENT partitions, so a second tiny
     # reduce over the per-partition outputs finishes the merge (input to
     # it is one row per (column, partition): driver-negligible)
-    per_part = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(merge, batch_format="pandas")
+    per_part = by_partition(
+        ds.map_batches(partial, batch_format="pandas"), "__key", merge,
+        num_parts=num_parts,
     )
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
@@ -153,33 +149,31 @@ def partition_skew(
     ``num_parts`` rows."""
     import pandas as pd
 
-    from ..stages.derive import default_num_parts, stable_part
     from .sampling import knuth_hash32
 
-    inner = default_num_parts()
-
+    # the simulated partition travels as "bucket": "part" is the
+    # exchange's own tag
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         k = df[key].to_numpy()
-        part = (knuth_hash32(k.astype(np.int64)) % np.uint64(num_parts)).astype(
-            np.int64
-        )
+        bucket = (
+            knuth_hash32(k.astype(np.int64)) % np.uint64(num_parts)
+        ).astype(np.int64)
         out = (
-            pd.DataFrame({"part": part, "key": k})
-            .groupby(["part", "key"], sort=False)
+            pd.DataFrame({"bucket": bucket, "key": k})
+            .groupby(["bucket", "key"], sort=False)
             .size()
             .rename("n")
             .reset_index()
         )
         out["n"] = out["n"].astype(np.int64)
-        out["xpart"] = stable_part(out["key"].to_numpy(), inner)
         return out
 
     def per_key(g: pd.DataFrame) -> pd.DataFrame:
         tot = (
-            g.groupby(["part", "key"], sort=False)["n"].sum().reset_index()
+            g.groupby(["bucket", "key"], sort=False)["n"].sum().reset_index()
         )
         out = (
-            tot.groupby("part", sort=False)["n"]
+            tot.groupby("bucket", sort=False)["n"]
             .agg(n_rows="sum", n_keys="size", max_key_rows="max")
             .reset_index()
         )
@@ -187,16 +181,15 @@ def partition_skew(
             out[c] = out[c].astype(np.int64)
         return out
 
-    partials = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("xpart")
-        .map_groups(per_key, batch_format="pandas")
+    partials = by_partition(
+        ds.map_batches(partial, batch_format="pandas"), "key", per_key
     )
     import ray.data as rd
 
-    # keys are disjoint across xparts (xpart hashes the key), so the
-    # per-xpart n_keys counts sum without double-counting
-    merged = partials.groupby("part").aggregate(
+    # keys are disjoint across exchange partitions (the exchange hashes
+    # the key), so the per-partition n_keys counts sum without
+    # double-counting
+    merged = partials.groupby("bucket").aggregate(
         rd.aggregate.Sum("n_rows"),
         rd.aggregate.Sum("n_keys"),
         rd.aggregate.Max("max_key_rows"),
@@ -205,7 +198,7 @@ def partition_skew(
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "part": df["part"].astype(np.int64),
+                "part": df["bucket"].astype(np.int64),
                 "n_rows": df["sum(n_rows)"].astype(np.int64),
                 "n_keys": df["sum(n_keys)"].astype(np.int64),
                 "max_key_rows": df["max(max_key_rows)"].astype(np.int64),

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, pandas_blocks
 
 # equiprobable N(0,1) breakpoints for alphabet sizes 2..8 (public SAX
 # lookup table; values are scipy.stats.norm.ppf(k/a) to 10dp)
@@ -61,7 +61,6 @@ _BREAKPOINTS = {
     ],
 }
 
-_PART = "__sax_part"
 
 
 def _round6(v: np.ndarray) -> np.ndarray:
@@ -103,11 +102,6 @@ def sax_symbolize(
     letters = np.frombuffer(
         bytes(ord("a") + k for k in range(alphabet)), dtype=np.uint8
     )
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(**{_PART: stable_part(df[key_col].to_numpy(), num_parts)})
 
     def symbolize(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, order_col], kind="mergesort")
@@ -177,11 +171,9 @@ def sax_symbolize(
             res["z"] = zl.reindex(res[key_col]).to_numpy()
         return res
 
-    return (
-        ds.select_columns([key_col, order_col, value_col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(symbolize, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key_col, order_col, value_col])),
+        key_col, symbolize, num_parts=num_parts,
     )
 
 
@@ -197,24 +189,17 @@ def sax_motif_buckets(
     bucket: equal words are candidate pairs for exact similarity
     verification, at 1/w-th of the shuffle volume of the raw series.
     ONE hash-partitioned exchange on the 8-char word."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(**{_PART: stable_part(df["sax"].to_numpy(), num_parts)})
 
     def annotate(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[_PART])
+        g = g.drop(columns=["part"])
         size = g.groupby("sax", sort=False)["sax"].transform("size")
         out = g.loc[size >= min_size, [key_col, "sax"]].copy()
         out["bucket_size"] = size[size >= min_size].astype(np.int64)
         return out
 
-    return (
-        sax_ds.select_columns([key_col, "sax"])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(annotate, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(sax_ds.select_columns([key_col, "sax"])), "sax",
+        annotate, num_parts=num_parts,
     )
 
 
@@ -235,14 +220,9 @@ def sax_bucket_pairs(
     small; ``max_bucket`` guards the O(b^2) corner -- an over-full bucket
     raises rather than silently exploding, the same policy as
     interval_join's max_bands)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(**{_PART: stable_part(df["sax"].to_numpy(), num_parts)})
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[_PART])
+        g = g.drop(columns=["part"])
         out_k1, out_k2, out_sax, out_d = [], [], [], []
         for word, b in g.groupby("sax", sort=False):
             if len(b) < 2:
@@ -280,11 +260,9 @@ def sax_bucket_pairs(
             }
         )
 
-    return (
-        sax_ds.select_columns([key_col, "sax", "paa"])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(pairs, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(sax_ds.select_columns([key_col, "sax", "paa"])), "sax",
+        pairs, num_parts=num_parts,
     )
 
 
@@ -342,18 +320,13 @@ def sax_dtw_pairs(
     the raw series ships ONLY into its word bucket, never all-pairs.
     Not SQL-expressible (the DP is sequential); gated by the brute-DP
     pytest and a committed fixture."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     sax = sax_symbolize(
         ds, key_col=key_col, order_col=order_col, value_col=value_col,
         w=w, alphabet=alphabet, num_parts=num_parts, emit_series=True,
     )
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(**{_PART: stable_part(df["sax"].to_numpy(), num_parts)})
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=[_PART])
+        g = g.drop(columns=["part"])
         k1, k2, ws, ds_ = [], [], [], []
         for word, b in g.groupby("sax", sort=False):
             if len(b) < 2:
@@ -390,9 +363,7 @@ def sax_dtw_pairs(
             }
         )
 
-    return (
-        sax.select_columns([key_col, "sax", "z"])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby(_PART)
-        .map_groups(pairs, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(sax.select_columns([key_col, "sax", "z"])), "sax", pairs,
+        num_parts=num_parts,
     )

@@ -17,6 +17,8 @@ import pandas as pd
 
 import ray
 
+from ..stages.derive import with_part
+
 
 def _to_matrix(col, dtype=np.float64) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=dtype) for v in col])
@@ -327,6 +329,28 @@ def ivf_knn(
     return pd.concat(out, ignore_index=True)
 
 
+def _pair_buckets(ds: "ray.data.Dataset", id_col: str, P: int):
+    """The block-nested-loop replication: every row gets its ``part``
+    (hash of ``id_col``, the engine's partitioning) as ``side`` and is
+    copied into the P partition-PAIR buckets ``pairb = lo * P + hi``
+    (lo, hi = sorted (side, k) for every k), so every unordered pair of
+    rows meets in exactly one bucket. Callers ``groupby("pairb")``."""
+
+    def replicate(df: pd.DataFrame) -> pd.DataFrame:
+        p = df.pop("part").to_numpy()
+        rep = df.iloc[np.repeat(np.arange(len(df)), P)].reset_index(drop=True)
+        p_rep = np.repeat(p, P)
+        k = np.tile(np.arange(P, dtype=np.int64), len(df))
+        lo, hi = np.minimum(p_rep, k), np.maximum(p_rep, k)
+        rep["side"] = p_rep
+        rep["pairb"] = lo * P + hi
+        return rep
+
+    return with_part(ds, id_col, P).map_batches(
+        replicate, batch_format="pandas"
+    )
+
+
 def cosine_near_dups(
     ds: "ray.data.Dataset",
     threshold: float = 0.4,
@@ -350,19 +374,7 @@ def cosine_near_dups(
     measured by its pytest gate)."""
     import pandas as pd
 
-    from ..stages.derive import stable_part
-
     P = num_parts
-
-    def replicate(df: pd.DataFrame) -> pd.DataFrame:
-        p = stable_part(df[id_col].to_numpy(), P)
-        rep = df.iloc[np.repeat(np.arange(len(df)), P)].reset_index(drop=True)
-        p_rep = np.repeat(p, P)
-        k = np.tile(np.arange(P, dtype=np.int64), len(df))
-        lo, hi = np.minimum(p_rep, k), np.maximum(p_rep, k)
-        rep["side"] = p_rep
-        rep["pairb"] = lo * P + hi
-        return rep
 
     _EMPTY = pd.DataFrame(
         {"id_a": pd.Series([], dtype="int64"),
@@ -408,7 +420,7 @@ def cosine_near_dups(
         )
 
     return (
-        ds.map_batches(replicate, batch_format="pandas")
+        _pair_buckets(ds, id_col, P)
         .groupby("pairb")
         .map_groups(bucket_pairs, batch_format="pandas")
     )
@@ -1027,19 +1039,7 @@ def mutual_top1(
     directions chose each other. The driver never sees vectors."""
     import pandas as pd
 
-    from ..stages.derive import stable_part
-
     P = num_parts
-
-    def replicate(df: pd.DataFrame) -> pd.DataFrame:
-        p = stable_part(df[id_col].to_numpy(), P)
-        rep = df.iloc[np.repeat(np.arange(len(df)), P)].reset_index(drop=True)
-        p_rep = np.repeat(p, P)
-        k = np.tile(np.arange(P, dtype=np.int64), len(df))
-        lo, hi = np.minimum(p_rep, k), np.maximum(p_rep, k)
-        rep["side"] = p_rep
-        rep["pairb"] = lo * P + hi
-        return rep
 
     _EMPTY = pd.DataFrame(
         {
@@ -1091,7 +1091,7 @@ def mutual_top1(
         )
 
     partials = (
-        ds.map_batches(replicate, batch_format="pandas")
+        _pair_buckets(ds, id_col, P)
         .groupby("pairb")
         .map_groups(bucket_best, batch_format="pandas")
     )
@@ -1252,6 +1252,7 @@ class _PurityScorer(_HardNegScorer):
         a_lab = batch[self.label_col].to_numpy()
         lab_out = np.empty(len(batch), dtype=np.int64)
         match = np.empty(len(batch), dtype=np.int64)
+        n_nbr = np.empty(len(batch), dtype=np.int64)
         for r in range(len(batch)):
             mask = self.ids != a_ids[r]  # self excluded by id
             cand = np.flatnonzero(mask)
@@ -1260,8 +1261,9 @@ class _PurityScorer(_HardNegScorer):
             pick = cand[order]
             lab_out[r] = a_lab[r]
             match[r] = int((self.labels[pick] == a_lab[r]).sum())
+            n_nbr[r] = len(pick)  # < k when the table has <= k vectors
         return pd.DataFrame(
-            {"label": lab_out, "n_match": match, "n_vec": 1}
+            {"label": lab_out, "n_match": match, "n_vec": 1, "n_nbr": n_nbr}
         )
 
 
@@ -1276,9 +1278,11 @@ def knn_purity(
     """Embedding-space label purity: for every vector, the fraction of
     its k nearest cosine neighbors (self excluded by id; 6dp-rounded
     cosines, (cosine DESC, vec_id) tie order) that share its label,
-    averaged per label -- the quick classification-quality check run
-    on an embedding table before trusting it for retrieval or
-    clustering. Output: one row per label (n_vectors, purity).
+    pooled per label (matches / neighbors actually found, so a table
+    with <= k vectors is not penalized for the missing ones) -- the
+    quick classification-quality check run on an embedding table before
+    trusting it for retrieval or clustering. Output: one row per label
+    (n_vectors, purity).
 
     Same broadcast shape as hard_negatives (normalized corpus matrix +
     labels via ray.put once; IVF-bucketed variant is the documented
@@ -1305,12 +1309,12 @@ def knn_purity(
         concurrency=(1, concurrency),
         num_cpus=1,
     )
-    merged = partials.groupby("label").sum(["n_match", "n_vec"])
+    merged = partials.groupby("label").sum(["n_match", "n_vec", "n_nbr"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         nv = df["sum(n_vec)"].to_numpy(dtype=np.int64)
         nm = df["sum(n_match)"].to_numpy(dtype=np.float64)
-        p = nm / (nv.astype(np.float64) * k) + 1e-7
+        p = nm / df["sum(n_nbr)"].to_numpy(dtype=np.float64) + 1e-7
         return pd.DataFrame(
             {
                 "label": df["label"].astype(np.int64),

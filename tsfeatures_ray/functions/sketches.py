@@ -21,7 +21,7 @@ import pandas as pd
 
 import ray
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition
 
 
 def hll_build(values: np.ndarray, p: int = 12) -> np.ndarray:
@@ -89,8 +89,6 @@ def histogram_quantiles(
     driver query is hash-checked against DuckDB. Values outside
     [lo, hi) clip into the edge bins; the rank error is bounded by the
     per-bin mass, the value error by the bin width."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     w = (hi - lo) / nbins
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -106,9 +104,7 @@ def histogram_quantiles(
         for gkey, idx in groups:
             counts = np.bincount(bins[idx], minlength=nbins)
             rows.append((gkey, counts.astype(np.int64).tobytes()))
-        out = pd.DataFrame(rows, columns=["group", "counts"])
-        out["part"] = stable_part(out["group"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame(rows, columns=["group", "counts"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -127,10 +123,9 @@ def histogram_quantiles(
         cols = ["group"] + [f"q{str(q).replace('0.', '')}" for q in qs]
         return pd.DataFrame(rows, columns=cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "group", merge, num_parts=num_parts,
     )
 
 
@@ -149,15 +144,11 @@ def exact_distinct(
     bounded by the true distinct-pair count, never the row count (the
     classic two-level exact-distinct shape). ``group_fn`` optionally
     derives the group from a batch (e.g. a time bucket from ts)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = group_fn(df) if group_fn is not None else df[group_col]
         out = pd.DataFrame({"group": g, "value": df[value_col]})
-        out = out.drop_duplicates()
-        out["part"] = stable_part(out["group"].to_numpy(), num_parts)
-        return out
+        return out.drop_duplicates()
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         n = (
@@ -169,10 +160,9 @@ def exact_distinct(
         out["n_distinct"] = out["n_distinct"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "group", merge, num_parts=num_parts,
     )
 
 
@@ -186,8 +176,6 @@ def hll_distinct(
     """Approximate distinct ``value_col`` count per ``group_col`` (or
     globally when group_col is None). Partial registers per batch ->
     one groupby over (group, registers) -> merged estimate."""
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -198,9 +186,7 @@ def hll_distinct(
         for gkey, sub in groups:
             regs = hll_build(sub[value_col].to_numpy(), p)
             rows.append((gkey, regs.tobytes()))
-        out = pd.DataFrame(rows, columns=["group", "regs"])
-        out["part"] = stable_part(out["group"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame(rows, columns=["group", "regs"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -213,10 +199,9 @@ def hll_distinct(
             {"approx_distinct": "int64"}
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "group", merge, num_parts=num_parts,
     )
 
 
@@ -283,19 +268,15 @@ def approx_top_tokens(
 
     if sketch_k is None:
         sketch_k = max(4 * k, 256)
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def partial(batch) -> pd.DataFrame:
         toks, cnts = _tokenize_counts(batch[text_col])
         st, sc, err = spacesaving_partial(toks, cnts, sketch_k)
         # the "" sentinel row carries this batch's slack; real tokens
         # are never empty (the tokenizer filters zero-length)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {"token": np.append(st, ""), "est": np.append(sc, err)}
         )
-        df["part"] = stable_part(df["token"].to_numpy(), num_parts)
-        return df
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("token", sort=False)["est"].sum().reset_index()
@@ -305,10 +286,9 @@ def approx_top_tokens(
         ).head(k)
         return pd.concat([cand, slack], ignore_index=True)
 
-    parted = (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=4096)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    parted = by_partition(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=4096),
+        "token", merge, num_parts=num_parts,
     )
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -469,8 +449,6 @@ def rolling_distinct(
     and one exchange on the target day dedups + counts. Target days
     with no own-day activity are dropped (offset-0 marker), matching
     the per-observed-day SQL construction."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     day_us = 86_400_000_000
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -483,9 +461,7 @@ def rolling_distinct(
         off = np.tile(np.arange(window_days, dtype=np.int64), n)
         rep["target"] = rep["day"] + off
         rep["own"] = (off == 0).astype(np.int8)
-        rep = rep.drop(columns=["day"])
-        rep["part"] = stable_part(rep["target"].to_numpy(), num_parts)
-        return rep
+        return rep.drop(columns=["day"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         own_days = set(g.loc[g["own"] == 1, "target"].unique())
@@ -500,10 +476,9 @@ def rolling_distinct(
         out["n_distinct"] = out["n_distinct"].astype("int64")
         return out[["bucket", "n_distinct"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        "target", merge, num_parts=num_parts,
     )
 
 
@@ -536,8 +511,6 @@ def count_min_sketch(
     est - true <= 2N/width with probability 1 - (1/2)^depth. Query with
     ``cms_estimate``. Returns the matrix (driver-held: it IS the
     bounded summary object, like a trained centroid table)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     rx = re.compile(r"[a-z]+")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -595,15 +568,11 @@ def distinct_overlap(
     (bounded by |C| choose 2 per member) plus per-category singleton
     partials -- the final exchange is category-pair-bounded, never row-
     or member-bounded."""
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"value": df[value_col], "cat": df[cat_col]}
         ).drop_duplicates()
-        out["part"] = stable_part(out["value"].to_numpy(), num_parts)
-        return out
 
     def member_pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["value", "cat"])
@@ -640,9 +609,10 @@ def distinct_overlap(
         )
 
     merged = (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("part")
-        .map_groups(member_pairs, batch_format="pandas")
+        by_partition(
+            ds.map_batches(partial, batch_format="pandas"), "value",
+            member_pairs, num_parts=num_parts,
+        )
         .groupby(["cat_a", "cat_b"])
         .sum("n")
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, pandas_blocks
 
 
 def periodogram_probe(
@@ -41,13 +41,6 @@ def periodogram_probe(
     kks = [int(k) for k in ks]
     if not kks or any(k < 1 for k in kks):
         raise ValueError("ks must be >= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[key, order, value]].copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def probe(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort")
@@ -97,8 +90,7 @@ def periodogram_probe(
         out = pd.concat(rows, ignore_index=True)
         return out.astype({"k": np.int64})
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(probe, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key, order, value])), key, probe,
+        num_parts=num_parts,
     )

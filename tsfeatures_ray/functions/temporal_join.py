@@ -4,12 +4,11 @@ are the two canonical time-series joins a transcript/metrics store
 needs and Ray Data lacks natively).
 
 Both are built from the same distributed primitive as
-``partitioned_join``: tag each side into one unified Arrow schema,
-hash-partition BOTH sides on the equality key (``stable_part`` on a
-bounded ``key % num_parts`` -- never a raw high-cardinality groupby
-key), co-group in ONE ``groupby(part).map_groups`` exchange, and do the
-fine-grained temporal matching with vectorized pandas/numpy INSIDE the
-partition function.
+``partitioned_join``: unify both sides into one Arrow schema with a
+common equality-key column, co-group the union in ONE ``by_partition``
+exchange on it (a bounded ``hash % num_parts`` key -- never a raw
+high-cardinality groupby key), and do the fine-grained temporal
+matching with vectorized pandas/numpy INSIDE the partition function.
 
 Partitioning assumption (SURVEY.md §2 custom-operator rule): all rows
 of both sides sharing an equality key land in the same partition --
@@ -44,24 +43,24 @@ import pyarrow as pa
 
 import ray
 
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, default_num_parts
 from .join import _pa_type
 
-_SIDE, _PART = "__tj_side", "__tj_part"
+_SIDE, _KEY, _PART = "__tj_side", "__tj_key", "__tj_part"
 
 
-def _tag_union(
+def _union(
     left: "ray.data.Dataset",
     right: "ray.data.Dataset",
     by: str,
     right_by: str,
     left_schema: "pa.Schema | None",
     right_schema: "pa.Schema | None",
-    num_parts: int,
 ):
-    """Tag both sides into one unified (all-columns, null-padded) Arrow
-    schema with side + partition markers and union them. Returns
-    (unioned dataset, left col names, right col names, key pa type)."""
+    """Unify both sides into one (all-columns, null-padded) Arrow schema
+    with a side marker and the common equality key ``_KEY``, and union
+    them. Returns (unioned dataset, left col names, right col names,
+    types)."""
     lschema = left_schema if left_schema is not None else left.schema()
     rschema = right_schema if right_schema is not None else right.schema()
     lnames, rnames = list(lschema.names), list(rschema.names)
@@ -73,19 +72,18 @@ def _tag_union(
         )
     types = {n: _pa_type(t) for n, t in zip(lschema.names, lschema.types)}
     types.update({n: _pa_type(t) for n, t in zip(rschema.names, rschema.types)})
-    # unify the two key dtypes BEFORE hashing: stable_part hashes int64
-    # and float64 representations of the same value differently
+    # unify the two key dtypes BEFORE hashing: the partition hash of
+    # int64 and float64 representations of the same value differs
     key_t = types[by]
     out_names = lnames + rnames
 
-    def tag(side: int):
+    def unify(side: int):
         names = lnames if side == 0 else rnames
         key = by if side == 0 else right_by
 
         def fn(t: pa.Table) -> pa.Table:
             n = len(t)
             key_col = t[key].cast(key_t)
-            part = stable_part(key_col.to_numpy(zero_copy_only=False), num_parts)
             arrays = []
             for name in out_names:
                 if name == key:
@@ -94,16 +92,15 @@ def _tag_union(
                     arrays.append(t[name])
                 else:
                     arrays.append(pa.nulls(n, types[name]))
-            arrays += [
-                pa.array(np.full(n, side, dtype=np.int8)),
-                pa.array(part, type=pa.int64()),
-            ]
-            return pa.Table.from_arrays(arrays, names=out_names + [_SIDE, _PART])
+            arrays += [pa.array(np.full(n, side, dtype=np.int8)), key_col]
+            return pa.Table.from_arrays(
+                arrays, names=out_names + [_SIDE, _KEY]
+            )
 
         return fn
 
-    both = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow")
+    both = left.map_batches(unify(0), batch_format="pyarrow").union(
+        right.map_batches(unify(1), batch_format="pyarrow")
     )
     return both, lnames, rnames, types
 
@@ -154,10 +151,8 @@ def asof_join(
     """
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError("direction must be 'backward', 'forward' or 'nearest'")
-    if num_parts is None:
-        num_parts = default_num_parts()
-    both, lnames, rnames, types = _tag_union(
-        left, right, by, right_by, left_schema, right_schema, num_parts
+    both, lnames, rnames, types = _union(
+        left, right, by, right_by, left_schema, right_schema
     )
     out_names = lnames + rnames
 
@@ -196,7 +191,7 @@ def asof_join(
         )
         return _float_ints(out[out_names], lnames, types)
 
-    return both.groupby(_PART).map_groups(merge, batch_format="pandas")
+    return by_partition(both, _KEY, merge, num_parts=num_parts)
 
 
 def range_join(
@@ -223,10 +218,8 @@ def range_join(
         SELECT l.*, r.* FROM l JOIN r ON l.by = r.right_by
           AND r.right_on BETWEEN l.on + lo AND l.on + hi
     """
-    if num_parts is None:
-        num_parts = default_num_parts()
-    both, lnames, rnames, types = _tag_union(
-        left, right, by, right_by, left_schema, right_schema, num_parts
+    both, lnames, rnames, types = _union(
+        left, right, by, right_by, left_schema, right_schema
     )
     out_names = lnames + rnames
     lo64, hi64 = _to_axis_int(lo), _to_axis_int(hi)
@@ -285,7 +278,7 @@ def range_join(
         )
         return out[out_names]
 
-    return both.groupby(_PART).map_groups(merge, batch_format="pandas")
+    return by_partition(both, _KEY, merge, num_parts=num_parts)
 
 
 def _null_series(n: int, t: pa.DataType) -> pd.Series:

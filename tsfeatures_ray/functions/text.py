@@ -395,16 +395,11 @@ def top_tokens(
     through the exchange -- never text. Ties at the k boundary resolve
     deterministically by (count DESC, token ASC), matching the SQL
     oracle's ORDER BY."""
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import by_partition
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         tokens, counts = _tokenize_counts(batch[text_col])
-        out = pd.DataFrame({"token": tokens, "cnt": counts})
-        out["part"] = stable_part(out["token"].to_numpy(), num_parts)
-        return out
+        return pd.DataFrame({"token": tokens, "cnt": counts})
 
     def merge_topk(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby("token", sort=False)["cnt"].sum().reset_index()
@@ -417,11 +412,9 @@ def top_tokens(
         partial, batch_format="pyarrow", batch_size=4096,
         concurrency=concurrency, num_cpus=1,
     )
-    cand = (
-        partials.groupby("part")
-        .map_groups(merge_topk, batch_format="pandas")
-        .to_pandas()  # <= num_parts * k rows
-    )
+    cand = by_partition(
+        partials, "token", merge_topk, num_parts=num_parts
+    ).to_pandas()  # <= num_parts * k rows
     return (
         cand.sort_values(["cnt", "token"], ascending=[False, True],
                          kind="mergesort")
@@ -741,19 +734,12 @@ def tfidf_stats(
     Dataset is executed twice (the classic 2-pass corpus statistic);
     pass a materialized Dataset when upstream is expensive. Text never
     shuffles."""
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import by_partition
 
     def df_partial(batch: pa.Table) -> pd.DataFrame:
         _, tokens, _ = _tokenize_doc_counts(None, batch.column(text_col))
         tok, dfc = np.unique(tokens, return_counts=True)
-        return pd.DataFrame({
-            "part": stable_part(tok, num_parts),
-            "token": tok,
-            "df": dfc.astype(np.int64),
-        })
+        return pd.DataFrame({"token": tok, "df": dfc.astype(np.int64)})
 
     def df_merge(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -764,14 +750,13 @@ def tfidf_stats(
     if id_col != "doc_id":
         slim = slim.rename_columns({id_col: "doc_id"})
     n_docs = slim.count()
-    df_tbl = (
-        slim.select_columns([text_col])
-        .map_batches(df_partial, batch_format="pyarrow", batch_size=4096,
-                     concurrency=concurrency, num_cpus=1)
-        .groupby("part")
-        .map_groups(df_merge, batch_format="pandas")
-        .to_pandas()  # vocabulary-bounded
-    )
+    df_tbl = by_partition(
+        slim.select_columns([text_col]).map_batches(
+            df_partial, batch_format="pyarrow", batch_size=4096,
+            concurrency=concurrency, num_cpus=1,
+        ),
+        "token", df_merge, num_parts=num_parts,
+    ).to_pandas()  # vocabulary-bounded
     idf = pd.Series(
         np.log((1.0 + n_docs) / (1.0 + df_tbl["df"].to_numpy())) + 1.0,
         index=df_tbl["token"].to_numpy(),
@@ -868,19 +853,12 @@ def trigram_logppl(
     Trigram semantics are BYTE-level (utf-8); on ASCII corpora this
     equals character trigrams, which is what the live SQL oracle
     (`docs_trigram_ppl`) checks."""
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import by_partition
 
     def count_partial(batch: pa.Table) -> pd.DataFrame:
         tri, _, _ = _doc_trigram_positions(batch.column(text_col).to_pylist())
         u, c = np.unique(tri, return_counts=True)
-        return pd.DataFrame({
-            "part": stable_part(u, num_parts),
-            "tri": u,
-            "cnt": c.astype(np.int64),
-        })
+        return pd.DataFrame({"tri": u, "cnt": c.astype(np.int64)})
 
     def count_merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("tri", sort=True)["cnt"].sum().reset_index()
@@ -889,11 +867,13 @@ def trigram_logppl(
     if id_col != "doc_id":
         slim = slim.rename_columns({id_col: "doc_id"})
     counts = (
-        slim.select_columns([text_col])
-        .map_batches(count_partial, batch_format="pyarrow", batch_size=4096,
-                     concurrency=concurrency, num_cpus=1)
-        .groupby("part")
-        .map_groups(count_merge, batch_format="pandas")
+        by_partition(
+            slim.select_columns([text_col]).map_batches(
+                count_partial, batch_format="pyarrow", batch_size=4096,
+                concurrency=concurrency, num_cpus=1,
+            ),
+            "tri", count_merge, num_parts=num_parts,
+        )
         .to_pandas()  # vocabulary-bounded (<= 2^24, practically ~1e4-1e5)
         .sort_values("tri")
     )
@@ -1246,10 +1226,7 @@ def vocab_stats(
     this exchange is irreducible but vocabulary-bounded (text never
     moves) -- then per-part group partials (sum/rows/hapax) merge in a
     tiny final groupby."""
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import by_partition
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         gvals = batch[group_col]
@@ -1271,12 +1248,9 @@ def vocab_stats(
                     "grp": pd.Series([], dtype="object"),
                     "token": pd.Series([], dtype="object"),
                     "cnt": pd.Series([], dtype="int64"),
-                    "part": pd.Series([], dtype="int64"),
                 }
             )
-        out = pd.concat(frames, ignore_index=True)
-        out["part"] = stable_part(out["token"].to_numpy(), num_parts)
-        return out
+        return pd.concat(frames, ignore_index=True)
 
     def part_stats(g: pd.DataFrame) -> pd.DataFrame:
         tot = (
@@ -1302,8 +1276,8 @@ def vocab_stats(
         partial, batch_format="pyarrow", batch_size=4096,
         concurrency=concurrency, num_cpus=1,
     )
-    per_part = partials.groupby("part").map_groups(
-        part_stats, batch_format="pandas"
+    per_part = by_partition(
+        partials, "token", part_stats, num_parts=num_parts
     )
     merged = per_part.groupby("grp").sum(
         ["n_tokens", "vocab", "hapax"]
@@ -1436,10 +1410,7 @@ def cross_source_ppl(
     RAM, split sources into broadcast shards and union the scoring
     passes). Pass 2 emits per-batch (train, eval) partial sums -- a
     |S|^2-bounded exchange -- and texts never shuffle."""
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import by_partition
 
     def count_partial(batch: pa.Table) -> pd.DataFrame:
         texts = batch.column(text_col).to_pylist()
@@ -1448,7 +1419,6 @@ def cross_source_ppl(
         if len(tri) == 0:
             return pd.DataFrame(
                 {
-                    "part": pd.Series([], dtype="int64"),
                     "tri": pd.Series([], dtype="int64"),
                     "src": pd.Series([], dtype="object"),
                     "cnt": pd.Series([], dtype="int64"),
@@ -1461,7 +1431,6 @@ def cross_source_ppl(
             .rename("cnt")
             .reset_index()
         )
-        df["part"] = stable_part(df["tri"].to_numpy(), num_parts)
         return df
 
     def count_merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -1472,14 +1441,12 @@ def cross_source_ppl(
     slim = ds.select_columns([source_col, text_col])
     if source_col != "source":
         slim = slim.rename_columns({source_col: "source"})
-    counts = (
+    counts = by_partition(
         slim.map_batches(count_partial, batch_format="pyarrow",
                          batch_size=4096, concurrency=concurrency,
-                         num_cpus=1)
-        .groupby("part")
-        .map_groups(count_merge, batch_format="pandas")
-        .to_pandas()  # vocab x |S| bounded
-    )
+                         num_cpus=1),
+        "tri", count_merge, num_parts=num_parts,
+    ).to_pandas()  # vocab x |S| bounded
     sources = sorted(counts["src"].unique())
     tri_ids = np.sort(counts["tri"].unique())
     mat = np.zeros((len(tri_ids), len(sources)), dtype=np.float64)

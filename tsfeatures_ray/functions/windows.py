@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from ..stages._util import ts_to_us
-from ..stages.derive import default_num_parts, stable_part
+from ..stages.derive import by_partition, pandas_blocks
 
 
 def sessionize(
@@ -27,13 +27,6 @@ def sessionize(
 ):
     """Events Dataset -> one row per (key, session): session_start,
     session_end, n_events, value_sum."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def windows(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts, order], kind="mergesort")
@@ -63,11 +56,7 @@ def sessionize(
         return out[[key, "session_idx", "session_start", "session_end",
                     "n_events", "value_sum"]]
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(windows, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, windows, num_parts=num_parts)
 
 
 def hopping_window(
@@ -88,8 +77,6 @@ def hopping_window(
     and IMMEDIATELY collapses to per-batch partial aggregates, so only
     (key, window, partial) rows -- not exploded events -- enter the one
     small exchange; partials merge associatively (merge-on-read)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     nwin = -(-window_us // hop_us)  # ceil
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -106,7 +93,6 @@ def hopping_window(
             ["size", "sum", "min", "max"]
         ).reset_index()
         g.columns = [key, "wstart", "n_events", "v_sum", "v_min", "v_max"]
-        g["part"] = stable_part(g[key].to_numpy(), num_parts)
         return g
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
@@ -118,10 +104,9 @@ def hopping_window(
         out["n_events"] = out["n_events"].astype("int64")
         return out[[key, "window_start", "n_events", "v_sum", "v_min", "v_max"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas", batch_size=65536)
-        .groupby("part")
-        .map_groups(merge, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(partial, batch_format="pandas", batch_size=65536),
+        key, merge, num_parts=num_parts,
     )
 
 
@@ -138,7 +123,7 @@ def rolling_agg(
     ROW``): for each col emits ``<col>_roll_sum`` / ``_roll_mean`` /
     ``_roll_min`` / ``_roll_max``.
 
-    Scale shape: one bounded exchange on ``stable_part(key)``; inside
+    Scale shape: one ``by_partition`` exchange on ``key``; inside
     the partition the frame is sorted once by (key, order) and the
     rolling sum is a cumsum difference against per-key start boundaries
     (pure vectorized arithmetic), min/max go through pandas'
@@ -150,13 +135,6 @@ def rolling_agg(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def roll(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort").drop(columns="part")
@@ -188,11 +166,7 @@ def rolling_agg(
             out[f"{c}_roll_max"] = rmax
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(roll, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, roll, num_parts=num_parts)
 
 
 def rolling_corr(
@@ -219,13 +193,6 @@ def rolling_corr(
     convention."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def roll(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort").drop(columns="part")
@@ -256,11 +223,7 @@ def rolling_corr(
         out["corr"] = np.where(ok, cxy / np.where(den > 0.0, den, 1.0), np.nan)
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(roll, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, roll, num_parts=num_parts)
 
 
 def lagged_corr(
@@ -292,13 +255,6 @@ def lagged_corr(
     lags = sorted(set(int(k) for k in lags))
     if any(k < 0 for k in lags):
         raise ValueError("lags must be >= 0")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + ocols, kind="mergesort")
@@ -357,11 +313,7 @@ def lagged_corr(
             }))
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, per_part, num_parts=num_parts)
 
 
 def rolling_zscore(
@@ -382,20 +334,13 @@ def rolling_zscore(
     With ``threshold`` set, adds ``is_anomaly`` (1.0 / 0.0 / NaN from
     the raw z).
 
-    Same scale shape as ``rolling_agg``: ONE bounded exchange on
-    ``stable_part(key)``, then cumsum-difference window sums inside the
+    Same scale shape as ``rolling_agg``: ONE ``by_partition``
+    exchange on ``key``, then cumsum-difference window sums inside the
     sorted partition (null-aware: nulls contribute 0 to sums and 0 to
     the count) -- no per-window recompute, no per-key Python loop.
     Integer-valued columns keep exact moment sums below 2^53."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def roll(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort").drop(columns="part")
@@ -432,11 +377,7 @@ def rolling_zscore(
             )
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(roll, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, roll, num_parts=num_parts)
 
 
 def seasonal_naive_error(
@@ -466,13 +407,6 @@ def seasonal_naive_error(
     ocols = [order] if isinstance(order, str) else list(order)
     if season < 1:
         raise ValueError("season must be >= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + ocols, kind="mergesort")
@@ -530,11 +464,7 @@ def seasonal_naive_error(
             "mase": mase,
         })
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, per_part, num_parts=num_parts)
 
 
 def interpolate_gaps(
@@ -556,20 +486,13 @@ def interpolate_gaps(
     above, so integer-valued anchors and times hash-match under the
     shared 6dp ROUND convention.
 
-    Scale shape: ONE bounded exchange on ``stable_part(key)``; the
+    Scale shape: ONE ``by_partition`` exchange on ``key``; the
     prev/next anchor indices come from per-key cummax scans (forward
     and reversed), no per-key Python loop."""
     import pandas as pd
 
     if t_col is None:
         t_col = order
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def per_part(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort").drop(columns="part")
@@ -603,11 +526,7 @@ def interpolate_gaps(
         out[f"{col}_interp"] = interp
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, per_part, num_parts=num_parts)
 
 
 def theil_sen(
@@ -632,14 +551,6 @@ def theil_sen(
     reproduces with a self-join + quantile_cont."""
     import numpy as np
     import pandas as pd
-
-    from ..stages.derive import default_num_parts, stable_part
-
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(__part=stable_part(df[key_col].to_numpy(), num_parts))
 
     def slopes(g: pd.DataFrame) -> pd.DataFrame:
         # fully vectorized across keys: pair indices are built per
@@ -714,11 +625,9 @@ def theil_sen(
             }
         )
 
-    return (
-        ds.select_columns([key_col, order_col, value_col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(slopes, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key_col, order_col, value_col])),
+        key_col, slopes, num_parts=num_parts,
     )
 
 
@@ -736,24 +645,17 @@ def ewma(
     shape (the oracle iterates the same two-term recurrence, and IEEE
     addition/multiplication make the two evaluation orders bit-equal).
 
-    Scale shape: ONE bounded exchange on ``stable_part(key)``; inside
+    Scale shape: ONE ``by_partition`` exchange on ``key``; inside
     the sorted partition the recursion runs in pandas' C ewm kernel per
     key (sequential within a series is inherent to EWMA; series never
     straddle partitions). Output: (key, order, col, ewma 6dp-rounded).
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must be in (0, 1]")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def smooth(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort").drop(
-            columns="__part"
+            columns="part"
         )
         y = (
             g.groupby(key, sort=False)[col]
@@ -768,11 +670,9 @@ def ewma(
         g["ewma"] = np.sign(y) * np.floor(np.abs(y) * 1e6 + 0.5) / 1e6
         return g
 
-    return (
-        ds.select_columns([key, order, col])
-        .map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(smooth, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key, order, col])), key, smooth,
+        num_parts=num_parts,
     )
 
 
@@ -792,14 +692,7 @@ def run_length_stats(
     the vectorized start-mask + cumsum trick (a run starts at a flagged
     row whose predecessor is a different key or unflagged), no per-key
     Python loop."""
-    if num_parts is None:
-        num_parts = default_num_parts()
     order_cols = [order] if isinstance(order, str) else list(order)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def streaks(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -832,11 +725,7 @@ def run_length_stats(
             out[c] = out[c].astype(np.int64)
         return out
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(streaks, batch_format="pandas")
-    )
+    return by_partition(pandas_blocks(ds), key, streaks, num_parts=num_parts)
 
 
 def time_weighted_avg(
@@ -863,7 +752,7 @@ def time_weighted_avg(
     bounded by scale_max x 86.4e9 regardless of data size, and the one
     double division matches DuckDB's HUGEINT->DOUBLE cast bit-for-bit.
 
-    Scale shape: ONE bounded exchange on ``stable_part(key)``; inside
+    Scale shape: ONE ``by_partition`` exchange on ``key``; inside
     the sorted partition segment splitting is np.repeat over the
     bucket span (a segment touching k buckets emits k rows -- bounded
     by segment length / bucket size, not data size) and the (key,
@@ -871,13 +760,6 @@ def time_weighted_avg(
     whole keys."""
     if bucket_us <= 0:
         raise ValueError("bucket_us must be positive")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[key, ts, order, value]].copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def twap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts, order], kind="mergesort")
@@ -938,10 +820,9 @@ def time_weighted_avg(
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(twap, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key, ts, order, value])), key, twap,
+        num_parts=num_parts,
     )
 
 
@@ -966,23 +847,16 @@ def hampel_outliers(
     same interpolation as DuckDB's window/aggregate quantile_cont, and
     the score is the one pinned expression dev / (1.4826 * mad).
 
-    Scale shape: ONE bounded exchange on ``stable_part(key)``; the
+    Scale shape: ONE ``by_partition`` exchange on ``key``; the
     rolling median runs in pandas' C skiplist kernel per key and the
     per-key MAD is a local grouped median -- keys never straddle
     partitions."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[key, order, col]].copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def flag(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, order], kind="mergesort").drop(
-            columns="__part"
+            columns="part"
         )
         med = (
             g.groupby(key, sort=False)[col]
@@ -1013,10 +887,9 @@ def hampel_outliers(
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(flag, batch_format="pandas")
+    return by_partition(
+        pandas_blocks(ds.select_columns([key, order, col])), key, flag,
+        num_parts=num_parts,
     )
 
 
@@ -1041,19 +914,15 @@ def align_locf_corr(
     zero -- the same algebra the SQL oracle evaluates, so fp behavior
     matches term for term.
 
-    Scale shape: ONE bounded exchange on ``stable_part(key)``; LOCF is
+    Scale shape: ONE ``by_partition`` exchange on ``key``; LOCF is
     a per-partition grouped ffill (vectorized), keys never straddle
     partitions, and only per-key scalars leave the partition."""
-    if num_parts is None:
-        num_parts = default_num_parts()
 
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.loc[
+    def select(df: pd.DataFrame) -> pd.DataFrame:
+        return df.loc[
             df[type_col].isin([type_a, type_b]),
             [key, ts, order, type_col, value],
         ].copy()
-        df["__part"] = stable_part(df[key].to_numpy(), num_parts)
-        return df
 
     def corr(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts, order], kind="mergesort")
@@ -1099,8 +968,7 @@ def align_locf_corr(
             }
         )
 
-    return (
-        ds.map_batches(add_part, batch_format="pandas")
-        .groupby("__part")
-        .map_groups(corr, batch_format="pandas")
+    return by_partition(
+        ds.map_batches(select, batch_format="pandas"), key, corr,
+        num_parts=num_parts,
     )

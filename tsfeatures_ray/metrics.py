@@ -97,15 +97,16 @@ def evaluate_panel(
 
     Two input shapes:
     - pandas DataFrames (unique_id, ds, y / y_hat) like the reference ->
-      returns a sorted pandas DataFrame [unique_id, error]. Validation
+      returns a pandas DataFrame [unique_id, error] in y_test's
+      first-appearance order, ids in their original dtype. Validation
       mirrors reference metrics.py:318-322. Caps the panel at driver RAM
       -- the API-parity path.
     - ray.data.Datasets with the same columns -> returns a STREAMING
       Dataset [unique_id, error]: each input is tagged per batch (no
       driver concat, no materialization), the tagged streams union, and
-      ONE groupby(part) co-partitions all roles. The scale path: panels
-      of any size flow through the exchange without ever touching the
-      driver.
+      ONE by_partition(unique_id) co-partitions all roles. The scale
+      path: panels of any size flow through the exchange without ever
+      touching the driver.
     """
     import ray.data as rd
 
@@ -181,7 +182,11 @@ def evaluate_panel(
     res = by_partition(
         allp, "unique_id", eval_partition, num_parts=num_parts
     ).to_pandas()
-    return res.sort_values("unique_id", kind="mergesort").reset_index(drop=True)
+    # the exchange keys on str ids; hand back the caller's ids in the
+    # reference's order (y_test first appearance)
+    res = res.set_index("unique_id").loc[pd.Index(uids).astype(str)]
+    res.insert(0, "unique_id", uids)
+    return res.reset_index(drop=True)
 
 
 def rolling_origin_backtest(

@@ -55,10 +55,24 @@ def default_num_parts(n_rows: int | None = None) -> int:
     return max(4, parts)
 
 
+def _part_ids(batch, key: str | list[str], num_parts: int) -> np.ndarray:
+    """Partition id per row of a pandas or pyarrow batch. One column:
+    ``stable_part``; several: ``hash_pandas_object`` of the key columns
+    (row-wise, index excluded) mod ``num_parts``."""
+    keys = [key] if isinstance(key, str) else list(key)
+    pandas = isinstance(batch, pd.DataFrame)
+    if len(keys) == 1:
+        col = batch[keys[0]]
+        return stable_part(col.to_numpy() if pandas else col, num_parts)
+    frame = batch[keys] if pandas else batch.select(keys).to_pandas()
+    h = pd.util.hash_pandas_object(frame, index=False).to_numpy()
+    return (h % np.uint64(num_parts)).astype(np.int64)
+
+
 def with_part(
-    ds: "ray.data.Dataset", key: str, num_parts: int | None = None
+    ds: "ray.data.Dataset", key: str | list[str], num_parts: int | None = None
 ) -> "ray.data.Dataset":
-    """Tag every row with ``part = stable_part(key)`` (a per-batch map,
+    """Tag every row with ``part = _part_ids(key)`` (a per-batch map,
     no exchange). The one place the engine computes the partition key;
     ``by_partition`` exchanges on it, and the resumable run sinks it as
     ``partition_cols`` to co-locate without an exchange. A ``part``
@@ -72,9 +86,12 @@ def with_part(
         num_parts = default_num_parts()
 
     def tag(batch):
-        part = stable_part(batch[key], num_parts)
+        part = _part_ids(batch, key, num_parts)
         if isinstance(batch, pd.DataFrame):
-            batch["part"] = part
+            if "part" in batch.columns:
+                batch["part"] = part
+            else:  # insert: no copy-of-a-slice warning on UDF outputs
+                batch.insert(batch.shape[1], "part", part)
             return batch
         if "part" in batch.column_names:
             batch = batch.drop_columns(["part"])
@@ -84,15 +101,32 @@ def with_part(
 
 
 def by_partition(
-    ds: "ray.data.Dataset", key: str, fn, *, num_parts: int | None = None
+    ds: "ray.data.Dataset",
+    key: str | list[str],
+    fn,
+    *,
+    num_parts: int | None = None,
 ) -> "ray.data.Dataset":
-    """The engine's co-partition exchange: tag ``part`` from ``key``,
-    then ONE ``groupby("part").map_groups(fn)``. ``fn`` gets a pandas
-    frame holding every row of each key that hashes to its partition
-    (plus the ``part`` column), whatever the input block layout."""
+    """The engine's co-partition exchange: tag ``part`` from ``key``
+    (one column or a list of columns), then ONE
+    ``groupby("part").map_groups(fn)``. ``fn`` gets a pandas frame
+    holding every row of each key that hashes to its partition (plus
+    the ``part`` column), whatever the input block layout. ``part`` is
+    the exchange's own column: an input column of that name is
+    overwritten."""
     return with_part(ds, key, num_parts).groupby("part").map_groups(
         fn, batch_format="pandas"
     )
+
+
+def pandas_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """``ds`` re-blocked as pandas frames (rows and columns unchanged).
+    The exchange sorts pandas blocks with pandas' unstable quicksort, so
+    a partition function then sees its rows in that order rather than in
+    the stable Arrow-sort order; the operator library's partition
+    functions emit rows in the order they receive them, and their
+    outputs are pinned to the pandas order."""
+    return ds.map_batches(pd.DataFrame.copy, batch_format="pandas")
 
 
 def _add_token_len(batch: pa.Table) -> pa.Table:
