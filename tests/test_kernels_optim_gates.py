@@ -113,12 +113,9 @@ def test_holt_fit_no_worse_than_dense_grid(seed):
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_hw_fit_no_worse_than_dense_grid(seed):
-    from tsfeatures_ray.kernels.ets import (
-        _heuristic_seasonal,
-        _hw_sse_fast,
-        _hw_sse_grid,
-        hw_parameters,
-    )
+    from _step_oracles import _hw_sse_fast, _hw_sse_grid
+
+    from tsfeatures_ray.kernels.ets import _heuristic_seasonal, hw_parameters
 
     rng = np.random.RandomState(seed)
     n, m = 96, 12

@@ -1,36 +1,33 @@
 """Cross-series (lane-batched) implementations of the optimizer-backed
 kernels -- Holt, Holt-Winters and the GARCH(1,1) stage of heterogeneity.
 
-Motivation (round-4 VERDICT ask #3): the per-series profile at sf0.1
-puts holt_parameters + heterogeneity at ~75% of total kernel time, and
-much of that cost is per-CALL overhead (thousands of tiny numpy ops per
-series), not flops. These implementations run S series as independent
-*lanes* of 2-D arrays: one grid/simplex iteration executes a handful of
-wide numpy ops for the whole batch instead of S Python-level optimizer
-runs.
-
-Execution discipline -- SORTED-PREFIX LANES: inside each cohort, lanes
-are sorted by series length (descending, stable). The sequential-time
-recursions then touch only the contiguous prefix ``[:cnt_t]`` of lanes
-still alive at step t: no per-step masks, no padded-step arithmetic,
-work exactly proportional to sum(n_i). The outputs are scattered back
-to input order afterwards.
+These kernels are where feature CPU goes, and the cost of a numpy
+time-step loop is per-CALL interpreter overhead, not arithmetic. So all
+eligible series of a batch run as one set of *lanes*: the grids and the
+batched Nelder-Mead below evaluate every lane's candidates together, and
+each objective evaluation is ONE call into a compiled step loop
+(``_steps.c``) that walks every lane x candidate recursion over the
+ragged series (offsets + values; no padded matrix). Lanes are split only
+where the math requires it: Holt-Winters by seasonal period m.
 
 Correctness contract -- LANE INDEPENDENCE: every operation is
-elementwise across lanes (no reductions over the lane axis) and the
-transcendentals used (np.log) are position-independent on this platform
-(verified: the same float64 input yields the same bits at any array
-offset and for scalar input). A series therefore produces bit-identical
-results no matter which -- or how many -- other series share its batch,
-which is what keeps feature outputs deterministic across block layouts,
-CPU counts and runs. tests/test_batch_kernels.py pins this property.
+elementwise across lanes (no reductions over the lane axis) and each C
+statement keeps the operation order of the numpy expression it replaced
+(built with -ffp-contract=off, no -ffast-math, no -march=native). A
+series therefore produces bit-identical results no matter which -- or
+how many -- other series share its batch, which keeps feature outputs
+deterministic across block layouts, CPU counts and runs.
+tests/test_batch_kernels.py pins this, and pins the C loops bit-for-bit
+against the numpy step loops and per-series Python-float fits they
+replaced.
+
+GARCH log rule: lanes under _LIBM_LOG_N points take ``np.log`` over the
+variance path in numpy; longer lanes call libm ``log`` in C (what
+``math.log`` calls). numpy's SIMD log and libm's differ in the last bits
+of some values, and this split is the one the outputs were recorded with.
 
 The scalar kernels in ets.py / het.py delegate here with a single lane,
-so there is exactly ONE implementation of each optimizer. The batched
-Nelder-Mead mirrors _optim.nelder_mead (same simplex construction,
-stable sort order, branch rules, convergence test and first-minimum
-selection), evaluating reflect/expand/contract candidates in one
-vectorized objective call per iteration.
+so there is exactly ONE implementation of each optimizer.
 
 Reference semantics preserved: holt_parameters <- reference
 tsfeatures.py:340-368, hw_parameters <- :392-423, heterogeneity
@@ -39,73 +36,133 @@ tsfeatures.py:340-368, hw_parameters <- :392-423, heterogeneity
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import math
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+import types
+
 import numpy as np
 
 _PENALTY = 1e12
+_LIBM_LOG_N = 512  # the GARCH log rule (module docstring)
+_L2PI = math.log(2 * math.pi)
 
-# Series at/above this length take the per-series (Python-float loop)
-# path instead of lane arrays: a lone long series in a numpy T-step loop
-# pays ~10us of dispatch per step, while the Python float loop pays
-# ~0.5us -- and lanes that long are near-singletons in practice. The
-# dispatch depends ONLY on the series' own length, so results stay
-# composition-independent; both paths compute bit-identical values
-# (same IEEE ops in the same order; pinned by tests/test_batch_kernels).
-_SINGLE_N = 512
+# ---------------------------------------------------------------------------
+# the compiled step loops
+# ---------------------------------------------------------------------------
 
-# Cohorts smaller than this run the per-series path too. Measured
-# crossover (tools-level microbench, lengths 12-96): lanes already win
-# ~2x at S=32 and stay ahead at S=16, so only near-singleton cohorts
-# drop to the per-series path. Both paths are bit-identical (validated
-# corpus-wide and pinned by tests), so this dispatch -- though
-# composition-dependent -- cannot change any output value.
-_MIN_LANES = 16
+_HERE = os.path.dirname(os.path.abspath(__file__))
+# -ffp-contract=off: no fused multiply-add (numpy rounds the multiply and
+# the add separately); no -ffast-math, no -march=native: results must not
+# depend on the build host
+_FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
+
+
+def _compiler() -> list[str] | None:
+    """The interpreter's C compiler command (sysconfig ``CC``), else ``cc``."""
+    for cmd in (shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]):
+        if cmd and shutil.which(cmd[0]):
+            return cmd
+    return None
+
+
+def _build(src: str = os.path.join(_HERE, "_steps.c"),
+           cache: str = os.path.join(_HERE, "__pycache__")) -> str:
+    """Path of the shared library built from ``src``, compiled once per
+    (compiler, flags, source) hash into ``cache``. Each builder writes a
+    temporary file and renames it into place, so processes racing to
+    build all load a complete library."""
+    cc = _compiler()
+    if cc is None:
+        raise ImportError(
+            "tsfeatures_ray.kernels needs a C compiler to build _steps.c, "
+            "and none was found (tried sysconfig CC and cc)"
+        )
+    with open(src, "rb") as f:
+        code = f.read()
+    key = hashlib.sha256(" ".join(cc + _FLAGS).encode() + b"\0" + code).hexdigest()
+    lib = os.path.join(cache, f"_steps-{key[:16]}.so")
+    if not os.path.exists(lib):
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            r = subprocess.run([*cc, *_FLAGS, "-x", "c", "-o", tmp, "-", "-lm"],
+                               input=code, capture_output=True)
+            if r.returncode:
+                raise ImportError(f"building {src} failed:\n{r.stderr.decode()}")
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return lib
+
+
+# one code per argument: i int64, d double; l / f / u a C-contiguous
+# int64 / float64 / uint8 array, passed as its data pointer
+_SIGS = {
+    "holt_sse": "iillffffff",
+    "hw_sse": "iiillffffffff",
+    "garch_var": "iillfffffif",
+    "garch_ll": "iillfffffifdf",
+    "garch_mu": "illffffffffu",
+}
+_CTYPES = {"i": ctypes.c_int64, "d": ctypes.c_double}
+_ARRAYS = {"l": np.int64, "f": np.float64, "u": np.uint8}
+
+
+def _loop(f, sig: str):
+    """Checked Python callable for the C function ``f`` of signature ``sig``."""
+    f.restype = ctypes.c_int
+    f.argtypes = [_CTYPES.get(c, ctypes.c_void_p) for c in sig]
+    arrays = [(i, np.dtype(_ARRAYS[c])) for i, c in enumerate(sig) if c in _ARRAYS]
+
+    def call(*args) -> None:
+        if len(args) != len(sig):
+            raise TypeError(f"{f.__name__}: takes {len(sig)} arguments")
+        ptrs = list(args)  # ``args`` keeps every array alive for the call
+        for i, dt in arrays:
+            v = args[i]
+            if v.dtype != dt or not v.flags.c_contiguous:
+                raise TypeError(f"{f.__name__}: argument {i} must be C-contiguous {dt}")
+            ptrs[i] = v.ctypes.data
+        if f(*ptrs):
+            raise MemoryError(f"{f.__name__}: scratch allocation failed")
+
+    return call
+
+
+def _bind(lib):
+    """The step loops of a built library, by name."""
+    return types.SimpleNamespace(**{n: _loop(getattr(lib, n), s) for n, s in _SIGS.items()})
+
+
+_STEPS = _bind(ctypes.CDLL(_build()))
+
+
+def _f64(v, shape=None) -> np.ndarray:
+    """C-contiguous float64 (broadcast to ``shape`` if given)."""
+    v = np.asarray(v)
+    if shape is not None and v.shape != shape:
+        v = np.broadcast_to(v, shape)
+    return np.ascontiguousarray(v, dtype=np.float64)
+
+
+def _ragged(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values): lane i is values[offsets[i]:offsets[i + 1]]."""
+    off = np.zeros(len(ys) + 1, dtype=np.int64)
+    np.cumsum([len(y) for y in ys], out=off[1:])
+    return off, _f64(np.concatenate(ys) if ys else np.empty(0))
 
 
 # ---------------------------------------------------------------------------
-# padding / cohorts
-# ---------------------------------------------------------------------------
-
-def _pad_sorted(ys: list[np.ndarray]):
-    """Sort series by length (desc, stable), pad to (S, T), and return
-    (order, y_pad, ns_desc, cnt) where cnt[t] = lanes alive at step t
-    (a prefix, by construction)."""
-    lens = np.array([len(y) for y in ys], dtype=np.int64)
-    order = np.argsort(-lens, kind="stable")
-    ns = lens[order]
-    T = int(ns[0]) if len(ns) else 0
-    y = np.zeros((len(ys), T))
-    for row, i in enumerate(order):
-        y[row, : lens[i]] = ys[i]
-    # count of lanes with n >= t+1 for each step t
-    cnt = np.searchsorted(-ns, -(np.arange(T) + 1), side="right")
-    return order, y, ns, cnt
-
-
-def _cohorts(lengths: np.ndarray, extra_key=None):
-    """Group lane indices into cohorts of similar (power-of-two bucketed)
-    length, optionally split further by an exact key (e.g. seasonal
-    period). Yields index arrays. Cohort membership never changes a
-    lane's result (lane independence); it only bounds wasted flops."""
-    buckets: dict = {}
-    for i, n in enumerate(lengths):
-        b = int(n).bit_length()  # 2^(b-1) <= n < 2^b
-        key = (b,) if extra_key is None else (b, extra_key[i])
-        buckets.setdefault(key, []).append(i)
-    for key in sorted(buckets):
-        yield np.asarray(buckets[key], dtype=np.int64)
-
-
-def _writable(arr, shape):
-    """Broadcast to ``shape`` into a fresh writable buffer (never
-    aliases the input -- ascontiguousarray would return read-only
-    broadcast views unchanged when shapes already match)."""
-    out = np.empty(shape)
-    out[...] = arr
-    return out
-
-
-# ---------------------------------------------------------------------------
-# batched Nelder-Mead (mirrors _optim.nelder_mead lane-for-lane)
+# batched Nelder-Mead
 # ---------------------------------------------------------------------------
 
 def nelder_mead_batch(
@@ -116,12 +173,11 @@ def nelder_mead_batch(
     xtol: float = 1e-6,
     ftol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize S independent objectives. ``obj(P, idx, epoch) -> (M, K)``
-    evaluates K candidate points per lane for the M lanes selected by
-    ``idx`` (ascending; lane compaction drops converged lanes from
-    further evaluation). ``epoch`` increments exactly when ``idx``
-    changes, so objectives can cache their idx-sliced closure data for
-    the (many) consecutive calls that share one lane set.
+    """Minimize S independent objectives with the standard Nelder-Mead
+    rules per lane (simplex construction, stable sort order, branch
+    rules, convergence test, first-minimum selection). ``obj(P, idx) ->
+    (M, K)`` evaluates K candidate points per lane for the M lanes
+    selected by ``idx`` (ascending; converged lanes drop out).
     Returns (x_best (S, n), f_best (S,))."""
     x0 = np.asarray(x0, dtype=float)
     S, n = x0.shape
@@ -132,8 +188,7 @@ def nelder_mead_batch(
             xi == 0.0, xi + step, xi + step * np.maximum(np.abs(xi), 1.0)
         )
     idx = np.arange(S)
-    epoch = 0
-    fs = obj(sim, idx, epoch)
+    fs = obj(sim, idx)
     final_sim = sim.copy()
     final_fs = fs.copy()
 
@@ -142,8 +197,9 @@ def nelder_mead_batch(
         if len(idx) == 0:
             break
         order = np.argsort(fs, axis=1, kind="stable")
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-        fs = np.take_along_axis(fs, order, axis=1)
+        rows = np.arange(len(idx))[:, None]
+        sim = sim[rows, order]
+        fs = fs[rows, order]
         spread = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
         conv = (spread < xtol) & (np.abs(fs[:, -1] - fs[:, 0]) < ftol)
         if conv.any():
@@ -152,11 +208,9 @@ def nelder_mead_batch(
             final_fs[done] = fs[conv]
             keep = ~conv
             sim, fs, idx = sim[keep], fs[keep], idx[keep]
-            epoch += 1
             if len(idx) == 0:
                 break
-        # sequential-sum centroid of the n best points (matches the
-        # scalar implementation's Python-float summation order)
+        # sequential-sum centroid of the n best points
         centroid = sim[:, 0, :].copy()
         for j in range(1, n):
             centroid += sim[:, j, :]
@@ -165,11 +219,11 @@ def nelder_mead_batch(
         xr = centroid + alpha * (centroid - worst)
         xe = centroid + gamma * (centroid - worst)
         xc = centroid + rho * (worst - centroid)
-        # one stacked 3-candidate eval: the T-step loop's numpy dispatch
-        # is per STEP, not per candidate, so evaluating (xr, xe, xc)
-        # together costs barely more than xr alone -- lazily splitting
-        # them into subset calls was measured strictly slower
-        fvals = obj(np.stack([xr, xe, xc], axis=1), idx, epoch)
+        # one stacked 3-candidate eval: a step loop costs per call, not
+        # per candidate, so (xr, xe, xc) together cost barely more than xr
+        cand = np.empty((len(idx), 3, n))
+        cand[:, 0], cand[:, 1], cand[:, 2] = xr, xe, xc
+        fvals = obj(cand, idx)
         fr, fe, fc = fvals[:, 0], fvals[:, 1], fvals[:, 2]
         fs0, fs_sw, fs_last = fs[:, 0], fs[:, -2], fs[:, -1]
         case2 = fr < fs0
@@ -187,16 +241,15 @@ def nelder_mead_batch(
         fs[repl, -1] = newf[repl]
         if shrink.any():
             shr = sim[:, :1, :] + sigma * (sim[:, 1:, :] - sim[:, :1, :])
-            fshr = obj(shr, idx, epoch)
+            fshr = obj(shr, idx)
             sim[shrink, 1:, :] = shr[shrink]
             fs[shrink, 1:] = fshr[shrink]
     if len(idx):
         final_sim[idx] = sim
         final_fs[idx] = fs
     k = np.argmin(final_fs, axis=1)
-    xb = np.take_along_axis(final_sim, k[:, None, None], axis=1)[:, 0, :]
-    fb = np.take_along_axis(final_fs, k[:, None], axis=1)[:, 0]
-    return xb, fb
+    rows = np.arange(S)
+    return final_sim[rows, k], final_fs[rows, k]
 
 
 # ---------------------------------------------------------------------------
@@ -220,65 +273,34 @@ def _heuristic_level_trend_each(ys: list[np.ndarray]) -> tuple[np.ndarray, np.nd
     return l0, b0
 
 
-def _holt_sse_prefix(a, b, l, bb, yT, cnt) -> np.ndarray:
-    """SSE of additive Holt for (S, K) candidate lanes over
-    length-desc-sorted padded series yT (T, S -- time-major, so each
-    step reads a contiguous row): step t touches only the alive prefix
-    [:cnt[t]]. All per-step arithmetic runs through preallocated
-    scratch (out=), so the T-loop allocates nothing and stays
-    cache-resident; the operation ORDER matches the plain expression
-    form bit-for-bit."""
-    S, K = a.shape
-    sse = np.zeros((S, K))
-    l_cur = _writable(l, (S, K))
-    b_cur = _writable(bb, (S, K))
-    one_a = 1.0 - a  # loop-invariant (the per-series kernel hoists too)
-    one_b = 1.0 - b
-    f = np.empty((S, K))
-    e = np.empty((S, K))
-    t1 = np.empty((S, K))
-    t2 = np.empty((S, K))
-    with np.errstate(all="ignore"):
-        for t in range(yT.shape[0]):
-            c = int(cnt[t])
-            if c == 0:
-                break
-            v = yT[t, :c, None]
-            fc, ec, t1c, t2c = f[:c], e[:c], t1[:c], t2[:c]
-            lc, tc = l_cur[:c], b_cur[:c]
-            np.add(lc, tc, out=fc)                      # f = l + b
-            np.subtract(v, fc, out=ec)                  # e = v - f
-            np.multiply(ec, ec, out=t1c)
-            np.add(sse[:c], t1c, out=sse[:c])           # sse += e*e
-            np.multiply(a[:c], v, out=t1c)
-            np.multiply(one_a[:c], fc, out=t2c)
-            np.add(t1c, t2c, out=t1c)                   # l_new = a*v+(1-a)*f
-            np.subtract(t1c, lc, out=t2c)
-            np.multiply(b[:c], t2c, out=t2c)
-            np.multiply(one_b[:c], tc, out=ec)
-            np.add(t2c, ec, out=b_cur[:c])              # b = b*(ln-l)+(1-b)*b
-            l_cur[:c] = t1c
+def _holt_sse(lanes, off, y, a, b, l, bb) -> np.ndarray:
+    """SSE of additive Holt for (L, K) candidates (alpha, beta, initial
+    level, initial trend) on the series ``lanes`` of (off, y)."""
+    shape = np.shape(a)
+    sse = np.empty(shape)
+    _STEPS.holt_sse(*shape, lanes, off, y,
+         *(_f64(v, shape) for v in (a, b, l, bb)), sse)
     return sse
 
 
-def _holt_fit_cohort(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Grid + zoom + Nelder-Mead Holt fit for one cohort (all lanes
-    eligible). Returns (alpha, beta) arrays in input order."""
-    order, y, ns, cnt = _pad_sorted(ys)
-    yT = np.ascontiguousarray(y.T)  # time-major for the step loop
+def _holt_fit(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Grid + zoom + Nelder-Mead Holt fit, one lane per series.
+    Returns (alpha, beta) arrays in input order."""
+    off, y = _ragged(ys)
     S = len(ys)
-    l0, b0 = _heuristic_level_trend_each([ys[i] for i in order])
+    lanes = np.arange(S)
+    l0, b0 = _heuristic_level_trend_each(ys)
 
     # round 1: common coarse grid (13 alphas x 9 beta fractions)
     a_grid = np.linspace(0.02, 0.98, 13)
     f_grid = np.linspace(0.02, 0.98, 9)
     A, F = np.meshgrid(a_grid, f_grid, indexing="ij")
-    alphas = _writable(A.ravel(), (S, A.size))
-    betas = _writable((A * F).ravel(), (S, A.size))
+    alphas = _f64(A.ravel(), (S, A.size))
+    betas = _f64((A * F).ravel(), (S, A.size))
     keep = np.ones(alphas.shape, dtype=bool)
     a_c = b_c = None
     for _ in range(3):
-        sse = _holt_sse_prefix(alphas, betas, l0[:, None], b0[:, None], yT, cnt)
+        sse = _holt_sse(lanes, off, y, alphas, betas, l0[:, None], b0[:, None])
         sse = np.where(np.isfinite(sse), sse, np.inf)
         sse = np.where(keep, sse, np.inf)
         i = np.argmin(sse, axis=1)
@@ -303,126 +325,35 @@ def _holt_fit_cohort(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         betas = np.tile(b_g, (1, 7))
         keep = betas <= alphas
 
-    # idx is ascending -> ns[idx] stays length-descending, so the alive
-    # prefix discipline holds on the compacted subset; the idx-sliced
-    # data is cached per epoch (idx only changes when lanes converge)
-    cache: dict = {"epoch": -1}
-
-    def obj(P: np.ndarray, idx: np.ndarray, epoch: int) -> np.ndarray:
-        a, b, l, bb = P[..., 0], P[..., 1], P[..., 2], P[..., 3]
+    def obj(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        a, b = P[..., 0], P[..., 1]
         valid = (a > 1e-6) & (a < 1 - 1e-6) & (b > 1e-6) & (b <= a)
-        if epoch >= 0 and cache["epoch"] == epoch:
-            yT_s, cnt_s = cache["yT"], cache["cnt"]
-        else:
-            yT_s = np.ascontiguousarray(yT[:, idx])
-            cnt_s = np.searchsorted(-ns[idx], -(np.arange(y.shape[1]) + 1),
-                                    side="right")
-            if epoch >= 0:
-                cache.update(epoch=epoch, yT=yT_s, cnt=cnt_s)
-        sse = _holt_sse_prefix(a, b, l, bb, yT_s, cnt_s)
+        sse = _holt_sse(idx, off, y, a, b, P[..., 2], P[..., 3])
         return np.where(valid, sse, _PENALTY)
 
     x0 = np.column_stack([a_c, b_c, l0, b0])
     p, _ = nelder_mead_batch(obj, x0, step=0.02, max_iter=100)
-    # lanes whose init heuristic failed (non-finite level/trend) follow
-    # the per-series kernel's exception path: NaN outputs
+    # lanes whose init heuristic failed (non-finite level/trend): NaN
     bad = ~(np.isfinite(l0) & np.isfinite(b0))
-    a_sorted = np.where(bad, np.nan, p[:, 0])
-    b_sorted = np.where(bad, np.nan, p[:, 1])
-    a_out = np.empty(S)
-    b_out = np.empty(S)
-    a_out[order] = a_sorted
-    b_out[order] = b_sorted
-    return a_out, b_out
-
-
-def _holt_fit_single(y: np.ndarray) -> tuple[float, float]:
-    """Per-series Holt fit for long series (n >= _SINGLE_N): identical
-    grid/zoom (vectorized over candidates) + the scalar Nelder-Mead with
-    a Python-float SSE loop. Bit-identical to _holt_fit_cohort([y])
-    (same IEEE ops in the same order; pinned by tests)."""
-    from ._optim import nelder_mead
-    from .ets import _holt_sse_fast, _holt_sse_grid
-
-    l0_a, b0_a = _heuristic_level_trend_each([y])
-    l0, b0 = float(l0_a[0]), float(b0_a[0])
-    if not (np.isfinite(l0) and np.isfinite(b0)):
-        return np.nan, np.nan
-    a_grid = np.linspace(0.02, 0.98, 13)
-    f_grid = np.linspace(0.02, 0.98, 9)
-    A, F = np.meshgrid(a_grid, f_grid, indexing="ij")
-    alphas, betas = A.ravel(), (A * F).ravel()
-    a_c = b_c = None
-    for _ in range(3):
-        sse = _holt_sse_grid(alphas, betas, l0, b0, y)
-        i = int(np.argmin(sse))
-        a_c, b_c = alphas[i], betas[i]
-        span_a = (alphas.max() - alphas.min()) * 0.15
-        a_g = np.clip(np.linspace(a_c - span_a, a_c + span_a, 7), 1e-4, 1 - 1e-4)
-        b_g = np.clip(np.linspace(b_c - span_a, b_c + span_a, 7), 1e-4, 1 - 1e-4)
-        A2, B2 = np.meshgrid(a_g, b_g, indexing="ij")
-        keep = B2 <= A2
-        alphas, betas = A2[keep], B2[keep]
-    y_list = y.tolist()
-
-    def obj(p: np.ndarray) -> float:
-        a, b, l, bb = p
-        if not (1e-6 < a < 1 - 1e-6) or not (1e-6 < b <= a):
-            return _PENALTY
-        return _holt_sse_fast(float(a), float(b), float(l), float(bb), y_list)
-
-    p, _ = nelder_mead(obj, np.array([a_c, b_c, l0, b0]), step=0.02, max_iter=100)
-    return float(p[0]), float(p[1])
+    return np.where(bad, np.nan, p[:, 0]), np.where(bad, np.nan, p[:, 1])
 
 
 def holt_parameters_batch(
     ys: list[np.ndarray], freqs=None
 ) -> dict[str, np.ndarray]:
     """Batched holt_parameters: one (alpha, beta) row per series; NaN
-    rows for the reference's gates (n<5, non-finite, constant). Long
-    series (n >= _SINGLE_N) take the per-series path, everything else
-    runs as cohort lanes."""
+    rows for the reference's gates (n<5, non-finite, constant)."""
     S = len(ys)
     alpha = np.full(S, np.nan)
     beta = np.full(S, np.nan)
-    ok = np.array(
+    lanes = np.flatnonzero(
         [
             len(y) >= 5 and bool(np.all(np.isfinite(y))) and float(np.std(y)) != 0.0
             for y in ys
-        ],
-        dtype=bool,
+        ]
     )
-    lanes = np.flatnonzero(ok)
-    lens = np.array([len(ys[i]) for i in lanes])
-    small = lanes[lens < _SINGLE_N]
-    for i in lanes[lens >= _SINGLE_N]:
-        try:
-            alpha[i], beta[i] = _holt_fit_single(ys[i])
-        except Exception:
-            pass
-    for sub in _cohorts(np.array([len(ys[i]) for i in small])):
-        sel = small[sub]
-        if len(sel) < _MIN_LANES:
-            for i in sel:
-                try:
-                    alpha[i], beta[i] = _holt_fit_single(ys[i])
-                except Exception:
-                    pass
-            continue
-        try:
-            a, b = _holt_fit_cohort([ys[i] for i in sel])
-        except Exception:
-            # one pathological lane must not NaN its cohort-mates: retry
-            # each lane through the per-series path (bit-equal to lanes),
-            # leaving NaN only on the lanes that individually fail
-            for i in sel:
-                try:
-                    alpha[i], beta[i] = _holt_fit_single(ys[i])
-                except Exception:
-                    pass
-            continue
-        alpha[sel] = a
-        beta[sel] = b
+    if len(lanes):
+        alpha[lanes], beta[lanes] = _holt_fit([ys[i] for i in lanes])
     return {"alpha": alpha, "beta": beta}
 
 
@@ -430,55 +361,16 @@ def holt_parameters_batch(
 # Holt-Winters (additive) -- reference tsfeatures.py:392-423
 # ---------------------------------------------------------------------------
 
-def _hw_sse_prefix(a, b, g, l0, b0, s0, yT, cnt, m) -> np.ndarray:
-    """HW SSE for (S, K) lanes over time-major yT (T, S); seasonal state
-    laid out (m, S, K) so the per-step slice s[j][:c] is contiguous.
-    Standard additive recursion: level update uses (1-a)*(l+b) -- the
-    seasonal term belongs in the forecast only. Preallocated scratch;
-    op order matches the plain expression form bit-for-bit."""
-    S, K = a.shape
-    s = np.ascontiguousarray(
-        np.broadcast_to(s0.T[:, :, None], (m, S, K))
-    )  # (m, S, K)
-    l_cur = _writable(l0[:, None], (S, K))
-    b_cur = _writable(b0[:, None], (S, K))
-    sse = np.zeros((S, K))
-    one_a = 1.0 - a
-    one_b = 1.0 - b
-    one_g = 1.0 - g
-    f = np.empty((S, K))
-    e = np.empty((S, K))
-    t1 = np.empty((S, K))
-    t2 = np.empty((S, K))
-    t3 = np.empty((S, K))
-    with np.errstate(all="ignore"):
-        for t in range(yT.shape[0]):
-            c = int(cnt[t])
-            if c == 0:
-                break
-            j = t % m
-            v = yT[t, :c, None]
-            si = s[j][:c]
-            lc, tc = l_cur[:c], b_cur[:c]
-            fc, ec, t1c, t2c, t3c = f[:c], e[:c], t1[:c], t2[:c], t3[:c]
-            np.add(lc, tc, out=t3c)                      # l + b
-            np.add(t3c, si, out=fc)                      # f = l + b + s
-            np.subtract(v, fc, out=ec)                   # e = v - f
-            np.multiply(ec, ec, out=t1c)
-            np.add(sse[:c], t1c, out=sse[:c])            # sse += e*e
-            np.subtract(v, si, out=t1c)
-            np.multiply(a[:c], t1c, out=t1c)
-            np.multiply(one_a[:c], t3c, out=t2c)
-            np.add(t1c, t2c, out=t1c)                    # l_new
-            np.subtract(t1c, lc, out=t2c)
-            np.multiply(b[:c], t2c, out=t2c)
-            np.multiply(one_b[:c], tc, out=t3c)
-            np.add(t2c, t3c, out=b_cur[:c])              # b update
-            np.subtract(v, t1c, out=t2c)
-            np.multiply(g[:c], t2c, out=t2c)
-            np.multiply(one_g[:c], si, out=t3c)
-            np.add(t2c, t3c, out=s[j][:c])               # s update
-            l_cur[:c] = t1c
+def _hw_sse(lanes, off, y, m, a, b, g, l0, b0, s0) -> np.ndarray:
+    """HW SSE with period m for (L, K) candidates (alpha, beta, gamma)
+    on the series ``lanes`` of (off, y); initial level/trend (S,) and
+    seasonal state (S, m) per series. Standard additive recursion: the
+    level update uses (1-a)*(l+b) -- the seasonal term belongs in the
+    forecast only."""
+    shape = np.shape(a)
+    sse = np.empty(shape)
+    _STEPS.hw_sse(*shape, m, lanes, off, y,
+         *(_f64(v, shape) for v in (a, b, g)), l0, b0, s0, sse)
     return sse
 
 
@@ -496,11 +388,13 @@ def _heuristic_seasonal_each(ys, m):
     return l0, b0, s0
 
 
-def _hw_fit_cohort(ys: list[np.ndarray], m: int):
-    order, y, ns, cnt = _pad_sorted(ys)
-    yT = np.ascontiguousarray(y.T)  # time-major for the step loop
+def _hw_fit(ys: list[np.ndarray], m: int):
+    """Grid + one zoom round + Nelder-Mead HW fit with period m, one
+    lane per series. Returns (alpha, beta, gamma) in input order."""
+    off, y = _ragged(ys)
     S = len(ys)
-    l0, b0, s0 = _heuristic_seasonal_each([ys[i] for i in order], m)
+    lanes = np.arange(S)
+    l0, b0, s0 = _heuristic_seasonal_each(ys, m)
 
     a_g = np.linspace(0.05, 0.95, 7)
     bf_g = np.array([0.05, 0.3, 0.9])
@@ -509,10 +403,8 @@ def _hw_fit_cohort(ys: list[np.ndarray], m: int):
     al1 = A.ravel()
     be1 = (A * BF).ravel()
     ga1 = ((1.0 - A) * GF).ravel()
-    alphas = _writable(al1, (S, al1.size))
-    betas = _writable(be1, (S, al1.size))
-    gammas = _writable(ga1, (S, al1.size))
-    sse = _hw_sse_prefix(alphas, betas, gammas, l0, b0, s0, yT, cnt, m)
+    grid = (S, al1.size)
+    sse = _hw_sse(lanes, off, y, m, _f64(al1, grid), be1, ga1, l0, b0, s0)
     sse = np.where(np.isfinite(sse), sse, np.inf)
     i = np.argmin(sse, axis=1)
     a_c = al1[i]
@@ -529,7 +421,7 @@ def _hw_fit_cohort(ys: list[np.ndarray], m: int):
     G2 = np.tile(g_g2, (1, 25))
     keep = (B2 <= A2) & (G2 <= 1.0 - A2)
     any_keep = keep.any(axis=1)
-    sse = _hw_sse_prefix(A2, B2, G2, l0, b0, s0, yT, cnt, m)
+    sse = _hw_sse(lanes, off, y, m, A2, B2, G2, l0, b0, s0)
     sse = np.where(np.isfinite(sse), sse, np.inf)
     sse = np.where(keep, sse, np.inf)
     i = np.argmin(sse, axis=1)
@@ -542,106 +434,31 @@ def _hw_fit_cohort(ys: list[np.ndarray], m: int):
     b_c = np.where(pick, np.take_along_axis(B2, i[:, None], 1)[:, 0], b_c)
     g_c = np.where(pick, np.take_along_axis(G2, i[:, None], 1)[:, 0], g_c)
 
-    cache: dict = {"epoch": -1}
-
-    def obj(P: np.ndarray, idx: np.ndarray, epoch: int) -> np.ndarray:
+    def obj(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
         a, b, g = P[..., 0], P[..., 1], P[..., 2]
         valid = (
             (a > 1e-6) & (a < 1 - 1e-6)
             & (b > 1e-6) & (b <= a)
             & (g > 1e-6) & (g <= 1.0 - a)
         )
-        if epoch >= 0 and cache["epoch"] == epoch:
-            yT_s, l0_s, b0_s, s0_s, cnt_s = (
-                cache["yT"], cache["l0"], cache["b0"], cache["s0"],
-                cache["cnt"],
-            )
-        else:
-            yT_s = np.ascontiguousarray(yT[:, idx])
-            l0_s, b0_s = l0[idx], b0[idx]
-            s0_s = np.ascontiguousarray(s0[idx])
-            cnt_s = np.searchsorted(-ns[idx], -(np.arange(y.shape[1]) + 1),
-                                    side="right")
-            if epoch >= 0:
-                cache.update(epoch=epoch, yT=yT_s, l0=l0_s, b0=b0_s,
-                             s0=s0_s, cnt=cnt_s)
-        sse = _hw_sse_prefix(a, b, g, l0_s, b0_s, s0_s, yT_s, cnt_s, m)
+        sse = _hw_sse(idx, off, y, m, a, b, g, l0, b0, s0)
         return np.where(valid, sse, _PENALTY)
 
     x0 = np.column_stack([a_c, b_c, g_c])
     p, _ = nelder_mead_batch(obj, x0, step=0.03, max_iter=50)
     bad = ~(np.isfinite(l0) & np.isfinite(b0))
-    a_out = np.empty(S)
-    b_out = np.empty(S)
-    g_out = np.empty(S)
-    a_out[order] = np.where(bad, np.nan, p[:, 0])
-    b_out[order] = np.where(bad, np.nan, p[:, 1])
-    g_out[order] = np.where(bad, np.nan, p[:, 2])
-    return a_out, b_out, g_out
-
-
-def _hw_fit_single(y: np.ndarray, m: int) -> tuple[float, float, float]:
-    """Per-series HW fit for long series: identical grid/zoom semantics
-    to _hw_fit_cohort (corrected level recursion, round-1-winner
-    fallback when the zoom constraint set is empty or all-inf) + the
-    scalar Nelder-Mead with a Python-float SSE loop."""
-    from ._optim import nelder_mead
-    from .ets import _hw_sse_fast, _hw_sse_grid
-
-    l0_a, b0_a, s0_a = _heuristic_seasonal_each([y], m)
-    l0, b0, s0 = float(l0_a[0]), float(b0_a[0]), s0_a[0]
-    if not (np.isfinite(l0) and np.isfinite(b0)):
-        return np.nan, np.nan, np.nan
-    a_g = np.linspace(0.05, 0.95, 7)
-    bf_g = np.array([0.05, 0.3, 0.9])
-    gf_g = np.array([0.05, 0.3, 0.9])
-    A, BF, GF = np.meshgrid(a_g, bf_g, gf_g, indexing="ij")
-    al1, be1, ga1 = A.ravel(), (A * BF).ravel(), ((1.0 - A) * GF).ravel()
-    sse = _hw_sse_grid(al1, be1, ga1, l0, b0, s0, y)
-    i = int(np.argmin(sse))
-    a_c, b_c, g_c = al1[i], be1[i], ga1[i]
-    a_g2 = np.clip(np.linspace(a_c - 0.1, a_c + 0.1, 5), 1e-4, 1 - 1e-4)
-    b_g2 = np.clip(np.linspace(b_c - 0.1, b_c + 0.1, 5), 1e-4, 1 - 1e-4)
-    g_g2 = np.clip(np.linspace(g_c - 0.1, g_c + 0.1, 5), 1e-4, 1 - 1e-4)
-    A2, B2, G2 = np.meshgrid(a_g2, b_g2, g_g2, indexing="ij")
-    keep = (B2 <= A2) & (G2 <= 1.0 - A2)
-    if keep.any():
-        al2, be2, ga2 = A2[keep], B2[keep], G2[keep]
-        sse = _hw_sse_grid(al2, be2, ga2, l0, b0, s0, y)
-        j = int(np.argmin(sse))
-        # all-inf zoom keeps the round-1 winner (cohort 'pick' semantics)
-        if np.isfinite(sse[j]):
-            a_c, b_c, g_c = al2[j], be2[j], ga2[j]
-    y_list = y.tolist()
-    s0_list = s0.tolist()
-
-    def obj(p: np.ndarray) -> float:
-        a, b, g = p
-        if (
-            not (1e-6 < a < 1 - 1e-6)
-            or not (1e-6 < b <= a)
-            or not (1e-6 < g <= 1.0 - a)
-        ):
-            return _PENALTY
-        return _hw_sse_fast(float(a), float(b), float(g), l0, b0, s0_list, y_list)
-
-    p, _ = nelder_mead(obj, np.array([a_c, b_c, g_c]), step=0.03, max_iter=50)
-    return float(p[0]), float(p[1]), float(p[2])
+    return tuple(np.where(bad, np.nan, p[:, j]) for j in range(3))
 
 
 def hw_parameters_batch(
     ys: list[np.ndarray], freqs: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Batched hw_parameters (cohorts keyed by seasonal period m); long
-    series take the per-series path."""
+    """Batched hw_parameters: lanes split by seasonal period m only."""
     S = len(ys)
-    out = {
-        "hw_alpha": np.full(S, np.nan),
-        "hw_beta": np.full(S, np.nan),
-        "hw_gamma": np.full(S, np.nan),
-    }
+    names = ("hw_alpha", "hw_beta", "hw_gamma")
+    out = {k: np.full(S, np.nan) for k in names}
     ms = np.asarray(freqs, dtype=int)
-    ok = np.array(
+    lanes = np.flatnonzero(
         [
             int(ms[i]) >= 2
             and len(y) >= 2 * int(ms[i])
@@ -649,45 +466,12 @@ def hw_parameters_batch(
             and bool(np.all(np.isfinite(y)))
             and float(np.std(y)) != 0.0
             for i, y in enumerate(ys)
-        ],
-        dtype=bool,
+        ]
     )
-    lanes = np.flatnonzero(ok)
-    lens = np.array([len(ys[i]) for i in lanes])
-    small = lanes[lens < _SINGLE_N]
-    for i in lanes[lens >= _SINGLE_N]:
-        try:
-            (out["hw_alpha"][i], out["hw_beta"][i],
-             out["hw_gamma"][i]) = _hw_fit_single(ys[i], int(ms[i]))
-        except Exception:
-            pass
-    for sub in _cohorts(np.array([len(ys[i]) for i in small]),
-                        extra_key=[int(ms[i]) for i in small]):
-        sel = small[sub]
-        m = int(ms[sel[0]])
-        if len(sel) < _MIN_LANES:
-            for i in sel:
-                try:
-                    (out["hw_alpha"][i], out["hw_beta"][i],
-                     out["hw_gamma"][i]) = _hw_fit_single(ys[i], m)
-                except Exception:
-                    pass
-            continue
-        try:
-            a, b, g = _hw_fit_cohort([ys[i] for i in sel], m)
-        except Exception:
-            # cohort-composition-independent failure handling: per-series
-            # retry so one bad lane cannot blank its cohort-mates
-            for i in sel:
-                try:
-                    (out["hw_alpha"][i], out["hw_beta"][i],
-                     out["hw_gamma"][i]) = _hw_fit_single(ys[i], m)
-                except Exception:
-                    pass
-            continue
-        out["hw_alpha"][sel] = a
-        out["hw_beta"][sel] = b
-        out["hw_gamma"][sel] = g
+    for m in np.unique(ms[lanes]):
+        sel = lanes[ms[lanes] == m]
+        for k, v in zip(names, _hw_fit([ys[i] for i in sel], int(m))):
+            out[k][sel] = v
     return out
 
 
@@ -695,272 +479,87 @@ def hw_parameters_batch(
 # GARCH(1,1) mean residual (heterogeneity stage 2) -- het.py semantics
 # ---------------------------------------------------------------------------
 
-def _garch_nll_prefix(omega, a, b, e2T, cnt, backcast) -> np.ndarray:
-    """Gaussian NLL for (S, K) candidate lanes over time-major,
-    length-desc-sorted padded e2T (T, S). Same recursion and summation
-    order as the original per-series nll ((l2pi + log(s)) + e2t/s);
-    s<=0 -> penalty. Preallocated scratch; op order matches the plain
-    expression form bit-for-bit."""
-    import math
-
-    l2pi = math.log(2 * math.pi)
-    S, K = omega.shape
-    s = _writable(backcast[:, None], (S, K))
-    prev = _writable(backcast[:, None], (S, K))
-    ll = np.zeros((S, K))
-    bad = np.zeros((S, K), dtype=bool)
-    t1 = np.empty((S, K))
-    t2 = np.empty((S, K))
-    t3 = np.empty((S, K))
+def _garch_nll(lanes, off, e2, omega, a, b, backcast) -> np.ndarray:
+    """Gaussian NLL for (L, K) candidates (omega, a, b) on the squared
+    residual series ``lanes`` of (off, e2): 0.5 * sum_t ((l2pi + log s_t)
+    + e2_t / s_t); invalid parameters, s_t <= 0 or a non-finite sum ->
+    penalty."""
+    shape = np.shape(omega)
+    n = off[lanes + 1] - off[lanes]
+    buf = np.empty(shape[1] * int(n[n < _LIBM_LOG_N].sum()))
+    args = (*shape, lanes, off, e2, *(_f64(v, shape) for v in (omega, a, b)),
+            backcast, _LIBM_LOG_N)
+    ll = np.empty(shape)
     with np.errstate(all="ignore"):
-        for t in range(e2T.shape[0]):
-            c = int(cnt[t])
-            if c == 0:
-                break
-            e2t = e2T[t, :c, None]
-            sc, pc = s[:c], prev[:c]
-            t1c, t2c, t3c = t1[:c], t2[:c], t3[:c]
-            np.multiply(a[:c], pc, out=t1c)
-            np.add(omega[:c], t1c, out=t1c)
-            np.multiply(b[:c], sc, out=t2c)
-            np.add(t1c, t2c, out=t1c)                   # s_new
-            bad[:c] |= t1c <= 0
-            np.log(t1c, out=t2c)
-            np.add(l2pi, t2c, out=t2c)                  # l2pi + log(s)
-            np.divide(e2t, t1c, out=t3c)                # e2t / s
-            np.add(t2c, t3c, out=t2c)
-            np.add(ll[:c], t2c, out=ll[:c])             # ll += ...
-            s[:c] = t1c
-            prev[:c] = e2t
-    valid = (omega > 0) & (a >= 0) & (b >= 0) & (a + b < 0.9999)
-    half = 0.5 * ll
-    res = np.where(np.isfinite(half), half, _PENALTY)
-    return np.where(valid & ~bad, res, _PENALTY)
+        _STEPS.garch_var(*args, buf)
+        np.log(buf, out=buf)
+        _STEPS.garch_ll(*args, buf, _L2PI, ll)
+        valid = (omega > 0) & (a >= 0) & (b >= 0) & (a + b < 0.9999)
+        half = 0.5 * ll
+    return np.where(valid & np.isfinite(half), half, _PENALTY)
+
+
+def _garch_mu(xs: list[np.ndarray], mu0: np.ndarray,
+              var0: np.ndarray) -> np.ndarray:
+    """Two-round profile-likelihood mu fit: NM over (omega, a, b) with
+    mu fixed, then the closed-form 1/sigma^2-weighted mu update; lanes
+    that hit an invalid fit keep their last good mu."""
+    off, x = _ragged(xs)
+    ns = np.diff(off)
+    S = len(xs)
+    mu = mu0.copy()
+    q = np.column_stack([var0 * 0.1, np.full(S, 0.1), np.full(S, 0.8)])
+    active = np.ones(S, dtype=bool)
+    weights: dict = {}
+    for _ in range(2):
+        if not active.any():
+            break
+        e2 = (x - np.repeat(mu, ns)) ** 2
+        backcast = np.empty(S)
+        for i in range(S):
+            tau = min(75, int(ns[i]))
+            if tau not in weights:
+                w = 0.94 ** np.arange(tau)
+                weights[tau] = w / w.sum()
+            # np.sum over the elementwise product, NOT np.dot: BLAS ddot
+            # is pointer-alignment-dependent, so its last bits would
+            # depend on where the lane sits in the batch
+            backcast[i] = float(np.sum(weights[tau] * e2[off[i]:off[i] + tau]))
+
+        act = np.flatnonzero(active)
+
+        def obj(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            return _garch_nll(act[idx], off, e2, P[..., 0], P[..., 1],
+                              P[..., 2], backcast)
+
+        q[act], _ = nelder_mead_batch(obj, q[act], step=0.2, max_iter=60)
+        omega, a, b = (_f64(q[:, j]) for j in range(3))
+        active &= (omega > 0) & (a >= 0) & (b >= 0) & (a + b < 0.9999)
+        act = np.flatnonzero(active)
+        if not len(act):
+            break
+        # sigma2 path + closed-form weighted mu
+        inv = np.empty(len(act))
+        wx = np.empty(len(act))
+        ok = np.empty(len(act), dtype=np.uint8)
+        with np.errstate(all="ignore"):
+            _STEPS.garch_mu(len(act), act, off, x, e2, omega[act], a[act],
+                            b[act], backcast, inv, wx, ok)
+            ok = ok.astype(bool)
+            upd = ok & np.isfinite(wx) & (inv > 0)
+            mu[act[upd]] = wx[upd] / inv[upd]
+        active[act] = ok
+    return mu
 
 
 def garch_mean_resid_batch(xs: list[np.ndarray]) -> list:
     """Batched het._garch11_mean_resid: fit GARCH(1,1) mu per lane and
     return per-series (x - mu); None marks the gates the per-series
-    kernel expresses by raising (n < 10, zero variance, fit failure)."""
-    S = len(xs)
+    kernel expresses by raising (n < 10, zero variance)."""
     mus = np.array([float(np.mean(x)) if len(x) else np.nan for x in xs])
     var0 = np.array([float(np.var(x)) if len(x) else 0.0 for x in xs])
-    ok = np.array(
-        [len(x) >= 10 and v > 0 for x, v in zip(xs, var0)], dtype=bool
-    )
+    ok = [len(x) >= 10 and v > 0 for x, v in zip(xs, var0)]
     lanes = np.flatnonzero(ok)
-    lens = np.array([len(xs[i]) for i in lanes])
-    small = lanes[lens < _SINGLE_N]
-    for i in lanes[lens >= _SINGLE_N]:
-        try:
-            mus[i] = _garch_mu_single(xs[i], mus[i], var0[i])
-        except Exception:
-            ok[i] = False
-    for sub in _cohorts(np.array([len(xs[i]) for i in small])):
-        sel = small[sub]
-        if len(sel) < _MIN_LANES:
-            for i in sel:
-                try:
-                    mus[i] = _garch_mu_single(xs[i], mus[i], var0[i])
-                except Exception:
-                    ok[i] = False
-            continue
-        try:
-            mus[sel] = _garch_mu_cohort([xs[i] for i in sel],
-                                        mus[sel], var0[sel])
-        except Exception:
-            # per-series retry: one pathological lane must not NaN-gate
-            # its cohort-mates (lane-independence contract); only lanes
-            # that individually fail keep the gate
-            for i in sel:
-                try:
-                    mus[i] = _garch_mu_single(xs[i], mus[i], var0[i])
-                except Exception:
-                    ok[i] = False
-    return [(xs[i] - mus[i]) if ok[i] else None for i in range(S)]
-
-
-def _garch_mu_single(x: np.ndarray, mu: float, var0: float) -> float:
-    """Per-series mirror of _garch_mu_cohort for long series: the NLL is
-    a Python-float loop with scalar np.log (np.log(scalar) is bit-equal
-    to np.log(array)[i] on this platform, unlike math.log)."""
-    import math
-
-    from ._optim import nelder_mead
-
-    n = len(x)
-    l2pi = math.log(2 * math.pi)
-    tau = min(75, n)
-    w = 0.94 ** np.arange(tau)
-    w /= w.sum()
-    q = np.array([var0 * 0.1, 0.1, 0.8])
-    with np.errstate(all="ignore"):
-        return _garch_mu_single_rounds(x, mu, q, w, tau, l2pi)
-
-
-def _garch_mu_single_rounds(x, mu, q, w, tau, l2pi):
-    import math
-
-    from ._optim import nelder_mead
-
-    n = len(x)
-    for _ in range(2):
-        e2 = (x - mu) ** 2
-        # np.sum of the product (not np.dot): see _garch_mu_cohort
-        backcast = float(np.sum(w * e2[:tau]))
-        e2l = e2.tolist()
-
-        def nll(p: np.ndarray) -> float:
-            omega, a, b = float(p[0]), float(p[1]), float(p[2])
-            if not (omega > 0 and a >= 0 and b >= 0 and a + b < 0.9999):
-                return _PENALTY
-            s_t = backcast
-            prev = backcast
-            ll = 0.0
-            bad = False
-            for e2t in e2l:
-                s_t = (omega + a * prev) + b * s_t
-                if s_t <= 0:
-                    bad = True
-                ll += (l2pi + float(np.log(s_t))) + e2t / s_t
-                prev = e2t
-            half = 0.5 * ll
-            if not math.isfinite(half) or bad:
-                return _PENALTY
-            return half
-
-        if n >= _SINGLE_N:
-            # series this long NEVER take the lane path (dispatch is
-            # keyed on length alone), so lane-equality of the log
-            # function is moot -- use math.log (~5x faster per call
-            # than scalar np.log; the NLL loop is log-bound)
-            ml = math.log
-
-            def nll_fast(p: np.ndarray) -> float:
-                omega, a, b = float(p[0]), float(p[1]), float(p[2])
-                if not (omega > 0 and a >= 0 and b >= 0 and a + b < 0.9999):
-                    return _PENALTY
-                s_t = backcast
-                prev = backcast
-                ll = 0.0
-                bad = False
-                for e2t in e2l:
-                    s_t = (omega + a * prev) + b * s_t
-                    if s_t <= 0:
-                        bad = True
-                        break
-                    ll += (l2pi + ml(s_t)) + e2t / s_t
-                    prev = e2t
-                half = 0.5 * ll
-                if bad or not math.isfinite(half):
-                    return _PENALTY
-                return half
-
-            q, _ = nelder_mead(nll_fast, q, step=0.2, max_iter=60)
-        else:
-            q, _ = nelder_mead(nll, q, step=0.2, max_iter=60)
-        omega, a, b = float(q[0]), float(q[1]), float(q[2])
-        if not (omega > 0 and a >= 0 and b >= 0 and a + b < 0.9999):
-            break
-        s_prev = backcast
-        prev = backcast
-        inv_sum = 0.0
-        wx_sum = 0.0
-        sig_ok = True
-        for t in range(n):
-            s_new = (omega + a * prev) + b * s_prev
-            if not (s_new > 0 and math.isfinite(s_new)):
-                sig_ok = False
-            w_t = 1.0 / s_new
-            inv_sum += w_t
-            wx_sum += w_t * float(x[t])
-            s_prev = s_new
-            prev = float(e2[t])
-        if not sig_ok:
-            break
-        if math.isfinite(wx_sum) and inv_sum > 0:
-            mu = wx_sum / inv_sum
-    return mu
-
-
-def _garch_mu_cohort(xs: list[np.ndarray], mu0: np.ndarray,
-                     var0: np.ndarray) -> np.ndarray:
-    """Two-round profile-likelihood mu fit for one cohort: NM over
-    (omega, a, b) with mu fixed, then the closed-form 1/sigma^2-weighted
-    mu update; lanes that hit an invalid fit keep their last good mu
-    (the per-series loop's break semantics)."""
-    order, x_pad, ns, cnt = _pad_sorted(xs)
-    S = len(xs)
-    mu = mu0[order].copy()
-    v0 = var0[order]
-    q = np.column_stack([v0 * 0.1, np.full(S, 0.1), np.full(S, 0.8)])
-    active = np.ones(S, dtype=bool)
-    T = x_pad.shape[1]
-    for _ in range(2):
-        if not active.any():
-            break
-        # padded-tail garbage is never read: backcast uses e2[i, :tau]
-        # with tau <= n_i and the recursions touch alive prefixes only
-        e2 = (x_pad - mu[:, None]) ** 2
-        e2T = np.ascontiguousarray(e2.T)  # time-major for the step loop
-        backcast = np.empty(S)
-        for i in range(S):
-            tau = min(75, int(ns[i]))
-            w = 0.94 ** np.arange(tau)
-            w /= w.sum()
-            # np.sum over the elementwise product, NOT np.dot: BLAS ddot
-            # is pointer-alignment-dependent, so a dot on the e2[i] row
-            # view would give different last-bits depending on the
-            # lane's position in the cohort (composition dependence);
-            # ufunc ops + numpy's pairwise sum are alignment-proof
-            backcast[i] = float(np.sum(w * e2[i, :tau]))
-
-        act = np.flatnonzero(active)
-        cache: dict = {"epoch": -1}
-
-        def obj(P: np.ndarray, idx: np.ndarray, epoch: int) -> np.ndarray:
-            if epoch >= 0 and cache["epoch"] == epoch:
-                e2T_s, bc_s, cnt_s = cache["e2T"], cache["bc"], cache["cnt"]
-            else:
-                rows = act[idx]
-                e2T_s = np.ascontiguousarray(e2T[:, rows])
-                bc_s = backcast[rows]
-                cnt_s = np.searchsorted(-ns[rows], -(np.arange(T) + 1),
-                                        side="right")
-                if epoch >= 0:
-                    cache.update(epoch=epoch, e2T=e2T_s, bc=bc_s, cnt=cnt_s)
-            return _garch_nll_prefix(
-                P[..., 0], P[..., 1], P[..., 2], e2T_s, cnt_s, bc_s,
-            )
-
-        q_new, _ = nelder_mead_batch(obj, q[act], step=0.2, max_iter=60)
-        q[act] = q_new
-        omega, a, b = q[:, 0], q[:, 1], q[:, 2]
-        good = (omega > 0) & (a >= 0) & (b >= 0) & (a + b < 0.9999)
-        active = active & good
-        if not active.any():
-            break
-        # sigma2 path + closed-form weighted mu (prefix-sliced lanes)
-        s_prev = backcast.copy()
-        prev = backcast.copy()
-        sig_ok = np.ones(S, dtype=bool)
-        inv_sum = np.zeros(S)
-        wx_sum = np.zeros(S)
-        with np.errstate(all="ignore"):
-            for t in range(T):
-                c = int(cnt[t])
-                if c == 0:
-                    break
-                s_new = omega[:c] + a[:c] * prev[:c] + b[:c] * s_prev[:c]
-                sig_ok[:c] &= (s_new > 0) & np.isfinite(s_new)
-                w_t = 1.0 / s_new
-                inv_sum[:c] += w_t
-                wx_sum[:c] += w_t * x_pad[:c, t]
-                s_prev[:c] = s_new
-                prev[:c] = e2[:c, t]
-        active = active & sig_ok
-        upd = active & np.isfinite(wx_sum) & (inv_sum > 0)
-        mu = np.where(upd, wx_sum / inv_sum, mu)
-    out = np.empty(S)
-    out[order] = mu
-    return out
+    if len(lanes):
+        mus[lanes] = _garch_mu([xs[i] for i in lanes], mus[lanes], var0[lanes])
+    return [(x - mu) if good else None for x, mu, good in zip(xs, mus, ok)]

@@ -24,8 +24,16 @@ FREQS = {"H": 24, "D": 1, "M": 12, "Q": 4, "W": 1, "Y": 1}
 
 
 def scalets(x: np.ndarray) -> np.ndarray:
-    """Mean-std scale with ddof=1 (reference utils.py:19-23)."""
-    return (x - x.mean()) / x.std(ddof=1)
+    """Mean-std scale with ddof=1 (reference utils.py:19-23). Below two
+    points, or for a constant series, the ddof=1 spread gives 0/0 and the
+    result is NaN -- the same bits ``x.std(ddof=1)`` gives, without its
+    RuntimeWarnings."""
+    with np.errstate(all="ignore"):
+        if len(x) >= 2:
+            return (x - x.mean()) / x.std(ddof=1)
+        # x.std(ddof=1)'s own steps: mean, squared deviations, / (n - 1)
+        d = x - np.add.reduce(x) / len(x)
+        return d / np.sqrt(np.add.reduce(d * d) / 0)
 
 
 def embed(x: np.ndarray, p: int) -> np.ndarray:
@@ -54,7 +62,7 @@ def acovf_biased(x: np.ndarray, nlags: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    xm = x - x.mean()
+    xm = x - (x.mean() if n else 0.0)  # empty: no lags (and no warning)
     nlags = min(nlags, n - 1)
     # FFT-free direct computation (vectorized dot per lag; nlags is small)
     out = np.empty(nlags + 1)
@@ -146,7 +154,7 @@ def periodogram_psd(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
-    xd = x - x.mean()  # detrend='constant'
+    xd = x - (x.mean() if n else 0.0)  # detrend='constant'; empty: rfft raises
     spec = np.abs(np.fft.rfft(xd)) ** 2 / n  # fs = 1.0
     if n % 2 == 0:
         spec[1:-1] *= 2.0

@@ -20,44 +20,6 @@ import numpy as np
 __all__ = ["holt_parameters", "hw_parameters"]
 
 
-def _holt_sse_fast(alpha: float, beta: float, l: float, b: float, y) -> float:
-    """SSE of additive Holt: l_t = alpha*y_t + (1-alpha)(l+b);
-    b_t = beta*(l_t - l_{t-1}) + (1-beta)*b_{t-1}.
-    ``y`` should be a Python list (plain-float arithmetic is ~5x faster
-    than numpy scalar indexing in this sequential loop)."""
-    sse = 0.0
-    one_a = 1.0 - alpha
-    one_b = 1.0 - beta
-    for v in y:
-        f = l + b
-        e = v - f
-        sse += e * e
-        l_new = alpha * v + one_a * f
-        b = beta * (l_new - l) + one_b * b
-        l = l_new
-    return sse
-
-
-def _holt_sse_grid(alphas: np.ndarray, betas: np.ndarray, l0: float, b0: float,
-                   y: np.ndarray) -> np.ndarray:
-    """Vectorized Holt SSE over K candidate (alpha, beta) pairs at once:
-    the time recursion stays sequential but each step is a K-wide numpy
-    op, so a whole grid costs ~one scalar pass."""
-    K = len(alphas)
-    l = np.full(K, l0)
-    b = np.full(K, b0)
-    sse = np.zeros(K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(y)):
-            f = l + b
-            e = y[t] - f
-            sse += e * e
-            l_new = alphas * y[t] + (1.0 - alphas) * f
-            b = betas * (l_new - l) + (1.0 - betas) * b
-            l = l_new
-    return np.where(np.isfinite(sse), sse, np.inf)
-
-
 def _heuristic_level_trend(y: np.ndarray) -> tuple[float, float]:
     """OLS line through the first min(10, n) observations."""
     k = min(10, len(y))
@@ -84,60 +46,6 @@ def holt_parameters(x: np.ndarray, freq: int = 1) -> dict:
     except Exception:
         params = {"alpha": np.nan, "beta": np.nan}
     return params
-
-
-def _hw_sse_fast(
-    alpha: float, beta: float, gamma: float, l: float, b: float, s, y
-) -> float:
-    """Scalar HW SSE; ``s``/``y`` as Python lists for loop speed."""
-    m = len(s)
-    s = list(s)
-    sse = 0.0
-    one_a = 1.0 - alpha
-    one_b = 1.0 - beta
-    one_g = 1.0 - gamma
-    j = 0
-    for v in y:
-        si = s[j]
-        f = l + b + si
-        e = v - f
-        sse += e * e
-        l_new = alpha * (v - si) + one_a * (l + b)
-        b = beta * (l_new - l) + one_b * b
-        s[j] = gamma * (v - l_new) + one_g * si
-        l = l_new
-        j += 1
-        if j == m:
-            j = 0
-    return sse
-
-
-def _hw_sse_grid(alphas, betas, gammas, l0: float, b0: float, s0: np.ndarray,
-                 y: np.ndarray) -> np.ndarray:
-    """Vectorized HW SSE over K candidate (alpha, beta, gamma) triples:
-    per-candidate seasonal state is a (K, m) matrix, each time step is a
-    K-wide numpy op."""
-    K = len(alphas)
-    m = len(s0)
-    s = np.tile(s0, (K, 1))
-    l = np.full(K, l0)
-    b = np.full(K, b0)
-    sse = np.zeros(K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(y)):
-            j = t % m
-            si = s[:, j]
-            f = l + b + si
-            e = y[t] - f
-            sse += e * e
-            # standard additive-HW level update (same objective as
-            # _hw_sse_fast): (1-a)*(l+b) -- the seasonal term belongs in
-            # the forecast, not the level recursion
-            l_new = alphas * (y[t] - si) + (1.0 - alphas) * (l + b)
-            b = betas * (l_new - l) + (1.0 - betas) * b
-            s[:, j] = gammas * (y[t] - l_new) + (1.0 - gammas) * si
-            l = l_new
-    return np.where(np.isfinite(sse), sse, np.inf)
 
 
 def _heuristic_seasonal(y: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:

@@ -44,7 +44,7 @@ def _ar_by_aic_resid(x: np.ndarray) -> np.ndarray:
     n = len(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    maxlag = int(min(n - 1, np.floor(10 * np.log10(n))))
+    maxlag = int(min(n - 1, np.floor(10 * np.log10(n)))) if n else 0
     if maxlag < 1:
         raise ValueError("series too short for AR fit")
     # candidate fits share the sample conditioned at maxlag

@@ -120,7 +120,7 @@ def count_entropy(x: np.ndarray, freq: int = 1) -> dict:
 def crossing_points(x: np.ndarray, freq: int = 1) -> dict:
     """Number of median crossings (reference tsfeatures.py:156-178)."""
     x = np.asarray(x, dtype=float)
-    midline = np.median(x)
+    midline = np.median(x) if len(x) else np.nan  # empty: no crossings
     ab = x <= midline
     p1, p2 = ab[:-1], ab[1:]
     cross = (p1 & (~p2)) | (p2 & (~p1))

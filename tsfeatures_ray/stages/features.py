@@ -89,6 +89,10 @@ class FeatureKernels:
     def __init__(self, features=None, scale: bool = True, columns=None):
         self.features = _resolve(features)
         self.scale = scale
+        if columns is None and self.features is DEFAULT_FEATURES:
+            # what the probe below derives for the default list, without
+            # running every kernel twice per instance
+            columns = DEFAULT_FEATURE_COLS
         if columns is None:
             # derive the column set from a probe run on tiny seasonal and
             # nonseasonal series (cheap; once per instance)
@@ -415,10 +419,12 @@ def _dispatch(packed, kernel_fn, concurrency, batch_size, balance, n_rows=None):
     # Task composition stays length-MIXED (pack interleaves series; the
     # balance shuffle restores the mix for foreign inputs): with ~1024
     # rows per batch every task carries a near-equal cost mix, so no
-    # mega-task forms. Length grouping happens INSIDE each batch -- the
-    # lane-batched kernels cohort by length themselves -- so task-level
-    # homogeneity would only concentrate the long-series cost into one
-    # straggler (measured 17s -> 47s when tried; don't sort here).
+    # mega-task forms. Inside a batch the lane-batched kernels run every
+    # series as one ragged lane (each compiled step loop stops at its own
+    # series' length), so mixing lengths costs them nothing, while
+    # task-level length homogeneity would concentrate the long-series
+    # cost into one straggler (measured 17s -> 47s when tried; don't sort
+    # here).
     if balance:
         packed = packed.random_shuffle(seed=7)
     # Block count targets the BATCH SIZE, not the CPU count (round 4):
