@@ -110,3 +110,53 @@ def test_bpe_train_partitioning_invariant(ray_session):
         num_merges=30,
     )
     pd.testing.assert_frame_equal(m1, m2)
+
+
+_ENCODE_FROM_PARQUET = """
+import sys
+import pandas as pd
+import ray
+import ray.data as rd
+ray.init(address="local", num_cpus=4, include_dashboard=False,
+         logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+from tsfeatures_ray.functions.bpe import bpe_encode
+merges = pd.DataFrame({"rank": [0, 1], "left": ["a", "b"],
+                       "right": ["b", "c"], "pair_count": [2, 2]})
+out = bpe_encode(rd.read_parquet(sys.argv[1]), merges, concurrency=4)
+print("rows", out.count())
+ray.shutdown()
+"""
+
+
+def test_bpe_encode_full_width_pool_over_parquet_finishes(tmp_path):
+    """A 4-actor encode asked for on a 4-CPU cluster still leaves the
+    parquet read a CPU: the pool is capped at CPUs - 1, so the plan
+    finishes instead of waiting forever for its input."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    src = tmp_path / "docs.parquet"
+    pd.DataFrame(
+        {"doc_id": np.arange(64, dtype=np.int64), "text": ["abc ab bc"] * 64}
+    ).to_parquet(src, index=False)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root, os.environ.get("PYTHONPATH", "")]))
+    # own process group: a hung run is killed with every Ray process
+    # it started
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ENCODE_FROM_PARQUET, str(src)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError("bpe_encode over read_parquet hung at 4 CPUs")
+    assert proc.returncode == 0, err[-2000:]
+    assert "rows 64" in out

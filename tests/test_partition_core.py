@@ -2,7 +2,8 @@
 operator library goes through ``stages.derive.by_partition`` /
 ``with_part``, so the partition id of a row is computed in exactly one
 place. The AST guard keeps hand-written ``stable_part`` tags from
-growing back; the list-key tests pin the multi-column rule."""
+growing back, a second one keeps the feature stage on its single
+dispatch path; the list-key tests pin the multi-column rule."""
 
 import ast
 import pathlib
@@ -13,6 +14,7 @@ import pyarrow as pa
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORE = ROOT / "tsfeatures_ray" / "stages" / "derive.py"
+FEATURES = ROOT / "tsfeatures_ray" / "stages" / "features.py"
 
 # sites that may still call stable_part directly: path relative to the
 # repo root -> one-line reason (empty: every site is ported)
@@ -46,6 +48,16 @@ def test_stable_part_only_in_partition_core():
         "hand-written stable_part tag(s); route the exchange through "
         f"stages.derive.by_partition: {offenders}"
     )
+
+
+def test_feature_stage_has_one_dispatch_path():
+    """The feature stage dispatches through exactly one map_batches and
+    never through a keyed exchange: no second path (grouped giant
+    routing, a probe map) grows back."""
+    maps = _calls(FEATURES, "map_batches")
+    assert len(maps) <= 1, f"stages/features.py map_batches at lines {maps}"
+    keyed = _calls(FEATURES, "groupby") + _calls(FEATURES, "map_groups")
+    assert not keyed, f"stages/features.py groupby/map_groups at lines {keyed}"
 
 
 def _frame() -> pd.DataFrame:

@@ -161,41 +161,84 @@ def _make_packed(lengths: dict[str, int]):
     return rd.from_arrow(tbl)
 
 
-def test_giant_series_policy(ray_session):
-    """Giant-series straggler policy: series >= giant_threshold run as
-    dedicated singleton GROUPS inside one groupby exchange (round 5:
-    replaces big.union(small), whose branches Ray's streaming executor
-    ran serially) and the output is identical to the unrouted path. One
-    100x series must not share a batch with -- and delay -- the rest."""
-    import pandas as pd
+def _dispatch_panel():
+    """2100 packed rows of lengths 0, 1, 2 and 20 over freqs 1/12/24 and
+    two tiers, plus one 2000-point (100x) outlier: more rows than one
+    1024-row batch, so every dispatch runs several tasks."""
+    import pyarrow as pa
 
+    from tsfeatures_ray.stages.pack import PACKED_SCHEMA
+
+    rng = np.random.RandomState(5)
+    rows = [(f"s{i:04d}", ("1h", "1d")[i % 2], [0, 1, 2, 20][i % 4],
+             [1, 12, 24][i % 3]) for i in range(2100)]
+    rows.append(("giant", "1h", 2000, 24))
+    ys = [(100 + np.cumsum(rng.randn(n))).tolist() for _, _, n, _ in rows]
+    return pa.Table.from_arrays(
+        [
+            pa.array([r[0] for r in rows], pa.string()),
+            pa.array([r[1] for r in rows], pa.string()),
+            pa.array(["y"] * len(rows), pa.string()),
+            pa.array([r[3] for r in rows], pa.int32()),
+            pa.array([r[2] for r in rows], pa.int64()),
+            pa.array(ys, pa.list_(pa.float64())),
+        ],
+        schema=PACKED_SCHEMA,
+    )
+
+
+def test_dispatch_invariance(ray_session):
+    """features_over_packed output, keyed by (unique_id, tier, metric),
+    is bit-equal (NaN-aware) to ONE in-process FeatureKernels() call
+    over the whole table, whatever the balance shuffle, input block
+    count and concurrency (so whatever the task composition)."""
+    import ray.data as rd
+
+    from tsfeatures_ray.stages.features import FeatureKernels, features_over_packed
+
+    key = ["unique_id", "tier", "metric"]
+    tbl = _dispatch_panel()
+    want = FeatureKernels()(tbl).to_pandas().set_index(key).sort_index()
+    for balance in (True, False):
+        for n_blocks in (1, 7, 97):
+            for concurrency in (1, 4):
+                case = (balance, n_blocks, concurrency)
+                ds = rd.from_arrow(tbl).repartition(n_blocks)
+                assert ds.materialize().num_blocks() == n_blocks, case
+                got = (
+                    features_over_packed(ds, balance=balance, concurrency=concurrency)
+                    .to_pandas().set_index(key).sort_index()
+                )
+                assert got.index.equals(want.index), case
+                assert list(got.columns) == list(want.columns), case
+                for c in want.columns:
+                    a = got[c].to_numpy(np.float64)
+                    b = want[c].to_numpy(np.float64)
+                    same = (a.view(np.uint64) == b.view(np.uint64)) | (
+                        np.isnan(a) & np.isnan(b)
+                    )
+                    assert same.all(), (case, c, np.flatnonzero(~same)[:5])
+
+
+def test_custom_feature_probes_once_per_call(ray_session, tmp_path):
+    """A custom feature list is resolved and column-probed ONCE per
+    features_over_packed call, on the driver: the callable runs twice
+    for the probe (freq 12 and 1) plus once per series, however many
+    tasks the stage runs."""
     from tsfeatures_ray.stages.features import features_over_packed
 
-    lengths = {f"s{i:03d}": 120 for i in range(60)}
-    lengths["giant"] = 12000  # 100x
-    feats = ["acf_features", "stability", "unitroot_kpss"]
+    log = tmp_path / "calls.txt"
 
-    base = features_over_packed(
-        _make_packed(lengths), features=feats, balance=False, concurrency=4
+    def counted_mean(x, freq):
+        with open(log, "a") as f:
+            f.write("call\n")
+        return {"counted_mean": float(np.mean(x)) if len(x) else np.nan}
+
+    # 4 input blocks of 1024 rows: one task each
+    lengths = {f"s{i:04d}": 3 for i in range(4096)}
+    ds = _make_packed(lengths).repartition(4)
+    out = features_over_packed(
+        ds, features=[counted_mean], balance=False, concurrency=1
     ).to_pandas()
-    routed_ds = features_over_packed(
-        _make_packed(lengths), features=feats, balance=False, concurrency=4,
-        giant_threshold=10000,
-    )
-    routed = routed_ds.to_pandas()
-    # structural: the routed plan is ONE keyed exchange (no union branch
-    # for the executor to serialize)
-    assert "per_group" in routed_ds.stats()
-    assert "Union" not in routed_ds.stats()
-    key = ["unique_id", "tier", "metric"]
-    base = base.sort_values(key).reset_index(drop=True)
-    routed = routed.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(base, routed)
-
-    # threshold higher than every series: policy is a no-op passthrough
-    noop = features_over_packed(
-        _make_packed(lengths), features=feats, balance=False, concurrency=4,
-        giant_threshold=1_000_000,
-    )
-    assert noop.count() == len(lengths)
-    assert "per_group" not in noop.stats()
+    assert len(out) == len(lengths)
+    assert len(log.read_text().splitlines()) == 2 + len(lengths)

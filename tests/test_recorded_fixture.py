@@ -85,3 +85,29 @@ def test_recorded_extras_matches_independent_rederivation(raw):
             assert (np.isnan(got) and np.isnan(want)) or got == want, (
                 uid, k, got, want
             )
+
+
+def test_contract_compare_reports_by_key():
+    """tools/check_contract.compare keeps its exact pass/fail rule but
+    reports a changed value by key: one bad value in the first sorted
+    column is ONE mismatch, not a shifted-row cascade over every
+    column."""
+    import sys
+
+    sys.path.insert(0, os.path.dirname(FIXTURE_DIR))
+    from tools.check_contract import compare
+
+    rng = np.random.default_rng(0)
+    want = pd.DataFrame({"unique_id": [f"u{i:02d}" for i in range(40)],
+                         "tier": "1h", "metric": "y",
+                         "arch_acf": rng.random(40), "x_acf1": rng.random(40)})
+    got = want.sample(frac=1.0, random_state=1).reset_index(drop=True)
+    assert compare("q", got, want) == []
+    got.loc[got["unique_id"] == "u07", "arch_acf"] = 2.0
+    errs = compare("q", got, want)
+    assert len(errs) == 1 and errs[0].startswith("col arch_acf: 1 mismatches by"), errs
+    assert "('u07', '1h', 'y')" in errs[0]
+    # a fixture key from tools/make_fixtures.py, and a missing row
+    errs = compare("features_default_1h", got.iloc[1:], want)
+    assert errs[0] == "rowcount 39 != 40"
+    assert any(e.startswith("1 missing keys ['unique_id']") for e in errs), errs

@@ -15,6 +15,11 @@ import pandas as pd
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from tools.make_fixtures import RECORDED  # noqa: E402
+
+# id columns of the feature and series queries
+ID_COLS = ["unique_id", "tier", "metric"]
+
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
     "lineitem", "events", "documents", "embeddings",
@@ -46,7 +51,47 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
+def _equal(gv: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    if gv.dtype.kind == "f":
+        return (gv == wv) | (np.isnan(gv) & np.isnan(wv))
+    return gv == wv
+
+
+def _keyed_report(name: str, g: pd.DataFrame, w: pd.DataFrame) -> list[str]:
+    """Per-column mismatches of two normalized frames, matched by key:
+    the query's fixture key (tools/make_fixtures.py) or its id columns.
+    The all-column sort in ``normalize`` lets one changed value in an
+    early column shift every row after it; matching by key does not.
+    Empty when there is no key or it does not identify rows."""
+    keys = RECORDED.get(name) or [c for c in ID_COLS if c in g.columns]
+    if not keys or any(k not in g.columns for k in keys):
+        return []
+    gi, wi = g.set_index(keys), w.set_index(keys)
+    if not (gi.index.is_unique and wi.index.is_unique):
+        return []
+    out = []
+    for what, ks in (("missing", wi.index.difference(gi.index)),
+                     ("extra", gi.index.difference(wi.index))):
+        if len(ks):
+            out.append(f"{len(ks)} {what} keys {keys}, e.g. {list(ks[:3])}")
+    common = wi.index.intersection(gi.index)
+    gi, wi = gi.loc[common], wi.loc[common]
+    for c in wi.columns:
+        gv, wv = gi[c].to_numpy(), wi[c].to_numpy()
+        bad = np.flatnonzero(~_equal(gv, wv))
+        if len(bad):
+            ex = "; ".join(
+                f"{common[i]} got={gv[i]!r} want={wv[i]!r}" for i in bad[:3]
+            )
+            out.append(f"col {c}: {len(bad)} mismatches by {keys}, e.g. {ex}")
+    return out
+
+
 def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
+    """Errors of ``got`` against ``want``; empty means they match. The
+    rule is exact (NaN-aware) equality of the two normalized frames;
+    when the frames carry a key, mismatching values are reported by key
+    instead of by sorted position."""
     errs = []
     if len(got) != len(want):
         errs.append(f"rowcount {len(got)} != {len(want)}")
@@ -57,16 +102,17 @@ def compare(name: str, got: pd.DataFrame, want: pd.DataFrame) -> list[str]:
     if len(g) == len(w):
         for c in g.columns:
             gv, wv = g[c].to_numpy(), w[c].to_numpy()
-            if gv.dtype.kind == "f":
-                ok = (gv == wv) | (np.isnan(gv) & np.isnan(wv))
-            else:
-                ok = gv == wv
+            ok = _equal(gv, wv)
             if not ok.all():
                 bad = np.flatnonzero(~ok)[:3]
                 errs.append(
                     f"col {c}: {len(np.flatnonzero(~ok))} mismatches, e.g. "
                     f"idx {bad.tolist()} got={gv[bad].tolist()} want={wv[bad].tolist()}"
                 )
+    if errs:
+        keyed = _keyed_report(name, g, w)
+        if keyed:
+            errs = [e for e in errs if not e.startswith("col ")] + keyed
     return errs
 
 

@@ -35,7 +35,7 @@ import pandas as pd
 
 import ray
 
-from ..stages.derive import by_partition
+from ..stages.derive import actor_pool_size, by_partition
 
 _END = "</w>"
 
@@ -223,12 +223,13 @@ def bpe_encode(
     concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Per-document token counts under a trained merge table:
-    ``(id, n_words:int64, n_bpe_tokens:int64)``."""
+    ``(id, n_words:int64, n_bpe_tokens:int64)``. ``concurrency`` is an
+    upper bound on the actor pool (see ``actor_pool_size``)."""
     merges_ref = ray.put(merges)
     return ds.map_batches(
         _BpeEncoder,
         fn_constructor_args=(merges_ref, pattern, id_col, text_col),
         batch_format="pandas",
-        concurrency=concurrency,
+        concurrency=actor_pool_size(concurrency),
         num_cpus=1,
     )

@@ -1409,8 +1409,9 @@ def cross_source_ppl(
     broadcasts once (document the knob: at vocab x |S| beyond worker
     RAM, split sources into broadcast shards and union the scoring
     passes). Pass 2 emits per-batch (train, eval) partial sums -- a
-    |S|^2-bounded exchange -- and texts never shuffle."""
-    from ..stages.derive import by_partition
+    |S|^2-bounded exchange -- and texts never shuffle; its scorer pool
+    is at most ``concurrency`` actors (see ``actor_pool_size``)."""
+    from ..stages.derive import actor_pool_size, by_partition
 
     def count_partial(batch: pa.Table) -> pd.DataFrame:
         texts = batch.column(text_col).to_pylist()
@@ -1464,7 +1465,7 @@ def cross_source_ppl(
         fn_constructor_kwargs={"model_ref": model_ref},
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=concurrency,
+        concurrency=actor_pool_size(concurrency),
         num_cpus=1,
     )
 

@@ -73,15 +73,8 @@ def feature_pipeline(
     scale: bool = True,
     num_parts: int | None = None,
     concurrency=None,
-    giant_threshold: int | None = None,
 ) -> "rd.Dataset":
     """Flagship: transcripts -> rollups -> packed series -> features.
-
-    ``giant_threshold``: route series >= that many buckets to a
-    dedicated single-series task pool (features_over_packed giant
-    policy) -- set it when the corpus has power-law conversation
-    lengths so one multi-million-point series cannot pin a core for
-    the whole stage.
 
     Derive + rollup + pack run FUSED in ONE by_partition exchange
     (turn_rollup_fn with ``pack_metrics``): the single full-data
@@ -90,14 +83,15 @@ def feature_pipeline(
     rows with no second exchange. Pack depends only on groupby semantics
     -- never block layout -- and engine-packed input skips the balancing
     random_shuffle (pack already mixes series within each partition; the
-    fine repartition in the feature stage slices those mixed runs)."""
+    feature stage's counted repartition slices those mixed runs into
+    ~1024-row tasks)."""
     packed = by_partition(
         slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, pack_metrics=metric),
         num_parts=num_parts,
     )
     return features_over_packed(
         packed, features=features, scale=scale, concurrency=concurrency,
-        balance=False, giant_threshold=giant_threshold,
+        balance=False,
     )
 
 

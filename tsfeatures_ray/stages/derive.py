@@ -42,17 +42,28 @@ def stable_part(conv_ids, num_parts: int) -> np.ndarray:
     return (pd.util.hash_array(arr) % np.uint64(num_parts)).astype(np.int64)
 
 
+def _cluster_cpus() -> int:
+    """Logical CPUs of the Ray cluster (8 when it cannot be asked)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:
+        return 8
+
+
 def default_num_parts(n_rows: int | None = None) -> int:
     """Partition count: ~2 partitions per CPU, more when the data is big
     enough that a partition would exceed ~250k rows."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    parts = cpus * 2
+    parts = _cluster_cpus() * 2
     if n_rows:
         parts = max(parts, n_rows // 250_000)
     return max(4, parts)
+
+
+def actor_pool_size(concurrency: int) -> int:
+    """Size of a fixed actor pool asked for ``concurrency`` actors:
+    capped at cluster CPUs - 1 (at least 1). A pool holding every CPU
+    starves the read tasks that feed it, and the plan never finishes."""
+    return min(concurrency, max(1, _cluster_cpus() - 1))
 
 
 def _part_ids(batch, key: str | list[str], num_parts: int) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Stage 4: the feature kernels.
 
-The reference's execution model is one OS process per series
-(tsfeatures.py:970-971). Ours is the idiomatic Ray Data equivalent:
-stateless ``map_batches(..., batch_format="pyarrow", num_cpus=1)``
-tasks, each calling a per-worker cached ``FeatureKernels`` whose setup
-(feature list resolution, scratch state) runs once per worker and whose
-``__call__`` processes a BATCH of packed series (amortizing task
-overhead over many series, unlike the reference's task-per-series).
+The reference's execution model is one ``Pool.starmap`` over per-series
+chunks (tsfeatures.py:970-971). Ours is the idiomatic Ray Data
+equivalent: ONE ``map_batches(..., batch_format="pyarrow", num_cpus=1)``
+over the packed table, whose UDF is a ``FeatureKernels`` instance built
+once on the driver (feature list resolution and column probe run once
+per stage call, not per task or worker) and whose ``__call__``
+processes a BATCH of packed series (amortizing task overhead over many
+series, unlike the reference's task-per-series).
 
 Output is a wide feature table with a FIXED schema: the seasonal
 superset of the default feature set (42 feature columns, SURVEY.md
@@ -86,14 +87,14 @@ def _resolve(features) -> list[Callable]:
 class FeatureKernels:
     """Packed series batches -> wide feature rows."""
 
-    def __init__(self, features=None, scale: bool = True, columns=None):
+    def __init__(self, features=None, scale: bool = True):
         self.features = _resolve(features)
         self.scale = scale
-        if columns is None and self.features is DEFAULT_FEATURES:
+        if self.features is DEFAULT_FEATURES:
             # what the probe below derives for the default list, without
             # running every kernel twice per instance
-            columns = DEFAULT_FEATURE_COLS
-        if columns is None:
+            self.columns = list(DEFAULT_FEATURE_COLS)
+        else:
             # derive the column set from a probe run on tiny seasonal and
             # nonseasonal series (cheap; once per instance)
             cols = []
@@ -108,8 +109,6 @@ class FeatureKernels:
             if set(cols) == set(DEFAULT_FEATURE_COLS):
                 cols = list(DEFAULT_FEATURE_COLS)
             self.columns = cols
-        else:
-            self.columns = list(columns)
 
     @staticmethod
     def _extract_series(col) -> tuple[np.ndarray, np.ndarray]:
@@ -189,61 +188,10 @@ class FeatureKernels:
         return pa.Table.from_arrays(arrays, names=id_cols + self.columns)
 
 
-_TASK_KERNEL_CACHE: dict = {}
-
-
-def _make_kernel_task(features, scale):
-    """Stateless-task wrapper with a per-worker cached FeatureKernels
-    instance: worker processes persist across tasks, so setup amortizes
-    exactly like an actor pool without paying pool spin-up."""
-    key = (tuple(f if isinstance(f, str) else f.__name__ for f in features)
-           if features is not None else None, scale)
-    feat_names = features
-
-    def kernel_task(batch: pa.Table) -> pa.Table:
-        fk = _TASK_KERNEL_CACHE.get(key)
-        if fk is None:
-            fk = _TASK_KERNEL_CACHE[key] = FeatureKernels(feat_names, scale)
-        return fk(batch)
-
-    return kernel_task
-
-
-# giant-probe histogram resolution: 4096 geometric bins across 40
-# octaves (lengths 1 .. 2^40) put adjacent bin edges 2^(40/4096) = 0.7%
-# apart -- effectively exact for a 4x-p99 routing threshold
-_PROBE_BINS = 4096
-_PROBE_LOG2_MAX = 40.0
-
-
-def _giant_probe_partial(batch: pa.Table, cap: int) -> pa.Table:
-    """Per-block partial for the giant-routing probe: row count, a
-    geometric length histogram, and the block's exact top-``cap``
-    lengths (top-k partials merge losslessly on the driver). One output
-    row per block, so the collect is bounded by block count."""
-    lens = batch.column("n_buckets").to_numpy()
-    n = int(len(lens))
-    if n == 0:
-        hist = np.zeros(_PROBE_BINS, dtype=np.int64)
-        top = np.array([], dtype=np.int64)
-    else:
-        b = np.clip(
-            (
-                np.log2(np.maximum(lens, 1)) / _PROBE_LOG2_MAX * _PROBE_BINS
-            ).astype(np.int64),
-            0,
-            _PROBE_BINS - 1,
-        )
-        hist = np.bincount(b, minlength=_PROBE_BINS).astype(np.int64)
-        srt = np.sort(lens.astype(np.int64))
-        top = srt[-cap:] if n > cap else srt
-    return pa.table(
-        {
-            "n": pa.array([n], type=pa.int64()),
-            "hist": pa.array([hist.tolist()], type=pa.list_(pa.int64())),
-            "top": pa.array([top.tolist()], type=pa.list_(pa.int64())),
-        }
-    )
+# rows per kernel batch: wide enough to amortize the per-call setup of
+# the lane-batched kernels, small enough that every task carries a
+# near-equal cost mix
+BATCH_ROWS = 1024
 
 
 def features_over_packed(
@@ -251,201 +199,54 @@ def features_over_packed(
     features=None,
     scale: bool = True,
     concurrency=None,
-    batch_size: int = 1024,
     balance: bool = True,
-    giant_threshold: "int | str | None" = "auto",
 ) -> "ray.data.Dataset":
-    """Run the feature kernels over a packed Dataset.
+    """Run the feature kernels over a packed Dataset (one row per
+    series) in ONE ``map_batches`` of a driver-built ``FeatureKernels``.
+
+    The packed table is materialized and counted (it is one row per
+    series, orders of magnitude below the input), then cut into
+    ``max(2 * concurrency, n_rows // BATCH_ROWS, 1)`` blocks. Block count
+    targets the batch width, not the CPU count, so per-row kernel speed
+    does not vary with cluster size. FLOOR division keeps each block >=
+    BATCH_ROWS, so one block is one task at the intended width (ceil
+    left blocks just under it and ``map_batches`` bundled block pairs
+    into double-width tasks: measured 10.6 s -> 9.1 s at sf0.1 on 32
+    CPUs when fixed). ``map_batches`` bundles blocks below BATCH_ROWS up
+    to that width, so a small input runs as about n_rows / BATCH_ROWS
+    tasks (one below BATCH_ROWS rows) whatever ``concurrency`` is; the
+    ``2 * concurrency`` floor then only sets the block layout.
 
     Skew handling (SURVEY.md §4): per-series kernel cost is O(n)-O(n^2)
-    in series length and the pack order groups expensive tiers together,
-    so with ``balance=True`` the (small -- one row per series) packed
-    table is randomly shuffled and split into fine-grained blocks before
-    dispatch; every block then carries a near-equal cost mix and the
-    straggler tail collapses (measured 38s -> 14s on the sf0.1 bench at
-    32 CPUs). Only packed rows move -- never the raw input.
+    in series length. Task composition stays length-MIXED: engine pack
+    already interleaves series within each block, and ``balance=True``
+    adds a ``random_shuffle`` of the packed rows for inputs that did not
+    come from the pack stage (measured 38 s -> 14 s on the sf0.1 bench at
+    32 CPUs). Inside a batch the lane-batched kernels run every series
+    as one ragged lane, so mixing lengths costs them nothing, while
+    length-homogeneous tasks concentrate the long-series cost into one
+    straggler (measured 17 s -> 47 s when tried; don't sort here). A
+    single giant series is unsplittable by nature: it costs its own
+    batch's task that series' solo time, nothing more.
 
-    Giant-series policy (SURVEY.md §4; DEFAULT ON since round 4):
-    series of >= ``giant_threshold`` buckets are routed to a dedicated
-    pool of single-series tasks dispatched alongside (not behind) the
-    main pool: a multi-hour kernel call on one power-law outlier then
-    bounds the stage wall at max(giant, rest/N) instead of adding
-    head-of-line latency to whichever batch it lands in. The default
-    ``"auto"`` probes the packed length distribution (the packed table
-    is one row per series, orders of magnitude below the input, and is
-    materialized once anyway) and routes series longer than
-    max(50_000, 4 x p99), capped at 8 x concurrency routed series: only
-    true power-law outliers whose SOLO kernel cost is large in absolute
-    terms pay the single-task overhead. Pass ``None`` to disable. Unsplittable series
-    are inherent to per-series kernels -- this policy bounds their
-    damage rather than pretending to parallelize one series.
-
-    Execution: stateless tasks (kernels hold no model state; a
-    per-worker cache amortizes setup, and tasks avoid actor-pool
-    spin-up and scale elastically).
+    Output values do not depend on the batch composition
+    (``test_composition_independence``), so neither ``balance`` nor
+    ``concurrency`` changes a feature value, only the row order.
+    ``concurrency`` is the reference's ``threads`` parity knob (None:
+    cluster CPUs - 1, at least 2).
     """
     if concurrency is None:
         try:
             concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
         except Exception:
             concurrency = 4
-    _resolve(features)  # validate feature names eagerly, on the driver
-    kernel_fn = _make_kernel_task(features, scale)
-    if giant_threshold is not None:
-        packed = packed.materialize()
-        if giant_threshold == "auto":
-            # Route a series when its SOLO kernel cost is large
-            # in absolute terms (>= 50k points: tens of seconds on any
-            # core -- at sf1.0 one unrouted 132k-point conversation was
-            # a measured 42 s straggler gating a 61 s stage) AND it is a
-            # genuine outlier (>= 4x p99, so uniformly-long corpora stay
-            # in the lane-batched pool where they belong). The split
-            # machinery's union costs a few fixed seconds, so the rule
-            # deliberately does NOT fire for small outliers that a
-            # 1024-row batch absorbs anyway. Routed count is capped at
-            # 8x concurrency by raising the cut to the largest lengths.
-            # distributed probe: per-block (count, geometric histogram,
-            # exact top-cap lengths) partials -- the driver sees one
-            # ~4 KB row per BLOCK, bounded by block count, never one int
-            # per series (billions of series would otherwise pull GBs)
-            cap = concurrency * 8
-            probe = (
-                packed.select_columns(["n_buckets"])
-                .map_batches(
-                    lambda b: _giant_probe_partial(b, cap),
-                    batch_format="pyarrow",
-                )
-                .to_pandas()
-            )
-            ntot = int(probe["n"].sum()) if len(probe) else 0
-            if ntot == 0:
-                giant_threshold = 1 << 30
-            else:
-                hist = np.sum(
-                    np.array(probe["hist"].tolist(), dtype=np.int64), axis=0
-                )
-                top = np.sort(np.concatenate(probe["top"].tolist()))[-cap:]
-                # order statistic int(0.99 n) lands in bin `b99`; its
-                # upper edge over-estimates p99 by < 0.7% (4096 bins over
-                # 40 octaves), immaterial to the max(50k, 4*p99) rule
-                rank = min(ntot - 1, int(0.99 * ntot))
-                b99 = int(np.searchsorted(np.cumsum(hist), rank + 1))
-                p99 = int(
-                    min(
-                        2.0 ** ((b99 + 1) / _PROBE_BINS * _PROBE_LOG2_MAX),
-                        float(top[-1]),
-                    )
-                )
-                giant_threshold = max(50_000, 4 * p99)
-                if len(top) == cap and int(top[0]) >= giant_threshold:
-                    # >= cap series over the cut: raise it to the cap-th
-                    # largest length (top[0] is exact -- top-k partials
-                    # merge losslessly)
-                    giant_threshold = int(top[0])
-        # packed is materialized above, so count() is metadata-cheap
-        n_rows = packed.count()
-        n_big = packed.filter(expr=f"n_buckets >= {giant_threshold}").count()
-        if n_big > 0:
-            # ONE keyed exchange instead of big.union(small): Ray Data's
-            # streaming executor does not overlap union branches (sf1.0
-            # @32 measured: union wall 147.8 s vs 108.2 s small-only +
-            # 59.4 s big-only run separately -- the giant branch
-            # serialized behind the main pool). Isolating each giant in
-            # its own singleton GROUP inside a single groupby exchange
-            # keeps the routing goal (a dedicated task per giant,
-            # scheduled alongside the pool) with no union barrier. The
-            # ~4096-row small groups double as the lane-batch sweet spot
-            # (single-core probe on the sf1.0 packed table: 2558 / 2028 /
-            # 1673 / 1592 us/row at widths 1024 / 2048 / 4096 / 8192).
-            return _dispatch_grouped(
-                packed, kernel_fn, concurrency, giant_threshold,
-                n_rows - n_big,
-            )
-        n_rows_plain = n_rows
-    else:
-        n_rows_plain = None
-    return _dispatch(
-        packed, kernel_fn, concurrency, batch_size, balance, n_rows=n_rows_plain
-    )
-
-
-def _dispatch_grouped(packed, kernel_fn, concurrency, giant_threshold,
-                      n_small):
-    """Giant-aware dispatch as a single groupby exchange: small series
-    hash into ~4096-row mixed groups, each giant gets a singleton group
-    (group key derived from its unique (id, tier, metric) row hash in a
-    disjoint negative namespace), and the kernel runs once per group.
-    Every task is independently schedulable -- the stage wall is
-    max(longest giant, rest / N) without relying on union overlap."""
-    import pandas as pd
-
-    width = 4096
-    n_small_groups = max(2 * concurrency, -(-max(n_small, 1) // width))
-
-    def assign(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t.append_column("__grp", pa.array([], pa.int64()))
-        key = (
-            pd.Series(t.column("unique_id").to_pylist())
-            + "|" + pd.Series(t.column("tier").to_pylist())
-            + "|" + pd.Series(t.column("metric").to_pylist())
-        )
-        h = pd.util.hash_array(key.to_numpy(dtype=object), categorize=False)
-        nb = t.column("n_buckets").to_numpy()
-        grp = (h % np.uint64(n_small_groups)).astype(np.int64)
-        giant = nb >= giant_threshold
-        if giant.any():
-            # disjoint negative namespace; a 62-bit hash collision (two
-            # giants sharing a task) is the pre-routing behavior, not an
-            # error
-            grp[giant] = -1 - (h[giant] % np.uint64(1 << 62)).astype(np.int64)
-        return t.append_column("__grp", pa.array(grp, pa.int64()))
-
-    def per_group(t: pa.Table) -> pa.Table:
-        return kernel_fn(t.drop_columns(["__grp"]))
-
-    return (
-        packed.map_batches(assign, batch_format="pyarrow")
-        .groupby("__grp")
-        .map_groups(per_group, batch_format="pyarrow", num_cpus=1)
-    )
-
-
-def _dispatch(packed, kernel_fn, concurrency, batch_size, balance, n_rows=None):
-    # pack already mixes series within each block (pack.py), so the plain
-    # repartition below slices those mixed runs into fine-grained,
-    # cost-balanced blocks; balance=True adds a full random_shuffle for
-    # packed inputs that did NOT come from this engine's pack stage
-    # Task composition stays length-MIXED (pack interleaves series; the
-    # balance shuffle restores the mix for foreign inputs): with ~1024
-    # rows per batch every task carries a near-equal cost mix, so no
-    # mega-task forms. Inside a batch the lane-batched kernels run every
-    # series as one ragged lane (each compiled step loop stops at its own
-    # series' length), so mixing lengths costs them nothing, while
-    # task-level length homogeneity would concentrate the long-series
-    # cost into one straggler (measured 17s -> 47s when tried; don't sort
-    # here).
+    # validates feature names eagerly and probes the columns once, here
+    kernels = FeatureKernels(features, scale)
+    packed = packed.materialize()
+    n_rows = packed.count()  # metadata-cheap on a materialized Dataset
     if balance:
         packed = packed.random_shuffle(seed=7)
-    # Block count targets the BATCH SIZE, not the CPU count (round 4):
-    # the lane-batched kernels' per-row cost depends on batch width, so
-    # tying blocks to concurrency would make per-row speed vary with
-    # cluster size (it silently deflated the measured scaling
-    # efficiency). A floor of 2 waves keeps every core busy when the
-    # input is small. FLOOR division (round 5): ceil made every block
-    # land just UNDER batch_size, so map_batches re-bundled block PAIRS
-    # into double-width tasks -- half as many tasks as intended, and at
-    # sf0.1 @32 the resulting 40-on-31-slot wave quantization idled 22
-    # cores for the whole second wave (interleaved A/B: 10.6/11.0 s ->
-    # 9.1/9.6 s). Floor keeps each block >= batch_size, so one block =
-    # one task at exactly the intended width.
-    if n_rows is not None:
-        n_blocks = max(concurrency * 2, n_rows // max(1, batch_size), 1)
-    else:
-        n_blocks = concurrency * 4
+    n_blocks = max(2 * concurrency, n_rows // BATCH_ROWS, 1)
     return packed.repartition(n_blocks).map_batches(
-        kernel_fn,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
+        kernels, batch_format="pyarrow", batch_size=BATCH_ROWS, num_cpus=1
     )
