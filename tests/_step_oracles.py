@@ -9,7 +9,12 @@ tests can pin the C results bit-for-bit against them:
 - the per-series Python-float fits (``holt_fit_single``,
   ``hw_fit_single``, ``garch_mu_single``) with their scalar Nelder-Mead
   (``nelder_mead``) and SSE helpers (``_holt_sse_fast``/``_grid``,
-  ``_hw_sse_fast``/``_grid``).
+  ``_hw_sse_fast``/``_grid``);
+- the numpy STL (``stl_decompose_numpy`` over ``_loess_grid``,
+  ``_loess_fixed_window``, ``_loess_at`` and ``_moving_average``), which
+  the compiled ``stl_fit`` matches to rounding (its sums run left to
+  right instead of through BLAS), and SuperSmoother's per-point span
+  interpolation loop (``supersmoother_fit_loop``).
 
 Long GARCH series (n >= LIBM_LOG_N) use ``math.log`` (libm); shorter ones
 use ``np.log``: the GARCH log rule the engine follows.
@@ -26,6 +31,8 @@ from tsfeatures_ray.kernels._batch import (
     _heuristic_level_trend_each,
     _heuristic_seasonal_each,
 )
+from tsfeatures_ray.kernels._math import ols_fit
+from tsfeatures_ray.kernels.stl import _fixed_smooth, _linear_smooth_cv, _next_odd_gt
 
 LIBM_LOG_N = 512
 
@@ -545,3 +552,321 @@ def _garch_mu_single_rounds(x, mu, q, w, tau, l2pi):
         if math.isfinite(wx_sum) and inv_sum > 0:
             mu = wx_sum / inv_sum
     return mu
+
+
+# ---------------------------------------------------------------------------
+# STL: the numpy loess the compiled stl_fit replaced, and the pre-vectorized
+# SuperSmoother
+# ---------------------------------------------------------------------------
+
+def _loess_grid(y: np.ndarray, q: int) -> np.ndarray:
+    """Loess (degree 1) evaluated at every observed position 0..n-1.
+
+    Fast path for the regular grid: with an ODD window q <= n, every
+    interior position has the same symmetric distance pattern, so the
+    tricube-weighted local-linear fit reduces to one fixed-kernel
+    correlation (the slope term vanishes at the window center). Edge
+    positions (and q > n) fall back to the general evaluator.
+    """
+    n = len(y)
+    if q > n or q % 2 == 0 or n < 3:
+        return _loess_at(y, q, np.arange(n, dtype=float))
+    h = (q - 1) // 2
+    if h == 0:
+        return y.astype(float).copy()
+    d = np.abs(np.arange(-h, h + 1, dtype=float))
+    w = np.clip((1.0 - (d / h) ** 3) ** 3, 0.0, None) if h > 0 else np.ones(1)
+    w = w / w.sum()
+    out = np.empty(n)
+    interior = np.correlate(y, w[::-1], mode="valid")  # length n - q + 1
+    out[h : n - h] = interior
+    # edges: every position < h shares the window [0, q) (the q nearest
+    # points pin to the boundary), so both edges vectorize over a fixed
+    # window just like the interior
+    out[:h] = _loess_fixed_window(y[:q], np.arange(h, dtype=float), 0.0)
+    out[n - h :] = _loess_fixed_window(
+        y[n - q :], np.arange(n - h, n, dtype=float), float(n - q)
+    )
+    return out
+
+
+def _loess_fixed_window(
+    ywin: np.ndarray, eval_pos: np.ndarray, win_start: float
+) -> np.ndarray:
+    """Loess (degree 1, tricube) of a FIXED window of points at positions
+    win_start..win_start+len(ywin)-1, evaluated at ``eval_pos`` --
+    vectorized across eval positions."""
+    qn = len(ywin)
+    pos = win_start + np.arange(qn, dtype=float)
+    d = np.abs(pos[None, :] - eval_pos[:, None])
+    dmax = d.max(axis=1)
+    dmax = np.where(dmax <= 0, 1.0, dmax)
+    w = np.clip(1.0 - (d / dmax[:, None]) ** 3, 0.0, None) ** 3
+    sw = w.sum(axis=1)
+    w = w / np.where(sw > 0, sw, 1.0)[:, None]
+    xbar = w @ pos
+    ybar = w @ ywin
+    dev = pos[None, :] - xbar[:, None]
+    ssx = (w * dev**2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (w * dev * ywin[None, :]).sum(axis=1) / ssx
+    lin = ybar + slope * (eval_pos - xbar)
+    use_lin = np.sqrt(np.maximum(ssx, 0.0)) > 1e-3 * np.maximum(dmax, 1.0)
+    return np.where(use_lin & np.isfinite(lin), lin, ybar)
+
+
+def _loess_at(y: np.ndarray, q: int, eval_pos: np.ndarray) -> np.ndarray:
+    """Loess (degree 1) of y (observed at positions 0..n-1) evaluated at
+    ``eval_pos`` (may include -1 / n for STL cycle-subseries extension).
+
+    Window = q nearest observed points; when q > n all points are used
+    and the max distance is inflated by (q - n) / 2 (Cleveland's rule).
+    """
+    n = len(y)
+    pos = np.arange(n, dtype=float)
+    out = np.empty(len(eval_pos))
+    qq = min(q, n)
+    if q >= n and n >= 1:
+        # window == all points for every eval position: fully vectorized
+        # across eval positions (the common case for short STL
+        # cycle-subseries, where q=13 exceeds the subseries length)
+        ep = np.asarray(eval_pos, dtype=float)
+        d = np.abs(pos[None, :] - ep[:, None])
+        dmax = d.max(axis=1) + (q - n) / 2.0
+        dmax = np.where(dmax <= 0, 1.0, dmax)
+        w = np.clip(1.0 - (d / dmax[:, None]) ** 3, 0.0, None) ** 3
+        sw = w.sum(axis=1)
+        w = w / np.where(sw > 0, sw, 1.0)[:, None]
+        xbar = w @ pos
+        ybar = w @ y
+        dev = pos[None, :] - xbar[:, None]
+        ssx = (w * dev**2).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = (w * dev * y[None, :]).sum(axis=1) / ssx
+        lin = ybar + slope * (ep - xbar)
+        use_lin = np.sqrt(np.maximum(ssx, 0.0)) > 1e-3 * np.maximum(dmax, 1.0)
+        return np.where(use_lin & np.isfinite(lin), lin, ybar)
+    for k, xe in enumerate(eval_pos):
+        # nearest-q contiguous window around xe
+        lo = int(np.clip(round(xe) - (qq - 1) // 2, 0, n - qq))
+        # shift window so it truly holds the q nearest points
+        while lo > 0 and xe - pos[lo - 1] < pos[lo + qq - 1] - xe:
+            lo -= 1
+        while lo + qq < n and pos[lo + qq] - xe < xe - pos[lo]:
+            lo += 1
+        w_pos = pos[lo : lo + qq]
+        w_y = y[lo : lo + qq]
+        d = np.abs(w_pos - xe)
+        dmax = d.max()
+        if q > n:
+            dmax += (q - n) / 2.0
+        if dmax <= 0:
+            out[k] = w_y.mean()
+            continue
+        w = (1.0 - (d / dmax) ** 3) ** 3
+        w = np.clip(w, 0.0, None)
+        sw = w.sum()
+        if sw <= 0:
+            out[k] = w_y.mean()
+            continue
+        w /= sw
+        xbar = np.dot(w, w_pos)
+        ybar = np.dot(w, w_y)
+        ssx = np.dot(w, (w_pos - xbar) ** 2)
+        if np.sqrt(ssx) > 1e-3 * max(dmax, 1.0):
+            slope = np.dot(w, (w_pos - xbar) * w_y) / ssx
+            out[k] = ybar + slope * (xe - xbar)
+        else:
+            out[k] = ybar
+    return out
+
+
+def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
+    c = np.concatenate([[0.0], np.cumsum(x)])
+    return (c[w:] - c[:-w]) / w
+
+
+def stl_decompose_numpy(x: np.ndarray, period: int, seasonal: int = 13):
+    """The numpy STL inner loop stl_fit replaced. Returns (trend,
+    seasonal_component, resid)."""
+    y = np.asarray(x, dtype=float)
+    n = len(y)
+    m = int(period)
+    if m < 2:
+        raise ValueError("period must be >= 2")
+    if n < 2 * m:
+        raise ValueError("series must span at least 2 periods")
+    n_s = seasonal
+    n_t = _next_odd_gt(1.5 * m / (1.0 - 1.5 / n_s))
+    n_l = _next_odd_gt(float(m))
+
+    trend = np.zeros(n)
+    season = np.zeros(n)
+    for _ in range(2):  # inner iterations (non-robust default)
+        detrended = y - trend
+        # cycle-subseries smoothing, extended one period each side
+        C = np.empty(n + 2 * m)
+        for k in range(m):
+            sub = detrended[k::m]
+            n_k = len(sub)
+            if n_s < n_k:
+                # body via the vectorized grid smoother; the two
+                # extension points use the boundary-pinned fixed windows
+                qn = n_s
+                sm = np.concatenate(
+                    [
+                        _loess_fixed_window(sub[:qn], np.array([-1.0]), 0.0),
+                        _loess_grid(sub, n_s),
+                        _loess_fixed_window(
+                            sub[n_k - qn :], np.array([float(n_k)]), float(n_k - qn)
+                        ),
+                    ]
+                )
+            else:
+                eval_pos = np.arange(-1, n_k + 1, dtype=float)
+                sm = _loess_at(sub, n_s, eval_pos)
+            # positions in C: index k + m*(j+1) corresponds to sub[j];
+            # extension j=-1 -> index k, j=n_k -> index k + m*(n_k+1)
+            idxs = k + m * np.arange(0, n_k + 2)
+            keep = idxs < len(C)
+            C[idxs[keep]] = sm[: keep.sum()]
+        # low-pass filter: MA(m) x2, MA(3), then loess(n_l)
+        L = _moving_average(_moving_average(_moving_average(C, m), m), 3)
+        L = _loess_grid(L, n_l)
+        season = C[m : n + m] - L
+        deseason = y - season
+        trend = _loess_grid(deseason, n_t)
+    resid = y - trend - season
+    return trend, season, resid
+
+
+def supersmoother_fit_loop(y: np.ndarray) -> np.ndarray:
+    """supersmoother_fit with its per-point span interpolation loop."""
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    spans = np.array([0.05, 0.2, 0.5])
+    if n < 6:
+        # degenerate: fall back to the global line
+        _, resid, fitted = ols_fit(np.arange(n, dtype=float), y)
+        return fitted
+    fits, cvs = [], []
+    for s in spans:
+        f, cv = _linear_smooth_cv(y, s)
+        fits.append(f)
+        cvs.append(_fixed_smooth(cv, 0.2))  # smooth |cv resid| at midrange
+    fits = np.array(fits)
+    cvs = np.array(cvs)
+    best = np.argmin(cvs, axis=0)
+    span_best = spans[best]
+    span_sm = _fixed_smooth(span_best, 0.2)
+    span_sm = np.clip(span_sm, spans[0], spans[-1])
+    # interpolate between the bracketing primary fits
+    out = np.empty(n)
+    for i in range(n):
+        s = span_sm[i]
+        jhi = int(np.searchsorted(spans, s))
+        if jhi == 0:
+            out[i] = fits[0, i]
+        elif jhi >= len(spans):
+            out[i] = fits[-1, i]
+        else:
+            jlo = jhi - 1
+            frac = (s - spans[jlo]) / (spans[jhi] - spans[jlo])
+            out[i] = fits[jlo, i] * (1 - frac) + fits[jhi, i] * frac
+    return _fixed_smooth(out, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# STL: a Python-float port of _steps.c stl_fit, statement by statement
+# ---------------------------------------------------------------------------
+
+def _loess_at_port(yw, q, x0, e, pad):
+    w = [abs((x0 + float(j)) - e) for j in range(q)]
+    dmax = 0.0
+    for d in w:
+        dmax = d if d > dmax else dmax
+    dmax = dmax + pad
+    if dmax <= 0.0:
+        dmax = 1.0
+    sw = 0.0
+    for j in range(q):
+        u = w[j] / dmax
+        t = 1.0 - u * u * u
+        t = t if t > 0.0 else 0.0
+        w[j] = t * t * t
+        sw = sw + w[j]
+    if not sw > 0.0:
+        sw = 1.0
+    xbar = ybar = ssx = sxy = 0.0
+    for j in range(q):
+        w[j] = w[j] / sw
+        xbar = xbar + w[j] * (x0 + float(j))
+        ybar = ybar + w[j] * yw[j]
+    for j in range(q):
+        dev = (x0 + float(j)) - xbar
+        ssx = ssx + w[j] * (dev * dev)
+        sxy = sxy + w[j] * dev * yw[j]
+    if math.sqrt(ssx if ssx > 0.0 else 0.0) > 1e-3 * (dmax if dmax > 1.0 else 1.0):
+        lin = ybar + sxy / ssx * (e - xbar)  # ssx > 0 here
+        if math.isfinite(lin):
+            return lin
+    return ybar
+
+
+def _loess_grid_port(y, q):
+    n = len(y)
+    if q > n:
+        return [_loess_at_port(y, n, 0.0, float(i), float(q - n) / 2.0) for i in range(n)]
+    h = (q - 1) // 2
+    w = []
+    sw = 0.0
+    for j in range(q):
+        u = abs(float(j - h)) / float(h)
+        t = 1.0 - u * u * u
+        w.append(t * t * t)
+        sw = sw + w[j]
+    w = [wj / sw for wj in w]
+    out = [0.0] * n
+    for i in range(h, n - h):
+        s = 0.0
+        for j in range(q):
+            s = s + w[j] * y[i - h + j]
+        out[i] = s
+    for i in range(h):
+        out[i] = _loess_at_port(y[:q], q, 0.0, float(i), 0.0)
+        out[n - h + i] = _loess_at_port(y[n - q:], q, float(n - q), float(n - h + i), 0.0)
+    return out
+
+
+def _moving_average_port(x, k):
+    cs = [0.0, x[0]]
+    for v in x[1:]:
+        cs.append(cs[-1] + v)
+    return [(cs[j + k] - cs[j]) / float(k) for j in range(len(x) - k + 1)]
+
+
+def stl_fit_port(y, m, ns, nt, nl):
+    """(trend, season) lists for one lane, in stl_fit's operation order."""
+    y = [float(v) for v in y]
+    n = len(y)
+    tr = [0.0] * n
+    se = [0.0] * n
+    for _ in range(2):
+        c = [0.0] * (n + 2 * m)
+        for k in range(m):
+            sub = [y[i] - tr[i] for i in range(k, n, m)]
+            nk = len(sub)
+            if ns < nk:
+                sm = ([_loess_at_port(sub, ns, 0.0, -1.0, 0.0)]
+                      + _loess_grid_port(sub, ns)
+                      + [_loess_at_port(sub[nk - ns:], ns, float(nk - ns), float(nk), 0.0)])
+            else:
+                sm = [_loess_at_port(sub, nk, 0.0, float(j), float(ns - nk) / 2.0)
+                      for j in range(-1, nk + 1)]
+            for j, v in enumerate(sm):
+                c[k + m * j] = v
+        low = _moving_average_port(_moving_average_port(_moving_average_port(c, m), m), 3)
+        low = _loess_grid_port(low, nl)
+        se = [c[m + j] - low[j] for j in range(n)]
+        tr = _loess_grid_port([y[j] - se[j] for j in range(n)], nt)
+    return tr, se

@@ -1,5 +1,6 @@
-"""Gates for the lane-batched optimizer kernels (kernels/_batch.py) and
-their compiled step loops (kernels/_steps.c).
+"""Gates for the lane-batched kernels (kernels/_batch.py, the STL
+decomposition in kernels/stl.py) and their compiled step loops
+(kernels/_steps.c).
 
 1. STEP EQUALITY -- each C loop gives the same bits as the numpy step
    loop it replaced (tests/_step_oracles.py) on ragged lanes: K = 1..125
@@ -16,6 +17,11 @@ their compiled step loops (kernels/_steps.c).
 4. STAGE PARITY -- FeatureKernels' batched __call__ equals per-series
    compute_features for every feature column.
 5. BUILD -- the step loops' build flags, cache and failure modes.
+6. STL -- the compiled decomposition equals a Python-float port of its
+   loop bit-for-bit and the numpy STL it replaced to rounding, gives the
+   same bytes under every OpenBLAS core type, and stl.py stays free of
+   BLAS calls; SuperSmoother's vectorized interpolation keeps the loop's
+   bits.
 """
 
 from __future__ import annotations
@@ -250,12 +256,15 @@ def test_composition_independence():
     through the scalar compute_features."""
     from tsfeatures_ray.kernels import compute_features
     from tsfeatures_ray.kernels.het import heterogeneity_batch
+    from tsfeatures_ray.kernels.stl import stl_features_batch
 
     rng = np.random.RandomState(4)
+    # (23, 12) and (24, 12): one short of STL and exactly two periods
+    probes = [(100, 12), (30, 4), (600, 24), (13, 2), (23, 12), (24, 12)]
     lengths = [0, 1, 2, 5, 9, 13, 25, 50, 100, 156, 300, 600]
-    filler = [scalets(np.cumsum(rng.randn(int(rng.choice(lengths))))) for _ in range(1020)]
+    filler = [scalets(np.cumsum(rng.randn(int(rng.choice(lengths)))))
+              for _ in range(1024 - len(probes))]
     ffreq = [int(rng.choice([1, 2, 4, 12, 24])) for _ in filler]
-    probes = [(100, 12), (30, 4), (600, 24), (13, 2)]
     raw = [np.cumsum(rng.randn(n)) + 5 * np.sin(np.arange(n) * 2 * np.pi / m)
            for n, m in probes]
     ys = [scalets(x) for x in raw]
@@ -265,6 +274,7 @@ def test_composition_independence():
         out = dict(B.holt_parameters_batch(batch))
         out.update(B.hw_parameters_batch(batch, np.array(freqs)))
         out.update(heterogeneity_batch(batch, freqs))
+        out.update(stl_features_batch(batch, freqs))
         return out
 
     solo = [fit([y], [m]) for y, m in zip(ys, ms)]
@@ -274,7 +284,7 @@ def test_composition_independence():
             assert _eq(scalar[k], v[0]), (j, k)
     for shift in range(3):
         # every probe somewhere else in the batch each time: ends and middle
-        pos = [(p * 341 + shift * 511) % 1024 for p in range(len(probes))]
+        pos = [(p * 171 + shift * 511) % 1024 for p in range(len(probes))]
         batch, freqs = list(filler), list(ffreq)
         for p, j in sorted(zip(pos, range(len(probes)))):
             batch.insert(p, ys[j])
@@ -459,3 +469,155 @@ def test_missing_compiler_raises_import_error(tmp_path, monkeypatch):
     assert B._compiler() is None
     with pytest.raises(ImportError, match="needs a C compiler"):
         B._build(_src_copy(tmp_path), str(tmp_path / "cache"))
+
+
+# ---------------------------------------------------------------------------
+# 6. STL
+# ---------------------------------------------------------------------------
+
+def _stl_cases():
+    """(x, m): USAccDeaths; the perfbench panel shape (m = 12, n 150-260);
+    m in {2, 4, 24, 60} at n = 2m and 2m + 1 (every cycle-subseries
+    shorter than the seasonal span) and longer (body on the symmetric
+    grid); a NaN and a constant lane."""
+    from tsfeatures_ray.kernels.golden import USAccDeaths
+
+    rng = np.random.RandomState(12)
+    cases = [(np.array(USAccDeaths, float), 12)]
+    for n in (150, 173, 199, 226, 260):
+        t = np.arange(n)
+        cases.append((100 + np.cumsum(rng.randn(n)) + 8 * np.sin(2 * np.pi * t / 12), 12))
+    for m in (2, 4, 24, 60):
+        for n in (2 * m, 2 * m + 1, 15 * m + 1):
+            cases.append((np.cumsum(rng.randn(n)) + 3 * np.cos(2 * np.pi * np.arange(n) / m), m))
+    nan = np.cumsum(rng.randn(40))
+    nan[17] = np.nan
+    cases += [(nan, 4), (np.full(30, 2.5), 12)]
+    return cases
+
+
+def _stl_spans(m, ns=13):
+    from tsfeatures_ray.kernels.stl import _next_odd_gt
+
+    return _next_odd_gt(1.5 * m / (1.0 - 1.5 / ns)), _next_odd_gt(float(m))
+
+
+def test_stl_fit_equals_python_port():
+    """One stl_fit call over every case (one lane each) gives the bits of
+    the Python-float port of its loop, lane by lane."""
+    from tsfeatures_ray.kernels.stl import _stl_lanes
+
+    cases = _stl_cases()
+    trends, seasons = _stl_lanes([x for x, _ in cases], [m for _, m in cases])
+    for (x, m), tr, se in zip(cases, trends, seasons):
+        want_tr, want_se = O.stl_fit_port(x, m, 13, *_stl_spans(m))
+        assert _same(tr, want_tr) and _same(se, want_se), (len(x), m)
+
+
+def test_stl_matches_numpy_oracle():
+    """The compiled STL equals the numpy STL it replaced to rounding:
+    rtol 1e-12, plus an absolute floor of 1e-12 x max|x| for components
+    that cross zero (the sums run in a different order)."""
+    from tsfeatures_ray.kernels.stl import stl_decompose
+
+    for x, m in _stl_cases():
+        got = stl_decompose(x, m)
+        want = O.stl_decompose_numpy(x, m)
+        atol = 1e-12 * np.nanmax(np.abs(x))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=atol, err_msg=f"n={len(x)} m={m}")
+
+
+def test_stl_features_match_numpy_oracle():
+    """stl_features over the compiled STL equals the per-series tail over
+    the numpy STL: rtol 1e-9 (absolute floor 1e-12), peak/trough exact.
+    At n = 2m STL reproduces the series, so both remainders are rounding
+    noise: there the remainder's own statistics (spike, e_acf1, e_acf10)
+    are noise on both sides and only the remainder's size is compared.
+    The NaN and constant lanes are left out: the tail's OLS rejects a
+    non-finite trend with either decomposition."""
+    from tsfeatures_ray.kernels.stl import _stl_row, stl_decompose, stl_features_batch
+
+    cases = [(scalets(x), m) for x, m in _stl_cases() if np.isfinite(x).all() and np.ptp(x) > 0]
+    got = stl_features_batch([x for x, _ in cases], [m for _, m in cases])
+    for i, (x, m) in enumerate(cases):
+        trend, season, resid = O.stl_decompose_numpy(x, m)
+        want = _stl_row(x, m, (trend, season))
+        noise = 1e-12 * np.abs(x).max()
+        if np.abs(resid).max() < noise:
+            assert np.abs(stl_decompose(x, m)[2]).max() < noise, i
+            want = {k: v for k, v in want.items() if k not in ("spike", "e_acf1", "e_acf10")}
+        for k, v in want.items():
+            if k in ("peak", "trough"):
+                assert _eq(got[k][i], v), (i, k)
+            else:
+                np.testing.assert_allclose(got[k][i], v, rtol=1e-9, atol=1e-12,
+                                           err_msg=f"case {i} {k}")
+
+
+@pytest.mark.parametrize("seasonal", [12, 2, 1, 0, -13, 14])
+def test_stl_decompose_rejects_even_or_small_seasonal(seasonal):
+    from tsfeatures_ray.kernels.stl import stl_decompose
+
+    x = np.cumsum(np.random.RandomState(0).randn(48))
+    with pytest.raises(ValueError, match="seasonal"):
+        stl_decompose(x, 12, seasonal=seasonal)
+
+
+@pytest.mark.parametrize("n", [6, 7, 50, 500])
+def test_supersmoother_interpolation_keeps_the_loop_bits(n):
+    from tsfeatures_ray.kernels.stl import supersmoother_fit
+
+    rng = np.random.RandomState(n)
+    for y in (np.cumsum(rng.randn(n)), rng.randn(n) + np.sin(np.arange(n) / 4.0)):
+        assert _same(supersmoother_fit(y), O.supersmoother_fit_loop(y))
+
+
+_CORETYPE_PROBE = """
+import hashlib
+import numpy as np
+from tsfeatures_ray.kernels.golden import USAccDeaths
+from tsfeatures_ray.kernels.stl import stl_decompose
+rng = np.random.RandomState(5)
+cases = [(np.array(USAccDeaths, float), 12), (np.cumsum(rng.randn(260)), 12),
+         (np.cumsum(rng.randn(48)), 24), (np.cumsum(rng.randn(9)), 4)]
+h = hashlib.sha256()
+for x, m in cases:
+    for part in stl_decompose(x, m):
+        h.update(part.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_stl_decompose_same_bytes_under_every_openblas_coretype():
+    """stl_decompose calls no BLAS, so the core type OpenBLAS picks for
+    the host cannot change its bits."""
+    digests = {}
+    for core in ("Prescott", "Haswell", "SkylakeX"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core,
+                   PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        r = subprocess.run([sys.executable, "-c", _CORETYPE_PROBE], cwd=ROOT, env=env,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        digests[core] = r.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
+
+
+def test_stl_module_has_no_blas_calls():
+    """AST guard: no ``@``, np.dot, np.correlate or np.linalg in
+    kernels/stl.py -- the decomposition's sums stay in the fixed-order
+    C loop."""
+    import ast
+
+    path = os.path.join(os.path.dirname(B.__file__), "stl.py")
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("dot", "correlate", "linalg"):
+            found.append(f".{node.attr} at line {node.lineno}")
+        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in ("dot", "correlate", "linalg"):
+            found.append(f"import {node.name} at line {node.lineno}")
+    assert not found, found

@@ -1,8 +1,8 @@
 """Per-series feature kernel registry.
 
 Every kernel has the reference contract ``f(x: np.ndarray, freq: int) ->
-dict[str, float]`` (reference tsfeatures/tsfeatures.py:35+) and is pure
-NumPy -- no statsmodels/scipy/sklearn. ``DEFAULT_FEATURES`` mirrors the
+dict[str, float]`` (reference tsfeatures/tsfeatures.py:35+) and is NumPy
+plus the compiled loops of _steps.c -- no statsmodels/scipy/sklearn. ``DEFAULT_FEATURES`` mirrors the
 reference's default feature list (tsfeatures.py:932-937) in the same
 order; like the reference's ChainMap merge (tsfeatures.py:926), the
 FIRST kernel producing a key wins on collision.

@@ -1,5 +1,7 @@
 """Cross-series (lane-batched) implementations of the optimizer-backed
-kernels -- Holt, Holt-Winters and the GARCH(1,1) stage of heterogeneity.
+kernels -- Holt, Holt-Winters and the GARCH(1,1) stage of heterogeneity
+-- and the build and binding of the compiled step loops they share with
+the STL decomposition (stl.py calls ``stl_fit`` once per batch).
 
 These kernels are where feature CPU goes, and the cost of a numpy
 time-step loop is per-CALL interpreter overhead, not arithmetic. So all
@@ -19,15 +21,18 @@ how many -- other series share its batch, which keeps feature outputs
 deterministic across block layouts, CPU counts and runs.
 tests/test_batch_kernels.py pins this, and pins the C loops bit-for-bit
 against the numpy step loops and per-series Python-float fits they
-replaced.
+replaced. (STL's sums replaced BLAS dot products, whose order depends on
+the OpenBLAS core type; its loop runs them left to right and is pinned
+against a Python-float port of itself and, to rounding, the numpy STL.)
 
 GARCH log rule: lanes under _LIBM_LOG_N points take ``np.log`` over the
 variance path in numpy; longer lanes call libm ``log`` in C (what
 ``math.log`` calls). numpy's SIMD log and libm's differ in the last bits
 of some values, and this split is the one the outputs were recorded with.
 
-The scalar kernels in ets.py / het.py delegate here with a single lane,
-so there is exactly ONE implementation of each optimizer.
+The scalar kernels in ets.py / het.py / stl.py are 1-lane calls of the
+batched path, so there is exactly ONE implementation of each optimizer
+and of the decomposition.
 
 Reference semantics preserved: holt_parameters <- reference
 tsfeatures.py:340-368, hw_parameters <- :392-423, heterogeneity
@@ -112,6 +117,7 @@ _SIGS = {
     "garch_var": "iillfffffif",
     "garch_ll": "iillfffffifdf",
     "garch_mu": "illffffffffu",
+    "stl_fit": "ilflillff",
 }
 _CTYPES = {"i": ctypes.c_int64, "d": ctypes.c_double}
 _ARRAYS = {"l": np.int64, "f": np.float64, "u": np.uint8}

@@ -1,18 +1,22 @@
 """STL decomposition features (reference tsfeatures.py:647-791).
 
-Reimplements, in pure NumPy:
+Reimplements, without statsmodels or the supersmoother package:
 
 - STL (Cleveland et al. 1990) as exposed by statsmodels ``STL(x, period,
   seasonal=13).fit()`` with statsmodels' default secondary parameters:
   trend window = smallest odd int > 1.5*period/(1 - 1.5/seasonal),
   low-pass window = smallest odd int > period, all loess degrees 1,
-  jumps 1, inner=2 / outer=0 iterations (non-robust defaults).
+  jumps 1, inner=2 / outer=0 iterations (non-robust defaults). The
+  decomposition is the compiled lane loop ``stl_fit`` in _steps.c: one
+  call decomposes every seasonal series of a batch, and its fixed-order
+  sums make the result independent of the BLAS build and core type.
 - Friedman's SuperSmoother (the ``supersmoother`` package used by the
-  reference for the nonseasonal trend, tsfeatures.py:706): primary spans
-  (0.05, 0.2, 0.5), cross-validated span selection smoothed with the
-  midrange span, interpolation between bracketing primary smooths, final
-  smooth at the tweeter span.
+  reference for the nonseasonal trend, tsfeatures.py:706), in NumPy:
+  primary spans (0.05, 0.2, 0.5), cross-validated span selection
+  smoothed with the midrange span, interpolation between bracketing
+  primary smooths, final smooth at the tweeter span.
 
+The strengths, spike, linearity and remainder ACF are per-series NumPy.
 These are the reference's own building blocks re-derived from the public
 algorithms; the reference pins no golden values for stl_features, and
 its README (95-141) shows R/Python divergence here, so conformance is
@@ -27,138 +31,7 @@ import numpy as np
 from .simple import acf_features
 from ._math import ols_fit, poly
 
-__all__ = ["stl_features", "stl_decompose", "supersmoother_fit"]
-
-
-# ---------------------------------------------------------------------------
-# loess (local linear, tricube weights, evaluated at integer positions)
-# ---------------------------------------------------------------------------
-
-def _loess_grid(y: np.ndarray, q: int) -> np.ndarray:
-    """Loess (degree 1) evaluated at every observed position 0..n-1.
-
-    Fast path for the regular grid: with an ODD window q <= n, every
-    interior position has the same symmetric distance pattern, so the
-    tricube-weighted local-linear fit reduces to one fixed-kernel
-    correlation (the slope term vanishes at the window center). Edge
-    positions (and q > n) fall back to the general evaluator.
-    """
-    n = len(y)
-    if q > n or q % 2 == 0 or n < 3:
-        return _loess_at(y, q, np.arange(n, dtype=float))
-    h = (q - 1) // 2
-    if h == 0:
-        return y.astype(float).copy()
-    d = np.abs(np.arange(-h, h + 1, dtype=float))
-    w = np.clip((1.0 - (d / h) ** 3) ** 3, 0.0, None) if h > 0 else np.ones(1)
-    w = w / w.sum()
-    out = np.empty(n)
-    interior = np.correlate(y, w[::-1], mode="valid")  # length n - q + 1
-    out[h : n - h] = interior
-    # edges: every position < h shares the window [0, q) (the q nearest
-    # points pin to the boundary), so both edges vectorize over a fixed
-    # window just like the interior
-    out[:h] = _loess_fixed_window(y[:q], np.arange(h, dtype=float), 0.0)
-    out[n - h :] = _loess_fixed_window(
-        y[n - q :], np.arange(n - h, n, dtype=float), float(n - q)
-    )
-    return out
-
-
-def _loess_fixed_window(
-    ywin: np.ndarray, eval_pos: np.ndarray, win_start: float
-) -> np.ndarray:
-    """Loess (degree 1, tricube) of a FIXED window of points at positions
-    win_start..win_start+len(ywin)-1, evaluated at ``eval_pos`` --
-    vectorized across eval positions."""
-    qn = len(ywin)
-    pos = win_start + np.arange(qn, dtype=float)
-    d = np.abs(pos[None, :] - eval_pos[:, None])
-    dmax = d.max(axis=1)
-    dmax = np.where(dmax <= 0, 1.0, dmax)
-    w = np.clip(1.0 - (d / dmax[:, None]) ** 3, 0.0, None) ** 3
-    sw = w.sum(axis=1)
-    w = w / np.where(sw > 0, sw, 1.0)[:, None]
-    xbar = w @ pos
-    ybar = w @ ywin
-    dev = pos[None, :] - xbar[:, None]
-    ssx = (w * dev**2).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (w * dev * ywin[None, :]).sum(axis=1) / ssx
-    lin = ybar + slope * (eval_pos - xbar)
-    use_lin = np.sqrt(np.maximum(ssx, 0.0)) > 1e-3 * np.maximum(dmax, 1.0)
-    return np.where(use_lin & np.isfinite(lin), lin, ybar)
-
-
-def _loess_at(y: np.ndarray, q: int, eval_pos: np.ndarray) -> np.ndarray:
-    """Loess (degree 1) of y (observed at positions 0..n-1) evaluated at
-    ``eval_pos`` (may include -1 / n for STL cycle-subseries extension).
-
-    Window = q nearest observed points; when q > n all points are used
-    and the max distance is inflated by (q - n) / 2 (Cleveland's rule).
-    """
-    n = len(y)
-    pos = np.arange(n, dtype=float)
-    out = np.empty(len(eval_pos))
-    qq = min(q, n)
-    if q >= n and n >= 1:
-        # window == all points for every eval position: fully vectorized
-        # across eval positions (the common case for short STL
-        # cycle-subseries, where q=13 exceeds the subseries length)
-        ep = np.asarray(eval_pos, dtype=float)
-        d = np.abs(pos[None, :] - ep[:, None])
-        dmax = d.max(axis=1) + (q - n) / 2.0
-        dmax = np.where(dmax <= 0, 1.0, dmax)
-        w = np.clip(1.0 - (d / dmax[:, None]) ** 3, 0.0, None) ** 3
-        sw = w.sum(axis=1)
-        w = w / np.where(sw > 0, sw, 1.0)[:, None]
-        xbar = w @ pos
-        ybar = w @ y
-        dev = pos[None, :] - xbar[:, None]
-        ssx = (w * dev**2).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (w * dev * y[None, :]).sum(axis=1) / ssx
-        lin = ybar + slope * (ep - xbar)
-        use_lin = np.sqrt(np.maximum(ssx, 0.0)) > 1e-3 * np.maximum(dmax, 1.0)
-        return np.where(use_lin & np.isfinite(lin), lin, ybar)
-    for k, xe in enumerate(eval_pos):
-        # nearest-q contiguous window around xe
-        lo = int(np.clip(round(xe) - (qq - 1) // 2, 0, n - qq))
-        # shift window so it truly holds the q nearest points
-        while lo > 0 and xe - pos[lo - 1] < pos[lo + qq - 1] - xe:
-            lo -= 1
-        while lo + qq < n and pos[lo + qq] - xe < xe - pos[lo]:
-            lo += 1
-        w_pos = pos[lo : lo + qq]
-        w_y = y[lo : lo + qq]
-        d = np.abs(w_pos - xe)
-        dmax = d.max()
-        if q > n:
-            dmax += (q - n) / 2.0
-        if dmax <= 0:
-            out[k] = w_y.mean()
-            continue
-        w = (1.0 - (d / dmax) ** 3) ** 3
-        w = np.clip(w, 0.0, None)
-        sw = w.sum()
-        if sw <= 0:
-            out[k] = w_y.mean()
-            continue
-        w /= sw
-        xbar = np.dot(w, w_pos)
-        ybar = np.dot(w, w_y)
-        ssx = np.dot(w, (w_pos - xbar) ** 2)
-        if np.sqrt(ssx) > 1e-3 * max(dmax, 1.0):
-            slope = np.dot(w, (w_pos - xbar) * w_y) / ssx
-            out[k] = ybar + slope * (xe - xbar)
-        else:
-            out[k] = ybar
-    return out
-
-
-def _moving_average(x: np.ndarray, w: int) -> np.ndarray:
-    c = np.concatenate([[0.0], np.cumsum(x)])
-    return (c[w:] - c[:-w]) / w
+__all__ = ["stl_features", "stl_features_batch", "stl_decompose", "supersmoother_fit"]
 
 
 def _next_odd_gt(v: float) -> int:
@@ -170,58 +43,39 @@ def _next_odd_gt(v: float) -> int:
     return o
 
 
+def _stl_lanes(ys: list[np.ndarray], ms: list[int], seasonal: int = 13):
+    """STL (trend, seasonal component) lists of every series ys[i] with
+    period ms[i] (at least two periods long), from ONE call into the
+    compiled loop (_steps.c stl_fit)."""
+    from ._batch import _STEPS, _ragged
+
+    if not ys:
+        return [], []
+    off, y = _ragged(ys)
+    ms = np.asarray(ms, dtype=np.int64)
+    nt = np.array([_next_odd_gt(1.5 * m / (1.0 - 1.5 / seasonal)) for m in ms], np.int64)
+    nl = np.array([_next_odd_gt(float(m)) for m in ms], np.int64)
+    trend, season = np.empty_like(y), np.empty_like(y)
+    _STEPS.stl_fit(len(ys), off, y, ms, int(seasonal), nt, nl, trend, season)
+    # copies, not views: the tail's BLAS calls (ols_fit) are sensitive to
+    # pointer alignment, which a view's place in the batch would set
+    cut = list(zip(off[:-1], off[1:]))
+    return [trend[a:b].copy() for a, b in cut], [season[a:b].copy() for a, b in cut]
+
+
 def stl_decompose(x: np.ndarray, period: int, seasonal: int = 13):
     """STL inner loop (non-robust, statsmodels defaults). Returns
     (trend, seasonal_component, resid)."""
     y = np.asarray(x, dtype=float)
-    n = len(y)
     m = int(period)
     if m < 2:
         raise ValueError("period must be >= 2")
-    if n < 2 * m:
+    if len(y) < 2 * m:
         raise ValueError("series must span at least 2 periods")
-    n_s = seasonal
-    n_t = _next_odd_gt(1.5 * m / (1.0 - 1.5 / n_s))
-    n_l = _next_odd_gt(float(m))
-
-    trend = np.zeros(n)
-    season = np.zeros(n)
-    for _ in range(2):  # inner iterations (non-robust default)
-        detrended = y - trend
-        # cycle-subseries smoothing, extended one period each side
-        C = np.empty(n + 2 * m)
-        for k in range(m):
-            sub = detrended[k::m]
-            n_k = len(sub)
-            if n_s < n_k:
-                # body via the vectorized grid smoother; the two
-                # extension points use the boundary-pinned fixed windows
-                qn = n_s
-                sm = np.concatenate(
-                    [
-                        _loess_fixed_window(sub[:qn], np.array([-1.0]), 0.0),
-                        _loess_grid(sub, n_s),
-                        _loess_fixed_window(
-                            sub[n_k - qn :], np.array([float(n_k)]), float(n_k - qn)
-                        ),
-                    ]
-                )
-            else:
-                eval_pos = np.arange(-1, n_k + 1, dtype=float)
-                sm = _loess_at(sub, n_s, eval_pos)
-            # positions in C: index k + m*(j+1) corresponds to sub[j];
-            # extension j=-1 -> index k, j=n_k -> index k + m*(n_k+1)
-            idxs = k + m * np.arange(0, n_k + 2)
-            keep = idxs < len(C)
-            C[idxs[keep]] = sm[: keep.sum()]
-        # low-pass filter: MA(m) x2, MA(3), then loess(n_l)
-        L = _moving_average(_moving_average(_moving_average(C, m), m), 3)
-        L = _loess_grid(L, n_l)
-        season = C[m : n + m] - L
-        deseason = y - season
-        trend = _loess_grid(deseason, n_t)
-    resid = y - trend - season
-    return trend, season, resid
+    if seasonal < 3 or seasonal % 2 != 1:
+        raise ValueError("seasonal must be an odd integer >= 3")
+    (trend,), (season,) = _stl_lanes([y], [m], seasonal)
+    return trend, season, y - trend - season
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +138,13 @@ def supersmoother_fit(y: np.ndarray) -> np.ndarray:
     span_sm = _fixed_smooth(span_best, 0.2)
     span_sm = np.clip(span_sm, spans[0], spans[-1])
     # interpolate between the bracketing primary fits
-    out = np.empty(n)
-    for i in range(n):
-        s = span_sm[i]
-        jhi = int(np.searchsorted(spans, s))
-        if jhi == 0:
-            out[i] = fits[0, i]
-        elif jhi >= len(spans):
-            out[i] = fits[-1, i]
-        else:
-            jlo = jhi - 1
-            frac = (s - spans[jlo]) / (spans[jhi] - spans[jlo])
-            out[i] = fits[jlo, i] * (1 - frac) + fits[jhi, i] * frac
+    jhi = np.searchsorted(spans, span_sm)
+    jlo = np.clip(jhi - 1, 0, len(spans) - 2)
+    jmid = jlo + 1
+    frac = (span_sm - spans[jlo]) / (spans[jmid] - spans[jlo])
+    cols = np.arange(n)
+    out = fits[jlo, cols] * (1 - frac) + fits[jmid, cols] * frac
+    out = np.where(jhi == 0, fits[0], np.where(jhi >= len(spans), fits[-1], out))
     return _fixed_smooth(out, 0.05)
 
 
@@ -303,39 +152,57 @@ def supersmoother_fit(y: np.ndarray) -> np.ndarray:
 # the feature kernel
 # ---------------------------------------------------------------------------
 
+_SEASONAL_COLS = ("seasonal_strength", "peak", "trough")
+_COLS = ("nperiods", "seasonal_period", "trend", "spike", "linearity",
+         "curvature", "e_acf1", "e_acf10") + _SEASONAL_COLS
+
+
 def stl_features(x: np.ndarray, freq: int = 1) -> dict:
-    """STL-based features (reference tsfeatures.py:647-791)."""
-    x = np.asarray(x, dtype=float)
-    m = freq
-    nperiods = int(m > 1)
-    nan_out = {
-        "nperiods": float(nperiods),
-        "seasonal_period": float(m),
-        "trend": np.nan,
-        "spike": np.nan,
-        "linearity": np.nan,
-        "curvature": np.nan,
-        "e_acf1": np.nan,
-        "e_acf10": np.nan,
-    }
+    """STL-based features (reference tsfeatures.py:647-791): a 1-lane
+    stl_features_batch; NaN where STL or SuperSmoother cannot run, and
+    no seasonal-only keys for a nonseasonal series."""
+    out = stl_features_batch([x], [freq])
+    return {k: float(v[0]) for k, v in out.items() if freq > 1 or k not in _SEASONAL_COLS}
+
+
+def stl_features_batch(xs: list[np.ndarray], freqs) -> dict[str, np.ndarray]:
+    """Batched stl_features: every seasonal series long enough for STL
+    (freq = m > 1, n >= 2m) is decomposed in one compiled call; the
+    SuperSmoother trend and the per-series strengths, spike, linearity
+    and remainder ACF stay in numpy. Nonseasonal rows leave the
+    seasonal-only columns NaN."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    ms = [int(f) for f in freqs]
+    lanes = [i for i, (x, m) in enumerate(zip(xs, ms)) if m > 1 and len(x) >= 2 * m]
+    trends, seasons = _stl_lanes([xs[i] for i in lanes], [ms[i] for i in lanes])
+    dec = dict(zip(lanes, zip(trends, seasons)))
+    out = {k: np.full(len(xs), np.nan) for k in _COLS}
+    for i, (x, m) in enumerate(zip(xs, ms)):
+        for k, v in _stl_row(x, m, dec.get(i)).items():
+            out[k][i] = v
+    return out
+
+
+def _stl_row(x: np.ndarray, m: int, dec) -> dict:
+    """stl_features of one series given its STL (trend, seasonal
+    component), or None where STL could not run; a row that cannot be
+    computed holds only nperiods and seasonal_period."""
+    head = {"nperiods": float(m > 1), "seasonal_period": float(m)}
     if m > 1:
-        try:
-            trend0, seasonal, remainder = stl_decompose(x, m, 13)
-        except Exception:
-            nan_out.update({"seasonal_strength": np.nan, "peak": np.nan, "trough": np.nan})
-            return nan_out
+        if dec is None:
+            return head
+        trend0, seasonal = dec
+        remainder = x - trend0 - seasonal
     else:
-        t = np.arange(len(x)) + 1
         try:
             if len(x) < 4:
                 raise ValueError("too short for supersmoother")
             trend0 = supersmoother_fit(x)
         except Exception:
-            return nan_out
+            return head
         remainder = x - trend0
         seasonal = np.zeros(len(x))
 
-    detrend = x - trend0
     deseason = x - seasonal
     n = len(x)
     varx = np.nanvar(x, ddof=1)
@@ -372,8 +239,7 @@ def stl_features(x: np.ndarray, freq: int = 1) -> dict:
 
     acfremainder = acf_features(remainder, m)
     output = {
-        "nperiods": float(nperiods),
-        "seasonal_period": float(m),
+        **head,
         "trend": float(trend_strength),
         "spike": spike,
         "linearity": linearity,

@@ -139,11 +139,13 @@ class FeatureKernels:
         from ..kernels._batch import holt_parameters_batch, hw_parameters_batch
         from ..kernels._math import scalets
         from ..kernels.het import heterogeneity_batch
+        from ..kernels.stl import stl_features_batch
 
         batch_impls = {
             "holt_parameters": lambda xs, fr: holt_parameters_batch(xs),
             "hw_parameters": hw_parameters_batch,
             "heterogeneity": heterogeneity_batch,
+            "stl_features": stl_features_batch,
         }
         offsets, flat = self._extract_series(batch["y"])
         freqs = batch["freq"].to_numpy()
