@@ -1,40 +1,65 @@
-"""Test oracles for the compiled step loops (tsfeatures_ray/kernels/_steps.c).
+"""Test oracles for the compiled loops (tsfeatures_ray/kernels/_steps.c).
 
 These are the implementations the C loops replaced, kept verbatim so the
-tests can pin the C results bit-for-bit against them:
+tests can pin the C results bit-for-bit against them (or, where sums
+moved from BLAS to a fixed left-to-right order, to rounding), plus
+Python-float ports of the newer loops, statement by statement:
 
 - the numpy time-step loops over length-sorted, zero-padded, time-major
   lanes (``_holt_sse_prefix``, ``_hw_sse_prefix``, ``_garch_nll_prefix``
   and ``garch_mu_terms_prefix``, the closed-form mean-update loop);
-- the per-series Python-float fits (``holt_fit_single``,
+- the numpy batched Nelder-Mead driver (``nelder_mead_batch``), which
+  the compiled per-lane ``nelder_mead`` matches bit for bit from equal
+  starts, and the per-series Python-float fits (``holt_fit_single``,
   ``hw_fit_single``, ``garch_mu_single``) with their scalar Nelder-Mead
-  (``nelder_mead``) and SSE helpers (``_holt_sse_fast``/``_grid``,
-  ``_hw_sse_fast``/``_grid``);
+  (``nelder_mead``) and SSE helpers;
+- the numpy primitives the compiled ``lsq`` / ``acovf`` replaced
+  (``ols_fit``, ``ols_r2``, ``embed``, ``acovf_biased``, ``acf``,
+  ``pacf_ldb``), the AR-by-AIC whitening with its lstsq fallback
+  (``ar_by_aic_resid``), the lstsq level-trend heuristic
+  (``heuristic_level_trend``) and the np.convolve seasonal heuristic
+  (``heuristic_seasonal``), the per-series acf/pacf/arch/nonlinearity/
+  unitroot_pp/hurst kernels and STL tail (``*_numpy``, ``stl_row_numpy``)
+  and the per-tile lumpiness/stability loop (``tiled_stat_loop``);
+- Python-float ports of ``lsq`` (``lsq_port``) and ``acovf``
+  (``acovf_port``) and the numpy R/S range of ``hurst_rs``
+  (``hurst_rs_numpy``, with the Python upper envelope beyond 2,000
+  points);
 - the numpy STL (``stl_decompose_numpy`` over ``_loess_grid``,
   ``_loess_fixed_window``, ``_loess_at`` and ``_moving_average``), which
-  the compiled ``stl_fit`` matches to rounding (its sums run left to
-  right instead of through BLAS), and SuperSmoother's per-point span
+  the compiled ``stl_fit`` matches to rounding, a Python-float port of
+  ``stl_fit`` (``stl_fit_port``), and SuperSmoother's per-point span
   interpolation loop (``supersmoother_fit_loop``).
 
-Long GARCH series (n >= LIBM_LOG_N) use ``math.log`` (libm); shorter ones
-use ``np.log``: the GARCH log rule the engine follows.
+GARCH's log-likelihood takes libm ``log`` (``math.log``) on every lane.
+The retired rule -- numpy's CPU-dispatched ``np.log`` below LIBM_LOG_N
+points -- survives only as ``_garch_nll_prefix``'s default ``log``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from math import log
 
 import numpy as np
 
-from tsfeatures_ray.kernels._batch import (
-    _PENALTY,
-    _heuristic_level_trend_each,
-    _heuristic_seasonal_each,
-)
-from tsfeatures_ray.kernels._math import ols_fit
+from tsfeatures_ray.kernels._batch import _ragged, level_trend, seasonal_heuristic
+from tsfeatures_ray.kernels._math import scalets
 from tsfeatures_ray.kernels.stl import _fixed_smooth, _linear_smooth_cv, _next_odd_gt
 
 LIBM_LOG_N = 512
+_PENALTY = 1e12  # an objective's out-of-region value (_steps.c PENALTY)
+
+
+def _heuristic_level_trend_each(ys):
+    """The engine's level/trend heuristic, per series."""
+    return level_trend(*_ragged(list(ys)))
+
+
+def _heuristic_seasonal_each(ys, m):
+    """The engine's seasonal heuristic, per series."""
+    return seasonal_heuristic(*_ragged(list(ys)), m)
 
 
 def pad_sorted_time_major(ys):
@@ -340,7 +365,7 @@ def _hw_sse_prefix(a, b, g, l0, b0, s0, yT, cnt, m) -> np.ndarray:
     return sse
 
 
-def _garch_nll_prefix(omega, a, b, e2T, cnt, backcast) -> np.ndarray:
+def _garch_nll_prefix(omega, a, b, e2T, cnt, backcast, log=np.log) -> np.ndarray:
     """Gaussian NLL for (S, K) candidate lanes over time-major,
     length-desc-sorted padded e2T (T, S). Same recursion and summation
     order as the original per-series nll ((l2pi + log(s)) + e2t/s);
@@ -369,7 +394,7 @@ def _garch_nll_prefix(omega, a, b, e2T, cnt, backcast) -> np.ndarray:
             np.multiply(b[:c], sc, out=t2c)
             np.add(t1c, t2c, out=t1c)                   # s_new
             bad[:c] |= t1c <= 0
-            np.log(t1c, out=t2c)
+            t2c[...] = log(t1c)
             np.add(l2pi, t2c, out=t2c)                  # l2pi + log(s)
             np.divide(e2t, t1c, out=t3c)                # e2t / s
             np.add(t2c, t3c, out=t2c)
@@ -464,8 +489,7 @@ def hw_fit_single(y: np.ndarray, m: int) -> tuple[float, float, float]:
 
 def garch_mu_single(x: np.ndarray, mu: float, var0: float) -> float:
     """Per-series two-round GARCH(1,1) mu fit: the NLL is a Python-float
-    loop with scalar np.log (bit-equal to np.log(array)[i], unlike
-    math.log) below LIBM_LOG_N points and math.log from there on."""
+    loop with math.log (libm), the backcast a left-to-right sum."""
     n = len(x)
     l2pi = math.log(2 * math.pi)
     tau = min(75, n)
@@ -480,8 +504,9 @@ def _garch_mu_single_rounds(x, mu, q, w, tau, l2pi):
     n = len(x)
     for _ in range(2):
         e2 = (x - mu) ** 2
-        # np.sum of the product (not np.dot: BLAS ddot is alignment-dependent)
-        backcast = float(np.sum(w * e2[:tau]))
+        backcast = 0.0
+        for v in (w * e2[:tau]).tolist():
+            backcast = backcast + v
         e2l = e2.tolist()
 
         def nll(p: np.ndarray) -> float:
@@ -491,45 +516,16 @@ def _garch_mu_single_rounds(x, mu, q, w, tau, l2pi):
             s_t = backcast
             prev = backcast
             ll = 0.0
-            bad = False
             for e2t in e2l:
                 s_t = (omega + a * prev) + b * s_t
                 if s_t <= 0:
-                    bad = True
-                ll += (l2pi + float(np.log(s_t))) + e2t / s_t
+                    return _PENALTY
+                ll += (l2pi + math.log(s_t)) + e2t / s_t
                 prev = e2t
             half = 0.5 * ll
-            if not math.isfinite(half) or bad:
-                return _PENALTY
-            return half
+            return half if math.isfinite(half) else _PENALTY
 
-        if n >= LIBM_LOG_N:
-            # the GARCH log rule: libm log from LIBM_LOG_N points on
-            ml = math.log
-
-            def nll_fast(p: np.ndarray) -> float:
-                omega, a, b = float(p[0]), float(p[1]), float(p[2])
-                if not (omega > 0 and a >= 0 and b >= 0 and a + b < 0.9999):
-                    return _PENALTY
-                s_t = backcast
-                prev = backcast
-                ll = 0.0
-                bad = False
-                for e2t in e2l:
-                    s_t = (omega + a * prev) + b * s_t
-                    if s_t <= 0:
-                        bad = True
-                        break
-                    ll += (l2pi + ml(s_t)) + e2t / s_t
-                    prev = e2t
-                half = 0.5 * ll
-                if bad or not math.isfinite(half):
-                    return _PENALTY
-                return half
-
-            q, _ = nelder_mead(nll_fast, q, step=0.2, max_iter=60)
-        else:
-            q, _ = nelder_mead(nll, q, step=0.2, max_iter=60)
+        q, _ = nelder_mead(nll, q, step=0.2, max_iter=60)
         omega, a, b = float(q[0]), float(q[1]), float(q[2])
         if not (omega > 0 and a >= 0 and b >= 0 and a + b < 0.9999):
             break
@@ -870,3 +866,849 @@ def stl_fit_port(y, m, ns, nt, nl):
         se = [c[m + j] - low[j] for j in range(n)]
         tr = _loess_grid_port([y[j] - se[j] for j in range(n)], nt)
     return tr, se
+
+
+# ---------------------------------------------------------------------------
+# the numpy paths the compiled primitives replaced
+# ---------------------------------------------------------------------------
+
+def nelder_mead_batch(
+    obj,
+    x0: np.ndarray,
+    step: float = 0.1,
+    max_iter: int = 400,
+    xtol: float = 1e-6,
+    ftol: float = 1e-10,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize S independent objectives with the standard Nelder-Mead
+    rules per lane (simplex construction, stable sort order, branch
+    rules, convergence test, first-minimum selection). ``obj(P, idx) ->
+    (M, K)`` evaluates K candidate points per lane for the M lanes
+    selected by ``idx`` (ascending; converged lanes drop out).
+    Returns (x_best (S, n), f_best (S,))."""
+    x0 = np.asarray(x0, dtype=float)
+    S, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for i in range(n):
+        xi = sim[:, i + 1, i]
+        sim[:, i + 1, i] = np.where(
+            xi == 0.0, xi + step, xi + step * np.maximum(np.abs(xi), 1.0)
+        )
+    idx = np.arange(S)
+    fs = obj(sim, idx)
+    final_sim = sim.copy()
+    final_fs = fs.copy()
+
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    for _ in range(max_iter):
+        if len(idx) == 0:
+            break
+        order = np.argsort(fs, axis=1, kind="stable")
+        rows = np.arange(len(idx))[:, None]
+        sim = sim[rows, order]
+        fs = fs[rows, order]
+        spread = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
+        conv = (spread < xtol) & (np.abs(fs[:, -1] - fs[:, 0]) < ftol)
+        if conv.any():
+            done = idx[conv]
+            final_sim[done] = sim[conv]
+            final_fs[done] = fs[conv]
+            keep = ~conv
+            sim, fs, idx = sim[keep], fs[keep], idx[keep]
+            if len(idx) == 0:
+                break
+        # sequential-sum centroid of the n best points
+        centroid = sim[:, 0, :].copy()
+        for j in range(1, n):
+            centroid += sim[:, j, :]
+        centroid /= n
+        worst = sim[:, -1, :]
+        xr = centroid + alpha * (centroid - worst)
+        xe = centroid + gamma * (centroid - worst)
+        xc = centroid + rho * (worst - centroid)
+        # one stacked 3-candidate eval: a step loop costs per call, not
+        # per candidate, so (xr, xe, xc) together cost barely more than xr
+        cand = np.empty((len(idx), 3, n))
+        cand[:, 0], cand[:, 1], cand[:, 2] = xr, xe, xc
+        fvals = obj(cand, idx)
+        fr, fe, fc = fvals[:, 0], fvals[:, 1], fvals[:, 2]
+        fs0, fs_sw, fs_last = fs[:, 0], fs[:, -2], fs[:, -1]
+        case2 = fr < fs0
+        case1 = (fs0 <= fr) & (fr < fs_sw)
+        case3 = ~(case1 | case2)
+        use_xe = case2 & (fe < fr)
+        use_xc = case3 & (fc < fs_last)
+        shrink = case3 & ~use_xc
+        newpt = np.where(use_xe[:, None], xe, xr)
+        newf = np.where(use_xe, fe, fr)
+        newpt = np.where(use_xc[:, None], xc, newpt)
+        newf = np.where(use_xc, fc, newf)
+        repl = ~shrink
+        sim[repl, -1, :] = newpt[repl]
+        fs[repl, -1] = newf[repl]
+        if shrink.any():
+            shr = sim[:, :1, :] + sigma * (sim[:, 1:, :] - sim[:, :1, :])
+            fshr = obj(shr, idx)
+            sim[shrink, 1:, :] = shr[shrink]
+            fs[shrink, 1:] = fshr[shrink]
+    if len(idx):
+        final_sim[idx] = sim
+        final_fs[idx] = fs
+    k = np.argmin(final_fs, axis=1)
+    rows = np.arange(S)
+    return final_sim[rows, k], final_fs[rows, k]
+
+
+def heuristic_level_trend(y: np.ndarray) -> tuple[float, float]:
+    """OLS line through the first min(10, n) observations."""
+    k = min(10, len(y))
+    t = np.arange(k, dtype=float)
+    A = np.column_stack([np.ones(k), t])
+    coef, _, _, _ = np.linalg.lstsq(A, y[:k], rcond=None)
+    return float(coef[0]), float(coef[1])
+
+
+
+def heuristic_seasonal(y: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:
+    """Hyndman-style heuristic: centered-MA detrend over the first cycles ->
+    seasonal indices (sum 0); level/trend line from the adjusted series."""
+    n = len(y)
+    ncycles = min(5, n // m)
+    yy = y[: ncycles * m]
+    # centered moving average of window m
+    if m % 2 == 0:
+        kernel = np.concatenate([[0.5], np.ones(m - 1), [0.5]]) / m
+    else:
+        kernel = np.ones(m) / m
+    trend = np.convolve(yy, kernel, mode="valid")
+    pad = (len(yy) - len(trend)) // 2
+    detr = yy[pad : pad + len(trend)] - trend
+    idx = (np.arange(pad, pad + len(trend))) % m
+    s = np.zeros(m)
+    for j in range(m):
+        vals = detr[idx == j]
+        s[j] = vals.mean() if len(vals) else 0.0
+    s -= s.mean()
+    adj = y - s[np.arange(n) % m]
+    l0, b0 = heuristic_level_trend(adj)
+    return l0, b0, s
+
+
+
+def embed(x: np.ndarray, p: int) -> np.ndarray:
+    """R-style embedding matrix (reference utils.py:45-62).
+
+    Row i = [x[i+p-1], x[i+p-2], ..., x[i]]; shape (n-p+1, p).
+    """
+    x = np.asarray(x)
+    out = np.empty((len(x) - p + 1, p), dtype=x.dtype)
+    for k in range(p):
+        out[:, k] = x[p - 1 - k : len(x) - k]
+    return out
+
+
+def poly_numpy(x: np.ndarray, p: int) -> np.ndarray:
+    """Orthogonal polynomials of degree 1..p via QR (reference utils.py:25-43)."""
+    X = np.transpose(np.vstack([x.astype(float) ** k for k in range(p + 1)]))
+    return np.linalg.qr(X)[0][:, 1:]
+
+
+def acovf_biased(x: np.ndarray, nlags: int) -> np.ndarray:
+    """Biased sample autocovariance gamma_0..gamma_nlags (divide by n).
+
+    Matches statsmodels acovf(adjusted=False) which underlies
+    acf(fft=False) and pacf(method='ldb').
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    xm = x - (x.mean() if n else 0.0)  # empty: no lags (and no warning)
+    nlags = min(nlags, n - 1)
+    # FFT-free direct computation (vectorized dot per lag; nlags is small)
+    out = np.empty(nlags + 1)
+    for k in range(nlags + 1):
+        out[k] = np.dot(xm[: n - k], xm[k:]) / n
+    return out
+
+
+def acf(x: np.ndarray, nlags: int) -> np.ndarray:
+    """Autocorrelation function, statsmodels ``acf(x, nlags, fft=False)``.
+
+    Returns array of length min(nlags, n-1)+1 with acf[0] == 1.
+    """
+    acov = acovf_biased(x, nlags)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return acov / acov[0]
+
+
+def pacf_ldb(x: np.ndarray, nlags: int) -> np.ndarray:
+    """Partial ACF via Levinson-Durbin on biased autocovariance.
+
+    Matches statsmodels ``pacf(x, nlags=nlags, method='ldb')``
+    (reference tsfeatures.py:535, 548, 557). Returns length nlags+1,
+    pacf[0] == 1. Raises on degenerate (zero-variance) input like the
+    statsmodels recursion would produce inf/nan.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if nlags >= n:
+        raise ValueError("nlags must be < len(x)")
+    acov = acovf_biased(x, nlags)
+    pacf = np.empty(nlags + 1)
+    pacf[0] = 1.0
+    phi = np.zeros((nlags + 1, nlags + 1))
+    sig = np.zeros(nlags + 1)
+    if nlags >= 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi[1, 1] = acov[1] / acov[0]
+        sig[1] = acov[0] - phi[1, 1] * acov[1]
+        pacf[1] = phi[1, 1]
+    for k in range(2, nlags + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi[k, k] = (acov[k] - np.dot(phi[1:k, k - 1], acov[1:k][::-1])) / sig[k - 1]
+        for j in range(1, k):
+            phi[j, k] = phi[j, k - 1] - phi[k, k] * phi[k - j, k - 1]
+        sig[k] = sig[k - 1] * (1.0 - phi[k, k] ** 2)
+        pacf[k] = phi[k, k]
+    return pacf
+
+
+def ols_fit(X: np.ndarray, y: np.ndarray, add_intercept: bool = True):
+    """OLS via lstsq. Returns (params, resid, fitted).
+
+    With ``add_intercept`` the intercept is the FIRST parameter,
+    matching statsmodels ``add_constant`` + ``OLS`` ordering.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if add_intercept:
+        X = np.column_stack([np.ones(len(X)), X])
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        # fail fast (callers' except->NaN paths); avoids LAPACK stderr noise
+        raise ValueError("non-finite values in OLS input")
+    params, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    fitted = X @ params
+    return params, y - fitted, fitted
+
+
+def ols_r2(X: np.ndarray, y: np.ndarray) -> float:
+    """R^2 of OLS with intercept (sklearn LinearRegression().score)."""
+    _, resid, _ = ols_fit(X, y, add_intercept=True)
+    ssr = float(np.sum(resid**2))
+    sst = float(np.sum((y - y.mean()) ** 2))
+    if sst == 0.0:
+        # sklearn returns 1.0 when the model is perfect, 0.0-ish otherwise;
+        # for constant y with perfect fit r2 = 1. Mirror sklearn behavior.
+        return 1.0 if ssr < 1e-12 else 0.0
+    return 1.0 - ssr / sst
+
+
+def ar_by_aic_resid(x: np.ndarray) -> np.ndarray:
+    """Whiten x with an AR(p) model, p chosen by AIC (trend='c').
+
+    Lag selection via ONE reduced QR of the full-maxlag design matrix:
+    the candidate models are nested (columns [const, lag1..lagk] are a
+    prefix of [const, lag1..lagmaxlag]), so RSS_k = ||y||^2 - sum_{j<=k}
+    (q_j.y)^2 gives every candidate's sigma^2 from a single
+    factorization instead of maxlag separate lstsq solves (the AR stage
+    was the heterogeneity kernel's second-largest cost). Ties/guards
+    mirror the loop form: strict-improvement argmin, sigma2<=0 skipped,
+    non-finite falls back to the per-lag lstsq path."""
+    n = len(x)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input")
+    maxlag = int(min(n - 1, np.floor(10 * np.log10(n)))) if n else 0
+    if maxlag < 1:
+        raise ValueError("series too short for AR fit")
+    # candidate fits share the sample conditioned at maxlag
+    mat = embed(x, maxlag + 1)  # rows: [x_t, x_{t-1}, ..., x_{t-maxlag}]
+    y = mat[:, 0]
+    nobs = len(y)
+    lag = None
+    if nobs > maxlag + 1:  # QR prefix-RSS needs a tall design matrix
+        try:
+            X = np.column_stack([np.ones(nobs), mat[:, 1:]])
+            q, _ = np.linalg.qr(X, mode="reduced")
+            qty = q.T @ y
+            rss = float(y @ y) - np.cumsum(qty**2)
+            sigma2 = rss[1:] / nobs  # candidate k uses columns 0..k
+            # ||y||^2 - cumsum can cancel to a small NEGATIVE value for
+            # near-perfectly-fitting lags; the lstsq path would compute a
+            # tiny positive sigma2 and could select such a candidate, so
+            # a negative rss must route to the fallback loop rather than
+            # silently excluding the candidate via aic=inf
+            if np.any(sigma2 < 0):
+                sigma2 = np.array([np.nan])  # force the lstsq fallback
+            if np.all(np.isfinite(sigma2)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    aic = np.log(sigma2) + 2.0 * (np.arange(1, maxlag + 1) + 1) / nobs
+                aic = np.where(sigma2 > 0, aic, np.inf)
+                k = int(np.argmin(aic))
+                lag = k + 1 if np.isfinite(aic[k]) else 1
+        except np.linalg.LinAlgError:
+            pass
+    if lag is None:  # degenerate design: per-lag lstsq fallback
+        best = (np.inf, 1)
+        for cand in range(1, maxlag + 1):
+            X = np.column_stack([np.ones(nobs), mat[:, 1 : cand + 1]])
+            params, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+            resid = y - X @ params
+            s2 = float(np.sum(resid**2)) / nobs
+            if s2 <= 0:
+                continue
+            a = np.log(s2) + 2.0 * (cand + 1) / nobs
+            if a < best[0]:
+                best = (a, cand)
+        lag = best[1]
+    # refit the winner on its own full conditional sample
+    mat = embed(x, lag + 1)
+    y = mat[:, 0]
+    X = np.column_stack([np.ones(len(y)), mat[:, 1 : lag + 1]])
+    params, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+    return y - X @ params
+
+
+def acf_features_numpy(x: np.ndarray, freq: int = 1) -> dict:
+    """Autocorrelation features (reference tsfeatures.py:35-101)."""
+    x = np.asarray(x, dtype=float)
+    m = freq
+    size_x = len(x)
+
+    try:
+        acfx = acf(x, nlags=max(m, 10))
+    except Exception:
+        acfx = np.array([np.nan])
+    if size_x > 10:
+        acfdiff1x = acf(np.diff(x, n=1), nlags=10)
+    else:
+        acfdiff1x = np.array([np.nan] * 2)
+    if size_x > 11:
+        acfdiff2x = acf(np.diff(x, n=2), nlags=10)
+    else:
+        acfdiff2x = np.array([np.nan] * 2)
+
+    try:
+        acf_1 = acfx[1]
+    except IndexError:
+        acf_1 = np.nan
+    sum_of_sq_acf10 = float(np.sum(acfx[1:11] ** 2)) if size_x > 10 else np.nan
+    diff1_acf1 = acfdiff1x[1] if len(acfdiff1x) > 1 else np.nan
+    diff1_acf10 = float(np.sum(acfdiff1x[1:11] ** 2)) if size_x > 10 else np.nan
+    diff2_acf1 = acfdiff2x[1] if len(acfdiff2x) > 1 else np.nan
+    diff2_acf10 = float(np.sum(acfdiff2x[1:11] ** 2)) if size_x > 11 else np.nan
+
+    output = {
+        "x_acf1": float(acf_1),
+        "x_acf10": sum_of_sq_acf10,
+        "diff1_acf1": float(diff1_acf1),
+        "diff1_acf10": diff1_acf10,
+        "diff2_acf1": float(diff2_acf1),
+        "diff2_acf10": diff2_acf10,
+    }
+    if m > 1:
+        output["seas_acf1"] = float(acfx[m]) if len(acfx) > m else np.nan
+    return output
+
+
+def arch_stat_numpy(x: np.ndarray, freq: int = 1, lags: int = 12, demean: bool = True) -> dict:
+    """R^2 of x_t^2 on its first 12 lags (reference tsfeatures.py:103-134)."""
+    x = np.asarray(x, dtype=float)
+    if len(x) <= lags + 1:
+        return {"arch_lm": np.nan}
+    if demean:
+        x = x - np.mean(x)
+    mat = embed(x**2, lags + 1)
+    X = mat[:, 1:]
+    y = mat[:, 0]
+    try:
+        r_squared = ols_r2(X, y)
+    except Exception:
+        r_squared = np.nan
+    return {"arch_lm": float(r_squared)}
+
+
+class _UpperEnvelope:
+    """Upper envelope of lines f_j(m) = y[j] - t[j]*m added with strictly
+    DECREASING slopes (-t[j]); queries at arbitrary m in O(log n).
+
+    Hull lines are kept in addition order; consecutive breakpoints
+    bps[k] = intersection(hull[k], hull[k+1]) are non-increasing, so the
+    winner at m is the first hull line whose breakpoint is <= m.
+    """
+
+    __slots__ = ("y", "t", "hull", "negbps")
+
+    def __init__(self, y, t):
+        self.y, self.t = y, t
+        self.hull: list[int] = []
+        self.negbps: list[float] = []  # negated breakpoints, increasing
+
+    def _inter(self, a: int, b: int) -> float:
+        return (self.y[b] - self.y[a]) / (self.t[b] - self.t[a])
+
+    def add(self, j: int) -> None:
+        hull, negbps = self.hull, self.negbps
+        while hull:
+            x_new = self._inter(hull[-1], j)
+            # hull[-1] wins only on [x_prev_pair, +inf) vs its neighbor
+            # and on [x_new, +inf) vs j; empty interval -> pop
+            if negbps and -x_new <= negbps[-1]:
+                hull.pop()
+                negbps.pop()
+                continue
+            negbps.append(-x_new)
+            break
+        self.hull.append(j)
+
+    def query(self, m: float) -> float:
+        k = bisect_left(self.negbps, -m)
+        j = self.hull[k]
+        return self.y[j] - self.t[j] * m
+
+
+def _prefix_ptp_envelope(y: np.ndarray, t: np.ndarray, mean_t: np.ndarray) -> np.ndarray:
+    """r_t[i] = max_{j<=i}(y[j]-t[j]*m_i) - min_{j<=i}(y[j]-t[j]*m_i) in
+    O(n log n). min via negation: min f = -max(-y[j] - t[j]*(-m))."""
+    n = len(y)
+    yl = y.tolist()
+    tl = t.tolist()
+    yneg = (-y).tolist()
+    env_max = _UpperEnvelope(yl, tl)
+    env_min = _UpperEnvelope(yneg, tl)
+    ml = mean_t.tolist()
+    r = np.empty(n)
+    for i in range(n):
+        env_max.add(i)
+        env_min.add(i)
+        m = ml[i]
+        r[i] = env_max.query(m) + env_min.query(-m)
+    return r
+
+
+def hurst_numpy(x: np.ndarray, freq: int = 1) -> dict:
+    """Rescaled-range Hurst exponent (reference tsfeatures.py:370-390,
+    utils.py:131-162).
+
+    Vectorized: s_t via prefix sums (identical values to the reference's
+    per-prefix loop); r_t via chunked broadcasting (O(n^2) work like the
+    reference, but NumPy-vectorized; memory bounded by the chunk size).
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        n = x.size
+        t = np.arange(1, n + 1, dtype=float)
+        y = x.cumsum()
+        mean_t = y / t
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s_t = np.sqrt(np.maximum(np.cumsum(x**2) / t - mean_t**2, 0.0))
+            if n <= 2000:
+                r_t = np.empty(n)
+                chunk = max(1, int(2_000_000 // max(n, 1)))
+                for lo in range(0, n, chunk):
+                    hi = min(lo + chunk, n)
+                    idx = np.arange(lo, hi)
+                    # dev[i, j] = y[j] - (j+1) * mean_t[i]; ptp of each
+                    # row's prefix j <= i via running cummax/cummin and
+                    # the diagonal entry
+                    dev = y[None, :hi] - t[None, :hi] * mean_t[idx, None]
+                    cmax = np.maximum.accumulate(dev, axis=1)
+                    cmin = np.minimum.accumulate(dev, axis=1)
+                    r_t[lo:hi] = (
+                        cmax[np.arange(hi - lo), idx] - cmin[np.arange(hi - lo), idx]
+                    )
+            else:
+                # O(n log n): dev_j(m) = y[j] - t_j*m is a line in m; the
+                # prefix max/min over j <= i is an upper/lower envelope of
+                # lines added in strictly decreasing slope order (slope
+                # -t_j), queried at m_i. The envelope evaluates the SAME
+                # expression y[j] - t_j*m as the brute force, so values
+                # are bit-identical. (SURVEY.md §2.1 row 11.)
+                r_t = _prefix_ptp_envelope(y, t, mean_t)
+            r_s = np.log(r_t / s_t)[1:]
+        logt = np.log(t)[1:]
+        if not np.all(np.isfinite(r_s)):
+            # reference: lstsq on nan/inf raises -> except -> nan
+            raise FloatingPointError("non-finite R/S")
+        a = np.column_stack((logt, np.ones(logt.size)))
+        h, _ = np.linalg.lstsq(a, r_s, rcond=-1)[0]
+        h = float(h)
+    except Exception:
+        h = np.nan
+    return {"hurst": h}
+
+
+def tiled_stat_loop(x: np.ndarray, freq: int, stat) -> float:
+    """Shared tiling for lumpiness/stability (reference tsfeatures.py:448-479,
+    614-645): floor(n/width) full tiles, trailing remainder dropped."""
+    width = 10 if freq == 1 else freq
+    nr = len(x)
+    nsegs = int(nr / width)
+    if nr < 2 * width:
+        return 0.0
+    vals = [stat(x[i * width : (i + 1) * width]) for i in range(nsegs)]
+    return float(np.nanvar(vals, ddof=1))
+
+
+def nonlinearity_numpy(x: np.ndarray, freq: int = 1) -> dict:
+    """Terasvirta neural-network test (reference tsfeatures.py:481-503,
+    utils.py:68-129; lag=1, scale=True)."""
+    x = np.asarray(x, dtype=float)
+    try:
+        z = scalets(x)
+        size_x = len(z)
+        ymat = embed(z, 2)
+        X = ymat[:, 1:]
+        yv = ymat[:, 0]
+        _, u, _ = ols_fit(X, yv, add_intercept=True)
+        ssr0 = float((u**2).sum())
+        x1 = X[:, 0]
+        X_nn = np.column_stack([x1, x1**2, x1**3])
+        _, v, _ = ols_fit(X_nn, u, add_intercept=True)
+        ssr = float((v**2).sum())
+        stat = size_x * log(ssr0 / ssr)
+        test = 10.0 * stat / size_x
+    except Exception:
+        test = np.nan
+    return {"nonlinearity": float(test)}
+
+
+def pacf_features_numpy(x: np.ndarray, freq: int = 1) -> dict:
+    """Partial autocorrelation features (reference tsfeatures.py:505-576).
+
+    statsmodels pacf raises when nlags >= n // 2; we replicate that gate
+    so short seasonal series degrade to NaN exactly like the reference.
+    """
+    x = np.asarray(x, dtype=float)
+    m = freq
+    nlags_ = max(m, 5)
+
+    def _pacf(arr: np.ndarray, nlags: int) -> np.ndarray:
+        if nlags >= len(arr) // 2:
+            raise ValueError("nlags must be < 50% of sample size")
+        return pacf_ldb(arr, nlags)
+
+    if len(x) > 1:
+        try:
+            pacfx = _pacf(x, nlags_)
+        except Exception:
+            pacfx = np.array(np.nan)
+    else:
+        pacfx = np.array(np.nan)
+
+    if len(x) > 5 and not np.all(np.isnan(pacfx)):
+        pacf_5 = float(np.sum(pacfx[1:6] ** 2))
+    else:
+        pacf_5 = np.nan
+
+    if len(x) > 6:
+        try:
+            diff1_pacf = _pacf(np.diff(x, n=1), 5)[1:6]
+            diff1_pacf_5 = float(np.sum(diff1_pacf**2))
+        except Exception:
+            diff1_pacf_5 = np.nan
+    else:
+        diff1_pacf_5 = np.nan
+
+    if len(x) > 7:
+        try:
+            diff2_pacf = _pacf(np.diff(x, n=2), 5)[1:6]
+            diff2_pacf_5 = float(np.sum(diff2_pacf**2))
+        except Exception:
+            diff2_pacf_5 = np.nan
+    else:
+        diff2_pacf_5 = np.nan
+
+    output = {
+        "x_pacf5": pacf_5,
+        "diff1x_pacf5": diff1_pacf_5,
+        "diff2x_pacf5": diff2_pacf_5,
+    }
+    if m > 1:
+        try:
+            output["seas_pacf"] = float(pacfx[m]) if pacfx.ndim and len(pacfx) > m else np.nan
+        except Exception:
+            output["seas_pacf"] = np.nan
+    return output
+
+
+def unitroot_pp_numpy(x: np.ndarray, freq: int = 1) -> dict:
+    """Phillips-Perron rho statistic (reference tsfeatures.py:818-838,
+    utils.py:164-213, ported to pure NumPy)."""
+    x = np.asarray(x, dtype=float)
+    try:
+        n = len(x)
+        lmax = int(4 * (n / 100) ** 0.25)
+        y, y_l1 = x[1:], x[: n - 1]
+        n -= 1
+        if n < 1:
+            raise ValueError("series too short")
+        params, res, _ = ols_fit(y_l1, y, add_intercept=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = 1.0 / (n * np.sum(res**2))
+            myybar = (1.0 / n**2) * float(((y - y.mean()) ** 2).sum())
+            coprods = np.array(
+                [float(np.sum(res[i + 1 :] * res[: n - i - 1])) for i in range(lmax)]
+            )
+            weights = 1.0 - (np.arange(lmax) + 1.0) / (lmax + 1.0)
+            sig = s + (2.0 / n) * float((weights * coprods).sum())
+            lambda_ = 0.5 * (sig - s)
+            alpha = params[1]
+            test_stat = n * (alpha - 1.0) - lambda_ / myybar
+        test_stat = float(test_stat)
+    except Exception:
+        test_stat = np.nan
+    return {"unitroot_pp": test_stat}
+
+
+def stl_row_numpy(x: np.ndarray, m: int, dec) -> dict:
+    """stl_features of one series given its STL (trend, seasonal
+    component), or None where STL could not run; a row that cannot be
+    computed holds only nperiods and seasonal_period."""
+    head = {"nperiods": float(m > 1), "seasonal_period": float(m)}
+    if m > 1:
+        if dec is None:
+            return head
+        trend0, seasonal = dec
+        remainder = x - trend0 - seasonal
+    else:
+        try:
+            if len(x) < 4:
+                raise ValueError("too short for supersmoother")
+            trend0 = supersmoother_fit(x)
+        except Exception:
+            return head
+        remainder = x - trend0
+        seasonal = np.zeros(len(x))
+
+    deseason = x - seasonal
+    n = len(x)
+    varx = np.nanvar(x, ddof=1)
+    vare = np.nanvar(remainder, ddof=1)
+    vardeseason = np.nanvar(deseason, ddof=1)
+
+    if varx < np.finfo(float).eps:
+        trend_strength = 0.0
+    elif vardeseason / varx < 1e-10:
+        trend_strength = 0.0
+    else:
+        trend_strength = max(0.0, min(1.0, 1.0 - vare / vardeseason))
+
+    if m > 1:
+        denom = np.nanvar(remainder + seasonal, ddof=1)
+        if varx < np.finfo(float).eps or denom < np.finfo(float).eps:
+            season_strength = 0.0
+        else:
+            season_strength = max(0.0, min(1.0, 1.0 - vare / denom))
+        peak = (int(np.argmax(seasonal)) + 1) % m
+        peak = m if peak == 0 else peak
+        trough = (int(np.argmin(seasonal)) + 1) % m
+        trough = m if trough == 0 else trough
+
+    d = (remainder - np.nanmean(remainder)) ** 2
+    varloo = (vare * (n - 1) - d) / (n - 2)
+    spike = float(np.nanvar(varloo, ddof=1))
+
+    time = np.arange(n) + 1
+    poly_m = poly_numpy(time, 2)
+    coefs, _, _ = ols_fit(poly_m, trend0, add_intercept=True)
+    linearity = float(coefs[1]) if len(coefs) > 1 else np.nan
+    curvature = float(-coefs[2]) if len(coefs) > 2 else np.nan
+
+    acfremainder = acf_features_numpy(remainder, m)
+    output = {
+        **head,
+        "trend": float(trend_strength),
+        "spike": spike,
+        "linearity": linearity,
+        "curvature": curvature,
+        "e_acf1": acfremainder["x_acf1"],
+        "e_acf10": acfremainder["x_acf10"],
+    }
+    if m > 1:
+        output["seasonal_strength"] = float(season_strength)
+        output["peak"] = float(peak)
+        output["trough"] = float(trough)
+    return output
+
+
+# ---------------------------------------------------------------------------
+# Python-float ports of _steps.c lsq and acovf, and the numpy R/S range
+# ---------------------------------------------------------------------------
+
+def _lsq1_port(m, q, X, y, want_q=False):
+    """lsq1 for one lane, statement by statement: (coef, rss, resid, Q
+    columns or None)."""
+    w = q + 1
+    a = [[float(X[t][k]) for k in range(q)] + [float(y[t])] for t in range(m)]
+    cmax = 0.0
+    for k in range(q):
+        ss = 0.0
+        for t in range(m):
+            ss = ss + a[t][k] * a[t][k]
+        cmax = math.sqrt(ss) if math.sqrt(ss) > cmax else cmax
+    tol = 2.220446049250313e-16 * float(max(m, q)) * cmax
+    piv, dep, tau, r = [], [], [], 0
+    for k in range(q):
+        alpha = a[r][k] if r < m else 0.0
+        xs = 0.0
+        for t in range(r + 1, m):
+            xs = xs + a[t][k] * a[t][k]
+        norm = math.sqrt(alpha * alpha + xs)
+        if r >= m or not norm > tol:
+            dep.append((k, r))
+            continue
+        tau.append(0.0)
+        if xs > 0.0:
+            beta = -norm if alpha >= 0.0 else norm
+            sc = 1.0 / (alpha - beta)
+            tau[r] = (beta - alpha) / beta
+            for t in range(r + 1, m):
+                a[t][k] = a[t][k] * sc
+            a[r][k] = beta
+            wk = {j: a[r][j] for j in range(k + 1, w)}
+            for t in range(r + 1, m):
+                for j in range(k + 1, w):
+                    wk[j] = wk[j] + a[t][k] * a[t][j]
+            for j in range(k + 1, w):
+                wk[j] = -tau[r] * wk[j]
+                a[r][j] = a[r][j] + wk[j]
+            for t in range(r + 1, m):
+                for j in range(k + 1, w):
+                    a[t][j] = a[t][j] + a[t][k] * wk[j]
+        piv.append(k)
+        r += 1
+    b = [a[t][q] for t in range(m)]
+    tail = []
+    for s_ in range(r + 1):
+        ss = 0.0
+        for t in range(s_, m):
+            ss = ss + b[t] * b[t]
+        tail.append(ss)
+    rss, coef, s_ = [], [0.0] * q, 0
+    for k in range(q):
+        s_ += s_ < r and piv[s_] == k
+        rss.append(tail[s_])
+    for s_ in range(r - 1, -1, -1):
+        v = b[s_]
+        for u in range(s_ + 1, r):
+            v = v - a[s_][piv[u]] * coef[piv[u]]
+        coef[piv[s_]] = v / a[s_][piv[s_]]
+    if dep and r:
+        d = len(dep)
+        M = [[0.0] * d for _ in range(r + d)]
+        for e, (j, rj) in enumerate(dep):
+            wv = [0.0] * r
+            for s_ in range(r - 1, -1, -1):
+                v = a[s_][j] if s_ < rj else 0.0
+                for u in range(s_ + 1, r):
+                    v = v - a[s_][piv[u]] * wv[u]
+                wv[s_] = v / a[s_][piv[s_]]
+            for s_ in range(r):
+                M[s_][e] = wv[s_]
+            M[r + e][e] = 1.0
+        rhs = [coef[piv[s_]] for s_ in range(r)] + [0.0] * d
+        x2 = _lsq1_port(r + d, d, M, rhs)[0]
+        for s_ in range(r):
+            v = coef[piv[s_]]
+            for e in range(d):
+                v = v - M[s_][e] * x2[e]
+            coef[piv[s_]] = v
+        for e, (j, _) in enumerate(dep):
+            coef[j] = x2[e]
+
+    def apply_q(vec, upto):
+        for s_ in range(upto - 1, -1, -1):
+            if tau[s_] == 0.0:
+                continue
+            u = vec[s_]
+            for t in range(s_ + 1, m):
+                u = u + a[t][piv[s_]] * vec[t]
+            u = -tau[s_] * u
+            vec[s_] = vec[s_] + u
+            for t in range(s_ + 1, m):
+                vec[t] = vec[t] + a[t][piv[s_]] * u
+        return vec
+
+    resid = apply_q([0.0] * r + b[r:], r)
+    cols = [apply_q([1.0 if t == s_ else 0.0 for t in range(m)], s_ + 1)
+            for s_ in range(r)] if want_q else None
+    return coef, rss, resid, cols
+
+
+def lsq_port(roff, p, X, y):
+    """_batch.lsq in Python floats: (coef, rss, resid) as flat lists."""
+    coef, rss, resid, at = [], [], [], 0
+    for i in range(len(p)):
+        m, q = int(roff[i + 1] - roff[i]), int(p[i])
+        Xi = [X[at + t * q: at + (t + 1) * q] for t in range(m)]
+        c, r_, e, _ = _lsq1_port(m, q, Xi, y[roff[i]:roff[i + 1]])
+        coef += c
+        rss += r_
+        resid += e
+        at += m * q
+    return coef, rss, resid
+
+
+def acovf_port(x, nlag, demean=True):
+    """_steps.c acovf for one lane in Python floats: (acov, pacf) lists of
+    nlag + 1 (NaN past the lane)."""
+    x = [float(v) for v in x]
+    n = len(x)
+    mean = 0.0
+    if demean and n:
+        for v in x:
+            mean = mean + v
+        mean = mean / float(n)
+    d = [v - mean for v in x]
+    ac = []
+    for k in range(nlag + 1):
+        if k >= n:
+            ac.append(math.nan)
+            continue
+        s = 0.0
+        for t in range(n - k):
+            s = s + d[t] * d[t + k]
+        ac.append(s / float(n))
+    pc = [math.nan] * (nlag + 1)
+    if nlag < n:
+        phi = [[0.0] * (nlag + 1) for _ in range(nlag + 1)]
+        sig = [0.0] * (nlag + 1)
+        pc[0] = 1.0
+
+        def div(u, v):
+            return u / v if v else (math.nan if u == 0 or u != u else math.copysign(math.inf, u) * math.copysign(1.0, v))
+
+        if nlag >= 1:
+            phi[1][1] = div(ac[1], ac[0])
+            sig[1] = ac[0] - phi[1][1] * ac[1]
+            pc[1] = phi[1][1]
+        for k in range(2, nlag + 1):
+            s = 0.0
+            for j in range(1, k):
+                s = s + phi[j][k - 1] * ac[k - j]
+            pkk = div(ac[k] - s, sig[k - 1])
+            phi[k][k] = pkk
+            for j in range(1, k):
+                phi[j][k] = phi[j][k - 1] - pkk * phi[k - j][k - 1]
+            sig[k] = sig[k - 1] * (1.0 - pkk * pkk)
+            pc[k] = pkk
+    return ac, pc
+
+
+def hurst_rs_numpy(x):
+    """The R/S inputs of the numpy hurst: (r_t, s_t) by the chunked brute
+    force up to 2,000 points and the Python upper envelope beyond."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    t = np.arange(1, n + 1, dtype=float)
+    y = x.cumsum()
+    mean_t = y / t
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s_t = np.sqrt(np.maximum(np.cumsum(x**2) / t - mean_t**2, 0.0))
+        if n > 2000:
+            return _prefix_ptp_envelope(y, t, mean_t), s_t
+        dev = y[None, :] - t[None, :] * mean_t[:, None]
+        cmax = np.maximum.accumulate(dev, axis=1)
+        cmin = np.minimum.accumulate(dev, axis=1)
+        return np.diagonal(cmax) - np.diagonal(cmin), s_t
+

@@ -1,27 +1,29 @@
-"""Gates for the lane-batched kernels (kernels/_batch.py, the STL
-decomposition in kernels/stl.py) and their compiled step loops
-(kernels/_steps.c).
+"""Gates for the batch kernels (kernels/_batch.py, het.py, simple.py,
+stl.py) and their compiled loops (kernels/_steps.c).
 
-1. STEP EQUALITY -- each C loop gives the same bits as the numpy step
-   loop it replaced (tests/_step_oracles.py) on ragged lanes: K = 1..125
-   candidates, NaN and inf values, penalty regions, m in {2, 4, 12, 24},
-   and GARCH lanes on both sides of the libm-log length.
+1. STEP EQUALITY -- each objective loop gives the same bits as the numpy
+   step loop it replaced (tests/_step_oracles.py) on ragged lanes: K =
+   1..125 candidates, NaN and inf values, penalty regions, m in {2, 4,
+   12, 24}; GARCH with libm log on every lane.
 2. PATH EQUALITY -- the lane fits equal the per-series Python-float fits
    (scalar Nelder-Mead) kept in tests/_step_oracles.py.
 3. COMPOSITION INDEPENDENCE -- a series' result does not depend on
    which (or how many) other series share its batch. This is what keeps
    feature outputs deterministic across block layouts, runs and CPU
-   counts. (Regression guard: np.dot on row VIEWS is
-   pointer-alignment-dependent and broke this once -- backcasts use
-   np.sum of the elementwise product.)
+   counts.
 4. STAGE PARITY -- FeatureKernels' batched __call__ equals per-series
    compute_features for every feature column.
-5. BUILD -- the step loops' build flags, cache and failure modes.
+5. BUILD -- the compiled loops' build flags, cache and failure modes.
 6. STL -- the compiled decomposition equals a Python-float port of its
-   loop bit-for-bit and the numpy STL it replaced to rounding, gives the
-   same bytes under every OpenBLAS core type, and stl.py stays free of
-   BLAS calls; SuperSmoother's vectorized interpolation keeps the loop's
-   bits.
+   loop bit-for-bit and the numpy STL it replaced to rounding;
+   SuperSmoother's vectorized interpolation keeps the loop's bits.
+7. PRIMITIVES -- lsq, acovf (with Levinson-Durbin) and the Hurst range
+   equal Python-float ports (or the numpy code) bit for bit and the
+   numpy primitives they replaced to rounding; the compiled Nelder-Mead
+   equals the numpy driver bit for bit; every batch kernel equals the
+   numpy kernel it replaced to rounding on non-degenerate series.
+8. PORTABILITY -- the default kernels give the same bytes under every
+   OpenBLAS core type, and no kernel calls BLAS.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def test_hw_steps_equal_numpy_loop(m, K):
 
 
 def _nll_libm(e2, omega, a, b, backcast):
-    """Python-float GARCH NLL with math.log (libm), the long-lane rule."""
+    """Python-float GARCH NLL with math.log (libm)."""
     if not (omega > 0 and a >= 0 and b >= 0 and a + b < 0.9999):
         return O._PENALTY
     s_t = prev = backcast
@@ -152,6 +154,19 @@ def _nll_libm(e2, omega, a, b, backcast):
         prev = e2t
     half = 0.5 * ll
     return half if math.isfinite(half) else O._PENALTY
+
+
+def _libm_log(a):
+    """math.log elementwise (NaN for x < 0, -inf at 0)."""
+    return np.array([math.log(v) if v > 0 else (-math.inf if v == 0 else math.nan)
+                     for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _garch_nll(lanes, off, e2, omega, a, b, backcast):
+    nll = np.empty(np.shape(omega))
+    B._STEPS.garch_nll(*nll.shape, lanes, off, e2, *(B._f64(v) for v in (omega, a, b)),
+                       backcast, nll)
+    return nll
 
 
 def _garch_case(seed, K):
@@ -171,21 +186,19 @@ def _garch_case(seed, K):
 
 @pytest.mark.parametrize("K", [1, 3, 4, 125])
 def test_garch_steps_equal_numpy_loop_and_libm_rule(K):
+    """Every lane, short or long, takes libm log: the numpy step loop
+    with math.log, and the Python-float loop, give the C loop's bits."""
     _, _, e2s, lanes, off, e2, backcast, omega, a, b = _garch_case(K, K)
-    got = B._garch_nll(lanes, off, e2, omega, a, b, backcast)
+    got = _garch_nll(lanes, off, e2, omega, a, b, backcast)
     n = np.array([len(e2s[i]) for i in lanes])
-    short = n < O.LIBM_LOG_N
-    assert short.any() and (~short).any()
-    # short lanes: the numpy step loop (np.log over the variance buffer)
-    sub = lanes[short]
+    assert (n < O.LIBM_LOG_N).any() and (n >= O.LIBM_LOG_N).any()
     want = _sorted_oracle(
-        e2s, sub,
-        lambda om, a_, b_, bc, yT, cnt: O._garch_nll_prefix(om, a_, b_, yT, cnt, bc),
-        (omega[short], a[short], b[short], backcast[sub]),
+        e2s, lanes,
+        lambda om, a_, b_, bc, yT, cnt: O._garch_nll_prefix(om, a_, b_, yT, cnt, bc, _libm_log),
+        (omega, a, b, backcast[lanes]),
     )
-    assert _same(got[short], want)
-    # long lanes: libm log, exactly what math.log gives
-    for r in np.flatnonzero(~short):
+    assert _same(got, want)
+    for r in range(0, len(lanes), 5):
         i = lanes[r]
         want_r = [_nll_libm(e2s[i].tolist(), float(omega[r, k]), float(a[r, k]),
                             float(b[r, k]), float(backcast[i])) for k in range(K)]
@@ -237,10 +250,10 @@ def test_hw_single_equals_lane():
 
 def test_garch_single_equals_lane():
     pool = [y for y in _series_pool(3) if len(y) >= 10]
-    pool += _series_pool(13, 1, lengths=(600,))  # a libm-log lane
+    pool += _series_pool(13, 1, lengths=(600,))
     mu0 = np.array([float(np.mean(y)) for y in pool])
     var0 = np.array([float(np.var(y)) for y in pool])
-    lane = B._garch_mu(pool, mu0, var0)
+    lane = B._garch_mu(*B._ragged(pool), mu0, var0)
     for i, y in enumerate(pool):
         mu = O.garch_mu_single(y, float(np.mean(y)), float(np.var(y)))
         assert _eq(mu, lane[i]), i
@@ -253,14 +266,13 @@ def test_garch_single_equals_lane():
 def test_composition_independence():
     """The same series gives identical bits alone, at any position of a
     1024-row batch of mixed lengths and mixed seasonal periods, and
-    through the scalar compute_features."""
-    from tsfeatures_ray.kernels import compute_features
-    from tsfeatures_ray.kernels.het import heterogeneity_batch
-    from tsfeatures_ray.kernels.stl import stl_features_batch
+    through the scalar compute_features -- for every batch kernel."""
+    from tsfeatures_ray.kernels import BATCH_KERNELS, DEFAULT_FEATURES, compute_features
 
     rng = np.random.RandomState(4)
-    # (23, 12) and (24, 12): one short of STL and exactly two periods
-    probes = [(100, 12), (30, 4), (600, 24), (13, 2), (23, 12), (24, 12)]
+    # (23, 12) and (24, 12): one short of STL and exactly two periods;
+    # (2100, 1): the Hurst envelope
+    probes = [(100, 12), (30, 4), (600, 24), (13, 2), (23, 12), (24, 12), (2100, 1), (3, 1)]
     lengths = [0, 1, 2, 5, 9, 13, 25, 50, 100, 156, 300, 600]
     filler = [scalets(np.cumsum(rng.randn(int(rng.choice(lengths)))))
               for _ in range(1024 - len(probes))]
@@ -269,22 +281,24 @@ def test_composition_independence():
            for n, m in probes]
     ys = [scalets(x) for x in raw]
     ms = [m for _, m in probes]
+    batch_kernels = [BATCH_KERNELS[f] for f in DEFAULT_FEATURES if f in BATCH_KERNELS]
+    assert len(batch_kernels) == len(BATCH_KERNELS) == 12
 
     def fit(batch, freqs):
-        out = dict(B.holt_parameters_batch(batch))
-        out.update(B.hw_parameters_batch(batch, np.array(freqs)))
-        out.update(heterogeneity_batch(batch, freqs))
-        out.update(stl_features_batch(batch, freqs))
+        out = {}
+        for k in batch_kernels:
+            out.update(k(batch, np.array(freqs)))
         return out
 
     solo = [fit([y], [m]) for y, m in zip(ys, ms)]
     for j, (x, m) in enumerate(zip(raw, ms)):
         scalar = compute_features(x, m)
         for k, v in solo[j].items():
-            assert _eq(scalar[k], v[0]), (j, k)
+            if k in scalar:
+                assert _eq(scalar[k], v[0]), (j, k)
     for shift in range(3):
         # every probe somewhere else in the batch each time: ends and middle
-        pos = [(p * 171 + shift * 511) % 1024 for p in range(len(probes))]
+        pos = [(p * 127 + shift * 511) % 1024 for p in range(len(probes))]
         batch, freqs = list(filler), list(ffreq)
         for p, j in sorted(zip(pos, range(len(probes)))):
             batch.insert(p, ys[j])
@@ -534,15 +548,15 @@ def test_stl_features_match_numpy_oracle():
     At n = 2m STL reproduces the series, so both remainders are rounding
     noise: there the remainder's own statistics (spike, e_acf1, e_acf10)
     are noise on both sides and only the remainder's size is compared.
-    The NaN and constant lanes are left out: the tail's OLS rejects a
-    non-finite trend with either decomposition."""
-    from tsfeatures_ray.kernels.stl import _stl_row, stl_decompose, stl_features_batch
+    The NaN and constant lanes are left out: the numpy tail's OLS
+    rejects a non-finite trend."""
+    from tsfeatures_ray.kernels.stl import stl_decompose, stl_features_batch
 
     cases = [(scalets(x), m) for x, m in _stl_cases() if np.isfinite(x).all() and np.ptp(x) > 0]
     got = stl_features_batch([x for x, _ in cases], [m for _, m in cases])
     for i, (x, m) in enumerate(cases):
         trend, season, resid = O.stl_decompose_numpy(x, m)
-        want = _stl_row(x, m, (trend, season))
+        want = O.stl_row_numpy(x, m, (trend, season))
         noise = 1e-12 * np.abs(x).max()
         if np.abs(resid).max() < noise:
             assert np.abs(stl_decompose(x, m)[2]).max() < noise, i
@@ -573,51 +587,328 @@ def test_supersmoother_interpolation_keeps_the_loop_bits(n):
         assert _same(supersmoother_fit(y), O.supersmoother_fit_loop(y))
 
 
+
+
+# ---------------------------------------------------------------------------
+# 7. primitives
+# ---------------------------------------------------------------------------
+
+def _designs(seed):
+    """Ragged least-squares lanes: tall, square, wide, empty, a zero
+    column, a column repeating an earlier one, a constant regressor next
+    to the intercept, ill-conditioned powers."""
+    rng = np.random.RandomState(seed)
+    lanes = []
+    for m, q in [(30, 3), (8, 8), (5, 9), (0, 2), (1, 2), (40, 13), (12, 1)]:
+        lanes.append(rng.randn(m, q) * rng.uniform(0.1, 10.0, q))
+    X = rng.randn(25, 4)
+    X[:, 2] = 0.0
+    lanes.append(X)
+    X = rng.randn(20, 4)
+    X[:, 3] = 2.0 * X[:, 1]
+    lanes.append(X)
+    lanes.append(np.column_stack([np.ones(9), np.full(9, 3.0)]))
+    z = rng.randn(60)
+    lanes.append(np.column_stack([np.ones(60), z, z**2, z**3]))
+    ys = [rng.randn(len(X)) for X in lanes]
+    roff = B._offsets([len(y) for y in ys])
+    p = np.array([X.shape[1] for X in lanes])
+    Xf = np.concatenate([X.ravel() for X in lanes])
+    return lanes, ys, roff, p, Xf, np.concatenate(ys)
+
+
+def test_lsq_equals_python_port():
+    lanes, ys, roff, p, X, y = _designs(0)
+    coef, rss, resid = B.lsq(roff, p, X, y)
+    w_coef, w_rss, w_resid = O.lsq_port(roff, p, X.tolist(), y.tolist())
+    assert _same(coef, w_coef) and _same(rss, w_rss) and _same(resid, w_resid)
+
+
+def test_lsq_is_minimum_norm_least_squares():
+    """Coefficients and residuals of np.linalg.lstsq (the minimum-norm
+    solution) to rounding, rank-deficient and wide lanes included; rss
+    holds every prefix model's residual sum of squares, and an exact fit
+    leaves residuals of exactly 0."""
+    lanes, ys, roff, p, X, y = _designs(1)
+    coef, rss, resid = B.lsq(roff, p, X, y)
+    coff = B._offsets(p)
+    for i, (Xi, yi) in enumerate(zip(lanes, ys)):
+        c = coef[coff[i]:coff[i + 1]]
+        e = resid[roff[i]:roff[i + 1]]
+        if len(yi) == 0:
+            assert not c.any() and not rss[coff[i]:coff[i + 1]].any()
+            continue
+        want = np.linalg.lstsq(Xi, yi, rcond=None)[0]
+        np.testing.assert_allclose(c, want, rtol=1e-9, atol=1e-12, err_msg=str(i))
+        np.testing.assert_allclose(e, yi - Xi @ want, rtol=1e-9, atol=1e-12, err_msg=str(i))
+        for k in range(Xi.shape[1]):
+            sub = np.linalg.lstsq(Xi[:, :k + 1], yi, rcond=None)[0]
+            r = yi - Xi[:, :k + 1] @ sub
+            np.testing.assert_allclose(rss[coff[i] + k], r @ r, rtol=1e-9, atol=1e-20)
+        if np.linalg.matrix_rank(Xi) == len(yi):
+            assert not e.any(), i
+
+
+def test_acovf_equals_python_port_and_numpy():
+    """acovf / pacf per lane: the bits of the Python-float port; the
+    numpy acovf_biased / pacf_ldb they replaced to rounding."""
+    rng = np.random.RandomState(3)
+    xs = [np.cumsum(rng.randn(n)) for n in (0, 1, 2, 5, 12, 40, 200)]
+    xs.append(np.full(9, 1.5))
+    off, v = B._ragged(xs)
+    nlag = np.array([3, 2, 4, 4, 5, 12, 24, 4])
+    for demean in (True, False):
+        ac, pc = B.acovf(off, v, nlag, demean=demean, pacf=True)
+        for i, x in enumerate(xs):
+            w_ac, w_pc = O.acovf_port(x, int(nlag[i]), demean)
+            assert _same(ac[i, :nlag[i] + 1], w_ac) and _same(pc[i, :nlag[i] + 1], w_pc), i
+            assert np.isnan(ac[i, nlag[i] + 1:]).all()
+    ac, pc = B.acovf(off, v, nlag, pacf=True)
+    for i, x in enumerate(xs[:-1]):
+        k = min(int(nlag[i]), len(x) - 1)
+        if k < 0:
+            continue
+        np.testing.assert_allclose(ac[i, :k + 1], O.acovf_biased(x, k), rtol=1e-12)
+        if nlag[i] < len(x):
+            np.testing.assert_allclose(pc[i, :nlag[i] + 1], O.pacf_ldb(x, int(nlag[i])),
+                                       rtol=1e-9, atol=1e-12)
+
+
+def _nm_cases():
+    """(kind, lanes, off, v, x0, step, max_iter, m, l0, b0, s0, numpy obj)
+    for Holt, Holt-Winters (m = 4) and GARCH, from the starts the fits use
+    and from scattered ones (some outside the region)."""
+    pool = _series_pool(21) + _series_pool(22, 3, lengths=(600,))
+    rng = np.random.RandomState(5)
+    off, y = B._ragged(pool)
+    S = len(pool)
+    lanes = np.arange(S)
+    l0, b0 = B.level_trend(off, y)
+    a = rng.uniform(0.0, 1.0, S)
+    holt_x0 = np.column_stack([a, a * rng.uniform(0.0, 1.2, S), l0, b0])
+
+    def holt_obj(P, idx):
+        a, b = P[..., 0], P[..., 1]
+        valid = (a > 1e-6) & (a < 1 - 1e-6) & (b > 1e-6) & (b <= a)
+        return np.where(valid, B._holt_sse(idx, off, y, a, b, P[..., 2], P[..., 3]), O._PENALTY)
+
+    hw_pool = [x for x in pool if len(x) >= 8]
+    hoff, hy = B._ragged(hw_pool)
+    hl0, hb0, hs0 = B.seasonal_heuristic(hoff, hy, 4)
+    H = len(hw_pool)
+    a = rng.uniform(0.0, 1.0, H)
+    hw_x0 = np.column_stack([a, a * rng.uniform(0.0, 1.2, H), (1 - a) * rng.uniform(0, 1.2, H)])
+
+    def hw_obj(P, idx):
+        a, b, g = P[..., 0], P[..., 1], P[..., 2]
+        valid = ((a > 1e-6) & (a < 1 - 1e-6) & (b > 1e-6) & (b <= a)
+                 & (g > 1e-6) & (g <= 1.0 - a))
+        sse = B._hw_sse(idx, hoff, hy, 4, a, b, g, hl0, hb0, hs0)
+        return np.where(valid, sse, O._PENALTY)
+
+    e2 = y * y
+    bc = np.array([float(np.mean(v[:20] ** 2)) if len(v) else 1.0 for v in pool])
+    garch_x0 = np.column_stack([bc * rng.uniform(0.01, 0.3, S), rng.uniform(0, 0.3, S),
+                                rng.uniform(0.5, 0.95, S)])
+
+    def garch_obj(P, idx):
+        return _garch_nll(idx, off, e2, P[..., 0], P[..., 1], P[..., 2], bc)
+
+    return [
+        (0, lanes, off, y, holt_x0, 0.02, 100, 0, None, None, None, holt_obj),
+        (1, np.arange(H), hoff, hy, hw_x0, 0.03, 50, 4, hl0, hb0, hs0, hw_obj),
+        (2, lanes, off, e2, garch_x0, 0.2, 60, 0, bc, None, None, garch_obj),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["holt", "hw", "garch"])
+def test_nelder_mead_equals_numpy_driver(case):
+    """The compiled per-lane Nelder-Mead lands on the numpy driver's
+    point and value bit for bit from equal starts (GARCH with libm log in
+    both), though it evaluates the expansion and contraction points only
+    when they are read."""
+    kind, lanes, off, v, x0, step, it, m, l0, b0, s0, obj = _nm_cases()[case]
+    got_x, got_f = B.nelder_mead(kind, lanes, off, v, x0, step, it, m=m, l0=l0, b0=b0, s0=s0)
+    want_x, want_f = O.nelder_mead_batch(obj, x0, step=step, max_iter=it)
+    assert _same(got_x, want_x) and _same(got_f, want_f)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2000, 2001, 2600])
+def test_hurst_range_equals_numpy(n):
+    """hurst_rs gives the numpy R/S inputs bit for bit: the brute force
+    up to 2,000 points, the upper envelope beyond."""
+    rng = np.random.RandomState(n)
+    x = scalets(np.cumsum(rng.randn(n))) if n > 1 else rng.randn(n)
+    r, s = np.empty(n), np.empty(n)
+    B._STEPS.hurst_rs(1, np.array([0, n]), B._f64(x), r, s)
+    w_r, w_s = O.hurst_rs_numpy(x)
+    assert _same(r, w_r) and _same(s, w_s)
+
+
+def test_tiled_stats_keep_the_tile_loop_bits():
+    """lumpiness / stability over (rows, tiles, width) arrays equal the
+    per-tile loop they replaced, bit for bit (NaN and constant tiles
+    included)."""
+    from tsfeatures_ray.kernels.simple import lumpiness_batch, stability_batch
+
+    rng = np.random.RandomState(6)
+    xs, fs = [], []
+    for _ in range(300):
+        n = int(rng.randint(0, 300))
+        x = rng.randn(n) * 10 ** rng.uniform(-3, 3)
+        if rng.rand() < 0.1 and n:
+            x[rng.randint(n)] = np.nan
+        if rng.rand() < 0.05:
+            x[:] = 2.0
+        xs.append(x)
+        fs.append(int(rng.choice([1, 4, 7, 12])))
+    lump, stab = lumpiness_batch(xs, fs)["lumpiness"], stability_batch(xs, fs)["stability"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i, (x, f) in enumerate(zip(xs, fs)):
+            assert _same(lump[i], O.tiled_stat_loop(x, f, lambda s: np.nanvar(s, ddof=1))), i
+            assert _same(stab[i], O.tiled_stat_loop(x, f, np.nanmean)), i
+
+
+def test_batch_kernels_match_numpy_kernels():
+    """On non-degenerate series (n >= 40, no exact fits) every moved
+    kernel equals the numpy kernel it replaced to rounding, and the
+    heuristics their np.linalg / np.convolve versions."""
+    from tsfeatures_ray.kernels import simple
+    from tsfeatures_ray.kernels.het import ar_by_aic_resid
+
+    rng = np.random.RandomState(8)
+    xs = [scalets(np.cumsum(rng.randn(n)) + 3 * np.sin(np.arange(n) / 2.0))
+          for n in rng.randint(40, 400, 40)]
+    fs = [int(f) for f in rng.choice([1, 4, 12], 40)]
+    pairs = [(simple.acf_features_batch, O.acf_features_numpy),
+             (simple.pacf_features_batch, O.pacf_features_numpy),
+             (simple.arch_stat_batch, O.arch_stat_numpy),
+             (simple.nonlinearity_batch, O.nonlinearity_numpy),
+             (simple.unitroot_pp_batch, O.unitroot_pp_numpy),
+             (simple.hurst_batch, O.hurst_numpy)]
+    for batch, numpy_kernel in pairs:
+        got = batch(xs, fs)
+        for i, (x, f) in enumerate(zip(xs, fs)):
+            for k, v in numpy_kernel(x, f).items():
+                np.testing.assert_allclose(got[k][i], v, rtol=1e-9, atol=1e-14,
+                                           err_msg=f"{batch.__name__} {i} {k}")
+    off, v = B._ragged(xs)
+    woff, wht, ok = ar_by_aic_resid(off, v)
+    assert ok.all()
+    for i, x in enumerate(xs):
+        np.testing.assert_allclose(wht[woff[i]:woff[i + 1]], O.ar_by_aic_resid(x),
+                                   rtol=1e-9, atol=1e-12)
+        l0, b0 = O.heuristic_level_trend(x)
+        np.testing.assert_allclose(B.level_trend(*B._ragged([x])), ([l0], [b0]), rtol=1e-12)
+        for m in (4, 12):
+            got = B.seasonal_heuristic(*B._ragged([x]), m)
+            for g, w in zip(got, O.heuristic_seasonal(x, m)):
+                np.testing.assert_allclose(np.ravel(g), np.ravel(w), rtol=1e-9, atol=1e-13)
+
+
+def test_constant_series_does_not_abort_the_batch():
+    """A constant series (all NaN once scaled) of >= 4 points at freq 1
+    or >= 2m at freq m gets the reference's NaN STL row -- nperiods and
+    seasonal_period only -- and leaves the other rows of its batch as
+    they are alone; no warning either way."""
+    import pyarrow as pa
+
+    from tsfeatures_ray.kernels import compute_features
+    from tsfeatures_ray.stages.features import FeatureKernels
+
+    sine = np.sin(np.arange(60) / 2.0) + np.arange(60) * 0.05
+    rows = [(np.full(30, 7.0), 12), (sine, 12), (np.full(8, 5.0), 1), (sine[:40], 1)]
+    t = pa.table({"unique_id": [str(i) for i in range(len(rows))],
+                  "freq": pa.array([f for _, f in rows], pa.int64()),
+                  "y": pa.array([x.tolist() for x, _ in rows], pa.list_(pa.float64()))})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = FeatureKernels()(t).to_pandas()
+        alone = [FeatureKernels()(t.slice(i, 1)).to_pandas() for i in range(len(rows))]
+        scalar = [compute_features(x, f) for x, f in rows]
+    stl_nan = ["trend", "spike", "linearity", "curvature", "e_acf1", "e_acf10"]
+    for i, (x, f) in enumerate(rows):
+        for k in out.columns[1:]:
+            assert _eq(out[k][i], alone[i][k][0]), (i, k)
+        for k, v in scalar[i].items():
+            assert _eq(out[k][i], v), (i, k)
+        if np.ptp(x) == 0:
+            assert out["nperiods"][i] == float(f > 1) and out["seasonal_period"][i] == f
+            assert np.isnan(out.loc[i, stl_nan].astype(float)).all()
+        else:
+            assert np.isfinite(out.loc[i, stl_nan].astype(float)).all()
+
+
+# ---------------------------------------------------------------------------
+# 8. portability
+# ---------------------------------------------------------------------------
+
 _CORETYPE_PROBE = """
 import hashlib
 import numpy as np
-from tsfeatures_ray.kernels.golden import USAccDeaths
-from tsfeatures_ray.kernels.stl import stl_decompose
+import pyarrow as pa
+from tsfeatures_ray.stages.features import FeatureKernels
 rng = np.random.RandomState(5)
-cases = [(np.array(USAccDeaths, float), 12), (np.cumsum(rng.randn(260)), 12),
-         (np.cumsum(rng.randn(48)), 24), (np.cumsum(rng.randn(9)), 4)]
+ys, fs = [], []
+for i, n in enumerate([0, 1, 2, 3, 5, 9, 17, 30, 48, 75, 120, 200, 333, 600] * 2):
+    ys.append(np.cumsum(rng.randn(n)) + 4 * np.sin(np.arange(n) / 1.9))
+    fs.append([1, 4, 12, 24][i % 4])
+ys += [np.full(50, 3.0), np.r_[np.cumsum(rng.randn(20)), np.nan, rng.randn(30)]]
+fs += [12, 4]
+t = pa.table({"unique_id": [str(i) for i in range(len(ys))], "freq": pa.array(fs, pa.int64()),
+              "y": pa.array([y.tolist() for y in ys], pa.list_(pa.float64()))})
+out = FeatureKernels()(t)
 h = hashlib.sha256()
-for x, m in cases:
-    for part in stl_decompose(x, m):
-        h.update(part.tobytes())
+for c in out.column_names[1:]:
+    h.update(out[c].to_numpy().tobytes())
 print(h.hexdigest())
 """
 
 
-def test_stl_decompose_same_bytes_under_every_openblas_coretype():
-    """stl_decompose calls no BLAS, so the core type OpenBLAS picks for
-    the host cannot change its bits."""
+def test_feature_kernels_same_bytes_under_every_openblas_coretype():
+    """No default kernel calls BLAS, so the core type OpenBLAS picks for
+    the host cannot change a feature's bits: FeatureKernels() gives the
+    same bytes on a ragged pool (lengths 0-600, freq 1/4/12/24, a
+    constant and a NaN lane) with OPENBLAS_CORETYPE unset, Prescott,
+    Haswell and SkylakeX, and the recorded-fixture test passes under
+    each."""
     digests = {}
-    for core in ("Prescott", "Haswell", "SkylakeX"):
-        env = dict(os.environ, OPENBLAS_CORETYPE=core,
-                   PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for core in (None, "Prescott", "Haswell", "SkylakeX"):
+        env = dict(os.environ, PYTHONPATH=ROOT + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
         r = subprocess.run([sys.executable, "-c", _CORETYPE_PROBE], cwd=ROOT, env=env,
-                           capture_output=True, text=True, timeout=300)
+                           capture_output=True, text=True, timeout=600)
         assert r.returncode == 0, r.stderr
         digests[core] = r.stdout.strip()
+        r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                            "tests/test_recorded_fixture.py"], cwd=ROOT, env=env,
+                           capture_output=True, text=True, timeout=900)
+        assert r.returncode == 0, (core, r.stdout[-3000:])
     assert len(set(digests.values())) == 1, digests
 
 
-def test_stl_module_has_no_blas_calls():
-    """AST guard: no ``@``, np.dot, np.correlate or np.linalg in
-    kernels/stl.py -- the decomposition's sums stay in the fixed-order
-    C loop."""
+def test_kernels_have_no_blas_calls():
+    """AST guard: no ``@``, np.dot, np.correlate, np.convolve or
+    np.linalg anywhere in kernels/ -- every sum over a series stays in a
+    fixed-order loop."""
     import ast
 
-    path = os.path.join(os.path.dirname(B.__file__), "stl.py")
-    with open(path) as f:
-        tree = ast.parse(f.read())
+    bad = ("dot", "correlate", "convolve", "linalg")
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(f"@ at line {node.lineno}")
-        elif isinstance(node, ast.Attribute) and node.attr in ("dot", "correlate", "linalg"):
-            found.append(f".{node.attr} at line {node.lineno}")
-        elif isinstance(node, ast.alias) and node.name.split(".")[-1] in ("dot", "correlate", "linalg"):
-            found.append(f"import {node.name} at line {node.lineno}")
+    kdir = os.path.dirname(B.__file__)
+    for name in sorted(os.listdir(kdir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(kdir, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}: @ at line {node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr in bad:
+                found.append(f"{name}: .{node.attr} at line {node.lineno}")
+            elif isinstance(node, ast.alias) and node.name.split(".")[-1] in bad:
+                found.append(f"{name}: import {node.name} at line {node.lineno}")
     assert not found, found

@@ -4,7 +4,7 @@ From-scratch engine with the query/feature semantics of Nixtla/tsfeatures
 (reference at /root/reference, studied for behavior only), built as
 ray.data.Dataset pipelines of map_batches over zero-copy Arrow batches:
 
-- ``kernels``   pure-NumPy per-series feature kernels (reference parity)
+- ``kernels``   feature kernels in NumPy + BLAS-free compiled loops (reference parity)
 - ``sources``   deterministic synthetic transcript table + readers
 - ``stages``    Ray Data pipeline stages (derive, rollup, gap-fill, pack,
                 feature actor pool, compression codecs)

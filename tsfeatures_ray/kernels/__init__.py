@@ -1,11 +1,14 @@
-"""Per-series feature kernel registry.
+"""Feature kernel registry.
 
 Every kernel has the reference contract ``f(x: np.ndarray, freq: int) ->
 dict[str, float]`` (reference tsfeatures/tsfeatures.py:35+) and is NumPy
-plus the compiled loops of _steps.c -- no statsmodels/scipy/sklearn. ``DEFAULT_FEATURES`` mirrors the
-reference's default feature list (tsfeatures.py:932-937) in the same
-order; like the reference's ChainMap merge (tsfeatures.py:926), the
-FIRST kernel producing a key wins on collision.
+plus the compiled loops of _steps.c -- no statsmodels/scipy/sklearn, no
+BLAS. ``DEFAULT_FEATURES`` mirrors the reference's default feature list
+(tsfeatures.py:932-937) in the same order; like the reference's ChainMap
+merge (tsfeatures.py:926), the FIRST kernel producing a key wins on
+collision. ``BATCH_KERNELS`` maps a kernel to its batch form
+``f(xs, freqs) -> {column: array}``, which the feature stage calls once
+per batch; the kernel itself is that form's 1-series call.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from collections.abc import Callable
 import numpy as np
 
 from ._math import FREQS, scalets
+from ._batch import holt_parameters_batch, hw_parameters_batch
 from .ets import holt_parameters, hw_parameters
-from .het import heterogeneity
+from .het import heterogeneity, heterogeneity_batch
 from .simple import (
     acf_features,
+    acf_features_batch,
     arch_stat,
+    arch_stat_batch,
     count_entropy,
     crossing_points,
     entropy,
@@ -28,18 +34,24 @@ from .simple import (
     frequency,
     guerrero,
     hurst,
+    hurst_batch,
     intervals,
     lumpiness,
+    lumpiness_batch,
     nonlinearity,
+    nonlinearity_batch,
     pacf_features,
+    pacf_features_batch,
     series_length,
     sparsity,
     stability,
+    stability_batch,
     statistics,
     unitroot_kpss,
     unitroot_pp,
+    unitroot_pp_batch,
 )
-from .stl import stl_features
+from .stl import stl_features, stl_features_batch
 
 # Reference default feature set + order (tsfeatures.py:932-937)
 DEFAULT_FEATURES: list[Callable] = [
@@ -72,6 +84,21 @@ EXTRA_FEATURES: list[Callable] = [
     statistics,
 ]
 
+BATCH_KERNELS: dict[Callable, Callable] = {
+    acf_features: acf_features_batch,
+    arch_stat: arch_stat_batch,
+    heterogeneity: heterogeneity_batch,
+    holt_parameters: holt_parameters_batch,
+    hurst: hurst_batch,
+    hw_parameters: hw_parameters_batch,
+    lumpiness: lumpiness_batch,
+    nonlinearity: nonlinearity_batch,
+    pacf_features: pacf_features_batch,
+    stability: stability_batch,
+    stl_features: stl_features_batch,
+    unitroot_pp: unitroot_pp_batch,
+}
+
 ALL_FEATURES: dict[str, Callable] = {
     f.__name__: f for f in DEFAULT_FEATURES + EXTRA_FEATURES
 }
@@ -96,6 +123,7 @@ def compute_features(
 
 __all__ = [
     "ALL_FEATURES",
+    "BATCH_KERNELS",
     "DEFAULT_FEATURES",
     "EXTRA_FEATURES",
     "FREQS",

@@ -1,38 +1,32 @@
 """Cross-series (lane-batched) implementations of the optimizer-backed
 kernels -- Holt, Holt-Winters and the GARCH(1,1) stage of heterogeneity
--- and the build and binding of the compiled step loops they share with
-the STL decomposition (stl.py calls ``stl_fit`` once per batch).
+-- and the build and binding of the compiled loops (``_steps.c``) every
+batch kernel shares: the step loops, the per-lane Nelder-Mead, least
+squares (``lsq``), autocovariance with Levinson-Durbin (``acovf``), the
+Hurst rescaled range and the STL decomposition.
 
-These kernels are where feature CPU goes, and the cost of a numpy
-time-step loop is per-CALL interpreter overhead, not arithmetic. So all
-eligible series of a batch run as one set of *lanes*: the grids and the
-batched Nelder-Mead below evaluate every lane's candidates together, and
-each objective evaluation is ONE call into a compiled step loop
-(``_steps.c``) that walks every lane x candidate recursion over the
-ragged series (offsets + values; no padded matrix). Lanes are split only
-where the math requires it: Holt-Winters by seasonal period m.
+A kernel's cost in numpy is per-CALL interpreter overhead, not
+arithmetic. So all eligible series of a batch run as one set of *lanes*
+over the ragged series (offsets + values; no padded matrix): the grids
+evaluate every lane's candidates in one call into a step loop, and the
+Nelder-Mead polish runs every lane's simplex in one C call against the
+same objective loops. Lanes are split only where the math requires it:
+Holt-Winters by seasonal period m.
 
 Correctness contract -- LANE INDEPENDENCE: every operation is
 elementwise across lanes (no reductions over the lane axis) and each C
-statement keeps the operation order of the numpy expression it replaced
-(built with -ffp-contract=off, no -ffast-math, no -march=native). A
-series therefore produces bit-identical results no matter which -- or
-how many -- other series share its batch, which keeps feature outputs
-deterministic across block layouts, CPU counts and runs.
-tests/test_batch_kernels.py pins this, and pins the C loops bit-for-bit
-against the numpy step loops and per-series Python-float fits they
-replaced. (STL's sums replaced BLAS dot products, whose order depends on
-the OpenBLAS core type; its loop runs them left to right and is pinned
-against a Python-float port of itself and, to rounding, the numpy STL.)
+statement keeps a fixed operation order (built with -ffp-contract=off,
+no -ffast-math, no -march=native; sums run left to right). A series
+therefore produces bit-identical results no matter which -- or how many
+-- other series share its batch, and no result depends on the BLAS
+build or its core type: no kernel calls BLAS. tests/test_batch_kernels.py
+pins this, and pins each compiled loop bit-for-bit against the numpy
+loops and Python-float ports kept in tests/_step_oracles.py. GARCH's
+log-likelihood takes libm ``log`` on every lane.
 
-GARCH log rule: lanes under _LIBM_LOG_N points take ``np.log`` over the
-variance path in numpy; longer lanes call libm ``log`` in C (what
-``math.log`` calls). numpy's SIMD log and libm's differ in the last bits
-of some values, and this split is the one the outputs were recorded with.
-
-The scalar kernels in ets.py / het.py / stl.py are 1-lane calls of the
-batched path, so there is exactly ONE implementation of each optimizer
-and of the decomposition.
+The scalar kernels in ets.py / het.py / stl.py / simple.py are 1-lane
+calls of the batched paths, so there is exactly ONE implementation of
+each kernel.
 
 Reference semantics preserved: holt_parameters <- reference
 tsfeatures.py:340-368, hw_parameters <- :392-423, heterogeneity
@@ -43,7 +37,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import shlex
 import shutil
@@ -54,9 +47,6 @@ import types
 
 import numpy as np
 
-_PENALTY = 1e12
-_LIBM_LOG_N = 512  # the GARCH log rule (module docstring)
-_L2PI = math.log(2 * math.pi)
 
 # ---------------------------------------------------------------------------
 # the compiled step loops
@@ -65,8 +55,10 @@ _L2PI = math.log(2 * math.pi)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 # -ffp-contract=off: no fused multiply-add (numpy rounds the multiply and
 # the add separately); no -ffast-math, no -march=native: results must not
-# depend on the build host
-_FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
+# depend on the build host. -O1: the library builds on every fresh
+# checkout, and -O2/-O3 triple the build (~0.5 -> ~1.5 s) to save a few
+# percent of kernel time
+_FLAGS = ["-O1", "-shared", "-fPIC", "-ffp-contract=off"]
 
 
 def _compiler() -> list[str] | None:
@@ -110,13 +102,19 @@ def _build(src: str = os.path.join(_HERE, "_steps.c"),
 
 
 # one code per argument: i int64, d double; l / f / u a C-contiguous
-# int64 / float64 / uint8 array, passed as its data pointer
+# int64 / float64 / uint8 array, passed as its data pointer (None: NULL)
 _SIGS = {
     "holt_sse": "iillffffff",
     "hw_sse": "iiillffffffff",
-    "garch_var": "iillfffffif",
-    "garch_ll": "iillfffffifdf",
+    "garch_nll": "iillffffff",
     "garch_mu": "illffffffffu",
+    "nelder_mead": "iillfifffdiddff",
+    "lag_design": "ilflff",
+    "seg_sum": "ilff",
+    "lsq": "illfffff",
+    "qr_q": "iliff",
+    "acovf": "ilfliiff",
+    "hurst_rs": "ilfff",
     "stl_fit": "ilflillff",
 }
 _CTYPES = {"i": ctypes.c_int64, "d": ctypes.c_double}
@@ -135,6 +133,8 @@ def _loop(f, sig: str):
         ptrs = list(args)  # ``args`` keeps every array alive for the call
         for i, dt in arrays:
             v = args[i]
+            if v is None:
+                continue
             if v.dtype != dt or not v.flags.c_contiguous:
                 raise TypeError(f"{f.__name__}: argument {i} must be C-contiguous {dt}")
             ptrs[i] = v.ctypes.data
@@ -160,122 +160,144 @@ def _f64(v, shape=None) -> np.ndarray:
     return np.ascontiguousarray(v, dtype=np.float64)
 
 
+def _i64(v) -> np.ndarray:
+    """C-contiguous int64."""
+    return np.ascontiguousarray(v, dtype=np.int64)
+
+
+def _offsets(counts) -> np.ndarray:
+    """Lane offsets (int64, one more than lanes) of the given lane lengths."""
+    off = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
 def _ragged(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(offsets, values): lane i is values[offsets[i]:offsets[i + 1]]."""
-    off = np.zeros(len(ys) + 1, dtype=np.int64)
-    np.cumsum([len(y) for y in ys], out=off[1:])
-    return off, _f64(np.concatenate(ys) if ys else np.empty(0))
+    return _offsets([len(y) for y in ys]), _f64(np.concatenate(ys) if ys else np.empty(0))
+
+
+def _seg_sum(off, v) -> np.ndarray:
+    """Per-lane sums of (off, v), left to right (0 for an empty lane)."""
+    out = np.empty(len(off) - 1)
+    _STEPS.seg_sum(len(out), _i64(off), _f64(v), out)
+    return out
+
+
+def _seg_all_finite(off, v) -> np.ndarray:
+    """Per-lane: every value finite (True for an empty lane)."""
+    return _seg_sum(off, (~np.isfinite(v)).astype(float)) == 0
+
+
+def _ragged_diff(off, v) -> tuple[np.ndarray, np.ndarray]:
+    """np.diff of every lane: (offsets, values) of the n - 1 differences."""
+    keep = np.ones(max(len(v) - 1, 0), dtype=bool)
+    cut = off[1:-1]
+    keep[cut[(cut >= 1) & (cut < len(v))] - 1] = False
+    return _offsets(np.maximum(np.diff(off) - 1, 0)), (v[1:] - v[:-1])[keep]
+
+
+def _gather(starts, counts, v) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, values) of the slices v[starts[i] : starts[i] + counts[i]]."""
+    goff = _offsets(counts)
+    return goff, v[np.repeat(np.asarray(starts) - goff[:-1], counts) + np.arange(goff[-1])]
+
+
+def _heads(off, v, k) -> tuple[np.ndarray, np.ndarray]:
+    """The first k[i] values of every lane, as (offsets, values)."""
+    return _gather(off[:-1], k, v)
+
+
+def _take(off, v, lanes) -> tuple[np.ndarray, np.ndarray]:
+    """The lanes ``lanes`` of (off, v), as (offsets, values)."""
+    return _gather(off[lanes], off[lanes + 1] - off[lanes], v)
+
+
+def _extrema(off, v) -> tuple[np.ndarray, np.ndarray]:
+    """Per-lane (min, max) of (off, v); NaN for an empty lane."""
+    n = np.diff(off)
+    lo, hi = np.full(len(n), np.nan), np.full(len(n), np.nan)
+    nz = n > 0
+    if nz.any():
+        lo[nz] = np.minimum.reduceat(v, off[:-1][nz])
+        hi[nz] = np.maximum.reduceat(v, off[:-1][nz])
+    return lo, hi
+
+
+def _lag_design(off, v, lags):
+    """Autoregression of each lane on its first lags[i] lags (_steps.c
+    lag_design): rows t = lags[i]..n-1 with response v_t and row-major
+    design [1, v_{t-1}, ..., v_{t-lags[i]}]. Returns (row offsets,
+    columns per lane, X, y)."""
+    lags = np.ascontiguousarray(lags, dtype=np.int64)
+    rows = np.maximum(np.diff(off) - lags, 0)
+    roff = _offsets(rows)
+    X, y = np.empty(int((rows * (lags + 1)).sum())), np.empty(roff[-1])
+    _STEPS.lag_design(len(lags), _i64(off), _f64(v), lags, X, y)
+    return roff, lags + 1, X, y
 
 
 # ---------------------------------------------------------------------------
-# batched Nelder-Mead
+# the compiled primitives
 # ---------------------------------------------------------------------------
 
-def nelder_mead_batch(
-    obj,
-    x0: np.ndarray,
-    step: float = 0.1,
-    max_iter: int = 400,
-    xtol: float = 1e-6,
-    ftol: float = 1e-10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize S independent objectives with the standard Nelder-Mead
-    rules per lane (simplex construction, stable sort order, branch
-    rules, convergence test, first-minimum selection). ``obj(P, idx) ->
-    (M, K)`` evaluates K candidate points per lane for the M lanes
-    selected by ``idx`` (ascending; converged lanes drop out).
-    Returns (x_best (S, n), f_best (S,))."""
-    x0 = np.asarray(x0, dtype=float)
-    S, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for i in range(n):
-        xi = sim[:, i + 1, i]
-        sim[:, i + 1, i] = np.where(
-            xi == 0.0, xi + step, xi + step * np.maximum(np.abs(xi), 1.0)
-        )
-    idx = np.arange(S)
-    fs = obj(sim, idx)
-    final_sim = sim.copy()
-    final_fs = fs.copy()
+def lsq(roff, p, X, y):
+    """Minimum-norm least squares per lane (_steps.c lsq): lane i regresses
+    y[roff[i]:roff[i + 1]] on p[i] columns, its design the next row-major
+    block of X. Returns (coef, rss, resid): coefficients and prefix
+    residual sums of squares (rss[k]: the fit on columns 0..k), p[i] per
+    lane one after another, and the residuals at the rows of y."""
+    p = np.ascontiguousarray(p, dtype=np.int64)
+    coef, rss = np.empty(int(p.sum())), np.empty(int(p.sum()))
+    resid = np.empty(len(y))
+    _STEPS.lsq(len(p), _i64(roff), p, _f64(X), _f64(y), coef, rss, resid)
+    return coef, rss, resid
 
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    for _ in range(max_iter):
-        if len(idx) == 0:
-            break
-        order = np.argsort(fs, axis=1, kind="stable")
-        rows = np.arange(len(idx))[:, None]
-        sim = sim[rows, order]
-        fs = fs[rows, order]
-        spread = np.max(np.abs(sim[:, 1:, :] - sim[:, :1, :]), axis=(1, 2))
-        conv = (spread < xtol) & (np.abs(fs[:, -1] - fs[:, 0]) < ftol)
-        if conv.any():
-            done = idx[conv]
-            final_sim[done] = sim[conv]
-            final_fs[done] = fs[conv]
-            keep = ~conv
-            sim, fs, idx = sim[keep], fs[keep], idx[keep]
-            if len(idx) == 0:
-                break
-        # sequential-sum centroid of the n best points
-        centroid = sim[:, 0, :].copy()
-        for j in range(1, n):
-            centroid += sim[:, j, :]
-        centroid /= n
-        worst = sim[:, -1, :]
-        xr = centroid + alpha * (centroid - worst)
-        xe = centroid + gamma * (centroid - worst)
-        xc = centroid + rho * (worst - centroid)
-        # one stacked 3-candidate eval: a step loop costs per call, not
-        # per candidate, so (xr, xe, xc) together cost barely more than xr
-        cand = np.empty((len(idx), 3, n))
-        cand[:, 0], cand[:, 1], cand[:, 2] = xr, xe, xc
-        fvals = obj(cand, idx)
-        fr, fe, fc = fvals[:, 0], fvals[:, 1], fvals[:, 2]
-        fs0, fs_sw, fs_last = fs[:, 0], fs[:, -2], fs[:, -1]
-        case2 = fr < fs0
-        case1 = (fs0 <= fr) & (fr < fs_sw)
-        case3 = ~(case1 | case2)
-        use_xe = case2 & (fe < fr)
-        use_xc = case3 & (fc < fs_last)
-        shrink = case3 & ~use_xc
-        newpt = np.where(use_xe[:, None], xe, xr)
-        newf = np.where(use_xe, fe, fr)
-        newpt = np.where(use_xc[:, None], xc, newpt)
-        newf = np.where(use_xc, fc, newf)
-        repl = ~shrink
-        sim[repl, -1, :] = newpt[repl]
-        fs[repl, -1] = newf[repl]
-        if shrink.any():
-            shr = sim[:, :1, :] + sigma * (sim[:, 1:, :] - sim[:, :1, :])
-            fshr = obj(shr, idx)
-            sim[shrink, 1:, :] = shr[shrink]
-            fs[shrink, 1:] = fshr[shrink]
-    if len(idx):
-        final_sim[idx] = sim
-        final_fs[idx] = fs
-    k = np.argmin(final_fs, axis=1)
-    rows = np.arange(S)
-    return final_sim[rows, k], final_fs[rows, k]
+
+def acovf(off, v, nlag, demean: bool = True, pacf: bool = False):
+    """Biased autocovariance (sum_t d_t d_{t+k} / n, d demeaned or raw) of
+    every lane at lags 0..nlag[i] as an (L, max nlag + 1) array, NaN past
+    a lane's lags or length; with ``pacf`` also the Levinson-Durbin
+    partial autocorrelations (NaN rows where nlag[i] >= n)."""
+    nlag = np.ascontiguousarray(nlag, dtype=np.int64)
+    K = int(nlag.max()) if len(nlag) else 0
+    ac = np.empty((len(nlag), K + 1))
+    pac = np.empty((len(nlag), K + 1)) if pacf else None
+    _STEPS.acovf(len(nlag), _i64(off), _f64(v), nlag, K, int(demean), ac, pac)
+    return (ac, pac) if pacf else ac
+
+
+def nelder_mead(kind: int, lanes, off, v, x0, step: float, max_iter: int,
+                m: int = 0, l0=None, b0=None, s0=None):
+    """Nelder-Mead of every lane i in C (_steps.c nelder_mead) over the
+    objective ``kind`` (0 Holt, 1 Holt-Winters with period m, 2 GARCH) on
+    the series lanes[i] of (off, v), from the (L, params) starts x0 with
+    the numpy driver's rules (xtol 1e-6, ftol 1e-10). l0 / b0 / s0 are
+    indexed by lane (GARCH: l0 = backcasts). Returns (x_best, f_best)."""
+    x = _f64(x0).copy()
+    f = np.empty(len(x))
+    one = np.zeros(1)
+    _STEPS.nelder_mead(kind, len(x), _i64(lanes), off, v, m,
+                       one if l0 is None else _f64(l0), one if b0 is None else _f64(b0),
+                       one if s0 is None else _f64(s0), step, max_iter, 1e-6, 1e-10, x, f)
+    return x, f
 
 
 # ---------------------------------------------------------------------------
 # Holt (additive trend) -- reference tsfeatures.py:340-368
 # ---------------------------------------------------------------------------
 
-def _heuristic_level_trend_each(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """OLS line through the first min(10, n) observations, per series
-    (same np.linalg.lstsq call as the per-series kernel always made)."""
-    l0 = np.full(len(ys), np.nan)
-    b0 = np.full(len(ys), np.nan)
-    for i, y in enumerate(ys):
-        k = min(10, len(y))
-        t = np.arange(k, dtype=float)
-        A = np.column_stack([np.ones(k), t])
-        try:
-            coef, _, _, _ = np.linalg.lstsq(A, y[:k], rcond=None)
-            l0[i], b0[i] = float(coef[0]), float(coef[1])
-        except Exception:
-            pass  # lane stays NaN -> NaN outputs
+def level_trend(off, v) -> tuple[np.ndarray, np.ndarray]:
+    """Heuristic initial level and trend per lane: the least-squares line
+    through its first min(10, n) observations; NaN where those are not
+    all finite."""
+    k = np.minimum(np.diff(off), 10)
+    hoff, h = _heads(off, v, k)
+    t = np.arange(len(h)) - np.repeat(hoff[:-1], k)
+    coef, _, _ = lsq(hoff, np.full(len(k), 2), np.column_stack([np.ones(len(h)), t]).ravel(), h)
+    l0, b0 = coef[0::2].copy(), coef[1::2].copy()
+    bad = ~_seg_all_finite(hoff, h)
+    l0[bad] = b0[bad] = np.nan
     return l0, b0
 
 
@@ -295,7 +317,7 @@ def _holt_fit(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     off, y = _ragged(ys)
     S = len(ys)
     lanes = np.arange(S)
-    l0, b0 = _heuristic_level_trend_each(ys)
+    l0, b0 = level_trend(off, y)
 
     # round 1: common coarse grid (13 alphas x 9 beta fractions)
     a_grid = np.linspace(0.02, 0.98, 13)
@@ -331,17 +353,19 @@ def _holt_fit(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         betas = np.tile(b_g, (1, 7))
         keep = betas <= alphas
 
-    def obj(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        a, b = P[..., 0], P[..., 1]
-        valid = (a > 1e-6) & (a < 1 - 1e-6) & (b > 1e-6) & (b <= a)
-        sse = _holt_sse(idx, off, y, a, b, P[..., 2], P[..., 3])
-        return np.where(valid, sse, _PENALTY)
-
     x0 = np.column_stack([a_c, b_c, l0, b0])
-    p, _ = nelder_mead_batch(obj, x0, step=0.02, max_iter=100)
+    p, _ = nelder_mead(0, lanes, off, y, x0, step=0.02, max_iter=100)
     # lanes whose init heuristic failed (non-finite level/trend): NaN
     bad = ~(np.isfinite(l0) & np.isfinite(b0))
     return np.where(bad, np.nan, p[:, 0]), np.where(bad, np.nan, p[:, 1])
+
+
+def _fit_lanes(ys) -> np.ndarray:
+    """Lanes the smoothing fits run on (the reference's gates): at least
+    5 points, all finite, not constant."""
+    off, v = _ragged(ys)
+    lo, hi = _extrema(off, v)
+    return np.flatnonzero((np.diff(off) >= 5) & _seg_all_finite(off, v) & (lo != hi))
 
 
 def holt_parameters_batch(
@@ -352,12 +376,7 @@ def holt_parameters_batch(
     S = len(ys)
     alpha = np.full(S, np.nan)
     beta = np.full(S, np.nan)
-    lanes = np.flatnonzero(
-        [
-            len(y) >= 5 and bool(np.all(np.isfinite(y))) and float(np.std(y)) != 0.0
-            for y in ys
-        ]
-    )
+    lanes = _fit_lanes(ys)
     if len(lanes):
         alpha[lanes], beta[lanes] = _holt_fit([ys[i] for i in lanes])
     return {"alpha": alpha, "beta": beta}
@@ -380,17 +399,39 @@ def _hw_sse(lanes, off, y, m, a, b, g, l0, b0, s0) -> np.ndarray:
     return sse
 
 
-def _heuristic_seasonal_each(ys, m):
-    from .ets import _heuristic_seasonal
-
-    l0 = np.full(len(ys), np.nan)
-    b0 = np.full(len(ys), np.nan)
-    s0 = np.zeros((len(ys), m))
-    for i, y in enumerate(ys):
-        try:
-            l0[i], b0[i], s0[i] = _heuristic_seasonal(y, m)
-        except Exception:
-            pass  # lane stays NaN -> NaN outputs
+def seasonal_heuristic(off, v, m: int):
+    """Hyndman-style initial states of every lane (n >= 2m) at period m:
+    the centred moving average of window m (2 x m for even m) over the
+    first min(5, n // m) cycles detrends them; the per-phase means of
+    that, less their mean, are the seasonal indices (sum 0); level and
+    trend are ``level_trend`` of the seasonally adjusted series. The
+    moving average sums its terms left to right. Returns (l0, b0, s0)."""
+    n = np.diff(off)
+    S = len(n)
+    s0 = np.zeros((S, m))
+    cyc = np.minimum(5, n // m)
+    if m % 2 == 0:
+        kernel = np.concatenate([[0.5], np.ones(m - 1), [0.5]]) / m
+    else:
+        kernel = np.ones(m) / m
+    for c in np.unique(cyc):  # every lane of a cycle count at once
+        rows = np.flatnonzero(cyc == c)
+        yy = v[off[rows][:, None] + np.arange(c * m)]  # (R, c m)
+        w = c * m - len(kernel) + 1
+        trend = kernel[-1] * yy[:, :w]
+        for j in range(1, len(kernel)):  # np.convolve's kernel, reversed
+            trend = trend + kernel[-1 - j] * yy[:, j:j + w]
+        pad = (c * m - w) // 2
+        detr = yy[:, pad:pad + w] - trend
+        phase = np.arange(pad, pad + w) % m
+        for j in range(m):
+            vals = detr[:, phase == j]
+            if vals.shape[1]:
+                s0[rows, j] = vals.mean(axis=1)
+        s0[rows] -= s0[rows].mean(axis=1, keepdims=True)
+    phase = np.arange(len(v)) - np.repeat(off[:-1], n)
+    adj = v - s0[np.repeat(np.arange(S), n), phase % m]
+    l0, b0 = level_trend(off, adj)
     return l0, b0, s0
 
 
@@ -400,7 +441,7 @@ def _hw_fit(ys: list[np.ndarray], m: int):
     off, y = _ragged(ys)
     S = len(ys)
     lanes = np.arange(S)
-    l0, b0, s0 = _heuristic_seasonal_each(ys, m)
+    l0, b0, s0 = seasonal_heuristic(off, y, m)
 
     a_g = np.linspace(0.05, 0.95, 7)
     bf_g = np.array([0.05, 0.3, 0.9])
@@ -440,18 +481,9 @@ def _hw_fit(ys: list[np.ndarray], m: int):
     b_c = np.where(pick, np.take_along_axis(B2, i[:, None], 1)[:, 0], b_c)
     g_c = np.where(pick, np.take_along_axis(G2, i[:, None], 1)[:, 0], g_c)
 
-    def obj(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        a, b, g = P[..., 0], P[..., 1], P[..., 2]
-        valid = (
-            (a > 1e-6) & (a < 1 - 1e-6)
-            & (b > 1e-6) & (b <= a)
-            & (g > 1e-6) & (g <= 1.0 - a)
-        )
-        sse = _hw_sse(idx, off, y, m, a, b, g, l0, b0, s0)
-        return np.where(valid, sse, _PENALTY)
-
     x0 = np.column_stack([a_c, b_c, g_c])
-    p, _ = nelder_mead_batch(obj, x0, step=0.03, max_iter=50)
+    p, _ = nelder_mead(1, lanes, off, y, x0, step=0.03, max_iter=50,
+                       m=m, l0=l0, b0=b0, s0=s0)
     bad = ~(np.isfinite(l0) & np.isfinite(b0))
     return tuple(np.where(bad, np.nan, p[:, j]) for j in range(3))
 
@@ -464,16 +496,9 @@ def hw_parameters_batch(
     names = ("hw_alpha", "hw_beta", "hw_gamma")
     out = {k: np.full(S, np.nan) for k in names}
     ms = np.asarray(freqs, dtype=int)
-    lanes = np.flatnonzero(
-        [
-            int(ms[i]) >= 2
-            and len(y) >= 2 * int(ms[i])
-            and len(y) >= 5
-            and bool(np.all(np.isfinite(y)))
-            and float(np.std(y)) != 0.0
-            for i, y in enumerate(ys)
-        ]
-    )
+    n = np.array([len(y) for y in ys], dtype=int)
+    lanes = _fit_lanes(ys)
+    lanes = lanes[(ms[lanes] >= 2) & (n[lanes] >= 2 * ms[lanes])]
     for m in np.unique(ms[lanes]):
         sel = lanes[ms[lanes] == m]
         for k, v in zip(names, _hw_fit([ys[i] for i in sel], int(m))):
@@ -485,60 +510,28 @@ def hw_parameters_batch(
 # GARCH(1,1) mean residual (heterogeneity stage 2) -- het.py semantics
 # ---------------------------------------------------------------------------
 
-def _garch_nll(lanes, off, e2, omega, a, b, backcast) -> np.ndarray:
-    """Gaussian NLL for (L, K) candidates (omega, a, b) on the squared
-    residual series ``lanes`` of (off, e2): 0.5 * sum_t ((l2pi + log s_t)
-    + e2_t / s_t); invalid parameters, s_t <= 0 or a non-finite sum ->
-    penalty."""
-    shape = np.shape(omega)
-    n = off[lanes + 1] - off[lanes]
-    buf = np.empty(shape[1] * int(n[n < _LIBM_LOG_N].sum()))
-    args = (*shape, lanes, off, e2, *(_f64(v, shape) for v in (omega, a, b)),
-            backcast, _LIBM_LOG_N)
-    ll = np.empty(shape)
-    with np.errstate(all="ignore"):
-        _STEPS.garch_var(*args, buf)
-        np.log(buf, out=buf)
-        _STEPS.garch_ll(*args, buf, _L2PI, ll)
-        valid = (omega > 0) & (a >= 0) & (b >= 0) & (a + b < 0.9999)
-        half = 0.5 * ll
-    return np.where(valid & np.isfinite(half), half, _PENALTY)
-
-
-def _garch_mu(xs: list[np.ndarray], mu0: np.ndarray,
-              var0: np.ndarray) -> np.ndarray:
-    """Two-round profile-likelihood mu fit: NM over (omega, a, b) with
-    mu fixed, then the closed-form 1/sigma^2-weighted mu update; lanes
-    that hit an invalid fit keep their last good mu."""
-    off, x = _ragged(xs)
+def _garch_mu(off, x, mu0: np.ndarray, var0: np.ndarray) -> np.ndarray:
+    """Two-round profile-likelihood mu fit: Nelder-Mead over (omega, a,
+    b) with mu fixed, then the closed-form 1/sigma^2-weighted mu update;
+    lanes that hit an invalid fit keep their last good mu."""
     ns = np.diff(off)
-    S = len(xs)
+    S = len(ns)
     mu = mu0.copy()
     q = np.column_stack([var0 * 0.1, np.full(S, 0.1), np.full(S, 0.8)])
     active = np.ones(S, dtype=bool)
-    weights: dict = {}
+    tau = np.minimum(75, ns)
+    toff, _ = _heads(off, x, tau)
+    # the normalized weights 0.94^j / sum, for every window length
+    wt = np.concatenate([w / w.sum() for w in (0.94 ** np.arange(t) for t in range(1, 76))])
+    w = _gather(_offsets(np.arange(1, 76))[tau - 1], tau, wt)[1]
     for _ in range(2):
         if not active.any():
             break
         e2 = (x - np.repeat(mu, ns)) ** 2
-        backcast = np.empty(S)
-        for i in range(S):
-            tau = min(75, int(ns[i]))
-            if tau not in weights:
-                w = 0.94 ** np.arange(tau)
-                weights[tau] = w / w.sum()
-            # np.sum over the elementwise product, NOT np.dot: BLAS ddot
-            # is pointer-alignment-dependent, so its last bits would
-            # depend on where the lane sits in the batch
-            backcast[i] = float(np.sum(weights[tau] * e2[off[i]:off[i] + tau]))
-
+        # exponentially weighted mean of the first tau squared residuals
+        backcast = _seg_sum(toff, w * _heads(off, e2, tau)[1])
         act = np.flatnonzero(active)
-
-        def obj(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return _garch_nll(act[idx], off, e2, P[..., 0], P[..., 1],
-                              P[..., 2], backcast)
-
-        q[act], _ = nelder_mead_batch(obj, q[act], step=0.2, max_iter=60)
+        q[act], _ = nelder_mead(2, act, off, e2, q[act], step=0.2, max_iter=60, l0=backcast)
         omega, a, b = (_f64(q[:, j]) for j in range(3))
         active &= (omega > 0) & (a >= 0) & (b >= 0) & (a + b < 0.9999)
         act = np.flatnonzero(active)
@@ -558,14 +551,20 @@ def _garch_mu(xs: list[np.ndarray], mu0: np.ndarray,
     return mu
 
 
-def garch_mean_resid_batch(xs: list[np.ndarray]) -> list:
-    """Batched het._garch11_mean_resid: fit GARCH(1,1) mu per lane and
-    return per-series (x - mu); None marks the gates the per-series
-    kernel expresses by raising (n < 10, zero variance)."""
-    mus = np.array([float(np.mean(x)) if len(x) else np.nan for x in xs])
-    var0 = np.array([float(np.var(x)) if len(x) else 0.0 for x in xs])
-    ok = [len(x) >= 10 and v > 0 for x, v in zip(xs, var0)]
+def garch_mean_resid_batch(off, x):
+    """The GARCH(1,1) constant-mean residual x - mu (the arch package's
+    ``.resid``) of every lane of (off, x): mu by Gaussian MLE, profile
+    likelihood -- Nelder-Mead over (omega, a, b) with mu fixed, then the
+    closed-form 1/sigma^2-weighted mu. Returns (x - mu per value, ok per
+    lane), ok False at the gates where the reference's fit fails (n < 10,
+    zero variance)."""
+    n = np.diff(off)
+    with np.errstate(all="ignore"):
+        mu = _seg_sum(off, x) / n
+        d = x - np.repeat(mu, n)
+        var0 = _seg_sum(off, d * d) / n
+    ok = (n >= 10) & (var0 > 0)
     lanes = np.flatnonzero(ok)
     if len(lanes):
-        mus[lanes] = _garch_mu([xs[i] for i in lanes], mus[lanes], var0[lanes])
-    return [(x - mu) if good else None for x, mu, good in zip(xs, mus, ok)]
+        mu[lanes] = _garch_mu(*_take(off, x, lanes), mu[lanes], var0[lanes])
+    return x - np.repeat(mu, n), ok

@@ -5,7 +5,10 @@ Reimplements what the reference gets from statsmodels
 ``holt_parameters``, :392-423 ``hw_parameters``): additive-trend (and
 additive-seasonal) innovations recursions fit by SSE minimization under
 the usual constraint region (0<alpha<1, 0<beta<alpha, 0<gamma<1-alpha),
-with Hyndman's heuristic initial level/trend/seasonal states.
+with Hyndman's heuristic initial level/trend/seasonal states. The fits
+themselves are the lane-batched ones of _batch.py (grids over the
+compiled SSE loops, then a compiled Nelder-Mead per lane); the kernels
+here are their 1-series forms.
 
 These are optimizer-backed features: even R vs Python reference
 implementations diverge here (reference README.md:95-141), and the
@@ -18,15 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["holt_parameters", "hw_parameters"]
-
-
-def _heuristic_level_trend(y: np.ndarray) -> tuple[float, float]:
-    """OLS line through the first min(10, n) observations."""
-    k = min(10, len(y))
-    t = np.arange(k, dtype=float)
-    A = np.column_stack([np.ones(k), t])
-    coef, _, _, _ = np.linalg.lstsq(A, y[:k], rcond=None)
-    return float(coef[0]), float(coef[1])
 
 
 def holt_parameters(x: np.ndarray, freq: int = 1) -> dict:
@@ -49,28 +43,12 @@ def holt_parameters(x: np.ndarray, freq: int = 1) -> dict:
 
 
 def _heuristic_seasonal(y: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:
-    """Hyndman-style heuristic: centered-MA detrend over the first cycles ->
-    seasonal indices (sum 0); level/trend line from the adjusted series."""
-    n = len(y)
-    ncycles = min(5, n // m)
-    yy = y[: ncycles * m]
-    # centered moving average of window m
-    if m % 2 == 0:
-        kernel = np.concatenate([[0.5], np.ones(m - 1), [0.5]]) / m
-    else:
-        kernel = np.ones(m) / m
-    trend = np.convolve(yy, kernel, mode="valid")
-    pad = (len(yy) - len(trend)) // 2
-    detr = yy[pad : pad + len(trend)] - trend
-    idx = (np.arange(pad, pad + len(trend))) % m
-    s = np.zeros(m)
-    for j in range(m):
-        vals = detr[idx == j]
-        s[j] = vals.mean() if len(vals) else 0.0
-    s -= s.mean()
-    adj = y - s[np.arange(n) % m]
-    l0, b0 = _heuristic_level_trend(adj)
-    return l0, b0, s
+    """Hyndman-style initial (level, trend, seasonal indices) of one
+    series at period m: a 1-lane _batch.seasonal_heuristic."""
+    from ._batch import _ragged, seasonal_heuristic
+
+    l0, b0, s0 = seasonal_heuristic(*_ragged([np.asarray(y, dtype=float)]), m)
+    return float(l0[0]), float(b0[0]), s0[0]
 
 
 def hw_parameters(x: np.ndarray, freq: int = 1) -> dict:

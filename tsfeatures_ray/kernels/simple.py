@@ -1,10 +1,19 @@
-"""Per-series feature kernels, part 1: closed-form / OLS-based features.
+"""Feature kernels, part 1: closed-form / OLS-based features.
 
 Each kernel has the reference signature ``f(x: np.ndarray, freq: int) ->
 dict[str, float]`` (reference tsfeatures/tsfeatures.py) and reproduces the
 reference's output semantics including its NaN-on-failure gates. All
-statsmodels/scipy/sklearn/antropy calls are replaced by the pure-NumPy
-primitives in ``_math.py``; cited line numbers refer to the reference.
+statsmodels/scipy/sklearn/antropy calls are replaced by numpy and the
+compiled primitives of ``_batch.py`` (least squares, autocovariance with
+Levinson-Durbin, the Hurst rescaled range); cited line numbers refer to
+the reference.
+
+The kernels with a ``*_batch(xs, freqs) -> {column: array}`` form
+(acf_features, arch_stat, hurst, lumpiness, nonlinearity, pacf_features,
+stability, unitroot_pp) compute a whole batch of series in a fixed
+number of calls; their scalar forms are 1-series batches. A seasonal-only
+column (seas_acf1, seas_pacf) is NaN in the batch form for freq = 1 and
+absent from the scalar form, as in the reference.
 
 Kernels never mutate their input: Arrow batches hand us zero-copy,
 read-only buffers, so any kernel that writes (``intervals``,
@@ -13,24 +22,31 @@ reference tsfeatures.py:441) copies first.
 
 from __future__ import annotations
 
+import math
+import warnings
 from itertools import groupby as _groupby
-from math import log
 
 import numpy as np
 
-from ._math import (
-    acf,
-    embed,
-    ols_fit,
-    ols_r2,
-    pacf_ldb,
-    periodogram_psd,
-    scalets,
+from ._batch import (
+    _STEPS,
+    _lag_design,
+    _offsets,
+    _ragged,
+    _ragged_diff,
+    _seg_all_finite,
+    _seg_sum,
+    _take,
+    acovf,
+    lsq,
 )
+from ._math import periodogram_psd
 
 __all__ = [
     "acf_features",
+    "acf_features_batch",
     "arch_stat",
+    "arch_stat_batch",
     "count_entropy",
     "crossing_points",
     "entropy",
@@ -38,76 +54,116 @@ __all__ = [
     "frequency",
     "guerrero",
     "hurst",
+    "hurst_batch",
     "intervals",
     "lumpiness",
+    "lumpiness_batch",
     "nonlinearity",
+    "nonlinearity_batch",
     "pacf_features",
+    "pacf_features_batch",
     "series_length",
     "sparsity",
     "stability",
+    "stability_batch",
     "statistics",
     "unitroot_kpss",
     "unitroot_pp",
+    "unitroot_pp_batch",
 ]
+
+
+def _single(batch, x, freq: int, seasonal=()) -> dict:
+    """A batch kernel's row for one series; seasonal-only keys are left
+    out at freq 1."""
+    out = batch([np.asarray(x, dtype=float)], [freq])
+    return {k: float(v[0]) for k, v in out.items() if freq > 1 or k not in seasonal}
+
+
+def _acf(off, v, nlag) -> np.ndarray:
+    """Autocorrelations (acovf / lag-0 acovf) of every lane, lags 0..nlag."""
+    ac = acovf(off, v, nlag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ac / ac[:, :1]
+
+
+def _lag_sq_sum(a: np.ndarray, last) -> np.ndarray:
+    """sum_{k=1}^{last[i]} a[i, k]^2 per row, left to right."""
+    tot = np.zeros(len(a))
+    for k in range(1, a.shape[1]):
+        tot = tot + np.where(k <= last, a[:, k] ** 2, 0.0)
+    return tot
+
+
+def acf_sq_sum(off, v, nlag: int) -> np.ndarray:
+    """sum of the squared autocorrelations at lags 1..min(nlag, n - 1)
+    of every lane (0 for n <= 1)."""
+    n = np.diff(off)
+    return _lag_sq_sum(_acf(off, v, np.full(len(n), nlag)), np.minimum(nlag, n - 1))
 
 
 def acf_features(x: np.ndarray, freq: int = 1) -> dict:
     """Autocorrelation features (reference tsfeatures.py:35-101)."""
-    x = np.asarray(x, dtype=float)
-    m = freq
-    size_x = len(x)
+    return _single(acf_features_batch, x, freq, ("seas_acf1",))
 
-    try:
-        acfx = acf(x, nlags=max(m, 10))
-    except Exception:
-        acfx = np.array([np.nan])
-    if size_x > 10:
-        acfdiff1x = acf(np.diff(x, n=1), nlags=10)
-    else:
-        acfdiff1x = np.array([np.nan] * 2)
-    if size_x > 11:
-        acfdiff2x = acf(np.diff(x, n=2), nlags=10)
-    else:
-        acfdiff2x = np.array([np.nan] * 2)
 
-    try:
-        acf_1 = acfx[1]
-    except IndexError:
-        acf_1 = np.nan
-    sum_of_sq_acf10 = float(np.sum(acfx[1:11] ** 2)) if size_x > 10 else np.nan
-    diff1_acf1 = acfdiff1x[1] if len(acfdiff1x) > 1 else np.nan
-    diff1_acf10 = float(np.sum(acfdiff1x[1:11] ** 2)) if size_x > 10 else np.nan
-    diff2_acf1 = acfdiff2x[1] if len(acfdiff2x) > 1 else np.nan
-    diff2_acf10 = float(np.sum(acfdiff2x[1:11] ** 2)) if size_x > 11 else np.nan
-
-    output = {
-        "x_acf1": float(acf_1),
-        "x_acf10": sum_of_sq_acf10,
-        "diff1_acf1": float(diff1_acf1),
-        "diff1_acf10": diff1_acf10,
-        "diff2_acf1": float(diff2_acf1),
-        "diff2_acf10": diff2_acf10,
+def acf_features_batch(xs, freqs) -> dict:
+    """acf_features of every series: three autocovariance calls (x, its
+    first and second differences)."""
+    off, v = _ragged(xs)
+    n = np.diff(off)
+    m = np.asarray(freqs, dtype=np.int64)
+    nan = np.full(len(n), np.nan)
+    acfx = _acf(off, v, np.maximum(m, 10))
+    d1off, d1 = _ragged_diff(off, v)
+    d2off, d2 = _ragged_diff(d1off, d1)
+    a1 = _acf(d1off, d1, np.full(len(n), 10))
+    a2 = _acf(d2off, d2, np.full(len(n), 10))
+    return {
+        "x_acf1": acfx[:, 1],
+        "x_acf10": np.where(n > 10, _lag_sq_sum(acfx, 10), nan),
+        "diff1_acf1": np.where(n > 10, a1[:, 1], nan),
+        "diff1_acf10": np.where(n > 10, _lag_sq_sum(a1, np.minimum(10, n - 2)), nan),
+        "diff2_acf1": np.where(n > 11, a2[:, 1], nan),
+        "diff2_acf10": np.where(n > 11, _lag_sq_sum(a2, np.minimum(10, n - 3)), nan),
+        "seas_acf1": np.where(m > 1, acfx[np.arange(len(n)), np.maximum(m, 0)], nan),
     }
-    if m > 1:
-        output["seas_acf1"] = float(acfx[m]) if len(acfx) > m else np.nan
-    return output
 
 
 def arch_stat(x: np.ndarray, freq: int = 1, lags: int = 12, demean: bool = True) -> dict:
     """R^2 of x_t^2 on its first 12 lags (reference tsfeatures.py:103-134)."""
-    x = np.asarray(x, dtype=float)
-    if len(x) <= lags + 1:
-        return {"arch_lm": np.nan}
+    off, v = _ragged([np.asarray(x, dtype=float)])
+    return {"arch_lm": float(arch_stat_lanes(off, v, lags, demean)[0])}
+
+
+def arch_stat_batch(xs, freqs) -> dict:
+    """arch_stat of every series: one least-squares call."""
+    return {"arch_lm": arch_stat_lanes(*_ragged(xs))}
+
+
+def arch_stat_lanes(off, x, lags: int = 12, demean: bool = True) -> np.ndarray:
+    """R^2 (sklearn's score, with intercept) of x_t^2 on x_{t-1}^2 ..
+    x_{t-lags}^2 for every lane of (off, x), demeaned first; NaN for n <=
+    lags + 1 or non-finite values. A constant response scores 1 when the
+    fit is exact (RSS < 1e-12), else 0."""
+    n = np.diff(off)
+    r2 = np.full(len(n), np.nan)
+    lanes = np.flatnonzero((n > lags + 1) & _seg_all_finite(off, x))
+    if not len(lanes):
+        return r2
+    loff, lv = _take(off, x, lanes)
     if demean:
-        x = x - np.mean(x)
-    mat = embed(x**2, lags + 1)
-    X = mat[:, 1:]
-    y = mat[:, 0]
-    try:
-        r_squared = ols_r2(X, y)
-    except Exception:
-        r_squared = np.nan
-    return {"arch_lm": float(r_squared)}
+        ln = np.diff(loff)
+        lv = lv - np.repeat(_seg_sum(loff, lv) / ln, ln)
+    roff, q, X, y = _lag_design(loff, lv * lv, np.full(len(lanes), lags))
+    _, rss, _ = lsq(roff, q, X, y)
+    ssr = rss[_offsets(q)[1:] - 1]
+    nobs = np.diff(roff)
+    dev = y - np.repeat(_seg_sum(roff, y) / nobs, nobs)
+    sst = _seg_sum(roff, dev * dev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2[lanes] = np.where(sst == 0.0, np.where(ssr < 1e-12, 1.0, 0.0), 1.0 - ssr / sst)
+    return r2
 
 
 def count_entropy(x: np.ndarray, freq: int = 1) -> dict:
@@ -229,116 +285,33 @@ def guerrero(x: np.ndarray, freq: int = 1, lower: float = -1, upper: float = 2) 
     return {"guerrero": best}
 
 
-class _UpperEnvelope:
-    """Upper envelope of lines f_j(m) = y[j] - t[j]*m added with strictly
-    DECREASING slopes (-t[j]); queries at arbitrary m in O(log n).
-
-    Hull lines are kept in addition order; consecutive breakpoints
-    bps[k] = intersection(hull[k], hull[k+1]) are non-increasing, so the
-    winner at m is the first hull line whose breakpoint is <= m.
-    """
-
-    __slots__ = ("y", "t", "hull", "negbps")
-
-    def __init__(self, y, t):
-        self.y, self.t = y, t
-        self.hull: list[int] = []
-        self.negbps: list[float] = []  # negated breakpoints, increasing
-
-    def _inter(self, a: int, b: int) -> float:
-        return (self.y[b] - self.y[a]) / (self.t[b] - self.t[a])
-
-    def add(self, j: int) -> None:
-        hull, negbps = self.hull, self.negbps
-        while hull:
-            x_new = self._inter(hull[-1], j)
-            # hull[-1] wins only on [x_prev_pair, +inf) vs its neighbor
-            # and on [x_new, +inf) vs j; empty interval -> pop
-            if negbps and -x_new <= negbps[-1]:
-                hull.pop()
-                negbps.pop()
-                continue
-            negbps.append(-x_new)
-            break
-        self.hull.append(j)
-
-    def query(self, m: float) -> float:
-        from bisect import bisect_left
-
-        k = bisect_left(self.negbps, -m)
-        j = self.hull[k]
-        return self.y[j] - self.t[j] * m
-
-
-def _prefix_ptp_envelope(y: np.ndarray, t: np.ndarray, mean_t: np.ndarray) -> np.ndarray:
-    """r_t[i] = max_{j<=i}(y[j]-t[j]*m_i) - min_{j<=i}(y[j]-t[j]*m_i) in
-    O(n log n). min via negation: min f = -max(-y[j] - t[j]*(-m))."""
-    n = len(y)
-    yl = y.tolist()
-    tl = t.tolist()
-    yneg = (-y).tolist()
-    env_max = _UpperEnvelope(yl, tl)
-    env_min = _UpperEnvelope(yneg, tl)
-    ml = mean_t.tolist()
-    r = np.empty(n)
-    for i in range(n):
-        env_max.add(i)
-        env_min.add(i)
-        m = ml[i]
-        r[i] = env_max.query(m) + env_min.query(-m)
-    return r
-
-
 def hurst(x: np.ndarray, freq: int = 1) -> dict:
     """Rescaled-range Hurst exponent (reference tsfeatures.py:370-390,
-    utils.py:131-162).
+    utils.py:131-162)."""
+    return _single(hurst_batch, x, freq)
 
-    Vectorized: s_t via prefix sums (identical values to the reference's
-    per-prefix loop); r_t via chunked broadcasting (O(n^2) work like the
-    reference, but NumPy-vectorized; memory bounded by the chunk size).
-    """
-    x = np.asarray(x, dtype=float)
-    try:
-        n = x.size
-        t = np.arange(1, n + 1, dtype=float)
-        y = x.cumsum()
-        mean_t = y / t
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s_t = np.sqrt(np.maximum(np.cumsum(x**2) / t - mean_t**2, 0.0))
-            if n <= 2000:
-                r_t = np.empty(n)
-                chunk = max(1, int(2_000_000 // max(n, 1)))
-                for lo in range(0, n, chunk):
-                    hi = min(lo + chunk, n)
-                    idx = np.arange(lo, hi)
-                    # dev[i, j] = y[j] - (j+1) * mean_t[i]; ptp of each
-                    # row's prefix j <= i via running cummax/cummin and
-                    # the diagonal entry
-                    dev = y[None, :hi] - t[None, :hi] * mean_t[idx, None]
-                    cmax = np.maximum.accumulate(dev, axis=1)
-                    cmin = np.minimum.accumulate(dev, axis=1)
-                    r_t[lo:hi] = (
-                        cmax[np.arange(hi - lo), idx] - cmin[np.arange(hi - lo), idx]
-                    )
-            else:
-                # O(n log n): dev_j(m) = y[j] - t_j*m is a line in m; the
-                # prefix max/min over j <= i is an upper/lower envelope of
-                # lines added in strictly decreasing slope order (slope
-                # -t_j), queried at m_i. The envelope evaluates the SAME
-                # expression y[j] - t_j*m as the brute force, so values
-                # are bit-identical. (SURVEY.md §2.1 row 11.)
-                r_t = _prefix_ptp_envelope(y, t, mean_t)
-            r_s = np.log(r_t / s_t)[1:]
-        logt = np.log(t)[1:]
-        if not np.all(np.isfinite(r_s)):
-            # reference: lstsq on nan/inf raises -> except -> nan
-            raise FloatingPointError("non-finite R/S")
-        a = np.column_stack((logt, np.ones(logt.size)))
-        h, _ = np.linalg.lstsq(a, r_s, rcond=-1)[0]
-        h = float(h)
-    except Exception:
-        h = np.nan
-    return {"hurst": h}
+
+def hurst_batch(xs, freqs) -> dict:
+    """hurst of every series: the running range and standard deviation
+    of every prefix in one compiled call (_steps.c hurst_rs: the range
+    is the exact max - min of y_j - t_j * mean_i over j <= i, the O(n^2)
+    scan up to 2,000 points and upper envelopes of those lines beyond),
+    then one least-squares call for the slope of log(R/S) on log t.
+    NaN where any log(R/S) is not finite (the reference's lstsq
+    raises there)."""
+    off, v = _ragged(xs)
+    n = np.diff(off)
+    r, s = np.empty(len(v)), np.empty(len(v))
+    _STEPS.hurst_rs(len(n), off, v, r, s)
+    pos = np.arange(len(v)) - np.repeat(off[:-1], n)
+    keep = pos >= 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r_s = np.log(r / s)[keep]
+    logt = np.log((pos + 1).astype(float))[keep]
+    roff = _offsets(np.maximum(n - 1, 0))
+    coef, _, _ = lsq(roff, np.full(len(n), 2), np.column_stack([logt, np.ones(len(logt))]).ravel(),
+                     np.where(np.isfinite(r_s), r_s, 0.0))
+    return {"hurst": np.where(_seg_all_finite(roff, r_s), coef[0::2], np.nan)}
 
 
 def intervals(x: np.ndarray, freq: int = 1) -> dict:
@@ -362,110 +335,107 @@ def intervals(x: np.ndarray, freq: int = 1) -> dict:
         }
 
 
-def _tiled_stat(x: np.ndarray, freq: int, stat) -> float:
+def _tiled_batch(xs, freqs, stat) -> np.ndarray:
     """Shared tiling for lumpiness/stability (reference tsfeatures.py:448-479,
-    614-645): floor(n/width) full tiles, trailing remainder dropped."""
-    width = 10 if freq == 1 else freq
-    nr = len(x)
-    nsegs = int(nr / width)
-    if nr < 2 * width:
-        return 0.0
-    vals = [stat(x[i * width : (i + 1) * width]) for i in range(nsegs)]
-    return float(np.nanvar(vals, ddof=1))
+    614-645): floor(n/width) full tiles (width 10 at freq 1, else freq),
+    trailing remainder dropped; the ddof=1 nanvar of the per-tile ``stat``,
+    0 below two tiles. Series of equal (width, tiles) run as one (rows,
+    tiles, width) array, whose axis reductions give each tile the bits of
+    a one-tile call."""
+    off, v = _ragged(xs)
+    n = np.diff(off)
+    f = np.asarray(freqs, dtype=np.int64)
+    width = np.where(f == 1, 10, f)
+    tiles = n // np.maximum(width, 1)
+    out = np.zeros(len(n))
+    run = np.flatnonzero(n >= 2 * width)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN tiles -> NaN
+        for w, k in set(zip(width[run].tolist(), tiles[run].tolist())):
+            rows = run[(width[run] == w) & (tiles[run] == k)]
+            a = v[off[rows][:, None, None] + np.arange(k * w).reshape(k, w)]
+            vals = np.nanvar(a, axis=2, ddof=1) if stat == "var" else np.nanmean(a, axis=2)
+            out[rows] = np.nanvar(vals, axis=1, ddof=1)
+    return out
 
 
 def lumpiness(x: np.ndarray, freq: int = 1) -> dict:
     """Variance of tiled-window variances (reference tsfeatures.py:448-479)."""
-    x = np.asarray(x, dtype=float)
-    return {"lumpiness": _tiled_stat(x, freq, lambda s: np.nanvar(s, ddof=1))}
+    return _single(lumpiness_batch, x, freq)
+
+
+def lumpiness_batch(xs, freqs) -> dict:
+    return {"lumpiness": _tiled_batch(xs, freqs, "var")}
 
 
 def stability(x: np.ndarray, freq: int = 1) -> dict:
     """Variance of tiled-window means (reference tsfeatures.py:614-645)."""
-    x = np.asarray(x, dtype=float)
-    return {"stability": _tiled_stat(x, freq, np.nanmean)}
+    return _single(stability_batch, x, freq)
+
+
+def stability_batch(xs, freqs) -> dict:
+    return {"stability": _tiled_batch(xs, freqs, "mean")}
 
 
 def nonlinearity(x: np.ndarray, freq: int = 1) -> dict:
     """Terasvirta neural-network test (reference tsfeatures.py:481-503,
     utils.py:68-129; lag=1, scale=True)."""
-    x = np.asarray(x, dtype=float)
-    try:
-        z = scalets(x)
-        size_x = len(z)
-        ymat = embed(z, 2)
-        X = ymat[:, 1:]
-        yv = ymat[:, 0]
-        _, u, _ = ols_fit(X, yv, add_intercept=True)
-        ssr0 = float((u**2).sum())
-        x1 = X[:, 0]
-        X_nn = np.column_stack([x1, x1**2, x1**3])
-        _, v, _ = ols_fit(X_nn, u, add_intercept=True)
-        ssr = float((v**2).sum())
-        stat = size_x * log(ssr0 / ssr)
-        test = 10.0 * stat / size_x
-    except Exception:
-        test = np.nan
-    return {"nonlinearity": float(test)}
+    return _single(nonlinearity_batch, x, freq)
+
+
+def nonlinearity_batch(xs, freqs) -> dict:
+    """nonlinearity of every series: z = the series scaled to mean 0,
+    sd 1; u = the residuals of z_t on [1, z_{t-1}], v those of u on [1,
+    z_{t-1}, z_{t-1}^2, z_{t-1}^3] (two least-squares calls); the
+    statistic is 10 log(RSS_u / RSS_v). NaN where z is not finite or
+    either RSS is 0 (an exact fit)."""
+    off, x = _ragged(xs)
+    n = np.diff(off)
+    with np.errstate(all="ignore"):
+        d = x - np.repeat(_seg_sum(off, x) / n, n)
+        z = d / np.repeat(np.sqrt(_seg_sum(off, d * d) / (n - 1)), n)
+    out = np.full(len(n), np.nan)
+    lanes = np.flatnonzero((n >= 2) & _seg_all_finite(off, z))
+    if len(lanes):
+        roff, q, X, y = _lag_design(*_take(off, z, lanes), np.ones(len(lanes), np.int64))
+        _, rss0, u = lsq(roff, q, X, y)
+        x1 = X[1::2]
+        _, rss, _ = lsq(roff, np.full(len(lanes), 4),
+                        np.column_stack([np.ones(len(x1)), x1, x1**2, x1**3]).ravel(), u)
+        for j, (i, ssr0, ssr) in enumerate(zip(lanes, rss0[1::2], rss[3::4])):
+            if ssr0 > 0 and ssr > 0:
+                stat = int(n[i]) * math.log(ssr0 / ssr)
+                out[i] = 10.0 * stat / int(n[i])
+    return {"nonlinearity": out}
 
 
 def pacf_features(x: np.ndarray, freq: int = 1) -> dict:
-    """Partial autocorrelation features (reference tsfeatures.py:505-576).
+    """Partial autocorrelation features (reference tsfeatures.py:505-576)."""
+    return _single(pacf_features_batch, x, freq, ("seas_pacf",))
 
-    statsmodels pacf raises when nlags >= n // 2; we replicate that gate
-    so short seasonal series degrade to NaN exactly like the reference.
-    """
-    x = np.asarray(x, dtype=float)
-    m = freq
-    nlags_ = max(m, 5)
 
-    def _pacf(arr: np.ndarray, nlags: int) -> np.ndarray:
-        if nlags >= len(arr) // 2:
-            raise ValueError("nlags must be < 50% of sample size")
-        return pacf_ldb(arr, nlags)
-
-    if len(x) > 1:
-        try:
-            pacfx = _pacf(x, nlags_)
-        except Exception:
-            pacfx = np.array(np.nan)
-    else:
-        pacfx = np.array(np.nan)
-
-    if len(x) > 5 and not np.all(np.isnan(pacfx)):
-        pacf_5 = float(np.sum(pacfx[1:6] ** 2))
-    else:
-        pacf_5 = np.nan
-
-    if len(x) > 6:
-        try:
-            diff1_pacf = _pacf(np.diff(x, n=1), 5)[1:6]
-            diff1_pacf_5 = float(np.sum(diff1_pacf**2))
-        except Exception:
-            diff1_pacf_5 = np.nan
-    else:
-        diff1_pacf_5 = np.nan
-
-    if len(x) > 7:
-        try:
-            diff2_pacf = _pacf(np.diff(x, n=2), 5)[1:6]
-            diff2_pacf_5 = float(np.sum(diff2_pacf**2))
-        except Exception:
-            diff2_pacf_5 = np.nan
-    else:
-        diff2_pacf_5 = np.nan
-
-    output = {
-        "x_pacf5": pacf_5,
-        "diff1x_pacf5": diff1_pacf_5,
-        "diff2x_pacf5": diff2_pacf_5,
+def pacf_features_batch(xs, freqs) -> dict:
+    """pacf_features of every series: three autocovariance + Levinson-
+    Durbin calls (x to lag max(m, 5), its differences to lag 5).
+    statsmodels pacf raises when nlags >= n // 2; that gate is kept so
+    short seasonal series degrade to NaN exactly like the reference."""
+    off, v = _ragged(xs)
+    n = np.diff(off)
+    m = np.asarray(freqs, dtype=np.int64)
+    nan = np.full(len(n), np.nan)
+    nl = np.maximum(m, 5)
+    _, px = acovf(off, v, nl, pacf=True)
+    ok = (n > 1) & (nl < n // 2)
+    d1off, d1 = _ragged_diff(off, v)
+    d2off, d2 = _ragged_diff(d1off, d1)
+    _, p1 = acovf(d1off, d1, np.full(len(n), 5), pacf=True)
+    _, p2 = acovf(d2off, d2, np.full(len(n), 5), pacf=True)
+    return {
+        "x_pacf5": np.where(ok & (n > 5), _lag_sq_sum(px, 5), nan),
+        "diff1x_pacf5": np.where((n > 6) & (5 < (n - 1) // 2), _lag_sq_sum(p1, 5), nan),
+        "diff2x_pacf5": np.where((n > 7) & (5 < (n - 2) // 2), _lag_sq_sum(p2, 5), nan),
+        "seas_pacf": np.where(ok & (m > 1), px[np.arange(len(n)), np.maximum(m, 0)], nan),
     }
-    if m > 1:
-        try:
-            output["seas_pacf"] = float(pacfx[m]) if pacfx.ndim and len(pacfx) > m else np.nan
-        except Exception:
-            output["seas_pacf"] = np.nan
-    return output
 
 
 def series_length(x: np.ndarray, freq: int = 1) -> dict:
@@ -528,28 +498,37 @@ def unitroot_kpss(x: np.ndarray, freq: int = 1) -> dict:
 
 def unitroot_pp(x: np.ndarray, freq: int = 1) -> dict:
     """Phillips-Perron rho statistic (reference tsfeatures.py:818-838,
-    utils.py:164-213, ported to pure NumPy)."""
-    x = np.asarray(x, dtype=float)
-    try:
-        n = len(x)
-        lmax = int(4 * (n / 100) ** 0.25)
-        y, y_l1 = x[1:], x[: n - 1]
-        n -= 1
-        if n < 1:
-            raise ValueError("series too short")
-        params, res, _ = ols_fit(y_l1, y, add_intercept=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = 1.0 / (n * np.sum(res**2))
-            myybar = (1.0 / n**2) * float(((y - y.mean()) ** 2).sum())
-            coprods = np.array(
-                [float(np.sum(res[i + 1 :] * res[: n - i - 1])) for i in range(lmax)]
-            )
-            weights = 1.0 - (np.arange(lmax) + 1.0) / (lmax + 1.0)
-            sig = s + (2.0 / n) * float((weights * coprods).sum())
-            lambda_ = 0.5 * (sig - s)
-            alpha = params[1]
-            test_stat = n * (alpha - 1.0) - lambda_ / myybar
-        test_stat = float(test_stat)
-    except Exception:
-        test_stat = np.nan
-    return {"unitroot_pp": test_stat}
+    utils.py:164-213)."""
+    return _single(unitroot_pp_batch, x, freq)
+
+
+def unitroot_pp_batch(xs, freqs) -> dict:
+    """unitroot_pp of every series: one least-squares call for x_t on
+    [1, x_{t-1}] and one raw autocovariance call for the residuals'
+    Bartlett-weighted sum up to lag int(4 (n / 100)^0.25). NaN for n < 2,
+    non-finite values or a constant x_t (t >= 1). With a constant x_{t-1}
+    the slope is the minimum-norm one, as lstsq gives."""
+    off, v = _ragged(xs)
+    n0 = np.diff(off)
+    out = np.full(len(n0), np.nan)
+    lanes = np.flatnonzero((n0 >= 2) & _seg_all_finite(off, v))
+    if not len(lanes):
+        return {"unitroot_pp": out}
+    lmax = (4 * (n0[lanes] / 100) ** 0.25).astype(np.int64)
+    roff, q, X, y = _lag_design(*_take(off, v, lanes), np.ones(len(lanes), np.int64))
+    coef, rss, res = lsq(roff, q, X, y)
+    n = np.diff(roff)
+    ac = acovf(roff, res, lmax, demean=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = y - np.repeat(_seg_sum(roff, y) / n, n)
+        myybar = (1.0 / n**2) * _seg_sum(roff, dev * dev)
+        # the reference's lambda = 0.5 (sig - s), sig = s + (2 / n) sum_k
+        # w_k sum_t e_t e_{t-k}, s = 1 / (n RSS): taken without adding and
+        # subtracting s, which is infinite for an exact fit
+        lambda_ = np.zeros(len(lanes))
+        for k in range(1, ac.shape[1]):  # weight 1 - k / (lmax + 1) at lag k
+            w = 1.0 - k / (lmax + 1.0)
+            lambda_ = lambda_ + np.where((k <= lmax) & (k < n), w * ac[:, k], 0.0)
+        # a constant x_t (myybar 0) has no statistic
+        out[lanes] = np.where(myybar > 0, n * (coef[1::2] - 1.0) - lambda_ / myybar, np.nan)
+    return {"unitroot_pp": out}

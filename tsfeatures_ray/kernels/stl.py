@@ -16,20 +16,24 @@ Reimplements, without statsmodels or the supersmoother package:
   smoothed with the midrange span, interpolation between bracketing
   primary smooths, final smooth at the tweeter span.
 
-The strengths, spike, linearity and remainder ACF are per-series NumPy.
-These are the reference's own building blocks re-derived from the public
-algorithms; the reference pins no golden values for stl_features, and
-its README (95-141) shows R/Python divergence here, so conformance is
-structural (decomposition identity, strength bounds) plus fixture-level
-stability.
+The tail -- strengths, spike, linearity/curvature and the remainder ACF
+-- runs over the whole batch at once: per-series sums over the ragged
+values, one compiled least-squares call for the linearity fit on the
+orthogonal polynomial (built once per distinct length) and one
+autocovariance call. These are the reference's own building blocks
+re-derived from the public algorithms; the reference pins no golden
+values for stl_features, and its README (95-141) shows R/Python
+divergence here, so conformance is structural (decomposition identity,
+strength bounds) plus fixture-level stability.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .simple import acf_features
-from ._math import ols_fit, poly
+from ._batch import _STEPS, _extrema, _offsets, _ragged, _seg_all_finite, _seg_sum, lsq
+from ._math import poly_lanes
+from .simple import _acf, _lag_sq_sum
 
 __all__ = ["stl_features", "stl_features_batch", "stl_decompose", "supersmoother_fit"]
 
@@ -47,8 +51,6 @@ def _stl_lanes(ys: list[np.ndarray], ms: list[int], seasonal: int = 13):
     """STL (trend, seasonal component) lists of every series ys[i] with
     period ms[i] (at least two periods long), from ONE call into the
     compiled loop (_steps.c stl_fit)."""
-    from ._batch import _STEPS, _ragged
-
     if not ys:
         return [], []
     off, y = _ragged(ys)
@@ -57,10 +59,8 @@ def _stl_lanes(ys: list[np.ndarray], ms: list[int], seasonal: int = 13):
     nl = np.array([_next_odd_gt(float(m)) for m in ms], np.int64)
     trend, season = np.empty_like(y), np.empty_like(y)
     _STEPS.stl_fit(len(ys), off, y, ms, int(seasonal), nt, nl, trend, season)
-    # copies, not views: the tail's BLAS calls (ols_fit) are sensitive to
-    # pointer alignment, which a view's place in the batch would set
     cut = list(zip(off[:-1], off[1:]))
-    return [trend[a:b].copy() for a, b in cut], [season[a:b].copy() for a, b in cut]
+    return [trend[a:b] for a, b in cut], [season[a:b] for a, b in cut]
 
 
 def stl_decompose(x: np.ndarray, period: int, seasonal: int = 13):
@@ -123,9 +123,9 @@ def supersmoother_fit(y: np.ndarray) -> np.ndarray:
     n = len(y)
     spans = np.array([0.05, 0.2, 0.5])
     if n < 6:
-        # degenerate: fall back to the global line
-        _, resid, fitted = ols_fit(np.arange(n, dtype=float), y)
-        return fitted
+        # degenerate: fall back to the global least-squares line
+        X = np.column_stack([np.ones(n), np.arange(n, dtype=float)]).ravel()
+        return y - lsq(_offsets([n]), [2], X, y)[2]
     fits, cvs = [], []
     for s in spans:
         f, cv = _linear_smooth_cv(y, s)
@@ -167,88 +167,97 @@ def stl_features(x: np.ndarray, freq: int = 1) -> dict:
 
 def stl_features_batch(xs: list[np.ndarray], freqs) -> dict[str, np.ndarray]:
     """Batched stl_features: every seasonal series long enough for STL
-    (freq = m > 1, n >= 2m) is decomposed in one compiled call; the
-    SuperSmoother trend and the per-series strengths, spike, linearity
-    and remainder ACF stay in numpy. Nonseasonal rows leave the
+    (freq = m > 1, n >= 2m) is decomposed in one compiled call, every
+    nonseasonal one (n >= 4) by SuperSmoother, and the tail runs once
+    over all of them (_stl_tail). A series with a non-finite value (a
+    constant series once scaled) gets the reference's failure row: only
+    nperiods and seasonal_period. Nonseasonal rows leave the
     seasonal-only columns NaN."""
     xs = [np.asarray(x, dtype=float) for x in xs]
-    ms = [int(f) for f in freqs]
-    lanes = [i for i, (x, m) in enumerate(zip(xs, ms)) if m > 1 and len(x) >= 2 * m]
-    trends, seasons = _stl_lanes([xs[i] for i in lanes], [ms[i] for i in lanes])
-    dec = dict(zip(lanes, zip(trends, seasons)))
+    ms = np.array([int(f) for f in freqs], dtype=np.int64)
+    n = np.array([len(x) for x in xs], dtype=np.int64)
+    finite = _seg_all_finite(*_ragged(xs))
     out = {k: np.full(len(xs), np.nan) for k in _COLS}
-    for i, (x, m) in enumerate(zip(xs, ms)):
-        for k, v in _stl_row(x, m, dec.get(i)).items():
-            out[k][i] = v
+    out["nperiods"] = (ms > 1).astype(float)
+    out["seasonal_period"] = ms.astype(float)
+    seas = finite & (ms > 1) & (n >= 2 * ms)
+    rows = np.flatnonzero(seas | (finite & (ms <= 1) & (n >= 4)))
+    if not len(rows):
+        return out
+    lanes = np.flatnonzero(seas)
+    trends, seasons = _stl_lanes([xs[i] for i in lanes], ms[lanes])
+    trend, season = dict(zip(lanes.tolist(), trends)), dict(zip(lanes.tolist(), seasons))
+    for i in rows[~seas[rows]].tolist():
+        trend[i], season[i] = supersmoother_fit(xs[i]), np.zeros(n[i])
+    off, x = _ragged([xs[i] for i in rows])
+    tail = _stl_tail(off, x, _ragged([trend[i] for i in rows])[1],
+                     _ragged([season[i] for i in rows])[1], ms[rows])
+    for k, v in tail.items():
+        out[k][rows] = v
     return out
 
 
-def _stl_row(x: np.ndarray, m: int, dec) -> dict:
-    """stl_features of one series given its STL (trend, seasonal
-    component), or None where STL could not run; a row that cannot be
-    computed holds only nperiods and seasonal_period."""
-    head = {"nperiods": float(m > 1), "seasonal_period": float(m)}
-    if m > 1:
-        if dec is None:
-            return head
-        trend0, seasonal = dec
-        remainder = x - trend0 - seasonal
-    else:
-        try:
-            if len(x) < 4:
-                raise ValueError("too short for supersmoother")
-            trend0 = supersmoother_fit(x)
-        except Exception:
-            return head
-        remainder = x - trend0
-        seasonal = np.zeros(len(x))
+def _max1_min0(v: np.ndarray) -> np.ndarray:
+    """max(0.0, min(1.0, v)) elementwise, with Python's NaN rule (1.0)."""
+    v = np.where(v < 1.0, v, 1.0)
+    return np.where(v > 0.0, v, 0.0)
 
-    deseason = x - seasonal
-    n = len(x)
-    varx = np.nanvar(x, ddof=1)
-    vare = np.nanvar(remainder, ddof=1)
-    vardeseason = np.nanvar(deseason, ddof=1)
 
-    if varx < np.finfo(float).eps:
-        trend_strength = 0.0
-    elif vardeseason / varx < 1e-10:
-        trend_strength = 0.0
-    else:
-        trend_strength = max(0.0, min(1.0, 1.0 - vare / vardeseason))
+def _var1(off, v) -> np.ndarray:
+    """Per-lane variance with ddof 1 (sums left to right)."""
+    n = np.diff(off)
+    d = v - np.repeat(_seg_sum(off, v) / n, n)
+    return _seg_sum(off, d * d) / (n - 1)
 
-    if m > 1:
-        denom = np.nanvar(remainder + seasonal, ddof=1)
-        if varx < np.finfo(float).eps or denom < np.finfo(float).eps:
-            season_strength = 0.0
-        else:
-            season_strength = max(0.0, min(1.0, 1.0 - vare / denom))
-        peak = (int(np.argmax(seasonal)) + 1) % m
-        peak = m if peak == 0 else peak
-        trough = (int(np.argmin(seasonal)) + 1) % m
-        trough = m if trough == 0 else trough
 
-    d = (remainder - np.nanmean(remainder)) ** 2
-    varloo = (vare * (n - 1) - d) / (n - 2)
-    spike = float(np.nanvar(varloo, ddof=1))
+def _first_arg(off, v, ext) -> np.ndarray:
+    """Per-lane position of the first value equal to ext (the lane's
+    max or min)."""
+    n = np.diff(off)
+    pos = np.arange(len(v)) - np.repeat(off[:-1], n)
+    return np.minimum.reduceat(np.where(v == np.repeat(ext, n), pos, len(v)), off[:-1])
 
-    time = np.arange(n) + 1
-    poly_m = poly(time, 2)
-    coefs, _, _ = ols_fit(poly_m, trend0, add_intercept=True)
-    linearity = float(coefs[1]) if len(coefs) > 1 else np.nan
-    curvature = float(-coefs[2]) if len(coefs) > 2 else np.nan
 
-    acfremainder = acf_features(remainder, m)
-    output = {
-        **head,
-        "trend": float(trend_strength),
+def _stl_tail(off, x, trend, seasonal, m) -> dict:
+    """stl_features of the finite lanes (off, x), n >= 4, given their
+    trend and seasonal component (0 for the nonseasonal lanes)."""
+    n = np.diff(off)
+    eps = np.finfo(float).eps
+    remainder = x - trend - seasonal
+    varx = _var1(off, x)
+    vare = _var1(off, remainder)
+    vardeseason = _var1(off, x - seasonal)
+    denom = _var1(off, remainder + seasonal)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trend_strength = np.where((varx < eps) | (vardeseason / varx < 1e-10), 0.0,
+                                  _max1_min0(1.0 - vare / vardeseason))
+        season_strength = np.where((varx < eps) | (denom < eps), 0.0,
+                                   _max1_min0(1.0 - vare / denom))
+    lo, hi = _extrema(off, seasonal)
+    mm = np.maximum(m, 1)
+    peak = (_first_arg(off, seasonal, hi) + 1) % mm
+    trough = (_first_arg(off, seasonal, lo) + 1) % mm
+    d = (remainder - np.repeat(_seg_sum(off, remainder) / n, n)) ** 2
+    varloo = (np.repeat(vare * (n - 1), n) - d) / np.repeat(n - 2, n)
+    spike = _var1(off, varloo)
+    # linearity / curvature: OLS of the trend on [1, poly(1..n, 2)], the
+    # polynomial built once per distinct length
+    lens, at = np.unique(n, return_inverse=True)
+    Q = poly_lanes([np.arange(k) + 1 for k in lens], 2)
+    qoff = _offsets(lens)
+    rowsQ = np.repeat(qoff[:-1][at] - off[:-1], n) + np.arange(len(x))
+    design = np.column_stack([np.ones(len(x)), Q[rowsQ, 1], Q[rowsQ, 2]]).ravel()
+    coef, _, _ = lsq(off, np.full(len(n), 3), design, trend)
+    acf = _acf(off, remainder, np.full(len(n), 10))
+    seasonal_rows = m > 1
+    return {
+        "trend": trend_strength,
         "spike": spike,
-        "linearity": linearity,
-        "curvature": curvature,
-        "e_acf1": acfremainder["x_acf1"],
-        "e_acf10": acfremainder["x_acf10"],
+        "linearity": coef[1::3],
+        "curvature": -coef[2::3],
+        "e_acf1": acf[:, 1],
+        "e_acf10": np.where(n > 10, _lag_sq_sum(acf, 10), np.nan),
+        "seasonal_strength": np.where(seasonal_rows, season_strength, np.nan),
+        "peak": np.where(seasonal_rows, np.where(peak == 0, mm, peak), np.nan),
+        "trough": np.where(seasonal_rows, np.where(trough == 0, mm, trough), np.nan),
     }
-    if m > 1:
-        output["seasonal_strength"] = float(season_strength)
-        output["peak"] = float(peak)
-        output["trough"] = float(trough)
-    return output

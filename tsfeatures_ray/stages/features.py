@@ -14,9 +14,9 @@ superset of the default feature set (42 feature columns, SURVEY.md
 §2.1); nonseasonal series leave the seasonal-only columns NaN. A fixed
 schema is what lets blocks concatenate without Arrow schema conflicts.
 
-BLAS threading: the reference pins MKL/OMP to one thread per worker
-(tsfeatures.py:6-8); Ray already exports OMP_NUM_THREADS=1 to workers,
-so each num_cpus=1 task is single-threaded by construction.
+Threading: the reference pins MKL/OMP to one thread per worker
+(tsfeatures.py:6-8); no kernel here calls BLAS, and each num_cpus=1 task
+is single-threaded by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import pyarrow as pa
 
 import ray
 
-from ..kernels import ALL_FEATURES, DEFAULT_FEATURES, compute_features
+from ..kernels import ALL_FEATURES, BATCH_KERNELS, DEFAULT_FEATURES, compute_features
+from ..kernels._math import scalets
 
 # canonical output order: reference default feature list order, seasonal
 # superset (SURVEY.md §2.1; reference tsfeatures.py:932-937)
@@ -136,53 +137,30 @@ class FeatureKernels:
         return offsets, flat
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..kernels._batch import holt_parameters_batch, hw_parameters_batch
-        from ..kernels._math import scalets
-        from ..kernels.het import heterogeneity_batch
-        from ..kernels.stl import stl_features_batch
-
-        batch_impls = {
-            "holt_parameters": lambda xs, fr: holt_parameters_batch(xs),
-            "hw_parameters": hw_parameters_batch,
-            "heterogeneity": heterogeneity_batch,
-            "stl_features": stl_features_batch,
-        }
         offsets, flat = self._extract_series(batch["y"])
         freqs = batch["freq"].to_numpy()
         n = len(batch)
-        # scale once per series (identical to compute_features' scalets).
-        # Unscaled series are COPIED out of the Arrow buffer: a zero-copy
-        # view's pointer alignment varies with block layout, and BLAS
-        # kernels (lstsq/QR/matmul) are alignment-sensitive in the last
-        # bit -- fresh allocations keep outputs run-deterministic.
+        # scale once per series (identical to compute_features' scalets)
         xs = []
         for i in range(n):
             x = np.array(flat[offsets[i] : offsets[i + 1]], dtype=float)
             xs.append(scalets(x) if self.scale else x)
-        # registry kernels with a cross-series (lane-batched) impl run
-        # ONCE per batch; custom callables that merely share a registry
-        # name keep the per-series path
-        plan = []  # (feature_fn, batch_result | None), feature-list order
-        for f in self.features:
-            name = getattr(f, "__name__", "")
-            if name in batch_impls and ALL_FEATURES.get(name) is f:
-                plan.append((f, batch_impls[name](xs, freqs)))
-            else:
-                plan.append((f, None))
-        plan.reverse()  # reversed dict.update == ChainMap first-wins
+        # kernels with a batch form (BATCH_KERNELS) run ONCE per batch and
+        # write whole columns; the others run per series. Kernels run in
+        # reverse list order so an earlier kernel's column overwrites a
+        # later one's: the reference's ChainMap first-wins merge.
         out = {c: np.full(n, np.nan) for c in self.columns}
-        for i in range(n):
-            row: dict = {}
-            fi = int(freqs[i])
-            for f, br in plan:
-                if br is None:
-                    row.update(f(xs[i], fi))
-                else:
-                    for k, v in br.items():
-                        row[k] = v[i]
-            for k, v in row.items():
-                if k in out:
-                    out[k][i] = v
+        for f in reversed(self.features if n else []):
+            batch_fn = BATCH_KERNELS.get(f)
+            if batch_fn is not None:
+                for k, v in batch_fn(xs, freqs).items():
+                    if k in out:
+                        out[k][:] = v
+                continue
+            for i in range(n):
+                for k, v in f(xs[i], int(freqs[i])).items():
+                    if k in out:
+                        out[k][i] = v
         id_cols = [c for c in ("unique_id", "tier", "metric") if c in batch.column_names]
         arrays = [batch[c] for c in id_cols] + [
             pa.array(out[c], type=pa.float64()) for c in self.columns
