@@ -29,7 +29,12 @@ Python-float ports of the newer loops, statement by statement:
   ``_loess_fixed_window``, ``_loess_at`` and ``_moving_average``), which
   the compiled ``stl_fit`` matches to rounding, a Python-float port of
   ``stl_fit`` (``stl_fit_port``), and SuperSmoother's per-point span
-  interpolation loop (``supersmoother_fit_loop``).
+  interpolation loop (``supersmoother_fit_loop``);
+- the per-series forms of the kernels that became axis-1 batch forms
+  over equal-length lanes -- ``scalets`` (with 1-D ``periodogram_psd``),
+  ``crossing_points``, ``entropy``, ``flat_spots``, ``series_length``
+  and ``unitroot_kpss`` -- which the batch forms match bit for bit
+  (``ROW_ORACLES``).
 
 GARCH's log-likelihood takes libm ``log`` (``math.log``) on every lane.
 The retired rule -- numpy's CPU-dispatched ``np.log`` below LIBM_LOG_N
@@ -45,7 +50,6 @@ from math import log
 import numpy as np
 
 from tsfeatures_ray.kernels._batch import _ragged, level_trend, seasonal_heuristic
-from tsfeatures_ray.kernels._math import scalets
 from tsfeatures_ray.kernels.stl import _fixed_smooth, _linear_smooth_cv, _next_odd_gt
 
 LIBM_LOG_N = 512
@@ -1712,3 +1716,132 @@ def hurst_rs_numpy(x):
         cmin = np.minimum.accumulate(dev, axis=1)
         return np.diagonal(cmax) - np.diagonal(cmin), s_t
 
+
+# ---------------------------------------------------------------------------
+# per-series kernels the equal-length batch forms replaced
+# ---------------------------------------------------------------------------
+
+def scalets(x: np.ndarray) -> np.ndarray:
+    """Mean-std scale with ddof=1 (reference utils.py:19-23). Below two
+    points, or for a constant series, the ddof=1 spread gives 0/0 and the
+    result is NaN -- the same bits ``x.std(ddof=1)`` gives, without its
+    RuntimeWarnings."""
+    with np.errstate(all="ignore"):
+        if len(x) >= 2:
+            return (x - x.mean()) / x.std(ddof=1)
+        # x.std(ddof=1)'s own steps: mean, squared deviations, / (n - 1)
+        d = x - np.add.reduce(x) / len(x)
+        return d / np.sqrt(np.add.reduce(d * d) / 0)
+
+
+def periodogram_psd(x: np.ndarray) -> np.ndarray:
+    """One-sided periodogram PSD, scipy.signal.periodogram defaults.
+
+    Matches ``periodogram(x, fs=1.0)``: boxcar window, constant detrend,
+    density scaling, one-sided with doubling of non-DC/non-Nyquist bins.
+    Used by the spectral entropy kernel (antropy spectral_entropy with
+    method='fft'; reference tsfeatures.py:197).
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    xd = x - (x.mean() if n else 0.0)  # detrend='constant'; empty: rfft raises
+    spec = np.abs(np.fft.rfft(xd)) ** 2 / n  # fs = 1.0
+    if n % 2 == 0:
+        spec[1:-1] *= 2.0
+    else:
+        spec[1:] *= 2.0
+    return spec
+
+
+def crossing_points(x: np.ndarray, freq: int = 1) -> dict:
+    """Number of median crossings (reference tsfeatures.py:156-178)."""
+    x = np.asarray(x, dtype=float)
+    midline = np.median(x) if len(x) else np.nan  # empty: no crossings
+    ab = x <= midline
+    p1, p2 = ab[:-1], ab[1:]
+    cross = (p1 & (~p2)) | (p2 & (~p1))
+    return {"crossing_points": float(cross.sum())}
+
+
+def entropy(x: np.ndarray, freq: int = 1) -> dict:
+    """Normalized spectral entropy (reference tsfeatures.py:180-201).
+
+    Reimplements antropy.spectral_entropy(x, sf=1, method='fft',
+    normalize=True): one-sided periodogram (constant detrend) ->
+    Shannon entropy in bits / log2(#bins).
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            psd = periodogram_psd(x)
+            psd_norm = psd / psd.sum()
+            se = -np.multiply(psd_norm, np.log2(psd_norm)).sum()
+            se /= np.log2(psd_norm.size)
+        se = float(se)
+    except Exception:
+        se = np.nan
+    return {"entropy": se}
+
+
+def flat_spots(x: np.ndarray, freq: int = 1) -> dict:
+    """Max run length after 10-bin discretization (reference tsfeatures.py:203-225).
+
+    Replicates pandas.cut(x, bins=10, include_lowest=True) bin-edge
+    semantics: equal-width edges over [min, max], lowest edge padded by
+    0.1% of the range so the minimum falls in bin 0; right-closed bins.
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        if len(x) == 0 or not np.all(np.isfinite(x)):
+            return {"flat_spots": np.nan}
+        mn, mx = x.min(), x.max()
+        if mn == mx:
+            adj = abs(mn) * 0.001 if mn != 0 else 0.001
+            edges = np.linspace(mn - adj, mx + adj, 11)
+        else:
+            edges = np.linspace(mn, mx, 11)
+            edges[0] -= (mx - mn) * 0.001
+        cutx = np.searchsorted(edges, x, side="left") - 1
+    except Exception:
+        return {"flat_spots": np.nan}
+    # run-length encode, take the max run
+    change = np.flatnonzero(np.diff(cutx) != 0)
+    bounds = np.concatenate([[-1], change, [len(cutx) - 1]])
+    rlex = int(np.diff(bounds).max())
+    return {"flat_spots": float(rlex)}
+
+
+def series_length(x: np.ndarray, freq: int = 1) -> dict:
+    """len(x) (reference tsfeatures.py:578-594)."""
+    return {"series_length": float(len(x))}
+
+
+def unitroot_kpss(x: np.ndarray, freq: int = 1) -> dict:
+    """KPSS level statistic (reference tsfeatures.py:793-816).
+
+    Reimplements statsmodels kpss(x, regression='c', nlags=l): demeaned
+    residuals, Bartlett long-run variance, eta / s^2.
+    """
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    nlags = int(4 * (n / 100) ** 0.25)
+    try:
+        if nlags >= n:
+            raise ValueError("lags must be < number of observations")
+        resids = x - x.mean()
+        s = np.cumsum(resids)
+        eta = float(np.sum(s**2)) / n**2
+        s2 = float(np.sum(resids**2)) / n
+        for i in range(1, nlags + 1):
+            w = 1.0 - i / (nlags + 1.0)
+            s2 += (2.0 / n) * w * float(np.sum(resids[i:] * resids[:-i]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = eta / s2
+        stat = float(stat)
+    except Exception:
+        stat = np.nan
+    return {"unitroot_kpss": stat}
+
+
+ROW_ORACLES = {f.__name__: f for f in (crossing_points, entropy, flat_spots, series_length,
+                                       unitroot_kpss)}

@@ -12,7 +12,9 @@ stl.py) and their compiled loops (kernels/_steps.c).
    feature outputs deterministic across block layouts, runs and CPU
    counts.
 4. STAGE PARITY -- FeatureKernels' batched __call__ equals per-series
-   compute_features for every feature column.
+   compute_features for every feature column, and the per-series forms
+   the equal-length batch forms replaced (tests/_step_oracles.py) bit for
+   bit; no default kernel runs per series.
 5. BUILD -- the compiled loops' build flags, cache and failure modes.
 6. STL -- the compiled decomposition equals a Python-float port of its
    loop bit-for-bit and the numpy STL it replaced to rounding;
@@ -230,7 +232,7 @@ def test_garch_mean_update_equals_numpy_loop():
 
 def test_holt_single_equals_lane():
     pool = _series_pool(1) + _series_pool(11, 2, lengths=(600,))
-    lane = B.holt_parameters_batch(pool)
+    lane = B.holt_parameters_batch(*B._ragged(pool), np.ones(len(pool), np.int64))
     for i, y in enumerate(pool):
         a, b = O.holt_fit_single(y)
         assert _eq(a, lane["alpha"][i]) and _eq(b, lane["beta"][i]), i
@@ -240,7 +242,7 @@ def test_hw_single_equals_lane():
     pool = _series_pool(2) + _series_pool(12, 1, lengths=(600,))
     for m in (2, 4, 12, 24):
         ys = [y for y in pool if len(y) >= 2 * m]
-        lane = B.hw_parameters_batch(ys, np.full(len(ys), m))
+        lane = B.hw_parameters_batch(*B._ragged(ys), np.full(len(ys), m))
         for i, y in enumerate(ys):
             r = O.hw_fit_single(y, m)
             got = (lane["hw_alpha"][i], lane["hw_beta"][i], lane["hw_gamma"][i])
@@ -266,13 +268,14 @@ def test_garch_single_equals_lane():
 def test_composition_independence():
     """The same series gives identical bits alone, at any position of a
     1024-row batch of mixed lengths and mixed seasonal periods, and
-    through the scalar compute_features -- for every batch kernel."""
-    from tsfeatures_ray.kernels import BATCH_KERNELS, DEFAULT_FEATURES, compute_features
+    through the scalar compute_features -- for every default kernel."""
+    from tsfeatures_ray.kernels import DEFAULT_FEATURES, compute_features
 
     rng = np.random.RandomState(4)
     # (23, 12) and (24, 12): one short of STL and exactly two periods;
-    # (2100, 1): the Hurst envelope
-    probes = [(100, 12), (30, 4), (600, 24), (13, 2), (23, 12), (24, 12), (2100, 1), (3, 1)]
+    # (2100, 1): the Hurst envelope; 0-2 points: the 1h / 1d tiers
+    probes = [(100, 12), (30, 4), (600, 24), (13, 2), (23, 12), (24, 12), (2100, 1), (3, 1),
+              (0, 1), (1, 12), (2, 4)]
     lengths = [0, 1, 2, 5, 9, 13, 25, 50, 100, 156, 300, 600]
     filler = [scalets(np.cumsum(rng.randn(int(rng.choice(lengths)))))
               for _ in range(1024 - len(probes))]
@@ -281,13 +284,13 @@ def test_composition_independence():
            for n, m in probes]
     ys = [scalets(x) for x in raw]
     ms = [m for _, m in probes]
-    batch_kernels = [BATCH_KERNELS[f] for f in DEFAULT_FEATURES if f in BATCH_KERNELS]
-    assert len(batch_kernels) == len(BATCH_KERNELS) == 12
+    assert len(DEFAULT_FEATURES) == 17
 
     def fit(batch, freqs):
+        off, v = B._ragged(batch)
         out = {}
-        for k in batch_kernels:
-            out.update(k(batch, np.array(freqs)))
+        for f in DEFAULT_FEATURES:
+            out.update(f.batch(off, v, np.array(freqs)))
         return out
 
     solo = [fit([y], [m]) for y, m in zip(ys, ms)]
@@ -354,14 +357,18 @@ def test_default_columns_equal_probe():
 
 
 def test_short_series_batch_is_quiet():
-    """0-, 1- and 2-point series (the 1d tier's median length is 1) run
-    through every default kernel without a RuntimeWarning, and scalets
-    gives the same bits x.std(ddof=1) would."""
+    """0-, 1-, 2- and 5-point series (the 1d tier's median length is 1;
+    a single demand run) run through every kernel of ALL_FEATURES --
+    FeatureKernels, scaled and unscaled, and compute_features, at freq 1
+    and 12 -- without a RuntimeWarning, and scalets gives the same bits
+    x.std(ddof=1) would."""
     import pyarrow as pa
 
+    from tsfeatures_ray.kernels import ALL_FEATURES, compute_features
     from tsfeatures_ray.stages.features import FeatureKernels
 
-    ys = [[], [1.0], [-2.5], [2.0, 3.0], [4.0, 4.0]]
+    ys = [[], [1.0], [-2.5], [2.0, 3.0], [4.0, 4.0], [0.0, 3.0, 4.0, 0.0, 0.0],
+          [1.0, 0.0, 2.0, 0.0, 5.0], [7.0, 7.0, 7.0, 7.0, 7.0]]
     rows = [(y, f) for f in (1, 12) for y in ys]
     t = pa.table({
         "unique_id": [str(i) for i in range(len(rows))],
@@ -370,14 +377,184 @@ def test_short_series_batch_is_quiet():
     })
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = FeatureKernels()(t)
-    assert out.num_rows == len(rows)
+        for scale in (True, False):
+            out = FeatureKernels(features=list(ALL_FEATURES), scale=scale)(t)
+            assert out.num_rows == len(rows)
+        for y, f in rows:
+            compute_features(np.asarray(y, float), f, list(ALL_FEATURES.values()))
     for y in ys:
         x = np.asarray(y, float)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             want = (x - x.mean()) / x.std(ddof=1)
         assert np.array_equal(scalets(x).view(np.uint64), want.view(np.uint64)), y
+
+
+def test_guerrero_is_quiet():
+    """guerrero on sparse series (one-point and all-NaN splits at every
+    golden-section step) raises no RuntimeWarning."""
+    from tsfeatures_ray.kernels import guerrero
+
+    rng = np.random.RandomState(9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for n, f in [(0, 1), (1, 1), (2, 1), (5, 1), (40, 1), (60, 24), (200, 60), (120, 12)]:
+            x = np.where(rng.rand(n) < 0.7, 0.0, rng.poisson(3, n)).astype(float)
+            if n > 10:
+                x[n // 3] = np.nan
+            guerrero(x, f)
+    assert len(caught) == 0, {str(w.message) for w in caught}
+
+
+def _oracle_pool(size=2000, seed=2026):
+    """A fixed ragged pool: lengths 0-700, a third of them 0-3 points;
+    freq 1/4/12/24/60; constant, all-zero, NaN, +-inf, count-like,
+    seasonal and wide-magnitude lanes."""
+    rng = np.random.RandomState(seed)
+    ys, fs = [], []
+    for _ in range(size):
+        r = rng.rand()
+        n = int(rng.randint(0, 4) if r < 0.35 else rng.randint(4, 60) if r < 0.7 else rng.randint(60, 701))
+        kind = rng.randint(8)
+        if kind == 0:
+            x = np.full(n, float(rng.randn() * 5))
+        elif kind == 1:
+            x = np.zeros(n)
+        elif kind in (2, 3):
+            x = np.cumsum(rng.randn(n))
+            if n:
+                x[rng.randint(n)] = np.nan if kind == 2 else rng.choice([np.inf, -np.inf])
+        elif kind == 4:
+            x = rng.poisson(0.7, n).astype(float)
+        elif kind == 5:
+            x = 100 + np.cumsum(rng.randn(n)) + 5 * np.sin(2 * np.pi * np.arange(n) / 12)
+        elif kind == 6:
+            x = rng.randn(n) * 10 ** rng.uniform(-6, 6) + rng.uniform(-1e3, 1e3)
+        else:
+            x = np.round(rng.randn(n) * 3)
+        ys.append(x)
+        fs.append(int(rng.choice([1, 4, 12, 24, 60])))
+    return ys, fs
+
+
+def test_equal_length_batch_forms_equal_row_oracles():
+    """scale_lanes and the batch forms of crossing_points, entropy,
+    flat_spots, series_length and unitroot_kpss give the bits of the
+    per-series forms they replaced, raw and scaled, on the oracle pool."""
+    from tsfeatures_ray.kernels import ALL_FEATURES, scale_lanes
+
+    ys, fs = _oracle_pool()
+    off, raw = B._ragged(ys)
+    scaled = scale_lanes(off, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i, y in enumerate(ys):
+            assert _same(scaled[off[i]:off[i + 1]], O.scalets(y)), i
+    for v in (raw, scaled):
+        for name, oracle in O.ROW_ORACLES.items():
+            got = ALL_FEATURES[name].batch(off, v, np.array(fs))[name]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = [oracle(v[off[i]:off[i + 1]], fs[i])[name] for i in range(len(ys))]
+            assert _same(got, want), name
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_feature_kernels_equal_row_oracles(scale):
+    """FeatureKernels() over the oracle pool in 1024-row batches equals,
+    column by column and bit for bit, the per-series path it replaced:
+    the moved scalets, then each default kernel's dict (the moved
+    per-series form where there is one, else its 1-lane call) merged
+    first-wins."""
+    from collections import ChainMap
+
+    import pyarrow as pa
+
+    from tsfeatures_ray.kernels import DEFAULT_FEATURES
+    from tsfeatures_ray.stages.features import FeatureKernels
+
+    ys, fs = _oracle_pool()
+    t = pa.table({"unique_id": [str(i) for i in range(len(ys))], "freq": pa.array(fs, pa.int64()),
+                  "y": pa.array([y.tolist() for y in ys], pa.list_(pa.float64()))})
+    fk = FeatureKernels(scale=scale)
+    out = pa.concat_tables([fk(t.slice(o, 1024)) for o in range(0, t.num_rows, 1024)])
+    want = {c: np.full(len(ys), np.nan) for c in fk.columns}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for i, (y, f) in enumerate(zip(ys, fs)):
+            x = O.scalets(y) if scale else y
+            row = ChainMap(*[O.ROW_ORACLES.get(k.__name__, k)(x, f) for k in DEFAULT_FEATURES])
+            for c, v in row.items():
+                want[c][i] = v
+    for c in fk.columns:
+        assert _same(out[c].to_numpy(), want[c]), c
+
+
+def test_long_equal_length_groups_stay_small():
+    """64 equal-length lanes of 20,000 points run in groups of at most
+    _GROUP_POINTS values: each rowwise batch form peaks (tracemalloc)
+    below half the input's size and the batch scaling below 1.5 times it
+    (its output is the input's size), with the per-series bits."""
+    import tracemalloc
+
+    from tsfeatures_ray.kernels import ALL_FEATURES, scale_lanes
+
+    R, n = 64, 20_000
+    v = np.round(np.random.RandomState(0).randn(R * n) * 3, 1)
+    off = np.arange(R + 1, dtype=np.int64) * n
+    fs = np.ones(R, np.int64)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    scaled, p = peak(lambda: scale_lanes(off, v))
+    assert p < 1.5 * v.nbytes, p
+    assert all(_same(scaled[off[i]:off[i + 1]], O.scalets(v[off[i]:off[i + 1]])) for i in range(R))
+    for name, oracle in O.ROW_ORACLES.items():
+        got, p = peak(lambda: ALL_FEATURES[name].batch(off, v, fs)[name])
+        assert p < 0.5 * v.nbytes, (name, p)
+        assert _same(got, [oracle(v[off[i]:off[i + 1]], 1)[name] for i in range(R)]), name
+
+
+def test_arch_stat_keeps_reference_keywords():
+    """arch_stat(x, freq=1, lags=12, demean=True), as in the reference:
+    lags and demean reach the least-squares fit, by keyword or position."""
+    import inspect
+
+    from tsfeatures_ray.kernels import arch_stat
+    from tsfeatures_ray.kernels.simple import arch_stat_lanes
+
+    assert list(inspect.signature(arch_stat).parameters) == ["x", "freq", "lags", "demean"]
+    x = np.sin(np.arange(60.0)) ** 2 + np.random.RandomState(1).rand(60)
+    off = np.array([0, 60])
+    for lags, demean in ((12, True), (6, False), (3, True)):
+        want = float(arch_stat_lanes(off, x, lags, demean)[0])
+        assert arch_stat(x, 1, lags=lags, demean=demean) == {"arch_lm": want}
+        assert arch_stat(x, 1, lags, demean) == {"arch_lm": want}
+    assert arch_stat(x)["arch_lm"] != arch_stat(x, lags=6)["arch_lm"]
+
+
+def test_default_kernels_never_run_per_row(monkeypatch):
+    """With the per-row adapter refusing every kernel, FeatureKernels()
+    still runs: each default kernel is one batch-form call per batch."""
+    import pyarrow as pa
+
+    from tsfeatures_ray.stages import features
+
+    def refuse(f):
+        raise AssertionError(f"{f.__name__} would run per series")
+
+    monkeypatch.setattr(features, "per_row", refuse)
+    t = pa.table({"unique_id": ["a", "b", "c"], "freq": pa.array([1, 12, 4], pa.int64()),
+                  "y": pa.array([[1.0], [], np.sin(np.arange(40.0)).tolist()],
+                                pa.list_(pa.float64()))})
+    assert features.FeatureKernels()(t).num_rows == 3
+    with pytest.raises(AssertionError, match="statistics"):
+        features.FeatureKernels(features=["statistics"])
 
 
 def test_giant_series_routed_and_correct(ray_session):
@@ -519,11 +696,13 @@ def _stl_spans(m, ns=13):
 def test_stl_fit_equals_python_port():
     """One stl_fit call over every case (one lane each) gives the bits of
     the Python-float port of its loop, lane by lane."""
-    from tsfeatures_ray.kernels.stl import _stl_lanes
+    from tsfeatures_ray.kernels.stl import stl_fit
 
     cases = _stl_cases()
-    trends, seasons = _stl_lanes([x for x, _ in cases], [m for _, m in cases])
-    for (x, m), tr, se in zip(cases, trends, seasons):
+    off, y = B._ragged([x for x, _ in cases])
+    trend, season = stl_fit(off, y, [m for _, m in cases])
+    for i, (x, m) in enumerate(cases):
+        tr, se = trend[off[i]:off[i + 1]], season[off[i]:off[i + 1]]
         want_tr, want_se = O.stl_fit_port(x, m, 13, *_stl_spans(m))
         assert _same(tr, want_tr) and _same(se, want_se), (len(x), m)
 
@@ -553,7 +732,7 @@ def test_stl_features_match_numpy_oracle():
     from tsfeatures_ray.kernels.stl import stl_decompose, stl_features_batch
 
     cases = [(scalets(x), m) for x, m in _stl_cases() if np.isfinite(x).all() and np.ptp(x) > 0]
-    got = stl_features_batch([x for x, _ in cases], [m for _, m in cases])
+    got = stl_features_batch(*B._ragged([x for x, _ in cases]), [m for _, m in cases])
     for i, (x, m) in enumerate(cases):
         trend, season, resid = O.stl_decompose_numpy(x, m)
         want = O.stl_row_numpy(x, m, (trend, season))
@@ -762,7 +941,8 @@ def test_tiled_stats_keep_the_tile_loop_bits():
             x[:] = 2.0
         xs.append(x)
         fs.append(int(rng.choice([1, 4, 7, 12])))
-    lump, stab = lumpiness_batch(xs, fs)["lumpiness"], stability_batch(xs, fs)["stability"]
+    off, v = B._ragged(xs)
+    lump, stab = lumpiness_batch(off, v, fs)["lumpiness"], stability_batch(off, v, fs)["stability"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for i, (x, f) in enumerate(zip(xs, fs)):
@@ -788,7 +968,7 @@ def test_batch_kernels_match_numpy_kernels():
              (simple.unitroot_pp_batch, O.unitroot_pp_numpy),
              (simple.hurst_batch, O.hurst_numpy)]
     for batch, numpy_kernel in pairs:
-        got = batch(xs, fs)
+        got = batch(*B._ragged(xs), fs)
         for i, (x, f) in enumerate(zip(xs, fs)):
             for k, v in numpy_kernel(x, f).items():
                 np.testing.assert_allclose(got[k][i], v, rtol=1e-9, atol=1e-14,

@@ -6,9 +6,16 @@ plus the compiled loops of _steps.c -- no statsmodels/scipy/sklearn, no
 BLAS. ``DEFAULT_FEATURES`` mirrors the reference's default feature list
 (tsfeatures.py:932-937) in the same order; like the reference's ChainMap
 merge (tsfeatures.py:926), the FIRST kernel producing a key wins on
-collision. ``BATCH_KERNELS`` maps a kernel to its batch form
-``f(xs, freqs) -> {column: array}``, which the feature stage calls once
-per batch; the kernel itself is that form's 1-series call.
+collision.
+
+One kernel protocol: the only implementation of each default kernel is
+its batch form ``f.batch(off, v, freqs) -> {column: array}`` over a
+ragged batch (int64 offsets, lane i is ``v[off[i]:off[i + 1]]``; float64
+values; an int64 freq per lane), called once per batch by the feature
+stage. ``scalar_of`` builds the scalar kernel as its 1-lane call (the
+seasonal-only keys left out at freq 1); ``per_row`` builds the batch
+form of a kernel that has only the scalar contract (the opt-in extras,
+user callables): f on each series in turn.
 """
 
 from __future__ import annotations
@@ -18,15 +25,13 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ._math import FREQS, scalets
-from ._batch import holt_parameters_batch, hw_parameters_batch
+from ._math import FREQS, scale_lanes, scalets
+from ._batch import per_row, scalar_of
 from .ets import holt_parameters, hw_parameters
-from .het import heterogeneity, heterogeneity_batch
+from .het import heterogeneity
 from .simple import (
     acf_features,
-    acf_features_batch,
     arch_stat,
-    arch_stat_batch,
     count_entropy,
     crossing_points,
     entropy,
@@ -34,24 +39,18 @@ from .simple import (
     frequency,
     guerrero,
     hurst,
-    hurst_batch,
     intervals,
     lumpiness,
-    lumpiness_batch,
     nonlinearity,
-    nonlinearity_batch,
     pacf_features,
-    pacf_features_batch,
     series_length,
     sparsity,
     stability,
-    stability_batch,
     statistics,
     unitroot_kpss,
     unitroot_pp,
-    unitroot_pp_batch,
 )
-from .stl import stl_features, stl_features_batch
+from .stl import stl_features
 
 # Reference default feature set + order (tsfeatures.py:932-937)
 DEFAULT_FEATURES: list[Callable] = [
@@ -84,21 +83,6 @@ EXTRA_FEATURES: list[Callable] = [
     statistics,
 ]
 
-BATCH_KERNELS: dict[Callable, Callable] = {
-    acf_features: acf_features_batch,
-    arch_stat: arch_stat_batch,
-    heterogeneity: heterogeneity_batch,
-    holt_parameters: holt_parameters_batch,
-    hurst: hurst_batch,
-    hw_parameters: hw_parameters_batch,
-    lumpiness: lumpiness_batch,
-    nonlinearity: nonlinearity_batch,
-    pacf_features: pacf_features_batch,
-    stability: stability_batch,
-    stl_features: stl_features_batch,
-    unitroot_pp: unitroot_pp_batch,
-}
-
 ALL_FEATURES: dict[str, Callable] = {
     f.__name__: f for f in DEFAULT_FEATURES + EXTRA_FEATURES
 }
@@ -123,11 +107,13 @@ def compute_features(
 
 __all__ = [
     "ALL_FEATURES",
-    "BATCH_KERNELS",
     "DEFAULT_FEATURES",
     "EXTRA_FEATURES",
     "FREQS",
     "compute_features",
+    "per_row",
+    "scalar_of",
+    "scale_lanes",
     "scalets",
     "acf_features",
     "arch_stat",

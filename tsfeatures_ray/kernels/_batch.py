@@ -1,9 +1,10 @@
 """Cross-series (lane-batched) implementations of the optimizer-backed
 kernels -- Holt, Holt-Winters and the GARCH(1,1) stage of heterogeneity
--- and the build and binding of the compiled loops (``_steps.c``) every
+-- the build and binding of the compiled loops (``_steps.c``) every
 batch kernel shares: the step loops, the per-lane Nelder-Mead, least
 squares (``lsq``), autocovariance with Levinson-Durbin (``acovf``), the
-Hurst rescaled range and the STL decomposition.
+Hurst rescaled range and the STL decomposition -- and the kernel
+protocol's adapters ``rowwise``, ``scalar_of`` and ``per_row``.
 
 A kernel's cost in numpy is per-CALL interpreter overhead, not
 arithmetic. So all eligible series of a batch run as one set of *lanes*
@@ -24,9 +25,9 @@ pins this, and pins each compiled loop bit-for-bit against the numpy
 loops and Python-float ports kept in tests/_step_oracles.py. GARCH's
 log-likelihood takes libm ``log`` on every lane.
 
-The scalar kernels in ets.py / het.py / stl.py / simple.py are 1-lane
-calls of the batched paths, so there is exactly ONE implementation of
-each kernel.
+The scalar kernels in ets.py / het.py / stl.py / simple.py are
+``scalar_of`` 1-lane calls of their batch forms, so there is exactly ONE
+implementation of each kernel.
 
 Reference semantics preserved: holt_parameters <- reference
 tsfeatures.py:340-368, hw_parameters <- :392-423, heterogeneity
@@ -36,6 +37,7 @@ tsfeatures.py:340-368, hw_parameters <- :392-423, heterogeneity
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shlex
@@ -177,6 +179,77 @@ def _ragged(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return _offsets([len(y) for y in ys]), _f64(np.concatenate(ys) if ys else np.empty(0))
 
 
+_GROUP_POINTS = 1 << 16  # values per length group: bounds a group's temporaries
+
+
+def length_groups(off):
+    """(lanes, index) per group of equal-length lanes of the ragged batch
+    ``off`` (split so a group holds at most _GROUP_POINTS values, or one
+    lane): its lanes and the (lanes, n) index of their values. A
+    reduction along axis 1 of v[index] gives each lane the bits of the
+    same reduction over its 1-D slice."""
+    n = np.diff(off)
+    order = np.argsort(n, kind="stable")
+    cuts = (np.flatnonzero(np.diff(n[order])) + 1).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(n)] if len(n) else []):
+        k = int(n[order[a]])
+        step = max(1, _GROUP_POINTS // max(k, 1))
+        for c in range(a, b, step):
+            lanes = order[c : min(c + step, b)]
+            yield lanes, off[lanes][:, None] + np.arange(k)
+
+
+def _columns(L, parts) -> dict:
+    """{column: (L,) array} of (lanes, {column: values}) parts, NaN-filled."""
+    cols = {}
+    for lanes, out in parts:
+        for k, col in out.items():
+            if k not in cols:
+                cols[k] = np.full(L, np.nan)
+            cols[k][lanes] = col
+    return cols
+
+
+def rowwise(fn):
+    """The batch form ``(off, v, freqs) -> {column: array}`` of ``fn(a)``,
+    a kernel written along axis 1 of an (R, n) array of equal-length
+    series: one call per length."""
+    @functools.wraps(fn)
+    def batch(off, v, freqs):
+        return _columns(len(off) - 1, ((lanes, fn(v[idx])) for lanes, idx in length_groups(off)))
+
+    return batch
+
+
+def per_row(f):
+    """The batch form of a kernel that has only the scalar contract: f on
+    each series in turn. A key f leaves out for a series is NaN there."""
+    def batch(off, v, freqs):
+        return _columns(len(off) - 1, ((i, f(v[off[i]:off[i + 1]], int(freqs[i])))
+                                       for i in range(len(off) - 1)))
+
+    return batch
+
+
+def scalar_of(batch, seasonal=()):
+    """Decorator: the stub becomes the reference contract ``f(x, freq=1)
+    -> {key: float}`` of the batch form ``batch`` (``f.batch``), a 1-lane
+    call that leaves the ``seasonal`` keys out at freq <= 1; arguments
+    after freq go to the batch form. The stub gives the name, signature
+    and docstring."""
+    def wrap(stub):
+        @functools.wraps(stub)
+        def f(x, freq=1, *args, **kw):
+            x = _f64(x)
+            out = batch(_offsets([len(x)]), x, np.array([freq], dtype=np.int64), *args, **kw)
+            return {k: float(v[0]) for k, v in out.items() if freq > 1 or k not in seasonal}
+
+        f.batch = batch
+        return f
+
+    return wrap
+
+
 def _seg_sum(off, v) -> np.ndarray:
     """Per-lane sums of (off, v), left to right (0 for an empty lane)."""
     out = np.empty(len(off) - 1)
@@ -311,11 +384,10 @@ def _holt_sse(lanes, off, y, a, b, l, bb) -> np.ndarray:
     return sse
 
 
-def _holt_fit(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Grid + zoom + Nelder-Mead Holt fit, one lane per series.
-    Returns (alpha, beta) arrays in input order."""
-    off, y = _ragged(ys)
-    S = len(ys)
+def _holt_fit(off, y) -> tuple[np.ndarray, np.ndarray]:
+    """Grid + zoom + Nelder-Mead Holt fit of every lane of (off, y).
+    Returns (alpha, beta) arrays in lane order."""
+    S = len(off) - 1
     lanes = np.arange(S)
     l0, b0 = level_trend(off, y)
 
@@ -360,25 +432,22 @@ def _holt_fit(ys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.where(bad, np.nan, p[:, 0]), np.where(bad, np.nan, p[:, 1])
 
 
-def _fit_lanes(ys) -> np.ndarray:
+def _fit_lanes(off, v) -> np.ndarray:
     """Lanes the smoothing fits run on (the reference's gates): at least
     5 points, all finite, not constant."""
-    off, v = _ragged(ys)
     lo, hi = _extrema(off, v)
     return np.flatnonzero((np.diff(off) >= 5) & _seg_all_finite(off, v) & (lo != hi))
 
 
-def holt_parameters_batch(
-    ys: list[np.ndarray], freqs=None
-) -> dict[str, np.ndarray]:
+def holt_parameters_batch(off, v, freqs) -> dict[str, np.ndarray]:
     """Batched holt_parameters: one (alpha, beta) row per series; NaN
     rows for the reference's gates (n<5, non-finite, constant)."""
-    S = len(ys)
+    S = len(off) - 1
     alpha = np.full(S, np.nan)
     beta = np.full(S, np.nan)
-    lanes = _fit_lanes(ys)
+    lanes = _fit_lanes(off, v)
     if len(lanes):
-        alpha[lanes], beta[lanes] = _holt_fit([ys[i] for i in lanes])
+        alpha[lanes], beta[lanes] = _holt_fit(*_take(off, v, lanes))
     return {"alpha": alpha, "beta": beta}
 
 
@@ -435,11 +504,10 @@ def seasonal_heuristic(off, v, m: int):
     return l0, b0, s0
 
 
-def _hw_fit(ys: list[np.ndarray], m: int):
-    """Grid + one zoom round + Nelder-Mead HW fit with period m, one
-    lane per series. Returns (alpha, beta, gamma) in input order."""
-    off, y = _ragged(ys)
-    S = len(ys)
+def _hw_fit(off, y, m: int):
+    """Grid + one zoom round + Nelder-Mead HW fit with period m of every
+    lane of (off, y). Returns (alpha, beta, gamma) in lane order."""
+    S = len(off) - 1
     lanes = np.arange(S)
     l0, b0, s0 = seasonal_heuristic(off, y, m)
 
@@ -488,21 +556,18 @@ def _hw_fit(ys: list[np.ndarray], m: int):
     return tuple(np.where(bad, np.nan, p[:, j]) for j in range(3))
 
 
-def hw_parameters_batch(
-    ys: list[np.ndarray], freqs: np.ndarray
-) -> dict[str, np.ndarray]:
+def hw_parameters_batch(off, v, freqs) -> dict[str, np.ndarray]:
     """Batched hw_parameters: lanes split by seasonal period m only."""
-    S = len(ys)
+    n = np.diff(off)
     names = ("hw_alpha", "hw_beta", "hw_gamma")
-    out = {k: np.full(S, np.nan) for k in names}
-    ms = np.asarray(freqs, dtype=int)
-    n = np.array([len(y) for y in ys], dtype=int)
-    lanes = _fit_lanes(ys)
+    out = {k: np.full(len(n), np.nan) for k in names}
+    ms = np.asarray(freqs, dtype=np.int64)
+    lanes = _fit_lanes(off, v)
     lanes = lanes[(ms[lanes] >= 2) & (n[lanes] >= 2 * ms[lanes])]
     for m in np.unique(ms[lanes]):
         sel = lanes[ms[lanes] == m]
-        for k, v in zip(names, _hw_fit([ys[i] for i in sel], int(m))):
-            out[k][sel] = v
+        for k, col in zip(names, _hw_fit(*_take(off, v, sel), int(m))):
+            out[k][sel] = col
     return out
 
 

@@ -9,8 +9,8 @@ the reference's call sites:
 - ``pacf_ldb``    -> statsmodels pacf(x, nlags, method='ldb')
                      (Levinson-Durbin on the biased autocovariance),
                      reference tsfeatures.py:535
-- ``poly_lanes``  -> reference tsfeatures/utils.py:25-43 (QR orthogonal poly)
-- ``scalets``     -> reference tsfeatures/utils.py:19-23
+- ``scalets``     -> reference tsfeatures/utils.py:19-23; ``scale_lanes``
+                     is its batch form, and scalets the 1-lane call
 - ``periodogram_psd`` -> scipy.signal.periodogram defaults
 
 The batch kernels call the lane forms (``_batch.lsq``, ``_batch.acovf``)
@@ -19,36 +19,34 @@ directly.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from ._batch import _STEPS, _f64, _ragged, acovf
+from ._batch import _f64, _offsets, _ragged, acovf, length_groups
 
 FREQS = {"H": 24, "D": 1, "M": 12, "Q": 4, "W": 1, "Y": 1}
 
 
+def scale_lanes(off, v) -> np.ndarray:
+    """Mean-std scale with ddof=1 (reference utils.py:19-23) of every lane
+    of the ragged batch (off, v), one group of equal-length lanes at a
+    time along axis 1. Below two points, or for a constant
+    series, the ddof=1 spread gives 0/0 and the result is NaN, without
+    x.std(ddof=1)'s RuntimeWarnings."""
+    out = np.empty(len(v))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # ddof=1 below two points
+        for _, idx in length_groups(off):
+            a = v[idx]
+            out[idx] = (a - a.mean(1)[:, None]) / a.std(1, ddof=1)[:, None]
+    return out
+
+
 def scalets(x: np.ndarray) -> np.ndarray:
-    """Mean-std scale with ddof=1 (reference utils.py:19-23). Below two
-    points, or for a constant series, the ddof=1 spread gives 0/0 and the
-    result is NaN -- the same bits ``x.std(ddof=1)`` gives, without its
-    RuntimeWarnings."""
-    with np.errstate(all="ignore"):
-        if len(x) >= 2:
-            return (x - x.mean()) / x.std(ddof=1)
-        # x.std(ddof=1)'s own steps: mean, squared deviations, / (n - 1)
-        d = x - np.add.reduce(x) / len(x)
-        return d / np.sqrt(np.add.reduce(d * d) / 0)
-
-
-def poly_lanes(xs: list[np.ndarray], p: int) -> np.ndarray:
-    """Orthogonal polynomials (reference utils.py:25-43) of every x of xs
-    in one compiled call: Q of the Householder QR of [x^0, ..., x^p]
-    (_steps.c qr_q, LAPACK's sign convention), the rows of all of them
-    one after another, (sum n) x (p + 1); columns 1..p are poly(x, p)."""
-    off, v = _ragged([np.asarray(x, dtype=float) for x in xs])
-    X = np.column_stack([v**k for k in range(p + 1)])
-    Q = np.empty((len(v), p + 1))
-    _STEPS.qr_q(len(xs), off, p + 1, _f64(X), Q)
-    return Q
+    """Mean-std scale with ddof=1 of one series: a 1-lane scale_lanes."""
+    x = _f64(x)
+    return scale_lanes(_offsets([len(x)]), x)
 
 
 def acf(x: np.ndarray, nlags: int) -> np.ndarray:
@@ -78,14 +76,15 @@ def periodogram_psd(x: np.ndarray) -> np.ndarray:
     Matches ``periodogram(x, fs=1.0)``: boxcar window, constant detrend,
     density scaling, one-sided with doubling of non-DC/non-Nyquist bins.
     Used by the spectral entropy kernel (antropy spectral_entropy with
-    method='fft'; reference tsfeatures.py:197).
+    method='fft'; reference tsfeatures.py:197). Runs along the last axis,
+    so an (R, n) array gives each row's periodogram.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    xd = x - (x.mean() if n else 0.0)  # detrend='constant'; empty: rfft raises
+    n = x.shape[-1]
+    xd = x - (x.mean(-1)[..., None] if n else 0.0)  # detrend='constant'; empty: rfft raises
     spec = np.abs(np.fft.rfft(xd)) ** 2 / n  # fs = 1.0
     if n % 2 == 0:
-        spec[1:-1] *= 2.0
+        spec[..., 1:-1] *= 2.0
     else:
-        spec[1:] *= 2.0
+        spec[..., 1:] *= 2.0
     return spec

@@ -6,9 +6,10 @@ Reimplements what the reference gets from statsmodels
 additive-seasonal) innovations recursions fit by SSE minimization under
 the usual constraint region (0<alpha<1, 0<beta<alpha, 0<gamma<1-alpha),
 with Hyndman's heuristic initial level/trend/seasonal states. The fits
-themselves are the lane-batched ones of _batch.py (grids over the
-compiled SSE loops, then a compiled Nelder-Mead per lane); the kernels
-here are their 1-series forms.
+are the batch forms ``holt_parameters_batch`` / ``hw_parameters_batch``
+of _batch.py (grids over the compiled SSE loops, then a compiled
+Nelder-Mead per lane); the kernels here are their 1-lane calls
+(``scalar_of``).
 
 These are optimizer-backed features: even R vs Python reference
 implementations diverge here (reference README.md:95-141), and the
@@ -20,9 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._batch import _ragged, holt_parameters_batch, hw_parameters_batch, scalar_of, seasonal_heuristic
+
 __all__ = ["holt_parameters", "hw_parameters"]
 
 
+@scalar_of(holt_parameters_batch)
 def holt_parameters(x: np.ndarray, freq: int = 1) -> dict:
     """alpha / beta of an additive-trend Holt fit (reference
     tsfeatures.py:340-368). NaN when the fit cannot run (short series).
@@ -31,26 +35,16 @@ def holt_parameters(x: np.ndarray, freq: int = 1) -> dict:
     grid, two zoom rounds, then a batched Nelder-Mead polish over all 4
     params) with a single lane -- one optimizer implementation serves
     both the per-series API and the cross-series feature stage."""
-    from ._batch import holt_parameters_batch
-
-    y = np.asarray(x, dtype=float)
-    try:
-        out = holt_parameters_batch([y])
-        params = {"alpha": float(out["alpha"][0]), "beta": float(out["beta"][0])}
-    except Exception:
-        params = {"alpha": np.nan, "beta": np.nan}
-    return params
 
 
 def _heuristic_seasonal(y: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:
     """Hyndman-style initial (level, trend, seasonal indices) of one
     series at period m: a 1-lane _batch.seasonal_heuristic."""
-    from ._batch import _ragged, seasonal_heuristic
-
     l0, b0, s0 = seasonal_heuristic(*_ragged([np.asarray(y, dtype=float)]), m)
     return float(l0[0]), float(b0[0]), s0[0]
 
 
+@scalar_of(hw_parameters_batch)
 def hw_parameters(x: np.ndarray, freq: int = 1) -> dict:
     """alpha / beta / gamma of an additive Holt-Winters fit (reference
     tsfeatures.py:392-423). NaN when freq < 2 or fewer than two full
@@ -59,16 +53,3 @@ def hw_parameters(x: np.ndarray, freq: int = 1) -> dict:
     Delegates to the lane-batched fit (_batch.py: coarse vectorized grid
     + one zoom round, then a batched Nelder-Mead polish) with a single
     lane -- one optimizer implementation for both execution shapes."""
-    from ._batch import hw_parameters_batch
-
-    y = np.asarray(x, dtype=float)
-    try:
-        out = hw_parameters_batch([y], np.array([int(freq)]))
-        params = {
-            "hw_alpha": float(out["hw_alpha"][0]),
-            "hw_beta": float(out["hw_beta"][0]),
-            "hw_gamma": float(out["hw_gamma"][0]),
-        }
-    except Exception:
-        params = {"hw_alpha": np.nan, "hw_beta": np.nan, "hw_gamma": np.nan}
-    return params

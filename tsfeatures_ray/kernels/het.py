@@ -18,6 +18,9 @@ reimplemented here on the compiled primitives of _batch.py:
   consumes ``garch_fit.resid`` which in the arch package is the MEAN
   model residual, i.e. x - mu -- not the standardized residual.
 
+The kernel is the batch form ``heterogeneity_batch(off, x, freqs)`` over
+the ragged batch; ``heterogeneity`` is its 1-lane call (``scalar_of``).
+
 Optimizer-backed outputs: reference README.md:95-141 shows these diverge
 even between R and the reference itself (garch_acf sum-abs-diff 5.53 on
 100 series), so the conformance bar here is structural, not 1e-6.
@@ -30,11 +33,11 @@ import numpy as np
 from ._batch import (
     _lag_design,
     _offsets,
-    _ragged,
     _seg_all_finite,
     _take,
     garch_mean_resid_batch,
     lsq,
+    scalar_of,
 )
 from .simple import acf_sq_sum, arch_stat_lanes
 
@@ -80,21 +83,14 @@ def ar_by_aic_resid(off, x):
     return woff, wht, ok
 
 
-def heterogeneity(x: np.ndarray, freq: int = 1) -> dict:
-    """ARCH/GARCH heterogeneity features (reference tsfeatures.py:278-338)."""
-    out = heterogeneity_batch([np.asarray(x, dtype=float)], [freq])
-    return {k: float(v[0]) for k, v in out.items()}
-
-
-def heterogeneity_batch(ys: list, freqs) -> dict:
+def heterogeneity_batch(off, x, freqs) -> dict:
     """Heterogeneity of every series of a batch: one AR-by-AIC whitening
     pass, one ARCH-LM least-squares call and one autocovariance call per
     stage, and the lane-batched GARCH(1,1) fit. Same NaN gates as the
     reference: whitening failure blanks all four outputs; GARCH failure
     blanks only the garch_* pair."""
-    off, x = _ragged([np.asarray(y, dtype=float) for y in ys])
     woff, wht, ok = ar_by_aic_resid(off, x)
-    nan = np.full(len(ys), np.nan)
+    nan = np.full(len(off) - 1, np.nan)
     arch_r2 = np.where(ok, arch_stat_lanes(woff, wht), nan)
     arch_acf = np.where(ok, acf_sq_sum(woff, wht * wht, 12), nan)
     resid, gok = garch_mean_resid_batch(woff, wht)
@@ -105,3 +101,8 @@ def heterogeneity_batch(ys: list, freqs) -> dict:
         "arch_r2": arch_r2,
         "garch_r2": np.where(gok, arch_stat_lanes(woff, resid), nan),
     }
+
+
+@scalar_of(heterogeneity_batch)
+def heterogeneity(x: np.ndarray, freq: int = 1) -> dict:
+    """ARCH/GARCH heterogeneity features (reference tsfeatures.py:278-338)."""

@@ -8,12 +8,14 @@ compiled primitives of ``_batch.py`` (least squares, autocovariance with
 Levinson-Durbin, the Hurst rescaled range); cited line numbers refer to
 the reference.
 
-The kernels with a ``*_batch(xs, freqs) -> {column: array}`` form
-(acf_features, arch_stat, hurst, lumpiness, nonlinearity, pacf_features,
-stability, unitroot_pp) compute a whole batch of series in a fixed
-number of calls; their scalar forms are 1-series batches. A seasonal-only
-column (seas_acf1, seas_pacf) is NaN in the batch form for freq = 1 and
-absent from the scalar form, as in the reference.
+Each default kernel is one batch form ``*_batch(off, v, freqs)``: most
+run a whole batch in a fixed number of calls; crossing_points, entropy,
+flat_spots and unitroot_kpss run numpy along axis 1 of each
+group of equal-length series (``rowwise``). The scalar kernel is its
+1-lane call (``scalar_of``). A seasonal-only column (seas_acf1,
+seas_pacf) is NaN in the batch form for freq = 1 and absent from the
+scalar form, as in the reference. The opt-in extras have the scalar
+contract only.
 
 Kernels never mutate their input: Arrow batches hand us zero-copy,
 read-only buffers, so any kernel that writes (``intervals``,
@@ -32,13 +34,14 @@ from ._batch import (
     _STEPS,
     _lag_design,
     _offsets,
-    _ragged,
     _ragged_diff,
     _seg_all_finite,
     _seg_sum,
     _take,
     acovf,
     lsq,
+    rowwise,
+    scalar_of,
 )
 from ._math import periodogram_psd
 
@@ -49,8 +52,11 @@ __all__ = [
     "arch_stat_batch",
     "count_entropy",
     "crossing_points",
+    "crossing_points_batch",
     "entropy",
+    "entropy_batch",
     "flat_spots",
+    "flat_spots_batch",
     "frequency",
     "guerrero",
     "hurst",
@@ -63,21 +69,16 @@ __all__ = [
     "pacf_features",
     "pacf_features_batch",
     "series_length",
+    "series_length_batch",
     "sparsity",
     "stability",
     "stability_batch",
     "statistics",
     "unitroot_kpss",
+    "unitroot_kpss_batch",
     "unitroot_pp",
     "unitroot_pp_batch",
 ]
-
-
-def _single(batch, x, freq: int, seasonal=()) -> dict:
-    """A batch kernel's row for one series; seasonal-only keys are left
-    out at freq 1."""
-    out = batch([np.asarray(x, dtype=float)], [freq])
-    return {k: float(v[0]) for k, v in out.items() if freq > 1 or k not in seasonal}
 
 
 def _acf(off, v, nlag) -> np.ndarray:
@@ -102,15 +103,9 @@ def acf_sq_sum(off, v, nlag: int) -> np.ndarray:
     return _lag_sq_sum(_acf(off, v, np.full(len(n), nlag)), np.minimum(nlag, n - 1))
 
 
-def acf_features(x: np.ndarray, freq: int = 1) -> dict:
-    """Autocorrelation features (reference tsfeatures.py:35-101)."""
-    return _single(acf_features_batch, x, freq, ("seas_acf1",))
-
-
-def acf_features_batch(xs, freqs) -> dict:
+def acf_features_batch(off, v, freqs) -> dict:
     """acf_features of every series: three autocovariance calls (x, its
     first and second differences)."""
-    off, v = _ragged(xs)
     n = np.diff(off)
     m = np.asarray(freqs, dtype=np.int64)
     nan = np.full(len(n), np.nan)
@@ -130,15 +125,19 @@ def acf_features_batch(xs, freqs) -> dict:
     }
 
 
+@scalar_of(acf_features_batch, seasonal=("seas_acf1",))
+def acf_features(x: np.ndarray, freq: int = 1) -> dict:
+    """Autocorrelation features (reference tsfeatures.py:35-101)."""
+
+
+def arch_stat_batch(off, v, freqs, lags: int = 12, demean: bool = True) -> dict:
+    """arch_stat of every series: one least-squares call."""
+    return {"arch_lm": arch_stat_lanes(off, v, lags, demean)}
+
+
+@scalar_of(arch_stat_batch)
 def arch_stat(x: np.ndarray, freq: int = 1, lags: int = 12, demean: bool = True) -> dict:
     """R^2 of x_t^2 on its first 12 lags (reference tsfeatures.py:103-134)."""
-    off, v = _ragged([np.asarray(x, dtype=float)])
-    return {"arch_lm": float(arch_stat_lanes(off, v, lags, demean)[0])}
-
-
-def arch_stat_batch(xs, freqs) -> dict:
-    """arch_stat of every series: one least-squares call."""
-    return {"arch_lm": arch_stat_lanes(*_ragged(xs))}
 
 
 def arch_stat_lanes(off, x, lags: int = 12, demean: bool = True) -> np.ndarray:
@@ -173,16 +172,36 @@ def count_entropy(x: np.ndarray, freq: int = 1) -> dict:
     return {"count_entropy": float(-(pos * np.log(pos)).sum())}
 
 
+@rowwise
+def crossing_points_batch(a: np.ndarray) -> dict:
+    """crossing_points of the equal-length series along axis 1 of a."""
+    midline = np.median(a, axis=1, keepdims=True) if a.shape[1] else np.nan  # empty: no crossings
+    ab = a <= midline
+    p1, p2 = ab[:, :-1], ab[:, 1:]
+    cross = (p1 & (~p2)) | (p2 & (~p1))
+    return {"crossing_points": cross.sum(axis=1).astype(float)}
+
+
+@scalar_of(crossing_points_batch)
 def crossing_points(x: np.ndarray, freq: int = 1) -> dict:
     """Number of median crossings (reference tsfeatures.py:156-178)."""
-    x = np.asarray(x, dtype=float)
-    midline = np.median(x) if len(x) else np.nan  # empty: no crossings
-    ab = x <= midline
-    p1, p2 = ab[:-1], ab[1:]
-    cross = (p1 & (~p2)) | (p2 & (~p1))
-    return {"crossing_points": float(cross.sum())}
 
 
+@rowwise
+def entropy_batch(a: np.ndarray) -> dict:
+    """entropy of the equal-length series along axis 1 of a; NaN
+    when empty (the periodogram of nothing)."""
+    if not a.shape[1]:
+        return {"entropy": np.full(len(a), np.nan)}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        psd = periodogram_psd(a)
+        psd_norm = psd / psd.sum(1)[:, None]
+        se = -np.multiply(psd_norm, np.log2(psd_norm)).sum(axis=1)
+        se /= np.log2(psd_norm.shape[1])
+    return {"entropy": se}
+
+
+@scalar_of(entropy_batch)
 def entropy(x: np.ndarray, freq: int = 1) -> dict:
     """Normalized spectral entropy (reference tsfeatures.py:180-201).
 
@@ -190,19 +209,41 @@ def entropy(x: np.ndarray, freq: int = 1) -> dict:
     normalize=True): one-sided periodogram (constant detrend) ->
     Shannon entropy in bits / log2(#bins).
     """
-    x = np.asarray(x, dtype=float)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psd = periodogram_psd(x)
-            psd_norm = psd / psd.sum()
-            se = -np.multiply(psd_norm, np.log2(psd_norm)).sum()
-            se /= np.log2(psd_norm.size)
-        se = float(se)
-    except Exception:
-        se = np.nan
-    return {"entropy": se}
 
 
+@rowwise
+def flat_spots_batch(a: np.ndarray) -> dict:
+    """flat_spots of the equal-length series along axis 1 of a
+    (NaN when empty or not finite): np.linspace(min, max, 11) edges
+    written out row by row, since linspace over array endpoints switches
+    every row to its step-0 formula when any row's step is 0. A constant
+    series is one run whatever its edges."""
+    out = np.full(len(a), np.nan)
+    rows = np.isfinite(a).all(axis=1)
+    if not a.shape[1] or not rows.any():
+        return {"flat_spots": out}
+    x = a[rows]
+    mn, mx = x.min(axis=1), x.max(axis=1)
+    step = (mx - mn) / 10
+    k = np.arange(11.0)
+    edges = k * step[:, None] + mn[:, None]
+    zero = step == 0
+    if zero.any():  # linspace's own formula where the step underflows to 0
+        edges[zero] = k / 10 * (mx - mn)[zero, None] + mn[zero, None]
+    edges[:, -1] = mx
+    edges[:, 0] -= (mx - mn) * 0.001
+    # np.searchsorted(edges, x, side="left"): the count of edges below x
+    # (an (R, n, 11) compare: length_groups bounds R * n)
+    cutx = (edges[:, None, :] < x[:, :, None]).sum(axis=2)
+    # the longest run: each point's distance to the start of its run
+    pos = np.arange(x.shape[1])
+    new = np.diff(cutx, axis=1, prepend=-1) != 0
+    start = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+    out[rows] = (pos - start + 1).max(axis=1)
+    return {"flat_spots": out}
+
+
+@scalar_of(flat_spots_batch)
 def flat_spots(x: np.ndarray, freq: int = 1) -> dict:
     """Max run length after 10-bin discretization (reference tsfeatures.py:203-225).
 
@@ -210,25 +251,6 @@ def flat_spots(x: np.ndarray, freq: int = 1) -> dict:
     semantics: equal-width edges over [min, max], lowest edge padded by
     0.1% of the range so the minimum falls in bin 0; right-closed bins.
     """
-    x = np.asarray(x, dtype=float)
-    try:
-        if len(x) == 0 or not np.all(np.isfinite(x)):
-            return {"flat_spots": np.nan}
-        mn, mx = x.min(), x.max()
-        if mn == mx:
-            adj = abs(mn) * 0.001 if mn != 0 else 0.001
-            edges = np.linspace(mn - adj, mx + adj, 11)
-        else:
-            edges = np.linspace(mn, mx, 11)
-            edges[0] -= (mx - mn) * 0.001
-        cutx = np.searchsorted(edges, x, side="left") - 1
-    except Exception:
-        return {"flat_spots": np.nan}
-    # run-length encode, take the max run
-    change = np.flatnonzero(np.diff(cutx) != 0)
-    bounds = np.concatenate([[-1], change, [len(cutx) - 1]])
-    rlex = int(np.diff(bounds).max())
-    return {"flat_spots": float(rlex)}
 
 
 def frequency(x: np.ndarray, freq: int = 1) -> dict:
@@ -243,9 +265,11 @@ def _lambda_coef_var(lambda_par: float, x: np.ndarray, period: int = 2) -> float
         return 1.0
     split_size = (len(x) - 1) // period
     split = np.array_split(x, split_size)
-    mu_h = np.array([np.nanmean(sub) for sub in split])
-    sig_h = np.array([np.nanstd(sub, ddof=1) for sub in split])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
+        # one-point and all-NaN splits have no spread: NaN, unannounced
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mu_h = np.array([np.nanmean(sub) for sub in split])
+        sig_h = np.array([np.nanstd(sub, ddof=1) for sub in split])
         rat = sig_h / mu_h ** (1 - lambda_par)
         value = np.nanstd(rat, ddof=1) / np.nanmean(rat)
     return float(value)
@@ -285,13 +309,7 @@ def guerrero(x: np.ndarray, freq: int = 1, lower: float = -1, upper: float = 2) 
     return {"guerrero": best}
 
 
-def hurst(x: np.ndarray, freq: int = 1) -> dict:
-    """Rescaled-range Hurst exponent (reference tsfeatures.py:370-390,
-    utils.py:131-162)."""
-    return _single(hurst_batch, x, freq)
-
-
-def hurst_batch(xs, freqs) -> dict:
+def hurst_batch(off, v, freqs) -> dict:
     """hurst of every series: the running range and standard deviation
     of every prefix in one compiled call (_steps.c hurst_rs: the range
     is the exact max - min of y_j - t_j * mean_i over j <= i, the O(n^2)
@@ -299,7 +317,6 @@ def hurst_batch(xs, freqs) -> dict:
     then one least-squares call for the slope of log(R/S) on log t.
     NaN where any log(R/S) is not finite (the reference's lstsq
     raises there)."""
-    off, v = _ragged(xs)
     n = np.diff(off)
     r, s = np.empty(len(v)), np.empty(len(v))
     _STEPS.hurst_rs(len(n), off, v, r, s)
@@ -312,6 +329,12 @@ def hurst_batch(xs, freqs) -> dict:
     coef, _, _ = lsq(roff, np.full(len(n), 2), np.column_stack([logt, np.ones(len(logt))]).ravel(),
                      np.where(np.isfinite(r_s), r_s, 0.0))
     return {"hurst": np.where(_seg_all_finite(roff, r_s), coef[0::2], np.nan)}
+
+
+@scalar_of(hurst_batch)
+def hurst(x: np.ndarray, freq: int = 1) -> dict:
+    """Rescaled-range Hurst exponent (reference tsfeatures.py:370-390,
+    utils.py:131-162)."""
 
 
 def intervals(x: np.ndarray, freq: int = 1) -> dict:
@@ -328,21 +351,21 @@ def intervals(x: np.ndarray, freq: int = 1) -> dict:
         [sum(val) for key, val in _groupby(x, key=lambda k: k != 0) if key],
         dtype=float,
     )
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with warnings.catch_warnings(), np.errstate(invalid="ignore", divide="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # one run: its ddof=1 sd is NaN
         return {
             "intervals_mean": float(np.mean(y)) if y.size else np.nan,
             "intervals_sd": float(np.std(y, ddof=1)) if y.size else np.nan,
         }
 
 
-def _tiled_batch(xs, freqs, stat) -> np.ndarray:
+def _tiled_batch(off, v, freqs, stat) -> np.ndarray:
     """Shared tiling for lumpiness/stability (reference tsfeatures.py:448-479,
     614-645): floor(n/width) full tiles (width 10 at freq 1, else freq),
     trailing remainder dropped; the ddof=1 nanvar of the per-tile ``stat``,
     0 below two tiles. Series of equal (width, tiles) run as one (rows,
     tiles, width) array, whose axis reductions give each tile the bits of
     a one-tile call."""
-    off, v = _ragged(xs)
     n = np.diff(off)
     f = np.asarray(freqs, dtype=np.int64)
     width = np.where(f == 1, 10, f)
@@ -359,37 +382,30 @@ def _tiled_batch(xs, freqs, stat) -> np.ndarray:
     return out
 
 
+def lumpiness_batch(off, v, freqs) -> dict:
+    return {"lumpiness": _tiled_batch(off, v, freqs, "var")}
+
+
+@scalar_of(lumpiness_batch)
 def lumpiness(x: np.ndarray, freq: int = 1) -> dict:
     """Variance of tiled-window variances (reference tsfeatures.py:448-479)."""
-    return _single(lumpiness_batch, x, freq)
 
 
-def lumpiness_batch(xs, freqs) -> dict:
-    return {"lumpiness": _tiled_batch(xs, freqs, "var")}
+def stability_batch(off, v, freqs) -> dict:
+    return {"stability": _tiled_batch(off, v, freqs, "mean")}
 
 
+@scalar_of(stability_batch)
 def stability(x: np.ndarray, freq: int = 1) -> dict:
     """Variance of tiled-window means (reference tsfeatures.py:614-645)."""
-    return _single(stability_batch, x, freq)
 
 
-def stability_batch(xs, freqs) -> dict:
-    return {"stability": _tiled_batch(xs, freqs, "mean")}
-
-
-def nonlinearity(x: np.ndarray, freq: int = 1) -> dict:
-    """Terasvirta neural-network test (reference tsfeatures.py:481-503,
-    utils.py:68-129; lag=1, scale=True)."""
-    return _single(nonlinearity_batch, x, freq)
-
-
-def nonlinearity_batch(xs, freqs) -> dict:
+def nonlinearity_batch(off, x, freqs) -> dict:
     """nonlinearity of every series: z = the series scaled to mean 0,
     sd 1; u = the residuals of z_t on [1, z_{t-1}], v those of u on [1,
     z_{t-1}, z_{t-1}^2, z_{t-1}^3] (two least-squares calls); the
     statistic is 10 log(RSS_u / RSS_v). NaN where z is not finite or
     either RSS is 0 (an exact fit)."""
-    off, x = _ragged(xs)
     n = np.diff(off)
     with np.errstate(all="ignore"):
         d = x - np.repeat(_seg_sum(off, x) / n, n)
@@ -409,17 +425,17 @@ def nonlinearity_batch(xs, freqs) -> dict:
     return {"nonlinearity": out}
 
 
-def pacf_features(x: np.ndarray, freq: int = 1) -> dict:
-    """Partial autocorrelation features (reference tsfeatures.py:505-576)."""
-    return _single(pacf_features_batch, x, freq, ("seas_pacf",))
+@scalar_of(nonlinearity_batch)
+def nonlinearity(x: np.ndarray, freq: int = 1) -> dict:
+    """Terasvirta neural-network test (reference tsfeatures.py:481-503,
+    utils.py:68-129; lag=1, scale=True)."""
 
 
-def pacf_features_batch(xs, freqs) -> dict:
+def pacf_features_batch(off, v, freqs) -> dict:
     """pacf_features of every series: three autocovariance + Levinson-
     Durbin calls (x to lag max(m, 5), its differences to lag 5).
     statsmodels pacf raises when nlags >= n // 2; that gate is kept so
     short seasonal series degrade to NaN exactly like the reference."""
-    off, v = _ragged(xs)
     n = np.diff(off)
     m = np.asarray(freqs, dtype=np.int64)
     nan = np.full(len(n), np.nan)
@@ -438,77 +454,87 @@ def pacf_features_batch(xs, freqs) -> dict:
     }
 
 
+@scalar_of(pacf_features_batch, seasonal=("seas_pacf",))
+def pacf_features(x: np.ndarray, freq: int = 1) -> dict:
+    """Partial autocorrelation features (reference tsfeatures.py:505-576)."""
+
+
+def series_length_batch(off, v, freqs) -> dict:
+    return {"series_length": np.diff(off).astype(float)}
+
+
+@scalar_of(series_length_batch)
 def series_length(x: np.ndarray, freq: int = 1) -> dict:
     """len(x) (reference tsfeatures.py:578-594)."""
-    return {"series_length": float(len(x))}
 
 
 def sparsity(x: np.ndarray, freq: int = 1) -> dict:
     """Fraction of zero observations (reference tsfeatures.py:596-612)."""
     x = np.asarray(x, dtype=float)
-    return {"sparsity": float(np.mean(x == 0))}
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # empty: NaN
+        return {"sparsity": float(np.mean(x == 0))}
 
 
 def statistics(x: np.ndarray, freq: int = 1) -> dict:
     """Basic statistics (reference tsfeatures.py:840-881); quantiles use
-    NumPy's default linear interpolation (== DuckDB quantile_cont)."""
+    NumPy's default linear interpolation (== DuckDB quantile_cont). The
+    variance of one point is NaN; an empty series (where the reference
+    raises) has a sum of 0 and NaN for every other statistic."""
     x = np.asarray(x, dtype=float)
-    return {
-        "total_sum": float(np.sum(x)),
-        "mean": float(np.mean(x)),
-        "variance": float(np.var(x, ddof=1)),
-        "median": float(np.median(x)),
-        "p2point5": float(np.quantile(x, 0.025)),
-        "p5": float(np.quantile(x, 0.05)),
-        "p25": float(np.quantile(x, 0.25)),
-        "p75": float(np.quantile(x, 0.75)),
-        "p95": float(np.quantile(x, 0.95)),
-        "p97point5": float(np.quantile(x, 0.975)),
-        "max": float(np.max(x)),
-        "min": float(np.min(x)),
-    }
+    q = (lambda p: float(np.quantile(x, p))) if len(x) else (lambda p: np.nan)
+    with warnings.catch_warnings(), np.errstate(invalid="ignore", divide="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # ddof=1 below two points, empty
+        return {
+            "total_sum": float(np.sum(x)),
+            "mean": float(np.mean(x)),
+            "variance": float(np.var(x, ddof=1)),
+            "median": float(np.median(x)),
+            "p2point5": q(0.025),
+            "p5": q(0.05),
+            "p25": q(0.25),
+            "p75": q(0.75),
+            "p95": q(0.95),
+            "p97point5": q(0.975),
+            "max": float(np.max(x)) if len(x) else np.nan,
+            "min": float(np.min(x)) if len(x) else np.nan,
+        }
 
 
+@rowwise
+def unitroot_kpss_batch(a: np.ndarray) -> dict:
+    """unitroot_kpss of the equal-length series along axis 1 of
+    a; NaN when the lag count reaches n or s^2 is 0."""
+    n = a.shape[1]
+    nlags = int(4 * (n / 100) ** 0.25)
+    if nlags >= n:  # lags must be < number of observations
+        return {"unitroot_kpss": np.full(len(a), np.nan)}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        resids = a - a.mean(1)[:, None]
+        s = resids.cumsum(1)
+        eta = (s**2).sum(1) / n**2
+        s2 = (resids**2).sum(1) / n
+        for i in range(1, nlags + 1):
+            w = 1.0 - i / (nlags + 1.0)
+            s2 = s2 + (2.0 / n) * w * (resids[:, i:] * resids[:, :-i]).sum(1)
+        return {"unitroot_kpss": np.where(s2 == 0, np.nan, eta / s2)}
+
+
+@scalar_of(unitroot_kpss_batch)
 def unitroot_kpss(x: np.ndarray, freq: int = 1) -> dict:
     """KPSS level statistic (reference tsfeatures.py:793-816).
 
     Reimplements statsmodels kpss(x, regression='c', nlags=l): demeaned
     residuals, Bartlett long-run variance, eta / s^2.
     """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    nlags = int(4 * (n / 100) ** 0.25)
-    try:
-        if nlags >= n:
-            raise ValueError("lags must be < number of observations")
-        resids = x - x.mean()
-        s = np.cumsum(resids)
-        eta = float(np.sum(s**2)) / n**2
-        s2 = float(np.sum(resids**2)) / n
-        for i in range(1, nlags + 1):
-            w = 1.0 - i / (nlags + 1.0)
-            s2 += (2.0 / n) * w * float(np.sum(resids[i:] * resids[:-i]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = eta / s2
-        stat = float(stat)
-    except Exception:
-        stat = np.nan
-    return {"unitroot_kpss": stat}
 
 
-def unitroot_pp(x: np.ndarray, freq: int = 1) -> dict:
-    """Phillips-Perron rho statistic (reference tsfeatures.py:818-838,
-    utils.py:164-213)."""
-    return _single(unitroot_pp_batch, x, freq)
-
-
-def unitroot_pp_batch(xs, freqs) -> dict:
+def unitroot_pp_batch(off, v, freqs) -> dict:
     """unitroot_pp of every series: one least-squares call for x_t on
     [1, x_{t-1}] and one raw autocovariance call for the residuals'
     Bartlett-weighted sum up to lag int(4 (n / 100)^0.25). NaN for n < 2,
     non-finite values or a constant x_t (t >= 1). With a constant x_{t-1}
     the slope is the minimum-norm one, as lstsq gives."""
-    off, v = _ragged(xs)
     n0 = np.diff(off)
     out = np.full(len(n0), np.nan)
     lanes = np.flatnonzero((n0 >= 2) & _seg_all_finite(off, v))
@@ -532,3 +558,9 @@ def unitroot_pp_batch(xs, freqs) -> dict:
         # a constant x_t (myybar 0) has no statistic
         out[lanes] = np.where(myybar > 0, n * (coef[1::2] - 1.0) - lambda_ / myybar, np.nan)
     return {"unitroot_pp": out}
+
+
+@scalar_of(unitroot_pp_batch)
+def unitroot_pp(x: np.ndarray, freq: int = 1) -> dict:
+    """Phillips-Perron rho statistic (reference tsfeatures.py:818-838,
+    utils.py:164-213)."""

@@ -16,6 +16,8 @@ Reimplements, without statsmodels or the supersmoother package:
   smoothed with the midrange span, interpolation between bracketing
   primary smooths, final smooth at the tweeter span.
 
+The kernel is the batch form ``stl_features_batch(off, v, freqs)`` over
+the ragged batch; ``stl_features`` is its 1-lane call (``scalar_of``).
 The tail -- strengths, spike, linearity/curvature and the remainder ACF
 -- runs over the whole batch at once: per-series sums over the ragged
 values, one compiled least-squares call for the linearity fit on the
@@ -31,11 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._batch import _STEPS, _extrema, _offsets, _ragged, _seg_all_finite, _seg_sum, lsq
-from ._math import poly_lanes
+from ._batch import _STEPS, _extrema, _f64, _offsets, _seg_all_finite, _seg_sum, _take, lsq, scalar_of
 from .simple import _acf, _lag_sq_sum
 
-__all__ = ["stl_features", "stl_features_batch", "stl_decompose", "supersmoother_fit"]
+__all__ = ["stl_features", "stl_features_batch", "stl_decompose", "stl_fit", "supersmoother_fit"]
 
 
 def _next_odd_gt(v: float) -> int:
@@ -47,20 +48,17 @@ def _next_odd_gt(v: float) -> int:
     return o
 
 
-def _stl_lanes(ys: list[np.ndarray], ms: list[int], seasonal: int = 13):
-    """STL (trend, seasonal component) lists of every series ys[i] with
-    period ms[i] (at least two periods long), from ONE call into the
-    compiled loop (_steps.c stl_fit)."""
-    if not ys:
-        return [], []
-    off, y = _ragged(ys)
+def stl_fit(off, y, ms, seasonal: int = 13):
+    """STL (trend, seasonal component) of every lane of the ragged batch
+    (off, y), lane i with period ms[i] and at least two periods long, as
+    two value arrays aligned with y, from ONE call into the compiled
+    loop (_steps.c stl_fit)."""
     ms = np.asarray(ms, dtype=np.int64)
     nt = np.array([_next_odd_gt(1.5 * m / (1.0 - 1.5 / seasonal)) for m in ms], np.int64)
     nl = np.array([_next_odd_gt(float(m)) for m in ms], np.int64)
     trend, season = np.empty_like(y), np.empty_like(y)
-    _STEPS.stl_fit(len(ys), off, y, ms, int(seasonal), nt, nl, trend, season)
-    cut = list(zip(off[:-1], off[1:]))
-    return [trend[a:b] for a, b in cut], [season[a:b] for a, b in cut]
+    _STEPS.stl_fit(len(ms), off, y, ms, int(seasonal), nt, nl, trend, season)
+    return trend, season
 
 
 def stl_decompose(x: np.ndarray, period: int, seasonal: int = 13):
@@ -74,7 +72,7 @@ def stl_decompose(x: np.ndarray, period: int, seasonal: int = 13):
         raise ValueError("series must span at least 2 periods")
     if seasonal < 3 or seasonal % 2 != 1:
         raise ValueError("seasonal must be an odd integer >= 3")
-    (trend,), (season,) = _stl_lanes([y], [m], seasonal)
+    trend, season = stl_fit(_offsets([len(y)]), _f64(y), [m], seasonal)
     return trend, season, y - trend - season
 
 
@@ -157,15 +155,7 @@ _COLS = ("nperiods", "seasonal_period", "trend", "spike", "linearity",
          "curvature", "e_acf1", "e_acf10") + _SEASONAL_COLS
 
 
-def stl_features(x: np.ndarray, freq: int = 1) -> dict:
-    """STL-based features (reference tsfeatures.py:647-791): a 1-lane
-    stl_features_batch; NaN where STL or SuperSmoother cannot run, and
-    no seasonal-only keys for a nonseasonal series."""
-    out = stl_features_batch([x], [freq])
-    return {k: float(v[0]) for k, v in out.items() if freq > 1 or k not in _SEASONAL_COLS}
-
-
-def stl_features_batch(xs: list[np.ndarray], freqs) -> dict[str, np.ndarray]:
+def stl_features_batch(off, v, freqs) -> dict[str, np.ndarray]:
     """Batched stl_features: every seasonal series long enough for STL
     (freq = m > 1, n >= 2m) is decomposed in one compiled call, every
     nonseasonal one (n >= 4) by SuperSmoother, and the tail runs once
@@ -173,28 +163,32 @@ def stl_features_batch(xs: list[np.ndarray], freqs) -> dict[str, np.ndarray]:
     constant series once scaled) gets the reference's failure row: only
     nperiods and seasonal_period. Nonseasonal rows leave the
     seasonal-only columns NaN."""
-    xs = [np.asarray(x, dtype=float) for x in xs]
-    ms = np.array([int(f) for f in freqs], dtype=np.int64)
-    n = np.array([len(x) for x in xs], dtype=np.int64)
-    finite = _seg_all_finite(*_ragged(xs))
-    out = {k: np.full(len(xs), np.nan) for k in _COLS}
+    ms = np.asarray(freqs, dtype=np.int64)
+    n = np.diff(off)
+    finite = _seg_all_finite(off, v)
+    out = {k: np.full(len(n), np.nan) for k in _COLS}
     out["nperiods"] = (ms > 1).astype(float)
     out["seasonal_period"] = ms.astype(float)
     seas = finite & (ms > 1) & (n >= 2 * ms)
-    rows = np.flatnonzero(seas | (finite & (ms <= 1) & (n >= 4)))
+    # the seasonal lanes first, then the nonseasonal ones
+    rows = np.concatenate([np.flatnonzero(seas), np.flatnonzero(finite & (ms <= 1) & (n >= 4))])
     if not len(rows):
         return out
-    lanes = np.flatnonzero(seas)
-    trends, seasons = _stl_lanes([xs[i] for i in lanes], ms[lanes])
-    trend, season = dict(zip(lanes.tolist(), trends)), dict(zip(lanes.tolist(), seasons))
-    for i in rows[~seas[rows]].tolist():
-        trend[i], season[i] = supersmoother_fit(xs[i]), np.zeros(n[i])
-    off, x = _ragged([xs[i] for i in rows])
-    tail = _stl_tail(off, x, _ragged([trend[i] for i in rows])[1],
-                     _ragged([season[i] for i in rows])[1], ms[rows])
-    for k, v in tail.items():
-        out[k][rows] = v
+    roff, x = _take(off, v, rows)
+    S = int(seas.sum())
+    trend, season = stl_fit(roff[:S + 1], x[:roff[S]], ms[rows[:S]])
+    trend = np.concatenate([trend, *(supersmoother_fit(x[a:b]) for a, b in zip(roff[S:-1], roff[S + 1:]))])
+    season = np.concatenate([season, np.zeros(len(x) - roff[S])])
+    for k, col in _stl_tail(roff, x, trend, season, ms[rows]).items():
+        out[k][rows] = col
     return out
+
+
+@scalar_of(stl_features_batch, seasonal=_SEASONAL_COLS)
+def stl_features(x: np.ndarray, freq: int = 1) -> dict:
+    """STL-based features (reference tsfeatures.py:647-791): a 1-lane
+    stl_features_batch; NaN where STL or SuperSmoother cannot run, and
+    no seasonal-only keys for a nonseasonal series."""
 
 
 def _max1_min0(v: np.ndarray) -> np.ndarray:
@@ -241,10 +235,14 @@ def _stl_tail(off, x, trend, seasonal, m) -> dict:
     varloo = (np.repeat(vare * (n - 1), n) - d) / np.repeat(n - 2, n)
     spike = _var1(off, varloo)
     # linearity / curvature: OLS of the trend on [1, poly(1..n, 2)], the
-    # polynomial built once per distinct length
+    # orthogonal polynomial (reference utils.py:25-43) built once per
+    # distinct length: Q of the Householder QR of [t^0, t^1, t^2]
+    # (_steps.c qr_q, LAPACK's sign convention)
     lens, at = np.unique(n, return_inverse=True)
-    Q = poly_lanes([np.arange(k) + 1 for k in lens], 2)
     qoff = _offsets(lens)
+    t = (np.arange(qoff[-1]) - np.repeat(qoff[:-1], lens) + 1).astype(float)
+    Q = np.empty((len(t), 3))
+    _STEPS.qr_q(len(lens), qoff, 3, np.column_stack([t**k for k in range(3)]), Q)
     rowsQ = np.repeat(qoff[:-1][at] - off[:-1], n) + np.arange(len(x))
     design = np.column_stack([np.ones(len(x)), Q[rowsQ, 1], Q[rowsQ, 2]]).ravel()
     coef, _, _ = lsq(off, np.full(len(n), 3), design, trend)

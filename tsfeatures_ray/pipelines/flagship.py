@@ -191,8 +191,11 @@ def tsfeatures(
         panel.map_batches(add_cols, batch_format="pandas"), "unique_id",
         _pack_long_partition, num_parts=num_parts,
     )
+    # the hash exchange on unique_id already mixes series within each
+    # partition: no balancing shuffle (as in feature_pipeline)
     return features_over_packed(
-        packed, features=features, scale=scale, concurrency=concurrency
+        packed, features=features, scale=scale, concurrency=concurrency,
+        balance=False,
     )
 
 

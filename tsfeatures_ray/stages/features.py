@@ -7,7 +7,9 @@ over the packed table, whose UDF is a ``FeatureKernels`` instance built
 once on the driver (feature list resolution and column probe run once
 per stage call, not per task or worker) and whose ``__call__``
 processes a BATCH of packed series (amortizing task overhead over many
-series, unlike the reference's task-per-series).
+series, unlike the reference's task-per-series): it scales the ragged
+batch once and calls each kernel's batch form once (kernels/__init__:
+the kernel protocol), so no default kernel runs per series.
 
 Output is a wide feature table with a FIXED schema: the seasonal
 superset of the default feature set (42 feature columns, SURVEY.md
@@ -28,8 +30,7 @@ import pyarrow as pa
 
 import ray
 
-from ..kernels import ALL_FEATURES, BATCH_KERNELS, DEFAULT_FEATURES, compute_features
-from ..kernels._math import scalets
+from ..kernels import ALL_FEATURES, DEFAULT_FEATURES, compute_features, per_row, scale_lanes
 
 # canonical output order: reference default feature list order, seasonal
 # superset (SURVEY.md §2.1; reference tsfeatures.py:932-937)
@@ -86,11 +87,15 @@ def _resolve(features) -> list[Callable]:
 
 
 class FeatureKernels:
-    """Packed series batches -> wide feature rows."""
+    """Packed series batches -> wide feature rows. Every kernel runs as
+    one batch form per batch: a default kernel's ``f.batch``, a kernel
+    with only the scalar contract (opt-in extras, user callables) its
+    ``per_row`` form."""
 
     def __init__(self, features=None, scale: bool = True):
         self.features = _resolve(features)
         self.scale = scale
+        self.batch_forms = [getattr(f, "batch", None) or per_row(f) for f in self.features]
         if self.features is DEFAULT_FEATURES:
             # what the probe below derives for the default list, without
             # running every kernel twice per instance
@@ -113,54 +118,34 @@ class FeatureKernels:
 
     @staticmethod
     def _extract_series(col) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, flat values) from a list<double> column, tolerating
-        Ray's variable-shaped tensor extension (produced when a sort or
-        pandas round-trip re-encodes the list column)."""
+        """The ragged batch (int64 offsets from 0, float64 values) of a
+        list column, tolerating Ray's variable-shaped tensor extension
+        (produced when a sort or pandas round-trip re-encodes the list
+        column): its storage is a struct (data: large_list, shapes)."""
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        t = col.type
-        if pa.types.is_list(t) or pa.types.is_large_list(t):
-            return col.offsets.to_numpy(), col.values.to_numpy(zero_copy_only=False)
-        # ray.data tensor extension: storage struct (data: large_list, shapes)
         storage = getattr(col, "storage", None)
         if storage is not None and pa.types.is_struct(storage.type):
-            data = storage.field(0)
-            if isinstance(data, pa.ChunkedArray):
-                data = data.combine_chunks()
-            return data.offsets.to_numpy(), data.values.to_numpy(zero_copy_only=False)
-        # last resort: python lists
-        pylist = col.to_pylist()
-        offsets = np.zeros(len(pylist) + 1, dtype=np.int64)
-        for i, v in enumerate(pylist):
-            offsets[i + 1] = offsets[i] + len(v)
-        flat = np.concatenate([np.asarray(v, float) for v in pylist]) if pylist else np.empty(0)
-        return offsets, flat
+            col = storage.field(0)
+        col = col.cast(pa.large_list(pa.float64()))
+        off = col.offsets.to_numpy()
+        return off - off[0], col.values.to_numpy(zero_copy_only=False)[off[0] : off[-1]]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        offsets, flat = self._extract_series(batch["y"])
-        freqs = batch["freq"].to_numpy()
+        off, v = self._extract_series(batch["y"])
+        freqs = batch["freq"].to_numpy().astype(np.int64)
         n = len(batch)
-        # scale once per series (identical to compute_features' scalets)
-        xs = []
-        for i in range(n):
-            x = np.array(flat[offsets[i] : offsets[i + 1]], dtype=float)
-            xs.append(scalets(x) if self.scale else x)
-        # kernels with a batch form (BATCH_KERNELS) run ONCE per batch and
-        # write whole columns; the others run per series. Kernels run in
+        # scale once per batch (each lane identical to compute_features'
+        # scalets); unscaled, the kernels get a private copy
+        v = scale_lanes(off, v) if self.scale else v.copy()
+        # every kernel runs ONCE per batch and writes whole columns, in
         # reverse list order so an earlier kernel's column overwrites a
-        # later one's: the reference's ChainMap first-wins merge.
+        # later one's: the reference's ChainMap first-wins merge
         out = {c: np.full(n, np.nan) for c in self.columns}
-        for f in reversed(self.features if n else []):
-            batch_fn = BATCH_KERNELS.get(f)
-            if batch_fn is not None:
-                for k, v in batch_fn(xs, freqs).items():
-                    if k in out:
-                        out[k][:] = v
-                continue
-            for i in range(n):
-                for k, v in f(xs[i], int(freqs[i])).items():
-                    if k in out:
-                        out[k][i] = v
+        for f in reversed(self.batch_forms if n else []):
+            for k, col in f(off, v, freqs).items():
+                if k in out:
+                    out[k][:] = col
         id_cols = [c for c in ("unique_id", "tier", "metric") if c in batch.column_names]
         arrays = [batch[c] for c in id_cols] + [
             pa.array(out[c], type=pa.float64()) for c in self.columns
