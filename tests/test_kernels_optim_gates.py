@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from tsfeatures_ray.kernels._math import periodogram_psd
-from tsfeatures_ray.kernels.simple import _lambda_coef_var, entropy, guerrero
+from tsfeatures_ray.kernels.simple import _guerrero_search, _lambda_coef_var, entropy, guerrero
 
 
 def test_periodogram_parseval():
@@ -60,6 +60,20 @@ def test_guerrero_no_worse_than_dense_grid(seed):
     # 1e-3 grid (up to the grid's own resolution error)
     assert got <= grid_min + 1e-4
     assert abs(got - grid_min) < 1e-2
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 200])
+def test_guerrero_freq1_shortcut_equals_search(n):
+    """At freq 1 guerrero answers without the golden-section search (1.0
+    for a constant series, else NaN); that answer equals the search's,
+    for a random, a constant and a NaN-holding series of n points."""
+    rng = np.random.RandomState(n)
+    holed = rng.poisson(3, n).astype(float)
+    holed[: n // 2] = np.nan
+    for x in (rng.poisson(3, n).astype(float) + 1.0, np.full(n, 4.0), holed):
+        got = guerrero(x, 1)["guerrero"]
+        want = _guerrero_search(x, 1, -1, 2)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (n, x[:5], got, want)
 
 
 def _holt_resid(alpha: float, beta: float, l: float, b: float, y: np.ndarray):

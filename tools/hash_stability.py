@@ -5,13 +5,23 @@ before comparing). A driver whose value-hash is sensitive to row order /
 dtype drift is simulated exactly by this digest: any run-to-run hash
 difference here reproduces a driver hash-red even when values match.
 
-Usage: python tools/hash_stability.py [sf_dir] [repeats] [query ...]
+Usage: python tools/hash_stability.py [--save F | --compare F] [sf_dir] [repeats] [query ...]
 Env:   CHECK_NUM_CPUS (default 8)
+
+``--save F`` writes each query's raw and sorted digests (of its first
+run) to the JSON file F. ``--compare F`` checks every run against the
+digests saved in F and exits non-zero if any digest differs or a query
+is missing from F. A before/after bit-identity check of a change is
+then: ``--save before.json`` on the old tree, ``--compare before.json``
+on the new one, same box, same arguments and the same CHECK_NUM_CPUS
+(the default partition count, and so the raw row order, follows the
+CPU count).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 
@@ -39,10 +49,29 @@ def strict_digest(df: pd.DataFrame, sort_rows: bool = False) -> str:
     return h.hexdigest()[:16]
 
 
+def _take_option(name: str) -> str | None:
+    """Remove ``name FILE`` from sys.argv and return FILE (None if absent)."""
+    if name not in sys.argv:
+        return None
+    i = sys.argv.index(name)
+    if i + 1 >= len(sys.argv):
+        sys.exit(f"{name} needs a file name")
+    value = sys.argv[i + 1]
+    del sys.argv[i : i + 2]
+    return value
+
+
 def main():
+    save, compare = _take_option("--save"), _take_option("--compare")
+    if save and compare:
+        sys.exit("give --save or --compare, not both")
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     repeats = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     names = sys.argv[3:] or ["docs_packed", "docs_packed_bpe", "docs_training_corpus"]
+    saved = None
+    if compare:
+        with open(compare) as f:
+            saved = json.load(f)
 
     import ray
 
@@ -60,12 +89,14 @@ def main():
     if names == ["all"]:  # sweep the whole registry
         names = list(qs)
     bad = 0
+    record = {}
     for name in names:
         digests, sorted_digests = [], []
         for _ in range(repeats):
             df = to_df(qs[name](sf_dir))
             digests.append(strict_digest(df))
             sorted_digests.append(strict_digest(df, sort_rows=True))
+        record[name] = {"raw": digests[0], "sorted": sorted_digests[0]}
         uniq, suniq = sorted(set(digests)), sorted(set(sorted_digests))
         if len(uniq) == 1:
             print(f"STABLE   {name}: {uniq[0]} sorted={suniq[0]} x{repeats}")
@@ -74,7 +105,20 @@ def main():
         else:
             bad += 1
             print(f"UNSTABLE {name}: {digests} sorted={sorted_digests}")
+        if saved is not None:
+            want = saved.get(name)
+            if want is None:
+                bad += 1
+                print(f"MISSING  {name}: not in {compare}")
+            elif uniq != [want["raw"]] or suniq != [want["sorted"]]:
+                bad += 1
+                print(f"CHANGED  {name}: saved raw={want['raw']} sorted={want['sorted']}")
+            else:
+                print(f"SAME     {name}")
     ray.shutdown()
+    if save:
+        with open(save, "w") as f:
+            json.dump(record, f, indent=1, sort_keys=True)
     sys.exit(1 if bad else 0)
 
 

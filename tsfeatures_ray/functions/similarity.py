@@ -24,6 +24,14 @@ def _to_matrix(col, dtype=np.float64) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=dtype) for v in col])
 
 
+def _pair_cosines(m_a: np.ndarray, m_b: np.ndarray, ia, ib) -> np.ndarray:
+    """Row-pair dot products ``m_a[ia] . m_b[ib]`` in a fixed order per
+    pair. A matmul entry's last bit can depend on the matrix shape and
+    the entry's place in it, so two operators that meet the same pair in
+    different blocks report the cosine they both compute here."""
+    return np.sum(m_a[ia] * m_b[ib], axis=1)
+
+
 class _BruteScorer:
     def __init__(self, query_ref, k, id_col, vec_col):
         q = np.asarray(ray.get(query_ref), dtype=np.float64)  # broadcast: read once per actor
@@ -396,10 +404,9 @@ def cosine_near_dups(
         m_a /= np.maximum(np.linalg.norm(m_a, axis=1, keepdims=True), 1e-12)
         ids_a = a[id_col].to_numpy()
         if i == j:
-            sims = m_a @ m_a.T
+            m_b, ids_b = m_a, ids_a
             ia, ib = np.triu_indices(len(ids_a), k=1)
-            c = sims[ia, ib]
-            id_a, id_b = ids_a[ia], ids_a[ib]
+            c = (m_a @ m_a.T)[ia, ib]
         else:
             b = g[g["side"] == j]
             m_b = _to_matrix(b[vec_col].to_numpy())
@@ -408,9 +415,9 @@ def cosine_near_dups(
             sims = m_a @ m_b.T
             ia, ib = np.nonzero(sims >= threshold)
             c = sims[ia, ib]
-            id_a, id_b = ids_a[ia], ids_b[ib]
         keep = c >= threshold
-        id_a, id_b, c = id_a[keep], id_b[keep], c[keep]
+        ia, ib = ia[keep], ib[keep]
+        id_a, id_b, c = ids_a[ia], ids_b[ib], _pair_cosines(m_a, m_b, ia, ib)
         swap = id_a > id_b
         id_a2 = np.where(swap, id_b, id_a)
         id_b2 = np.where(swap, id_a, id_b)
@@ -788,9 +795,9 @@ def semantic_dedup(
         m = np.asarray(g["nvec"].tolist(), dtype=np.float64)
         sims = m @ m.T
         ia, ib = np.triu_indices(len(ids), k=1)
-        cvals = sims[ia, ib]
-        keep = cvals >= threshold
-        ia, ib, cvals = ia[keep], ib[keep], cvals[keep]
+        keep = sims[ia, ib] >= threshold
+        ia, ib = ia[keep], ib[keep]
+        cvals = _pair_cosines(m, m, ia, ib)
         id_a, id_b = ids[ia], ids[ib]
         swap = id_a > id_b
         return pd.DataFrame(

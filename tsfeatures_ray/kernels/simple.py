@@ -283,6 +283,17 @@ def guerrero(x: np.ndarray, freq: int = 1, lower: float = -1, upper: float = 2) 
     scipy's 'bounded' method to ~1e-6 in the minimum value).
     """
     x = np.asarray(x, dtype=float)
+    if freq == 1:
+        # period 1 cuts x into n - 1 splits of which at most one holds two
+        # points, so rat has at most one non-NaN value and its ddof=1
+        # spread is NaN at every lambda: the search could only return
+        # NaN, or 1.0 where the constant-series rule answers
+        return {"guerrero": 1.0 if len(np.unique(x)) == 1 else np.nan}
+    return {"guerrero": _guerrero_search(x, freq, lower, upper)}
+
+
+def _guerrero_search(x: np.ndarray, freq: int, lower: float, upper: float) -> float:
+    """The golden-section search of ``guerrero`` (NaN when it fails)."""
 
     def f(lam: float) -> float:
         v = _lambda_coef_var(lam, x=x, period=freq)
@@ -303,10 +314,9 @@ def guerrero(x: np.ndarray, freq: int = 1, lower: float = -1, upper: float = 2) 
                 d = a + gr * (b - a)
                 fd = f(d)
         best = fc if fc < fd else fd
-        best = float(best) if np.isfinite(best) else np.nan
+        return float(best) if np.isfinite(best) else np.nan
     except Exception:
-        best = np.nan
-    return {"guerrero": best}
+        return np.nan
 
 
 def hurst_batch(off, v, freqs) -> dict:

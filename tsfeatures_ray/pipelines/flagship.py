@@ -2,9 +2,10 @@
 
 ``tsfeatures`` / ``tsfeatures_wide`` mirror the reference's entry points
 (reference tsfeatures.py:930-976, 1001-1039) with a Ray Data execution
-model: long panel Dataset -> per-key shuffle -> packed list<double>
-series -> kernel tasks -> wide feature Dataset. The flagship
-transcript pipeline composes derive -> rollup -> pack -> features.
+model: long panel Dataset -> ONE per-key exchange whose partition
+function packs list<double> series and runs the kernels on them -> wide
+feature Dataset. The flagship transcript pipeline runs derive -> rollup
+-> pack -> features inside its one exchange the same way.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import ray.data as rd
 
 from ..sources.synth import transcripts_path
 from ..stages.derive import _add_token_len, by_partition, derive_turn_metrics
-from ..stages.features import features_over_packed
+from ..stages.features import BATCH_ROWS, FeatureKernels, features_over_packed
 from ..stages.pack import PACKED_SCHEMA
 from ..stages.rollup import turn_rollup_fn
 
@@ -74,24 +75,23 @@ def feature_pipeline(
     num_parts: int | None = None,
     concurrency=None,
 ) -> "rd.Dataset":
-    """Flagship: transcripts -> rollups -> packed series -> features.
+    """Flagship: transcripts -> rollups -> packed series -> features in
+    ONE by_partition exchange. Its partition function derives latency,
+    rolls up and packs (``turn_rollup_fn`` with ``pack_metrics``), then
+    runs the driver-built ``FeatureKernels`` on the series it just
+    packed, in ``BATCH_ROWS``-row slices: no second exchange, and no
+    materialize, count or repartition between pack and kernels. The
+    output depends only on groupby semantics, never on block layout.
+    ``concurrency`` caps the exchange's concurrent partition tasks."""
+    kernels = FeatureKernels(features, scale)
+    rollup_pack = turn_rollup_fn(tiers, pack_metrics=metric)
 
-    Derive + rollup + pack run FUSED in ONE by_partition exchange
-    (turn_rollup_fn with ``pack_metrics``): the single full-data
-    exchange both co-locates conversations and produces packed
-    list<double> series directly, so the feature stage consumes packed
-    rows with no second exchange. Pack depends only on groupby semantics
-    -- never block layout -- and engine-packed input skips the balancing
-    random_shuffle (pack already mixes series within each partition; the
-    feature stage's counted repartition slices those mixed runs into
-    ~1024-row tasks)."""
-    packed = by_partition(
-        slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, pack_metrics=metric),
-        num_parts=num_parts,
-    )
-    return features_over_packed(
-        packed, features=features, scale=scale, concurrency=concurrency,
-        balance=False,
+    def turn_features(g: pd.DataFrame) -> pa.Table:
+        return kernels(rollup_pack(g))
+
+    return by_partition(
+        slim_turns(sf_dir), "conv_id", turn_features,
+        num_parts=num_parts, concurrency=concurrency,
     )
 
 
@@ -171,11 +171,17 @@ def tsfeatures(
     raising on failure) using one sampled series -- the engine otherwise
     pins seasonality per tier/config (SURVEY.md §1.3).
 
-    ``threads`` is the reference's parallelism knob (Pool size,
-    tsfeatures.py:970) -- accepted for drop-in parity as an alias of
-    ``concurrency`` (None keeps the engine's CPU-derived default)."""
+    One by_partition exchange on unique_id: its partition function packs
+    the partition's series (``_pack_long_partition``) and runs the
+    driver-built ``FeatureKernels`` on them in ``BATCH_ROWS``-row
+    slices. ``concurrency`` caps the exchange's concurrent partition
+    tasks (None: Ray Data's default); ``threads`` is the reference's
+    parallelism knob (Pool size, tsfeatures.py:970), accepted for
+    drop-in parity as an alias of it."""
     if concurrency is None and threads is not None:
         concurrency = threads
+    # validates feature names eagerly and probes the columns once, here
+    kernels = FeatureKernels(features, scale)
     if isinstance(panel, pd.DataFrame):
         panel = rd.from_pandas(panel)
     if freq is None:
@@ -187,15 +193,12 @@ def tsfeatures(
         # hash the series key as str, the type the packed rows carry
         return df.assign(unique_id=df["unique_id"].astype(str), freq=np.int32(freq))
 
-    packed = by_partition(
+    def panel_features(g: pd.DataFrame) -> pa.Table:
+        return kernels(_pack_long_partition(g))
+
+    return by_partition(
         panel.map_batches(add_cols, batch_format="pandas"), "unique_id",
-        _pack_long_partition, num_parts=num_parts,
-    )
-    # the hash exchange on unique_id already mixes series within each
-    # partition: no balancing shuffle (as in feature_pipeline)
-    return features_over_packed(
-        packed, features=features, scale=scale, concurrency=concurrency,
-        balance=False,
+        panel_features, num_parts=num_parts, concurrency=concurrency,
     )
 
 
@@ -225,7 +228,9 @@ def tsfeatures_wide(
                               type=pa.list_(pa.float64())),
             }
         )
-        panel = rd.from_arrow(tbl)
+        # BATCH_ROWS-row blocks: one block would run as one kernel task
+        panel = rd.from_arrow([tbl.slice(i, BATCH_ROWS)
+                               for i in range(0, max(len(tbl), 1), BATCH_ROWS)])
     else:
         def adapt(t: pa.Table) -> pa.Table:
             cols = {

@@ -9,9 +9,9 @@ Ray-Data-first layout:
    whole engine reuses (SURVEY.md §7) -- and its
    ``groupby("part").map_groups`` (the engine's single full-data
    shuffle) sorts each partition by (conv_id, ts, turn_idx) and computes
-   ``latency_us = ts - lag(ts)`` per conversation with vectorized pandas
-   (no per-conversation Python calls -- one vectorized pass per
-   partition, so tiny conversations cost nothing extra).
+   ``latency_us = ts - lag(ts)`` per conversation with one numpy
+   lexsort and diff (no per-conversation Python calls -- one vectorized
+   pass per partition, so tiny conversations cost nothing extra).
 
 Partitioning assumption (documented per SURVEY.md §2 custom-operator
 rule): all rows of one conv_id land in one partition; within a
@@ -117,6 +117,7 @@ def by_partition(
     fn,
     *,
     num_parts: int | None = None,
+    concurrency: int | None = None,
 ) -> "ray.data.Dataset":
     """The engine's co-partition exchange: tag ``part`` from ``key``
     (one column or a list of columns), then ONE
@@ -124,9 +125,10 @@ def by_partition(
     holding every row of each key that hashes to its partition (plus
     the ``part`` column), whatever the input block layout. ``part`` is
     the exchange's own column: an input column of that name is
-    overwritten."""
+    overwritten. ``concurrency`` caps the partition tasks that run at
+    once (None: Ray Data's default)."""
     return with_part(ds, key, num_parts).groupby("part").map_groups(
-        fn, batch_format="pandas"
+        fn, batch_format="pandas", concurrency=concurrency
     )
 
 
@@ -147,15 +149,24 @@ def _add_token_len(batch: pa.Table) -> pa.Table:
 
 
 def _latency_per_partition(g: pd.DataFrame) -> pd.DataFrame:
-    g = g.sort_values(["conv_id", "ts", "turn_idx"], kind="mergesort")
-    ts_us = g["ts"].astype("int64")
-    same_conv = g["conv_id"].eq(g["conv_id"].shift())
-    lat = ts_us.diff()
-    lat[~same_conv] = np.nan
+    """``g`` in stable (conv_id, ts, turn_idx) order, plus ``latency_us``
+    = ts - the previous ts of the same conversation (NaN on its first
+    turn), in the integer unit ``ts`` holds. One ``np.lexsort`` and one
+    ``np.diff``: derive_turn_metrics and the flagship rollup
+    (``turn_rollup_fn``) both run it."""
+    conv = pd.factorize(g["conv_id"].to_numpy(), sort=True)[0]
+    ts = g["ts"].astype("int64").to_numpy()
+    order = np.lexsort((g["turn_idx"].to_numpy(), ts, conv))
+    g = g.take(order)
+    conv, ts = conv[order], ts[order]
+    first = np.ones(len(conv), dtype=bool)
+    first[1:] = conv[1:] != conv[:-1]
     # plain float64 (NaN for turn 0), NOT pandas' masked-Int64 extension
     # dtype: extension arrays serialize differently from Arrow primitives
     # and break value-hash comparison at the contract boundary
-    g["latency_us"] = lat.astype("float64")
+    lat = np.diff(ts, prepend=ts[:1]).astype("float64")
+    lat[first] = np.nan
+    g["latency_us"] = lat
     return g
 
 

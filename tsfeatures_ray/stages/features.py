@@ -1,15 +1,17 @@
 """Stage 4: the feature kernels.
 
 The reference's execution model is one ``Pool.starmap`` over per-series
-chunks (tsfeatures.py:970-971). Ours is the idiomatic Ray Data
-equivalent: ONE ``map_batches(..., batch_format="pyarrow", num_cpus=1)``
-over the packed table, whose UDF is a ``FeatureKernels`` instance built
-once on the driver (feature list resolution and column probe run once
-per stage call, not per task or worker) and whose ``__call__``
-processes a BATCH of packed series (amortizing task overhead over many
-series, unlike the reference's task-per-series): it scales the ragged
-batch once and calls each kernel's batch form once (kernels/__init__:
-the kernel protocol), so no default kernel runs per series.
+chunks (tsfeatures.py:970-971). Ours runs a ``FeatureKernels`` instance,
+built once on the driver (feature list resolution and column probe run
+once per pipeline call, not per task or worker), over BATCHES of packed
+series: it scales each ragged batch once and calls each kernel's batch
+form once (kernels/__init__: the kernel protocol), so no default kernel
+runs per series, and it cuts a larger table into ``BATCH_ROWS``-row
+slices itself, which bounds its memory. The flagship
+(``feature_pipeline``) and ``tsfeatures()`` call it inside the partition
+function of their one ``by_partition`` exchange, on the series that
+partition just packed; ``features_over_packed`` maps it over an already
+packed Dataset.
 
 Output is a wide feature table with a FIXED schema: the seasonal
 superset of the default feature set (42 feature columns, SURVEY.md
@@ -86,11 +88,18 @@ def _resolve(features) -> list[Callable]:
     return out
 
 
+# rows per kernel batch: wide enough to amortize the per-call setup of
+# the lane-batched kernels, small enough to bound a batch's temporaries
+BATCH_ROWS = 1024
+
+
 class FeatureKernels:
     """Packed series batches -> wide feature rows. Every kernel runs as
     one batch form per batch: a default kernel's ``f.batch``, a kernel
     with only the scalar contract (opt-in extras, user callables) its
-    ``per_row`` form."""
+    ``per_row`` form. A table of more than ``BATCH_ROWS`` rows runs as
+    consecutive ``BATCH_ROWS``-row batches; no value depends on the
+    batch composition (``test_composition_independence``)."""
 
     def __init__(self, features=None, scale: bool = True):
         self.features = _resolve(features)
@@ -132,6 +141,9 @@ class FeatureKernels:
         return off - off[0], col.values.to_numpy(zero_copy_only=False)[off[0] : off[-1]]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if len(batch) > BATCH_ROWS:
+            return pa.concat_tables([self(batch.slice(i, BATCH_ROWS))
+                                     for i in range(0, len(batch), BATCH_ROWS)])
         off, v = self._extract_series(batch["y"])
         freqs = batch["freq"].to_numpy().astype(np.int64)
         n = len(batch)
@@ -153,12 +165,6 @@ class FeatureKernels:
         return pa.Table.from_arrays(arrays, names=id_cols + self.columns)
 
 
-# rows per kernel batch: wide enough to amortize the per-call setup of
-# the lane-batched kernels, small enough that every task carries a
-# near-equal cost mix
-BATCH_ROWS = 1024
-
-
 def features_over_packed(
     packed: "ray.data.Dataset",
     features=None,
@@ -167,51 +173,33 @@ def features_over_packed(
     balance: bool = True,
 ) -> "ray.data.Dataset":
     """Run the feature kernels over a packed Dataset (one row per
-    series) in ONE ``map_batches`` of a driver-built ``FeatureKernels``.
-
-    The packed table is materialized and counted (it is one row per
-    series, orders of magnitude below the input), then cut into
-    ``max(2 * concurrency, n_rows // BATCH_ROWS, 1)`` blocks. Block count
-    targets the batch width, not the CPU count, so per-row kernel speed
-    does not vary with cluster size. FLOOR division keeps each block >=
-    BATCH_ROWS, so one block is one task at the intended width (ceil
-    left blocks just under it and ``map_batches`` bundled block pairs
-    into double-width tasks: measured 10.6 s -> 9.1 s at sf0.1 on 32
-    CPUs when fixed). ``map_batches`` bundles blocks below BATCH_ROWS up
-    to that width, so a small input runs as about n_rows / BATCH_ROWS
-    tasks (one below BATCH_ROWS rows) whatever ``concurrency`` is; the
-    ``2 * concurrency`` floor then only sets the block layout.
+    series): ONE lazy ``map_batches`` of a driver-built
+    ``FeatureKernels`` in ``BATCH_ROWS``-row batches, with no
+    materialize, count or repartition before it. For packed input that
+    has no exchange of its own (``tsfeatures_wide``, user-packed
+    tables); the flagship and ``tsfeatures()`` run the kernels inside
+    their exchange's partition function instead.
 
     Skew handling (SURVEY.md §4): per-series kernel cost is O(n)-O(n^2)
-    in series length. Task composition stays length-MIXED: engine pack
-    already interleaves series within each block, and ``balance=True``
-    adds a ``random_shuffle`` of the packed rows for inputs that did not
-    come from the pack stage (measured 38 s -> 14 s on the sf0.1 bench at
-    32 CPUs). Inside a batch the lane-batched kernels run every series
-    as one ragged lane, so mixing lengths costs them nothing, while
-    length-homogeneous tasks concentrate the long-series cost into one
-    straggler (measured 17 s -> 47 s when tried; don't sort here). A
-    single giant series is unsplittable by nature: it costs its own
-    batch's task that series' solo time, nothing more.
+    in series length. ``balance=True`` puts a ``random_shuffle`` of the
+    packed rows first, so that input sorted by length or key does not
+    turn into length-homogeneous tasks that concentrate the long-series
+    cost into one straggler. Inside a batch the lane-batched kernels run
+    every series as one ragged lane, so mixing lengths costs them
+    nothing. A single giant series is unsplittable by nature: it costs
+    its own batch's task that series' solo time, nothing more.
 
     Output values do not depend on the batch composition
     (``test_composition_independence``), so neither ``balance`` nor
     ``concurrency`` changes a feature value, only the row order.
-    ``concurrency`` is the reference's ``threads`` parity knob (None:
-    cluster CPUs - 1, at least 2).
+    ``concurrency`` (the reference's ``threads`` parity knob) caps the
+    number of concurrent kernel tasks; None leaves it to Ray Data.
     """
-    if concurrency is None:
-        try:
-            concurrency = max(2, int(ray.cluster_resources().get("CPU", 8)) - 1)
-        except Exception:
-            concurrency = 4
     # validates feature names eagerly and probes the columns once, here
     kernels = FeatureKernels(features, scale)
-    packed = packed.materialize()
-    n_rows = packed.count()  # metadata-cheap on a materialized Dataset
     if balance:
         packed = packed.random_shuffle(seed=7)
-    n_blocks = max(2 * concurrency, n_rows // BATCH_ROWS, 1)
-    return packed.repartition(n_blocks).map_batches(
-        kernels, batch_format="pyarrow", batch_size=BATCH_ROWS, num_cpus=1
+    return packed.map_batches(
+        kernels, batch_format="pyarrow", batch_size=BATCH_ROWS, num_cpus=1,
+        concurrency=concurrency,
     )

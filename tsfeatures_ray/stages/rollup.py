@@ -9,7 +9,10 @@ magnitude smaller than the input) go through the final
 ``by_partition`` merge, which also gap-fills each key's bucket range
 when asked. Input that is raw turns skips the partial step:
 ``turn_rollup_fn`` computes the exact rollup inside the one exchange
-that co-locates each conversation (the flagship and resumable runs).
+that co-locates each conversation (the flagship and resumable runs), in
+one sorted numpy pass with no pandas sort or groupby. ``rollup()`` and
+``merge_rollups()`` keep the pandas partial/merge: their values need not
+be integers, and then pandas' compensated groupby sum decides the bits.
 
 This replaces the reference's single-shot in-memory pandas aggregation
 model (reference tsfeatures.py:970-976 materializes the whole panel on
@@ -43,7 +46,7 @@ import ray
 from ..schema import TIERS, Tier
 from ._util import ts_to_us
 from .derive import _latency_per_partition, by_partition
-from .pack import _pack_partition
+from .pack import _pack_tiers, _series_layout
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,8 @@ def _partial_one_tier(
     w = tier.bucket_us
     g = df.assign(bucket_us=df["ts_us"] - df["ts_us"] % w)
     # sort so 'last' within each (key, bucket) is the max ordering key.
-    # presorted=True: input already ordered by (key, ts, *order), which
-    # equals (key, bucket, ts, *order) because bucket is monotone in ts
-    # within a key -- the colocated path skips the 3 per-tier re-sorts
+    # presorted=True keeps an input already ordered by (key, ts,
+    # *order): turn_rollup_fn's order, its reference in the tests
     if not presorted:
         g = g.sort_values(
             [spec.key, "bucket_us", "ts_us", *spec.order], kind="mergesort"
@@ -119,33 +121,62 @@ def _partial_agg(tiers: list[Tier], spec: RollupSpec, presorted: bool = False):
 def _gapfill_partition(
     merged: pd.DataFrame, tier_widths: dict[str, int], spec: RollupSpec
 ) -> pd.DataFrame:
-    """Densify bucket ranges per (key, tier) -- vectorized anti-join, no
+    """Densify bucket ranges per (key, tier): each tier's missing
+    buckets, found by offset arithmetic over its rows in (key,
+    bucket_us) order (``pack._series_layout``), appended as ``filled``
+    rows by (key, bucket_us), tiers in ``tier_widths`` order -- no
     per-key Python loop."""
     key = spec.key
+    tier, conv, buck = (merged[c].to_numpy() for c in ("tier", key, "bucket_us"))
     pieces = [merged.assign(filled=False)]
     for tname, w in tier_widths.items():
-        sub = merged[merged["tier"] == tname]
+        sub = np.flatnonzero(tier == tname)
         if len(sub) == 0:
             continue
-        spans = sub.groupby(key)["bucket_us"].agg(["min", "max"])
-        nb = ((spans["max"] - spans["min"]) // w + 1).astype(np.int64)
-        if int(nb.sum()) == len(sub):  # no gaps in this tier
+        sub = sub[np.lexsort((buck[sub], pd.factorize(conv[sub], sort=True)[0]))]
+        first, nb, pos = _series_layout(conv[sub], buck[sub], w)
+        hole = np.ones(int(nb.sum()), dtype=bool)
+        hole[pos] = False
+        at = np.flatnonzero(hole)  # dense positions with no real row
+        if len(at) == 0:
             continue
-        conv_rep = np.repeat(spans.index.to_numpy(), nb.to_numpy())
-        offs = np.concatenate([np.arange(k, dtype=np.int64) for k in nb.to_numpy()])
-        buckets = np.repeat(spans["min"].to_numpy(), nb.to_numpy()) + offs * w
-        full = pd.DataFrame({key: conv_rep, "bucket_us": buckets})
-        probe = full.merge(
-            sub[[key, "bucket_us"]].assign(_hit=1), on=[key, "bucket_us"], how="left"
-        )
-        gaps = full[probe["_hit"].isna().to_numpy()]
-        if len(gaps) == 0:
-            continue
+        ends = np.cumsum(nb)
+        series = np.searchsorted(ends, at, side="right")  # of each gap
+        head = sub[first[series]]  # that series' first row
+        gaps = pd.DataFrame({
+            key: conv[head],
+            "bucket_us": buck[head] + (at - (ends - nb)[series]) * w,
+        })
         gaps = gaps.assign(tier=tname, filled=True)
         for col in spec.agg_cols:
             gaps[col] = 0 if col.endswith("_count") else np.nan
         pieces.append(gaps)
     return pd.concat(pieces, ignore_index=True)
+
+
+def _finish(merged: pd.DataFrame, gapfill: bool, tier_widths: dict[str, int],
+            spec: RollupSpec, keep_ord: bool = False) -> pd.DataFrame:
+    """A merged rollup frame (one row per (key, tier, bucket)) in its
+    output form: gap rows appended (or every row marked real), the
+    ``bucket`` timestamp, pinned dtypes and the column order."""
+    if gapfill:
+        merged = _gapfill_partition(merged, tier_widths, spec)
+    else:
+        merged = merged.assign(filled=False)
+    merged["bucket"] = merged["bucket_us"].astype("datetime64[us]")
+    for c in spec.agg_cols:
+        if c.endswith("_count"):
+            merged[c] = merged[c].astype("int64")
+        else:
+            # plain float64 (NaN = no observation), never pandas'
+            # masked-Int64 extension dtype: extension arrays do not
+            # hash/serialize like Arrow primitives at the contract
+            # boundary; integer inputs stay exact in float64
+            merged[c] = merged[c].astype("float64")
+    cols = [spec.key, "tier", "bucket", "bucket_us"] + spec.agg_cols + ["filled"]
+    if keep_ord:
+        cols += ["last_ord_ts", "last_ord_tie"]
+    return merged[cols]
 
 
 def _final_merge(gapfill: bool, tier_widths: dict[str, int], spec: RollupSpec,
@@ -173,24 +204,7 @@ def _final_merge(gapfill: bool, tier_widths: dict[str, int], spec: RollupSpec,
         merged = gb.agg(**aggs).reset_index()
         for pref in spec.values.values():
             merged.loc[merged[f"{pref}_count"] == 0, f"{pref}_sum"] = np.nan
-        if gapfill:
-            merged = _gapfill_partition(merged, tier_widths, spec)
-        else:
-            merged = merged.assign(filled=False)
-        merged["bucket"] = merged["bucket_us"].astype("datetime64[us]")
-        for c in spec.agg_cols:
-            if c.endswith("_count"):
-                merged[c] = merged[c].astype("int64")
-            else:
-                # plain float64 (NaN = no observation), never pandas'
-                # masked-Int64 extension dtype: extension arrays do not
-                # hash/serialize like Arrow primitives at the contract
-                # boundary; integer inputs stay exact in float64
-                merged[c] = merged[c].astype("float64")
-        cols = [key, "tier", "bucket", "bucket_us"] + spec.agg_cols + ["filled"]
-        if keep_ord:
-            cols += ["last_ord_ts", "last_ord_tie"]
-        return merged[cols]
+        return _finish(merged, gapfill, tier_widths, spec, keep_ord)
 
     return fn
 
@@ -242,6 +256,45 @@ def rollup(
     )
 
 
+def _segment_aggs(v: np.ndarray, starts: np.ndarray) -> dict:
+    """count/sum/min/max/last of ``v`` over the contiguous segments
+    beginning at ``starts`` (ascending, non-empty segments), with
+    pandas' groupby rules: NaN is skipped, sum is NaN where count is 0,
+    last is the last non-NaN value. The values are integers held in
+    float64 (token lengths, timestamp differences) below 2^53, so every
+    partial sum is exact and the summation order cannot change a bit."""
+    v = np.asarray(v, dtype=np.float64)
+    ok = ~np.isnan(v)
+    count = np.add.reduceat(ok, starts, dtype=np.int64)
+    total = np.add.reduceat(np.where(ok, v, 0.0), starts)
+    total[count == 0] = np.nan
+    at = np.maximum.reduceat(np.where(ok, np.arange(len(v)), -1), starts)
+    return {
+        "count": count,
+        "sum": total,
+        "min": np.fmin.reduceat(v, starts),
+        "max": np.fmax.reduceat(v, starts),
+        "last": np.where(at >= 0, v[at], np.nan),
+    }
+
+
+def _rollup_frame(segs: dict, gapfill: bool, spec: RollupSpec) -> pd.DataFrame:
+    """``_final_merge``'s output from per-tier segment columns (tier name
+    -> columns, rows by (conv_id, bucket_us), ``_ord`` = the
+    conversation's rank): real rows by (conv_id, tier name, bucket_us),
+    then the gap rows of ``_gapfill_partition``."""
+    names = list(segs)
+    sizes = [len(segs[t]["_ord"]) for t in names]
+    rank = {t: i for i, t in enumerate(sorted(names))}
+    order = np.lexsort((np.repeat([rank[t] for t in names], sizes),
+                        np.concatenate([segs[t]["_ord"] for t in names])))
+    merged = pd.DataFrame({spec.key: np.concatenate([segs[t][spec.key] for t in names])[order],
+                           "tier": np.repeat(np.array(names, dtype=object), sizes)[order]})
+    for c in ["bucket_us"] + spec.agg_cols:
+        merged[c] = np.concatenate([segs[t][c] for t in names])[order]
+    return _finish(merged, gapfill, {t: TIERS[t].bucket_us for t in names}, spec)
+
+
 def turn_rollup_fn(
     tiers: list[str] | None = None,
     gapfill: bool = False,
@@ -249,29 +302,60 @@ def turn_rollup_fn(
 ):
     """Partition function of the flagship's single exchange. Over one
     co-located partition of raw turns (conv_id, turn_idx, ts,
-    token_len) it derives latency, computes the EXACT rollup -- the
-    partition holds complete conversations, so the partial aggregation
-    is already final and no second partial->merge exchange is needed --
-    and, with ``pack_metrics``, packs the series to list<double> rows.
+    token_len) it computes the EXACT rollup in one sorted numpy pass --
+    the partition holds complete conversations, so no partial/merge
+    split is needed -- and, with ``pack_metrics``, packs the series to
+    list<double> rows instead of emitting rollup rows.
+
+    The pass: ``_latency_per_partition``'s one stable lexsort by
+    (conv_id, ts, turn_idx) and latency diff; per tier, segments start
+    where (conv_id, bucket) changes (bucket is monotone in ts within a
+    conversation, so each (conv_id, bucket) is one contiguous run);
+    count/sum/min/max by ``reduceat`` and ``last`` as the last non-NaN
+    row of the segment; gap-fill and pack by offset arithmetic over the
+    segments (``pack._series_layout``).
+
+    Rows and dtypes equal derive -> ``rollup()`` (its
+    ``_partial_agg``/``_final_merge``) over the same turns, in the same
+    order: real rows by (conv_id, tier name, bucket_us), then each
+    tier's gap rows by (conv_id, bucket_us), tiers in ``tiers`` order.
 
     ``rollup_pipeline`` and ``feature_pipeline`` hand it to
     ``by_partition``; the resumable run applies it to each sunk
     ``derived/part=<p>``. Partitioning assumption (SURVEY.md §2
     custom-operator rule): every row of a conversation is in the
-    partition. Rows equal those of derive -> rollup(): the same
-    _partial_agg/_final_merge code runs, over whole partitions instead
-    of batches."""
+    partition."""
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
-    tier_widths = {t.name: t.bucket_us for t in tier_objs}
-    # the latency derivation leaves the partition sorted by (conv_id,
-    # ts, turn_idx), so the per-tier partial sorts are redundant
-    partial_fn = _partial_agg(tier_objs, DEFAULT_SPEC, presorted=True)
-    merge_fn = _final_merge(gapfill, tier_widths, DEFAULT_SPEC)
-    pack_fn = None if pack_metrics is None else _pack_partition(pack_metrics)
+    metrics = [pack_metrics] if isinstance(pack_metrics, str) else pack_metrics
+    spec = DEFAULT_SPEC
 
     def fn(g: pd.DataFrame):
-        out = merge_fn(partial_fn(_latency_per_partition(g)))
-        return out if pack_fn is None else pack_fn(out)
+        g = _latency_per_partition(g)
+        conv = g[spec.key].to_numpy()
+        new_conv = np.ones(len(conv), dtype=bool)
+        new_conv[1:] = conv[1:] != conv[:-1]
+        conv_ord = np.cumsum(new_conv) - 1
+        ts_us = ts_to_us(g[spec.ts]).to_numpy()
+        vals = {pref: g[col].to_numpy() for col, pref in spec.values.items()}
+        segs = {}  # tier name -> its rollup columns, rows by (conv, bucket)
+        for t in tier_objs:
+            bucket = ts_us - ts_us % t.bucket_us
+            seg = new_conv.copy()
+            seg[1:] |= bucket[1:] != bucket[:-1]
+            starts = np.flatnonzero(seg)
+            cols = {spec.key: conv[starts], "bucket_us": bucket[starts],
+                    "_ord": conv_ord[starts]}
+            for pref, v in vals.items():
+                for agg, col in _segment_aggs(v, starts).items():
+                    cols[f"{pref}_{agg}"] = col
+            segs[t.name] = cols
+        if metrics is not None:
+            return _pack_tiers(
+                [(name, segs[name][spec.key], segs[name]["bucket_us"], segs[name])
+                 for name in TIERS if name in segs],
+                metrics,
+            )
+        return _rollup_frame(segs, gapfill, spec)
 
     return fn
 
