@@ -121,7 +121,7 @@ def test_rollup_packed_fused_matches_shuffle_pack(ray_session):
     derived = derived_pipeline(sf, slim=True).materialize()
     fused = by_partition(
         slim_turns(sf), "conv_id",
-        turn_rollup_fn(["1m", "1h"], pack_metrics="token_len_sum"),
+        turn_rollup_fn(["1m", "1h"], pack_metrics="token_len_sum"), batch_format="pyarrow",
     ).to_pandas()
     shuffled = pack_series(rollup(derived, tiers=["1m", "1h"])).to_pandas()
     key = ["unique_id", "tier", "metric"]

@@ -47,7 +47,8 @@ def test_feature_entry_points_execute_nothing_when_called(ray_session, execution
 
     sf = "sf0.001"  # the synthetic transcripts of that scale factor
     packed = by_partition(slim_turns(sf), "conv_id",
-                          turn_rollup_fn(["1h"], pack_metrics="token_len_sum"))
+                          turn_rollup_fn(["1h"], pack_metrics="token_len_sum"),
+                          batch_format="pyarrow")
     plans = [
         features_over_packed(packed),
         features_over_packed(packed, balance=False, concurrency=2),

@@ -1,16 +1,19 @@
 """Merge-on-read associativity: partial aggregation over ANY split of
 the input rows, merged, must equal single-pass aggregation. This is the
 invariant that makes resumable partitions, salted hot keys, and
-per-series block splitting exact at scale (north_rule)."""
+per-series block splitting exact at scale (north_rule). The partial is
+the exact core over each chunk with its ordering key (the salted
+rollup's per-batch step), the merge the merge core."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsfeatures_ray.schema import TIERS
-from tsfeatures_ray.stages.rollup import DEFAULT_SPEC, _final_merge, _partial_agg
+from tsfeatures_ray.stages.rollup import DEFAULT_SPEC, _exact_rollup, _merge_rollup
 
 
 def _mk_turns(rng: np.random.RandomState, n_convs: int, max_turns: int) -> pd.DataFrame:
@@ -36,7 +39,11 @@ def _mk_turns(rng: np.random.RandomState, n_convs: int, max_turns: int) -> pd.Da
 
 def _run(df: pd.DataFrame, splits: list[int]) -> pd.DataFrame:
     tiers = [TIERS["1m"], TIERS["1h"]]
-    partial = _partial_agg(tiers, DEFAULT_SPEC)
+
+    def partial(chunk: pd.DataFrame) -> pa.Table:
+        t = pa.Table.from_pandas(chunk, preserve_index=False)
+        return _exact_rollup(t, tiers, DEFAULT_SPEC, keep_ord=True)
+
     # hypothesis-driven arbitrary split: permute rows then cut at given sizes
     partials = []
     idx = np.arange(len(df))
@@ -46,8 +53,7 @@ def _run(df: pd.DataFrame, splits: list[int]) -> pd.DataFrame:
     for chunk in np.split(idx, cuts) if len(splits) > 1 else [idx]:
         if len(chunk):
             partials.append(partial(df.iloc[chunk]))
-    merged = _final_merge(False, {t.name: t.bucket_us for t in tiers},
-                          DEFAULT_SPEC)(pd.concat(partials, ignore_index=True))
+    merged = _merge_rollup(pa.concat_tables(partials), DEFAULT_SPEC).to_pandas()
     return merged.sort_values(["conv_id", "tier", "bucket_us"]).reset_index(drop=True)
 
 

@@ -1,22 +1,54 @@
-"""The flagship partition function's one sorted numpy pass
-(``turn_rollup_fn``) against the pandas rollup it replaced: the pandas
-latency derivation (sort_values + shift/diff) -> ``_partial_agg``
-(presorted) -> ``_final_merge`` -> the pandas gap-fill, and, with ``pack_metrics``, the
-pandas packer over that frame. Frames must be equal raw: values, row
-order, index and dtypes."""
+"""The Arrow/numpy rollup-store operators (``stages/segments.py`` under
+rollup, retention, pack and compress) against the pandas operators they
+replaced (``tests/_rollup_oracles.py``) over random partitions: derive's
+latency, ``turn_rollup_fn`` (against the pandas latency -> per-batch
+partial (presorted) -> final merge -> pandas gap-fill chain, and its
+pandas packer), ``rollup()``'s exact core (default and events specs,
+``keep_ord`` on and off, salted partial/merge), ``merge_rollups`` (gap-
+fill on and off), ``gapfill_rollup`` on unsorted partitions,
+``compact_tier`` 1m -> 1h -> 1d, ``pack_series`` and
+``compress_rollup``'s blocks. Each Arrow output's ``to_pandas()`` must
+equal the oracle's frame raw (values to the bit, row order, index and
+dtypes), and its schema the oracle frame's pandas -> Arrow conversion.
+The cases: an empty partition, NaN-only latency buckets, ns timestamps,
+timestamps before 1970 and (ts, order) ties."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
 
+import _rollup_oracles as O
 from tsfeatures_ray.schema import TIERS
 from tsfeatures_ray.stages import pack
 from tsfeatures_ray.stages._util import ts_to_us
+from tsfeatures_ray.stages.compress import BlockCodec
 from tsfeatures_ray.stages.derive import _latency_per_partition
+from tsfeatures_ray.stages.retention import _compact_merge, _compact_partial
 from tsfeatures_ray.stages.rollup import (
-    DEFAULT_SPEC, _final_merge, _partial_agg, turn_rollup_fn,
+    DEFAULT_SPEC, RollupSpec, _exact_rollup, _gapfill, _merge_rollup, turn_rollup_fn,
 )
+
+EVENTS_SPEC = RollupSpec(key="user_id", ts="ts", order=("event_id",), values={"value": "value"})
+
+
+def _arrow(df: pd.DataFrame) -> pa.Table:
+    return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def _check(got: pa.Table, want: pd.DataFrame):
+    """``got`` is ``want`` raw, float bits included, and its schema is
+    ``want``'s pandas -> Arrow conversion (an empty object column has no
+    Arrow type to compare)."""
+    want = want.reset_index(drop=True)
+    df = got.to_pandas()
+    pd.testing.assert_frame_equal(df, want, check_exact=True)
+    for c in df.columns:
+        if df[c].dtype.kind == "f":
+            a, b = df[c].to_numpy(), want[c].to_numpy()
+            assert np.array_equal(a.view(np.int64)[~np.isnan(a)], b.view(np.int64)[~np.isnan(b)]), c
+    if len(want):
+        assert got.schema.equals(_arrow(want).schema, check_metadata=False), (got.schema, _arrow(want).schema)
 
 
 def _pandas_latency(g: pd.DataFrame) -> pd.DataFrame:
@@ -31,7 +63,7 @@ def _pandas_latency(g: pd.DataFrame) -> pd.DataFrame:
 
 def _pandas_gapfill(merged: pd.DataFrame, widths: dict) -> pd.DataFrame:
     """Gap rows by a groupby span + left anti-join (the pandas gap-fill
-    the numpy ``_gapfill_partition`` replaced)."""
+    the numpy gap-fill replaced)."""
     pieces = [merged.assign(filled=False)]
     for tname, w in widths.items():
         sub = merged[merged["tier"] == tname]
@@ -58,8 +90,8 @@ def _pandas_gapfill(merged: pd.DataFrame, widths: dict) -> pd.DataFrame:
 def _pandas_rollup(g, tiers, gapfill):
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
     widths = {t.name: t.bucket_us for t in tier_objs}
-    partial = _partial_agg(tier_objs, DEFAULT_SPEC, presorted=True)
-    out = _final_merge(False, widths, DEFAULT_SPEC)(partial(_pandas_latency(g)))
+    partial = O._partial_agg(tier_objs, DEFAULT_SPEC, presorted=True)
+    out = O._final_merge(False, widths, DEFAULT_SPEC)(partial(_pandas_latency(g)))
     if gapfill:
         cols = list(out.columns)
         out = _pandas_gapfill(out.drop(columns=["filled", "bucket"]), widths)
@@ -119,12 +151,39 @@ def _turns(rng: np.random.RandomState, unit: str) -> pd.DataFrame:
     return df
 
 
+def _events(rng: np.random.RandomState, unit: str) -> pd.DataFrame:
+    """The events shape: int64 user_id, float values over many decades
+    (NaN among them), (ts, event_id) ties between rows."""
+    g = _turns(rng, unit)
+    v = 10.0 ** rng.uniform(-3, 9, size=len(g)) * rng.choice([-1.0, 1.0], size=len(g))
+    return pd.DataFrame({
+        "user_id": g["conv_id"].str[1:].astype(np.int64) * 7 - 100,
+        "event_id": g["turn_idx"].astype(np.int64),
+        "ts": g["ts"],
+        "value": np.where(rng.rand(len(g)) < 0.15, np.nan, v),
+    })
+
+
+def _derived(rng: np.random.RandomState, unit: str) -> pd.DataFrame:
+    """derive_turn_metrics' output shape, in a shuffled row order."""
+    g = O._latency_per_partition(_turns(rng, unit))
+    return g.iloc[rng.permutation(len(g))].reset_index(drop=True)
+
+
 def _empty() -> pd.DataFrame:
     return pd.DataFrame({
         "conv_id": np.array([], dtype=object), "turn_idx": np.array([], np.int32),
         "ts": np.array([], "datetime64[us]"), "token_len": np.array([], np.int64),
         "part": np.array([], np.int64),
     })
+
+
+def _batches(df: pd.DataFrame, rng: np.random.RandomState) -> list[pd.DataFrame]:
+    """``df`` cut into 1-4 consecutive batches."""
+    if len(df) < 2:
+        return [df]
+    cuts = np.sort(rng.choice(np.arange(1, len(df)), size=min(3, len(df) - 1), replace=False))
+    return [df.iloc[a:b] for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(df)])]
 
 
 TIER_SETS = [None, ["1m"], ["1h", "1d"], ["1d", "1m"], ["1m", "1h", "1d"]]
@@ -138,53 +197,150 @@ def test_turn_rollup_equals_pandas_rollup(seed):
         g["token_len"] = g["token_len"].astype("float64").where(rng.rand(len(g)) > 0.3)
     tiers = TIER_SETS[seed % len(TIER_SETS)]
     for gapfill in (False, True):
-        want = _pandas_rollup(g.copy(), tiers, gapfill)
-        got = turn_rollup_fn(tiers, gapfill)(g.copy())
-        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        _check(turn_rollup_fn(tiers, gapfill)(_arrow(g)), _pandas_rollup(g.copy(), tiers, gapfill))
     metrics = "latency_sum" if seed % 2 else ["token_len_sum", "latency_last", "token_len_count"]
     want = _pandas_pack(_pandas_rollup(g.copy(), tiers, False), metrics)
-    got = turn_rollup_fn(tiers, pack_metrics=metrics)(g.copy())
+    got = turn_rollup_fn(tiers, pack_metrics=metrics)(_arrow(g))
     assert got.equals(want)
-    assert pack._pack_partition(metrics)(_pandas_rollup(g.copy(), tiers, True)).equals(want)
+    rolled = _pandas_rollup(g.copy(), tiers, True)
+    assert pack._pack_partition(metrics)(_arrow(rolled)).equals(want)
+    assert O._pack_partition(metrics)(rolled).equals(want)
 
 
 def test_generated_partitions_cover_the_edge_cases():
-    """The generator above does produce what the equivalence test is
+    """The generator above does produce what the equivalence tests are
     meant to cover: gap buckets, pre-1970 rows, single-turn
     conversations and repeated (conv_id, ts, turn_idx) keys."""
     seen = {"gaps": 0, "pre1970": 0, "solo": 0, "ties": 0}
     for seed in range(40):
         g = _turns(np.random.RandomState(seed), "us")
-        seen["gaps"] += bool(turn_rollup_fn(None, True)(g)["filled"].any())
+        seen["gaps"] += bool(turn_rollup_fn(None, True)(_arrow(g))["filled"].to_numpy().any())
         seen["pre1970"] += bool((ts_to_us(g["ts"]) < 0).any())
         seen["solo"] += bool((g.groupby("conv_id").size() == 1).any())
         seen["ties"] += bool(g.duplicated(["conv_id", "ts", "turn_idx"]).any())
     assert min(seen.values()) >= 10, seen
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_rollup_exact_core_equals_pandas(seed):
+    """``rollup()``'s partition function over derived turns (default
+    spec) and over events (int64 key, float values), keep_ord on and
+    off, equals the pandas per-batch partial + final merge over the same
+    partition as one batch."""
+    rng = np.random.RandomState(300 + seed)
+    unit = "ns" if seed % 2 else "us"
+    tiers = TIER_SETS[seed % len(TIER_SETS)]
+    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
+    for spec, g in ((DEFAULT_SPEC, _derived(rng, unit)), (EVENTS_SPEC, _events(rng, unit))):
+        cols = [spec.key, spec.ts, *spec.order, *spec.values]
+        for keep_ord in (False, True):
+            for gapfill in (False,) if keep_ord else (False, True):
+                want = O.rollup_partition(g, tiers, spec, gapfill, keep_ord)
+                got = _exact_rollup(_arrow(g[cols]), tier_objs, spec, gapfill, keep_ord)
+                _check(got, want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_salted_rollup_equals_pandas(seed):
+    """The salted shape: per-batch exact partials with their ordering
+    key, then the merge core, equal the pandas per-batch partials and
+    final merge over the same batches."""
+    rng = np.random.RandomState(400 + seed)
+    tiers = TIER_SETS[seed % len(TIER_SETS)]
+    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
+    widths = {t.name: t.bucket_us for t in tier_objs}
+    for spec, g in ((DEFAULT_SPEC, _derived(rng, "us")), (EVENTS_SPEC, _events(rng, "ns"))):
+        cols = [spec.key, spec.ts, *spec.order, *spec.values]
+        batches = _batches(g[cols], rng)
+        for keep_ord in (False, True):
+            want = O._final_merge(False, widths, spec, keep_ord)(
+                pd.concat([O._partial_agg(tier_objs, spec)(b) for b in batches], ignore_index=True))
+            parts = pa.concat_tables([_exact_rollup(_arrow(b), tier_objs, spec, keep_ord=True)
+                                      for b in batches])
+            _check(_merge_rollup(parts, spec, keep_ord=keep_ord), want)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_merge_rollups_equals_pandas(seed):
+    """The merge core over keep_ord rollups of 2-3 slices, gap-fill on
+    and off (and keep_ord output), equals the pandas final merge."""
+    rng = np.random.RandomState(500 + seed)
+    tiers = TIER_SETS[seed % len(TIER_SETS)]
+    for spec, g in ((DEFAULT_SPEC, _derived(rng, "us")), (EVENTS_SPEC, _events(rng, "us"))):
+        cols = [spec.key, spec.ts, *spec.order, *spec.values]
+        k = 2 + seed % 2
+        sl = rng.randint(0, k, size=len(g))
+        rolled = pd.concat([O.rollup_partition(g[cols][sl == i], tiers, spec, keep_ord=True)
+                            for i in range(k)], ignore_index=True)
+        rolled = rolled.iloc[rng.permutation(len(rolled))].reset_index(drop=True)
+        widths = {t: TIERS[t].bucket_us for t in (tiers or list(TIERS))}
+        for gapfill, keep_ord in ((False, False), (True, False), (False, True)):
+            want = O.merge_partition(rolled, tiers, spec, gapfill, keep_ord)
+            _check(_merge_rollup(_arrow(rolled), spec, gapfill, widths, keep_ord), want)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_gapfill_partition_equals_pandas(seed):
-    """The numpy gap-fill that rollup(), merge_rollups() and
-    gapfill_rollup() share equals the pandas one, on merged rows in any
-    order (gapfill_rollup hands it unsorted partitions)."""
-    from tsfeatures_ray.stages.rollup import _gapfill_partition
-
+    """``gapfill_rollup``'s partition function over rollup rows in any
+    order (its input is another exchange's output) equals the pandas
+    gap-fill: the rows as they arrive, then each tier's gaps."""
     rng = np.random.RandomState(200 + seed)
     tiers = TIER_SETS[seed % len(TIER_SETS)]
+    rolled = _pandas_rollup(_turns(rng, "us"), tiers, False).assign(part=np.int64(1))
+    rolled = rolled.iloc[rng.permutation(len(rolled))].reset_index(drop=True)
+    _check(_gapfill(_arrow(rolled)), O.gapfill_partition(rolled, DEFAULT_SPEC))
     widths = {t: TIERS[t].bucket_us for t in (tiers or list(TIERS))}
-    merged = _pandas_rollup(_turns(rng, "us"), tiers, False).drop(columns=["filled", "bucket"])
-    merged = merged.iloc[rng.permutation(len(merged))].reset_index(drop=True)
-    pd.testing.assert_frame_equal(_gapfill_partition(merged, widths, DEFAULT_SPEC),
+    merged = rolled.drop(columns=["filled", "bucket", "part"])
+    pd.testing.assert_frame_equal(O._gapfill_partition(merged, widths, DEFAULT_SPEC),
                                   _pandas_gapfill(merged, widths), check_exact=True)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compact_tier_equals_pandas(seed):
+    """1m -> 1h -> 1d compaction (per-batch partials, then the merge)
+    equals the pandas fold, with rows in (key, bucket) order."""
+    rng = np.random.RandomState(600 + seed)
+    for spec, g in ((DEFAULT_SPEC, _derived(rng, "us")), (EVENTS_SPEC, _events(rng, "us"))):
+        cols = [spec.key, spec.ts, *spec.order, *spec.values]
+        fine = O.rollup_partition(g[cols], ["1m"], spec, gapfill=True)
+        for src, dst in (("1m", "1h"), ("1h", "1d")):
+            batches = _batches(fine, rng)
+            want = O.compact_merge(pd.concat([O.compact_partial(b, src, dst, spec) for b in batches],
+                                             ignore_index=True), dst, spec)
+            want = want.sort_values([spec.key, "bucket_us"], kind="mergesort")
+            got = _compact_merge(pa.concat_tables(
+                [_compact_partial(_arrow(b), src, dst, spec) for b in batches]), dst, spec)
+            _check(got, want)
+            fine = want.reset_index(drop=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_codec_equals_pandas(seed):
+    """``compress_rollup``'s partition function: the same rows, and every
+    block byte-equal to the pandas codec's."""
+    rng = np.random.RandomState(700 + seed)
+    for spec, g, metric in ((DEFAULT_SPEC, _derived(rng, "us"), "token_len_sum"),
+                            (EVENTS_SPEC, _events(rng, "us"), "value_last")):
+        cols = [spec.key, spec.ts, *spec.order, *spec.values]
+        rolled = O.rollup_partition(g[cols], None, spec, gapfill=True)
+        rolled = rolled.iloc[rng.permutation(len(rolled))].reset_index(drop=True)
+        _check(BlockCodec(spec.key, metric)(_arrow(rolled)),
+               O.BlockCodec(spec.key, metric)(rolled))
 
 
 def test_turn_rollup_empty_partition():
     for tiers in TIER_SETS:
         for gapfill in (False, True):
-            want = _pandas_rollup(_empty(), tiers, gapfill)
-            pd.testing.assert_frame_equal(turn_rollup_fn(tiers, gapfill)(_empty()), want)
-        got = turn_rollup_fn(tiers, pack_metrics=["token_len_sum"])(_empty())
+            _check(turn_rollup_fn(tiers, gapfill)(_arrow(_empty())),
+                   _pandas_rollup(_empty(), tiers, gapfill))
+        got = turn_rollup_fn(tiers, pack_metrics=["token_len_sum"])(_arrow(_empty()))
         assert got.equals(pack.PACKED_SCHEMA.empty_table())
+        tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
+        cols = ["conv_id", "ts", "turn_idx", "token_len", "latency_us"]
+        derived = O._latency_per_partition(_empty())[cols]
+        for keep_ord in (False, True):
+            _check(_exact_rollup(_arrow(derived), tier_objs, DEFAULT_SPEC, keep_ord=keep_ord),
+                   O.rollup_partition(derived, tiers, DEFAULT_SPEC, keep_ord=keep_ord))
 
 
 def test_single_turn_buckets_have_nan_latency():
@@ -193,16 +349,18 @@ def test_single_turn_buckets_have_nan_latency():
     g = pd.DataFrame({"conv_id": ["a", "b", "a"], "turn_idx": np.int32([0, 0, 1]),
                       "ts": np.array([0, 5, 7_200_000_000], "datetime64[us]"),
                       "token_len": [3, 4, 5]})
-    got = turn_rollup_fn(["1h"])(g)
-    pd.testing.assert_frame_equal(got, _pandas_rollup(g, ["1h"], False), check_exact=True)
-    assert got["latency_count"].tolist() == [0, 1, 0]
-    assert got["latency_last"].isna().tolist() == [True, False, True]
+    got = turn_rollup_fn(["1h"])(_arrow(g))
+    _check(got, _pandas_rollup(g, ["1h"], False))
+    assert got["latency_count"].to_pylist() == [0, 1, 0]
+    assert got["latency_last"].is_null().to_pylist() == [True, False, True]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_latency_equals_pandas(seed):
-    """The one latency implementation equals the pandas shift/diff:
-    rows, order, index labels and the float64 column."""
+    """The one latency implementation equals the pandas shift/diff and
+    the pandas lexsort it replaced: rows, order and the float64 column
+    (null on each conversation's first turn)."""
     g = _turns(np.random.RandomState(100 + seed), "ns" if seed % 2 else "us")
-    pd.testing.assert_frame_equal(_latency_per_partition(g.copy()),
-                                  _pandas_latency(g.copy()), check_exact=True)
+    want = _pandas_latency(g.copy())
+    pd.testing.assert_frame_equal(O._latency_per_partition(g.copy()), want, check_exact=True)
+    _check(_latency_per_partition(_arrow(g)), want)

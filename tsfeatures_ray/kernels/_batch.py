@@ -113,6 +113,7 @@ _SIGS = {
     "nelder_mead": "iillfifffdiddff",
     "lag_design": "ilflff",
     "seg_sum": "ilff",
+    "seg_ksum": "ilff",
     "lsq": "illfffff",
     "qr_q": "iliff",
     "acovf": "ilfliiff",

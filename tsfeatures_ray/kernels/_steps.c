@@ -1,8 +1,9 @@
 /* Lane-major loops of the batch kernels (_batch.py): the Holt,
  * Holt-Winters and GARCH(1,1) objective loops and a Nelder-Mead over
  * them, least squares (Householder QR), autocovariance with the
- * Levinson-Durbin recursion, the Hurst rescaled range and the STL
- * decomposition (stl.py).
+ * Levinson-Durbin recursion, the Hurst rescaled range, the STL
+ * decomposition (stl.py) and the rollups' compensated segment sums
+ * (stages/segments.py).
  *
  * The objective loops evaluate L rows x K candidates. Row i of each
  * (L, K) candidate array belongs to lane lane[i], whose series is the
@@ -687,6 +688,31 @@ int seg_sum(int64_t L, const int64_t *off, const double *v, double *out)
         double s = 0.0;
         for (int64_t t = off[i]; t < off[i + 1]; t++)
             s = s + v[t];
+        out[i] = s;
+    }
+    return 0;
+}
+
+/* Per-segment compensated sums of v[off[i] : off[i + 1]], the loop of
+ * pandas' groupby sum (group_sum in pandas/_libs/groupby.pyx), so the
+ * bits equal it: NaN terms are skipped, the Kahan compensation is reset
+ * to 0 when it turns NaN (an infinite term), and an empty or all-NaN
+ * segment sums to 0. */
+int seg_ksum(int64_t L, const int64_t *off, const double *v, double *out)
+{
+    for (int64_t i = 0; i < L; i++) {
+        double s = 0.0, c = 0.0;
+        for (int64_t t = off[i]; t < off[i + 1]; t++) {
+            double x = v[t];
+            if (x != x)
+                continue;
+            double y = x - c;
+            double u = s + y;
+            c = u - s - y;
+            if (c != c)
+                c = 0.0;
+            s = u;
+        }
         out[i] = s;
     }
     return 0;

@@ -62,7 +62,7 @@ def rollup_pipeline(
     never enter the exchange."""
     return by_partition(
         slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, gapfill),
-        num_parts=num_parts,
+        num_parts=num_parts, batch_format="pyarrow",
     )
 
 
@@ -86,12 +86,12 @@ def feature_pipeline(
     kernels = FeatureKernels(features, scale)
     rollup_pack = turn_rollup_fn(tiers, pack_metrics=metric)
 
-    def turn_features(g: pd.DataFrame) -> pa.Table:
-        return kernels(rollup_pack(g))
+    def turn_features(t: pa.Table) -> pa.Table:
+        return kernels(rollup_pack(t))
 
     return by_partition(
         slim_turns(sf_dir), "conv_id", turn_features,
-        num_parts=num_parts, concurrency=concurrency,
+        num_parts=num_parts, concurrency=concurrency, batch_format="pyarrow",
     )
 
 

@@ -19,7 +19,8 @@ Block format (tsfr1):
 The codec is exercised by the compression stage (rollup blocks, one per
 (key, tier)) -- the round-trip identity is a pytest gate (BASELINE.md).
 
-Scale note: encode/decode run inside the codec actor pool over per-series
+Scale note: encode runs in ``compress_rollup``'s partition function
+(``BlockCodec``), decode wherever blocks are read back, over per-series
 blocks (thousands of points each); the bit loop is Python but touches
 only rollup-sized data (orders of magnitude below the raw input), so it
 never sits on the full-data path.
@@ -30,9 +31,12 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 import ray
+
+from . import segments as sg
+from .derive import by_partition
 
 _MAGIC = b"TSFR1"
 
@@ -343,30 +347,28 @@ def decode_block(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class BlockCodec:
-    """Actor-pool stage: one compressed block per (key, tier) from rollup
-    rows (metric picked at construction)."""
+    """One compressed block per (key, tier) of rollup rows (metric picked
+    at construction): the partition function of ``compress_rollup``,
+    Arrow table in, Arrow table out (key, tier, n_points, start_ts_us,
+    block), rows by (key, tier)."""
 
     def __init__(self, key: str = "conv_id", metric: str = "token_len_sum"):
         self.key = key
         self.metric = metric
 
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([self.key, "tier", "bucket_us"], kind="mergesort")
-        keys = g[self.key].to_numpy()
-        tiers = g["tier"].to_numpy()
-        ts_all = g["bucket_us"].to_numpy(dtype="int64")
-        vals_all = g[self.metric].to_numpy(dtype="float64", na_value=np.nan)
-        # group boundaries without pandas-groupby overhead
-        change = (keys[1:] != keys[:-1]) | (tiers[1:] != tiers[:-1])
-        starts = np.concatenate([[0], np.flatnonzero(change) + 1])
-        ends = np.concatenate([starts[1:], [len(g)]])
-        out = []
-        for s0, e0 in zip(starts, ends):
-            ts = ts_all[s0:e0]
-            blk = encode_block(ts, vals_all[s0:e0])
-            out.append((keys[s0], tiers[s0], e0 - s0, int(ts[0]), blk))
-        return pd.DataFrame(
-            out, columns=[self.key, "tier", "n_points", "start_ts_us", "block"]
+    def __call__(self, t: pa.Table) -> pa.Table:
+        order = np.lexsort((sg.ticks(t["bucket_us"]), sg.codes(t["tier"]), sg.codes(t[self.key])))
+        ts_all = sg.ticks(t["bucket_us"])[order]
+        vals_all = sg.floats(t[self.metric])[order]
+        starts = np.flatnonzero(sg.changes(sg.codes(t[self.key])[order],
+                                           sg.codes(t["tier"])[order]))
+        ends = np.r_[starts[1:], len(order)]
+        blocks = [encode_block(ts_all[s0:e0], vals_all[s0:e0]) for s0, e0 in zip(starts, ends)]
+        return pa.Table.from_arrays(
+            [sg.take(t[self.key], order[starts]), sg.take(t["tier"], order[starts]),
+             pa.array(ends - starts, type=pa.int64()), pa.array(ts_all[starts]),
+             pa.array(blocks, type=pa.binary())],
+            names=[self.key, "tier", "n_points", "start_ts_us", "block"],
         )
 
 
@@ -384,15 +386,12 @@ def compress_rollup(
     series lies within one block, as in a rollup straight out of its
     map_groups; a repartition or Ray's dynamic block splitting breaks it
     silently (a split series becomes two blocks)."""
-    from .derive import by_partition
-
     codec = BlockCodec(key=key, metric=metric)
 
-    def encode_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return codec(g)
+    def encode_partition(t: pa.Table) -> pa.Table:
+        return codec(t)
 
     if pre_partitioned:
-        return rollup_ds.map_batches(
-            encode_partition, batch_format="pandas", batch_size=None
-        )
-    return by_partition(rollup_ds, key, encode_partition, num_parts=num_parts)
+        return rollup_ds.map_batches(encode_partition, batch_format="pyarrow", batch_size=None)
+    return by_partition(rollup_ds, key, encode_partition, num_parts=num_parts,
+                        batch_format="pyarrow")

@@ -34,6 +34,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from . import segments as sg
+
 
 def stable_part(conv_ids, num_parts: int) -> np.ndarray:
     """Deterministic partition id per conv_id (stable across processes;
@@ -92,7 +94,9 @@ def with_part(
     The tag runs in each block's native format (pyarrow for Arrow
     blocks, pandas for pandas blocks): the exchange's sort is stable on
     Arrow blocks but not on pandas ones, so converting would reorder the
-    rows a partition function sees within its partition."""
+    rows a partition function sees within its partition. The store
+    operators' partition functions return Arrow tables, so their outputs
+    stay Arrow blocks and the next exchange over them is stable too."""
     if num_parts is None:
         num_parts = default_num_parts()
 
@@ -118,17 +122,20 @@ def by_partition(
     *,
     num_parts: int | None = None,
     concurrency: int | None = None,
+    batch_format: str = "pandas",
 ) -> "ray.data.Dataset":
     """The engine's co-partition exchange: tag ``part`` from ``key``
     (one column or a list of columns), then ONE
-    ``groupby("part").map_groups(fn)``. ``fn`` gets a pandas frame
-    holding every row of each key that hashes to its partition (plus
-    the ``part`` column), whatever the input block layout. ``part`` is
+    ``groupby("part").map_groups(fn)``. ``fn`` gets every row of each
+    key that hashes to its partition (plus the ``part`` column), whatever
+    the input block layout, as a pandas frame or, with
+    ``batch_format="pyarrow"``, as an Arrow table (the store operators:
+    no pandas conversion either way across the exchange). ``part`` is
     the exchange's own column: an input column of that name is
     overwritten. ``concurrency`` caps the partition tasks that run at
     once (None: Ray Data's default)."""
     return with_part(ds, key, num_parts).groupby("part").map_groups(
-        fn, batch_format="pandas", concurrency=concurrency
+        fn, batch_format=batch_format, concurrency=concurrency
     )
 
 
@@ -148,26 +155,27 @@ def _add_token_len(batch: pa.Table) -> pa.Table:
     return batch.append_column("token_len", token_len)
 
 
-def _latency_per_partition(g: pd.DataFrame) -> pd.DataFrame:
-    """``g`` in stable (conv_id, ts, turn_idx) order, plus ``latency_us``
+def _latency_order(t: pa.Table):
+    """The stable (conv_id, ts, turn_idx) order of a partition's rows,
+    their conv_id codes in that order, and ``latency_us`` in that order
     = ts - the previous ts of the same conversation (NaN on its first
     turn), in the integer unit ``ts`` holds. One ``np.lexsort`` and one
     ``np.diff``: derive_turn_metrics and the flagship rollup
     (``turn_rollup_fn``) both run it."""
-    conv = pd.factorize(g["conv_id"].to_numpy(), sort=True)[0]
-    ts = g["ts"].astype("int64").to_numpy()
-    order = np.lexsort((g["turn_idx"].to_numpy(), ts, conv))
-    g = g.take(order)
-    conv, ts = conv[order], ts[order]
-    first = np.ones(len(conv), dtype=bool)
-    first[1:] = conv[1:] != conv[:-1]
-    # plain float64 (NaN for turn 0), NOT pandas' masked-Int64 extension
-    # dtype: extension arrays serialize differently from Arrow primitives
-    # and break value-hash comparison at the contract boundary
+    code = sg.codes(t["conv_id"])
+    ts = sg.ticks(t["ts"])
+    order = np.lexsort((t["turn_idx"].to_numpy(), ts, code))
+    code, ts = code[order], ts[order]
     lat = np.diff(ts, prepend=ts[:1]).astype("float64")
-    lat[first] = np.nan
-    g["latency_us"] = lat
-    return g
+    lat[sg.changes(code)] = np.nan
+    return order, code, lat
+
+
+def _latency_per_partition(t: pa.Table) -> pa.Table:
+    """``t`` in stable (conv_id, ts, turn_idx) order plus ``latency_us``
+    (float64, null on each conversation's first turn)."""
+    order, _, lat = _latency_order(t)
+    return t.take(pa.array(order)).append_column("latency_us", sg.float_array(lat))
 
 
 def derive_turn_metrics(
@@ -188,7 +196,8 @@ def derive_turn_metrics(
     ds = ds.map_batches(_add_token_len, batch_format="pyarrow", batch_size=65536)
     if slim:
         ds = ds.select_columns(["conv_id", "turn_idx", "ts", "token_len"])
-    return by_partition(ds, "conv_id", _latency_per_partition, num_parts=num_parts)
+    return by_partition(ds, "conv_id", _latency_per_partition, num_parts=num_parts,
+                        batch_format="pyarrow")
 
 
 def _dialogue_stats_partition(g: pd.DataFrame) -> pd.DataFrame:

@@ -7,20 +7,21 @@ canonical IR between the rollup and the feature kernels: Arrow
 ``part`` key as every other stage) and densifies each (conv_id, tier)
 series over its bucket range, gaps -> 0.0 (a quiet minute contributes
 zero tokens), fully vectorized via offset arithmetic -- no
-per-conversation Python loop. The flagship's fused rollup+pack
-(``turn_rollup_fn(pack_metrics=...)``) lays out its own per-tier
-segments with the same ``_pack_tiers``.
+per-conversation Python loop, Arrow in and Arrow out. The flagship's
+fused rollup+pack (``turn_rollup_fn(pack_metrics=...)``) lays out its
+own per-tier segments with the same ``_pack_tiers``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
 from ..schema import TIERS
+from . import segments as sg
 from .derive import by_partition
 
 PACKED_SCHEMA = pa.schema(
@@ -35,34 +36,21 @@ PACKED_SCHEMA = pa.schema(
 )
 
 
-def _series_layout(conv: np.ndarray, buck: np.ndarray, w: int):
-    """Dense layout of rollup rows sorted by (conv_id, bucket_us), one
-    row per bucket: the first row of each series, its bucket count over
-    its [first, last] bucket range, and each row's position in the
-    series laid end to end."""
-    new = np.ones(len(conv), dtype=bool)
-    new[1:] = conv[1:] != conv[:-1]
-    first = np.flatnonzero(new)
-    last = np.r_[first[1:], len(conv)] - 1
-    nb = (buck[last] - buck[first]) // w + 1
-    owner = np.cumsum(new) - 1
-    pos = (np.cumsum(nb) - nb)[owner] + (buck - buck[first][owner]) // w
-    return first, nb, pos
-
-
 def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
-    """PACKED_SCHEMA rows from ``tiers``: (tier name, conv ids,
-    bucket_us, {metric: values}) per tier, each tier's rows sorted by
-    (conv_id, bucket_us), one row per bucket. Every series is densified
-    over its bucket range; gaps and NaN values are 0.0."""
-    uid_out, tier_out, metric_out, freq_out, n_out = [], [], [], [], []
+    """PACKED_SCHEMA rows from ``tiers``: (tier name, key codes, key
+    values (Arrow), bucket_us, {metric: values}) per tier, each tier's
+    rows sorted by (key, bucket_us), one row per bucket. Every series is
+    densified over its bucket range (``segments.series_layout``); gaps
+    and NaN values are 0.0."""
+    uids, tier_out, metric_out, freq_out, n_out = [], [], [], [], []
     offsets = [0]
     chunks = []
-    for tname, conv, buck, vals in tiers:
-        if len(conv) == 0:
+    for tname, code, keys, buck, vals in tiers:
+        if len(code) == 0:
             continue
         tier = TIERS[tname]
-        first, nb, pos = _series_layout(conv, buck, tier.bucket_us)
+        first, nb, pos = sg.series_layout(code, buck, tier.bucket_us)
+        uid = pc.cast(keys.take(pa.array(first)), pa.string())
         for metric in metrics:
             v = np.asarray(vals[metric], dtype=np.float64)
             dense = np.zeros(int(nb.sum()))
@@ -70,7 +58,7 @@ def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
             chunks.append(dense)
             base = offsets[-1]
             offsets.extend((base + np.cumsum(nb)).tolist())
-            uid_out.extend(conv[first].tolist())
+            uids.append(uid)
             tier_out.extend([tname] * len(first))
             metric_out.extend([metric] * len(first))
             freq_out.extend([tier.freq] * len(first))
@@ -81,7 +69,7 @@ def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
     )
     table = pa.Table.from_arrays(
         [
-            pa.array(uid_out, type=pa.string()),
+            pa.concat_arrays(uids) if uids else pa.array([], type=pa.string()),
             pa.array(tier_out, type=pa.string()),
             pa.array(metric_out, type=pa.string()),
             pa.array(freq_out, type=pa.int32()),
@@ -99,20 +87,22 @@ def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
 
 
 def _pack_partition(metrics):
-    """Partition function packing rollup rows (any tiers, any order)."""
+    """Partition function packing rollup rows (any tiers, any order; an
+    Arrow table in, PACKED_SCHEMA out)."""
     if isinstance(metrics, str):
         metrics = [metrics]
 
-    def fn(g: pd.DataFrame) -> pa.Table:
-        tier = g["tier"].to_numpy()
-        conv = g["conv_id"].to_numpy()
-        buck = g["bucket_us"].to_numpy().astype(np.int64)
-        vals = {m: g[m].to_numpy() for m in metrics}
+    def fn(t: pa.Table) -> pa.Table:
+        keys = t["conv_id"].combine_chunks()
+        code = sg.codes(keys)
+        buck = sg.ticks(t["bucket_us"])
+        vals = {m: sg.floats(t[m]) for m in metrics}
         tiers = []
         for tname in TIERS:
-            sub = np.flatnonzero(tier == tname)
-            sub = sub[np.lexsort((buck[sub], pd.factorize(conv[sub], sort=True)[0]))]
-            tiers.append((tname, conv[sub], buck[sub], {m: v[sub] for m, v in vals.items()}))
+            sub = np.flatnonzero(pc.equal(t["tier"], tname).to_numpy(zero_copy_only=False))
+            sub = sub[np.lexsort((buck[sub], code[sub]))]
+            tiers.append((tname, code[sub], keys.take(pa.array(sub, type=pa.int64())), buck[sub],
+                          {m: v[sub] for m, v in vals.items()}))
         return _pack_tiers(tiers, metrics)
 
     return fn
@@ -128,5 +118,6 @@ def pack_series(
     pack inside the flagship's own exchange instead
     (``turn_rollup_fn(pack_metrics=...)``)."""
     return by_partition(
-        rollup_ds, "conv_id", _pack_partition(metric), num_parts=num_parts
+        rollup_ds, "conv_id", _pack_partition(metric), num_parts=num_parts,
+        batch_format="pyarrow",
     )

@@ -1,37 +1,54 @@
 """Stage 2: continuous aggregates (rollups) at 1m/1h/1d retention tiers.
 
-Scalable shape (SURVEY.md §7 step 3): the full input is NEVER
-re-shuffled. A stateless ``map_batches`` computes PARTIAL aggregates per
-(key, tier, bucket) inside each batch -- count/sum/min/max are
-associative, and ``last`` carries its ordering key (e.g. (ts, turn_idx))
-so partials merge exactly (merge-on-read). Only the partials (orders of
-magnitude smaller than the input) go through the final
-``by_partition`` merge, which also gap-fills each key's bucket range
-when asked. Input that is raw turns skips the partial step:
-``turn_rollup_fn`` computes the exact rollup inside the one exchange
-that co-locates each conversation (the flagship and resumable runs), in
-one sorted numpy pass with no pandas sort or groupby. ``rollup()`` and
-``merge_rollups()`` keep the pandas partial/merge: their values need not
-be integers, and then pandas' compensated groupby sum decides the bits.
+Every rollup operator here is Arrow in, Arrow out over the numpy
+segment layer (``segments.py``); no pandas frame is built, grouped or
+sorted. There are two cores:
+
+- the EXACT core, over raw rows that hold every row of their keys: one
+  stable sort by (key, ts, *order), then per tier segments where (key,
+  bucket) changes (bucket is monotone in ts within a key, so each (key,
+  bucket) is one contiguous run). ``turn_rollup_fn`` (the flagship's,
+  ``rollup_pipeline``'s and the resumable run's partition function) and
+  ``rollup()`` run it inside the one exchange that co-locates each key;
+- the MERGE core, over partial rollup rows (each row carries the
+  ordering key of its ``last``, ``keep_ord=True``): one stable sort by
+  (key, tier, bucket_us, last_ord_ts, last_ord_tie), then segments where
+  (key, tier, bucket_us) changes; counts and sums add, min/max fold and
+  ``last`` is the last non-null one. ``merge_rollups()`` and the salted
+  ``rollup()`` run it; ``gapfill_rollup()`` shares its gap-fill.
+
+``rollup()`` exchanges the input rows themselves, projected to the
+spec's columns, and computes no per-batch partial: on the rollup_store
+benchmark the base slice's per-batch partials were 4,318 rows x 15
+columns, and the raw turns now exchanged are 7,702 rows x 6 columns. The
+exact core then gives the same bits whatever the input's block layout
+(a per-batch partial changes the last bits of a float sum). A salted
+rollup keeps the partial/merge shape: a giant key's rows spread over
+many partitions, so the exact core runs per batch (with ``keep_ord``)
+and the merge core after the salted exchange.
 
 This replaces the reference's single-shot in-memory pandas aggregation
-model (reference tsfeatures.py:970-976 materializes the whole panel on
-the driver); at 10^12 rows the partial/merge split keeps the shuffle
-tractable, and a salted/split hot key is safe because partials merge
-associatively.
-
-The operator is generic over (key, ordering columns, value columns):
-the transcript pipeline uses (conv_id, [ts, turn_idx],
-{token_len, latency_us->latency}); the events pipeline uses
-(user_id, [ts, event_id], {value}).
+(reference tsfeatures.py:970-976 materializes the whole panel on the
+driver). The operator is generic over (key, ordering columns, value
+columns): the transcript pipeline uses (conv_id, [ts, turn_idx],
+{token_len, latency_us->latency}); the events pipeline uses (user_id,
+[ts, event_id], {value}).
 
 Aggregate semantics (exact, north_rule):
 - <v>_count: non-null observations of v in the bucket;
-- <v>_sum/min/max: over non-null observations;
+- <v>_sum/min/max: over non-null observations (the sum is pandas'
+  compensated groupby sum, ``segments.seg_ksum``);
 - <v>_last: v at the max ordering key among rows where v is non-null;
 - gap rows (gapfill=True): every tier bucket between a key's first and
   last bucket exists; counts are 0, other aggregates NULL, ``filled``
   is true.
+
+Output rows: real rows by (key, tier name, bucket_us), then each tier's
+gap rows by (key, bucket_us), tiers in the order asked for. The schema
+is the pandas -> Arrow conversion of the pandas operators these replaced
+(``tests/_rollup_oracles.py``): the key keeps its input type, NaN is
+null, ``bucket`` is timestamp[us], counts are int64 and ``last_ord_tie``
+keeps its order column's type.
 """
 
 from __future__ import annotations
@@ -39,14 +56,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
 from ..schema import TIERS, Tier
-from ._util import ts_to_us
-from .derive import _latency_per_partition, by_partition
-from .pack import _pack_tiers, _series_layout
+from . import segments as sg
+from .derive import _latency_order, by_partition
+from .pack import _pack_tiers
 
 
 @dataclass(frozen=True)
@@ -71,142 +89,148 @@ class RollupSpec:
 
 DEFAULT_SPEC = RollupSpec()
 
-
-def _partial_one_tier(
-    df: pd.DataFrame, tier: Tier, spec: RollupSpec, presorted: bool = False
-) -> pd.DataFrame:
-    w = tier.bucket_us
-    g = df.assign(bucket_us=df["ts_us"] - df["ts_us"] % w)
-    # sort so 'last' within each (key, bucket) is the max ordering key.
-    # presorted=True keeps an input already ordered by (key, ts,
-    # *order): turn_rollup_fn's order, its reference in the tests
-    if not presorted:
-        g = g.sort_values(
-            [spec.key, "bucket_us", "ts_us", *spec.order], kind="mergesort"
-        )
-    gb = g.groupby([spec.key, "bucket_us"], sort=False)
-    aggs: dict[str, tuple] = {}
-    for col, pref in spec.values.items():
-        aggs[f"{pref}_count"] = (col, "count")
-        aggs[f"{pref}_sum"] = (col, "sum")
-        aggs[f"{pref}_min"] = (col, "min")
-        aggs[f"{pref}_max"] = (col, "max")
-        aggs[f"{pref}_last"] = (col, "last")  # pandas 'last' skips nulls
-    aggs["last_ord_ts"] = ("ts_us", "last")
-    if spec.order:
-        aggs["last_ord_tie"] = (spec.order[0], "last")
-    out = gb.agg(**aggs).reset_index()
-    if not spec.order:
-        out["last_ord_tie"] = 0
-    for pref in spec.values.values():
-        out.loc[out[f"{pref}_count"] == 0, f"{pref}_sum"] = np.nan
-    out["tier"] = tier.name
-    return out
+_KEEP_ORD_GAPFILL = ("keep_ord rollups cannot gap-fill inline (gap rows "
+                     "have no ordering key); gap-fill after the final "
+                     "merge_rollups instead")
 
 
-def _partial_agg(tiers: list[Tier], spec: RollupSpec, presorted: bool = False):
-    cols = [spec.key, spec.ts, *spec.order, *spec.values]
-
-    def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        df = batch[cols].copy()
-        df["ts_us"] = ts_to_us(df[spec.ts])
-        return pd.concat(
-            [_partial_one_tier(df, t, spec, presorted) for t in tiers],
-            ignore_index=True,
-        )
-
-    return fn
-
-
-def _gapfill_partition(
-    merged: pd.DataFrame, tier_widths: dict[str, int], spec: RollupSpec
-) -> pd.DataFrame:
-    """Densify bucket ranges per (key, tier): each tier's missing
-    buckets, found by offset arithmetic over its rows in (key,
-    bucket_us) order (``pack._series_layout``), appended as ``filled``
-    rows by (key, bucket_us), tiers in ``tier_widths`` order -- no
-    per-key Python loop."""
-    key = spec.key
-    tier, conv, buck = (merged[c].to_numpy() for c in ("tier", key, "bucket_us"))
-    pieces = [merged.assign(filled=False)]
-    for tname, w in tier_widths.items():
-        sub = np.flatnonzero(tier == tname)
-        if len(sub) == 0:
-            continue
-        sub = sub[np.lexsort((buck[sub], pd.factorize(conv[sub], sort=True)[0]))]
-        first, nb, pos = _series_layout(conv[sub], buck[sub], w)
-        hole = np.ones(int(nb.sum()), dtype=bool)
-        hole[pos] = False
-        at = np.flatnonzero(hole)  # dense positions with no real row
-        if len(at) == 0:
-            continue
-        ends = np.cumsum(nb)
-        series = np.searchsorted(ends, at, side="right")  # of each gap
-        head = sub[first[series]]  # that series' first row
-        gaps = pd.DataFrame({
-            key: conv[head],
-            "bucket_us": buck[head] + (at - (ends - nb)[series]) * w,
-        })
-        gaps = gaps.assign(tier=tname, filled=True)
-        for col in spec.agg_cols:
-            gaps[col] = 0 if col.endswith("_count") else np.nan
-        pieces.append(gaps)
-    return pd.concat(pieces, ignore_index=True)
-
-
-def _finish(merged: pd.DataFrame, gapfill: bool, tier_widths: dict[str, int],
-            spec: RollupSpec, keep_ord: bool = False) -> pd.DataFrame:
-    """A merged rollup frame (one row per (key, tier, bucket)) in its
-    output form: gap rows appended (or every row marked real), the
-    ``bucket`` timestamp, pinned dtypes and the column order."""
+def _rollup_table(key_col, code: np.ndarray, rows: dict, names: list[str],
+                  spec: RollupSpec, gapfill: bool = False,
+                  widths: dict[str, int] | None = None, ord_cols=None) -> pa.Table:
+    """The rollup output of ``rows`` (real rows in output order:
+    ``_row`` indexes ``key_col`` and ``code``, ``_tier`` indexes
+    ``names``, plus ``bucket_us`` and the aggregate columns), with each
+    tier's gap rows appended when ``gapfill`` (tiers in ``widths``
+    order), and ``ord_cols`` = (last_ord_ts, last_ord_tie) arrays for a
+    keep_ord rollup."""
+    row, tier, buck = rows["_row"], rows["_tier"], rows["bucket_us"]
+    g_row, g_tier, g_buck = [row], [tier], [buck]
     if gapfill:
-        merged = _gapfill_partition(merged, tier_widths, spec)
-    else:
-        merged = merged.assign(filled=False)
-    merged["bucket"] = merged["bucket_us"].astype("datetime64[us]")
+        for tname, w in widths.items():
+            if tname not in names:
+                continue
+            sub = np.flatnonzero(tier == names.index(tname))
+            sub = sub[np.lexsort((buck[sub], code[row[sub]]))]
+            head, b = sg.gaps(code[row[sub]], buck[sub], w)
+            g_row.append(row[sub[head]])
+            g_tier.append(np.full(len(head), names.index(tname)))
+            g_buck.append(b)
+    n_gap = sum(len(b) for b in g_buck) - len(buck)
+    buck = np.concatenate(g_buck).astype(np.int64)
+    arrays = [
+        sg.take(key_col, np.concatenate(g_row)),
+        pa.array(names, type=pa.string()).take(pa.array(np.concatenate(g_tier), type=pa.int64())),
+        pa.array(buck.view("datetime64[us]")),
+        pa.array(buck),
+    ]
     for c in spec.agg_cols:
         if c.endswith("_count"):
-            merged[c] = merged[c].astype("int64")
+            arrays.append(pa.array(np.r_[rows[c].astype(np.int64), np.zeros(n_gap, np.int64)]))
         else:
-            # plain float64 (NaN = no observation), never pandas'
-            # masked-Int64 extension dtype: extension arrays do not
-            # hash/serialize like Arrow primitives at the contract
-            # boundary; integer inputs stay exact in float64
-            merged[c] = merged[c].astype("float64")
-    cols = [spec.key, "tier", "bucket", "bucket_us"] + spec.agg_cols + ["filled"]
-    if keep_ord:
+            arrays.append(sg.float_array(np.r_[rows[c], np.full(n_gap, np.nan)]))
+    arrays.append(pa.array(np.r_[np.zeros(len(row), bool), np.ones(n_gap, bool)]))
+    cols = [spec.key, "tier", "bucket", "bucket_us", *spec.agg_cols, "filled"]
+    if ord_cols is not None:
+        arrays += list(ord_cols)
         cols += ["last_ord_ts", "last_ord_tie"]
-    return merged[cols]
+    return pa.Table.from_arrays(arrays, names=cols)
 
 
-def _final_merge(gapfill: bool, tier_widths: dict[str, int], spec: RollupSpec,
-                 keep_ord: bool = False):
-    key = spec.key
+def _tier_segments(code: np.ndarray, ts_us: np.ndarray, vals: dict,
+                   tier_objs: list[Tier]) -> dict:
+    """The exact core over rows sorted by (key, ts, ...): per tier name,
+    its segments (rows where (key, bucket) changes, ``_row``, to the row
+    before the next segment, ``_end``), ``bucket_us`` and the aggregates
+    of each value prefix, segments by (key, bucket)."""
+    new_key = sg.changes(code)
+    segs = {}
+    for t in tier_objs:
+        bucket = ts_us - ts_us % t.bucket_us
+        seg = new_key.copy()
+        seg[1:] |= bucket[1:] != bucket[:-1]
+        starts = np.flatnonzero(seg)
+        cols = {"_row": starts, "_end": np.r_[starts[1:], len(code)] - 1,
+                "bucket_us": bucket[starts]}
+        for pref, v in vals.items():
+            for agg, col in sg.aggregate(v, starts).items():
+                cols[f"{pref}_{agg}"] = col
+        segs[t.name] = cols
+    return segs
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            [key, "tier", "bucket_us", "last_ord_ts", "last_ord_tie"], kind="mergesort"
+
+def _real_rows(segs: dict, code: np.ndarray) -> tuple[dict, list[str]]:
+    """Per-tier segments as one set of rows by (key, tier name,
+    bucket_us), and the tier names ``_tier`` indexes."""
+    names = sorted(segs)
+    sizes = [len(segs[t]["_row"]) for t in names]
+    tier = np.repeat(np.arange(len(names)), sizes)
+    rows = {c: np.concatenate([segs[t][c] for t in names]) for c in segs[names[0]]}
+    order = np.lexsort((tier, code[rows["_row"]]))
+    rows = {c: v[order] for c, v in rows.items()}
+    rows["_tier"] = tier[order]
+    return rows, names
+
+
+def _exact_rollup(t: pa.Table, tier_objs: list[Tier], spec: RollupSpec,
+                  gapfill: bool = False, keep_ord: bool = False) -> pa.Table:
+    """The exact core over raw rows holding every row of their keys, in
+    ``rollup()``'s one stable sort by (key, ts_us, *order): its
+    partition function, and its per-batch partial when salted."""
+    key_col = t[spec.key]
+    code = sg.codes(key_col)
+    ts = sg.ts_us(t[spec.ts])
+    order = np.lexsort([sg.codes(t[c]) for c in reversed(spec.order)] + [ts, code])
+    vals = {pref: sg.floats(t[col])[order] for col, pref in spec.values.items()}
+    rows, names = _real_rows(_tier_segments(code[order], ts[order], vals, tier_objs), code[order])
+    ord_cols = None
+    if keep_ord:
+        last = order[rows["_end"]]  # the segment's last row: the max ordering key
+        tie = (sg.take(t[spec.order[0]], last) if spec.order
+               else pa.array(np.zeros(len(last), np.int64)))
+        ord_cols = (pa.array(ts[last]), tie)
+    rows["_row"] = order[rows["_row"]]
+    return _rollup_table(key_col, code, rows, names, spec, gapfill,
+                         {x.name: x.bucket_us for x in tier_objs}, ord_cols)
+
+
+def _merge_rollup(t: pa.Table, spec: RollupSpec, gapfill: bool = False,
+                  widths: dict[str, int] | None = None, keep_ord: bool = False) -> pa.Table:
+    """The merge core over partial rollup rows (any order; each row
+    carries ``last_ord_ts``/``last_ord_tie``): one stable sort by (key,
+    tier, bucket_us, last_ord_ts, last_ord_tie), segments where (key,
+    tier, bucket_us) changes, counts and sums added, min/max folded and
+    the last non-null ``last``."""
+    if "last_ord_ts" not in t.column_names:
+        raise ValueError(
+            "merge_rollups needs rollups produced with keep_ord=True "
+            "(the 'last' aggregate is only mergeable when each row "
+            "carries its ordering key)"
         )
-        gb = g.groupby([key, "tier", "bucket_us"], sort=False)
-        aggs: dict[str, tuple] = {}
-        for pref in spec.values.values():
-            aggs[f"{pref}_count"] = (f"{pref}_count", "sum")
-            aggs[f"{pref}_sum"] = (f"{pref}_sum", "sum")
-            aggs[f"{pref}_min"] = (f"{pref}_min", "min")
-            aggs[f"{pref}_max"] = (f"{pref}_max", "max")
-            aggs[f"{pref}_last"] = (f"{pref}_last", "last")
-        if keep_ord:
-            # carry the ordering key of the winning 'last' row so the
-            # OUTPUT itself stays a mergeable partial (incremental
-            # ingestion: merge_rollups of two time slices is exact)
-            aggs["last_ord_ts"] = ("last_ord_ts", "last")
-            aggs["last_ord_tie"] = ("last_ord_tie", "last")
-        merged = gb.agg(**aggs).reset_index()
-        for pref in spec.values.values():
-            merged.loc[merged[f"{pref}_count"] == 0, f"{pref}_sum"] = np.nan
-        return _finish(merged, gapfill, tier_widths, spec, keep_ord)
+    key_col = t[spec.key]
+    code = sg.codes(key_col)
+    tier, names = sg.factorize(t["tier"])
+    buck = sg.ticks(t["bucket_us"])
+    order = np.lexsort((sg.codes(t["last_ord_tie"]), sg.codes(t["last_ord_ts"]), buck, tier, code))
+    starts = np.flatnonzero(sg.changes(code[order], tier[order], buck[order]))
+    rows = {"_row": order[starts], "_tier": tier[order][starts], "bucket_us": buck[order][starts]}
+    for pref in spec.values.values():
+        def col(agg):
+            return sg.floats(t[f"{pref}_{agg}"])[order]
 
-    return fn
+        count = np.add.reduceat(t[f"{pref}_count"].to_numpy()[order], starts)
+        total = sg.seg_ksum(col("sum"), starts)
+        total[count == 0] = np.nan
+        rows.update({f"{pref}_count": count, f"{pref}_sum": total,
+                     f"{pref}_min": np.fmin.reduceat(col("min"), starts),
+                     f"{pref}_max": np.fmax.reduceat(col("max"), starts),
+                     f"{pref}_last": sg.seg_last(col("last"), starts)})
+    ord_cols = None
+    if keep_ord:
+        ord_cols = []
+        for c in ("last_ord_ts", "last_ord_tie"):
+            at = sg.last_at(t[c].is_valid().to_numpy(zero_copy_only=False)[order], starts)
+            ord_cols.append(sg.take(t[c], np.where(at >= 0, order[at], -1)))
+    return _rollup_table(key_col, code, rows, names, spec, gapfill, widths, ord_cols)
 
 
 def rollup(
@@ -218,81 +242,47 @@ def rollup(
     salt_window_us: int | None = None,
     keep_ord: bool = False,
 ) -> "ray.data.Dataset":
-    """Keyed stream Dataset -> rollup Dataset at the given tiers.
+    """Keyed stream Dataset -> rollup Dataset at the given tiers: the
+    input projected to the spec's columns, one ``by_partition`` exchange
+    on the key, and the exact core over each partition.
 
     ``salt_window_us`` enables SALTED repartitioning for hot keys
-    (SURVEY.md §4): the merge partition key becomes
-    (key, bucket_us // salt_window_us), so one giant key's
-    partials spread across many partitions instead of pinning one
-    straggler. Safe because every (key, tier, bucket) group still lands
-    intact in exactly one partition and the merge is associative
-    (merge-on-read). Gap-fill needs whole-key locality, so with salting
-    it must be applied afterwards via ``gapfill_rollup``.
+    (SURVEY.md §4): the exact core runs per batch (a partial with its
+    ordering key), and the merge partition key becomes
+    (key, bucket_us // salt_window_us), so one giant key's partials
+    spread across many partitions instead of pinning one straggler. Safe
+    because every (key, tier, bucket) group still lands intact in exactly
+    one partition and the merge is associative (merge-on-read). Gap-fill
+    needs whole-key locality, so with salting it must be applied
+    afterwards via ``gapfill_rollup``.
     """
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
-    tier_widths = {t.name: t.bucket_us for t in tier_objs}
     if salt_window_us is not None and gapfill:
         raise ValueError(
             "salted rollup cannot gap-fill inline; run gapfill_rollup() after"
         )
     if keep_ord and gapfill:
-        raise ValueError("keep_ord rollups cannot gap-fill inline (gap "
-                         "rows have no ordering key); gap-fill after the "
-                         "final merge_rollups instead")
-    partials = ds.map_batches(
-        _partial_agg(tier_objs, spec), batch_format="pandas", batch_size=65536
-    )
-    key = spec.key
-    if salt_window_us is not None:
-        def salt(df: pd.DataFrame) -> pd.DataFrame:
-            df["salted_key"] = (df[spec.key].astype(str) + "@"
-                                + (df["bucket_us"] // salt_window_us).astype(str))
-            return df
+        raise ValueError(_KEEP_ORD_GAPFILL)
+    ds = ds.select_columns(list(dict.fromkeys([spec.key, spec.ts, *spec.order, *spec.values])))
+    if salt_window_us is None:
+        def exact(t: pa.Table) -> pa.Table:
+            return _exact_rollup(t, tier_objs, spec, gapfill, keep_ord)
 
-        partials, key = partials.map_batches(salt, batch_format="pandas"), "salted_key"
-    return by_partition(
-        partials, key, _final_merge(gapfill, tier_widths, spec, keep_ord),
-        num_parts=num_parts,
-    )
+        return by_partition(ds, spec.key, exact, num_parts=num_parts, batch_format="pyarrow")
 
+    def salted_partial(t: pa.Table) -> pa.Table:
+        part = _exact_rollup(t, tier_objs, spec, keep_ord=True)
+        window = pa.array(part["bucket_us"].to_numpy() // salt_window_us)
+        salted = pc.binary_join_element_wise(
+            pc.cast(part[spec.key], pa.string()), pc.cast(window, pa.string()), "@")
+        return part.append_column("salted_key", salted)
 
-def _segment_aggs(v: np.ndarray, starts: np.ndarray) -> dict:
-    """count/sum/min/max/last of ``v`` over the contiguous segments
-    beginning at ``starts`` (ascending, non-empty segments), with
-    pandas' groupby rules: NaN is skipped, sum is NaN where count is 0,
-    last is the last non-NaN value. The values are integers held in
-    float64 (token lengths, timestamp differences) below 2^53, so every
-    partial sum is exact and the summation order cannot change a bit."""
-    v = np.asarray(v, dtype=np.float64)
-    ok = ~np.isnan(v)
-    count = np.add.reduceat(ok, starts, dtype=np.int64)
-    total = np.add.reduceat(np.where(ok, v, 0.0), starts)
-    total[count == 0] = np.nan
-    at = np.maximum.reduceat(np.where(ok, np.arange(len(v)), -1), starts)
-    return {
-        "count": count,
-        "sum": total,
-        "min": np.fmin.reduceat(v, starts),
-        "max": np.fmax.reduceat(v, starts),
-        "last": np.where(at >= 0, v[at], np.nan),
-    }
+    def merge(t: pa.Table) -> pa.Table:
+        return _merge_rollup(t, spec, keep_ord=keep_ord)
 
-
-def _rollup_frame(segs: dict, gapfill: bool, spec: RollupSpec) -> pd.DataFrame:
-    """``_final_merge``'s output from per-tier segment columns (tier name
-    -> columns, rows by (conv_id, bucket_us), ``_ord`` = the
-    conversation's rank): real rows by (conv_id, tier name, bucket_us),
-    then the gap rows of ``_gapfill_partition``."""
-    names = list(segs)
-    sizes = [len(segs[t]["_ord"]) for t in names]
-    rank = {t: i for i, t in enumerate(sorted(names))}
-    order = np.lexsort((np.repeat([rank[t] for t in names], sizes),
-                        np.concatenate([segs[t]["_ord"] for t in names])))
-    merged = pd.DataFrame({spec.key: np.concatenate([segs[t][spec.key] for t in names])[order],
-                           "tier": np.repeat(np.array(names, dtype=object), sizes)[order]})
-    for c in ["bucket_us"] + spec.agg_cols:
-        merged[c] = np.concatenate([segs[t][c] for t in names])[order]
-    return _finish(merged, gapfill, {t: TIERS[t].bucket_us for t in names}, spec)
+    partials = ds.map_batches(salted_partial, batch_format="pyarrow", batch_size=65536)
+    return by_partition(partials, "salted_key", merge, num_parts=num_parts,
+                        batch_format="pyarrow")
 
 
 def turn_rollup_fn(
@@ -301,24 +291,21 @@ def turn_rollup_fn(
     pack_metrics: str | list[str] | None = None,
 ):
     """Partition function of the flagship's single exchange. Over one
-    co-located partition of raw turns (conv_id, turn_idx, ts,
-    token_len) it computes the EXACT rollup in one sorted numpy pass --
-    the partition holds complete conversations, so no partial/merge
-    split is needed -- and, with ``pack_metrics``, packs the series to
-    list<double> rows instead of emitting rollup rows.
+    co-located partition of raw turns (conv_id, turn_idx, ts, token_len;
+    an Arrow table) it computes the EXACT rollup -- the partition holds
+    complete conversations, so no partial/merge split is needed -- and,
+    with ``pack_metrics``, packs the series to list<double> rows instead
+    of emitting rollup rows. Arrow in, Arrow out.
 
-    The pass: ``_latency_per_partition``'s one stable lexsort by
-    (conv_id, ts, turn_idx) and latency diff; per tier, segments start
-    where (conv_id, bucket) changes (bucket is monotone in ts within a
-    conversation, so each (conv_id, bucket) is one contiguous run);
-    count/sum/min/max by ``reduceat`` and ``last`` as the last non-NaN
-    row of the segment; gap-fill and pack by offset arithmetic over the
-    segments (``pack._series_layout``).
+    The pass: ``derive._latency_order``'s one stable lexsort by
+    (conv_id, ts, turn_idx) and latency diff, then the exact core
+    (``_tier_segments``) over those sorted rows; gap-fill and pack by
+    offset arithmetic over the segments (``segments.series_layout``).
 
-    Rows and dtypes equal derive -> ``rollup()`` (its
-    ``_partial_agg``/``_final_merge``) over the same turns, in the same
-    order: real rows by (conv_id, tier name, bucket_us), then each
-    tier's gap rows by (conv_id, bucket_us), tiers in ``tiers`` order.
+    Rows and schema equal derive -> ``rollup()`` over the same turns, in
+    the same order: real rows by (conv_id, tier name, bucket_us), then
+    each tier's gap rows by (conv_id, bucket_us), tiers in ``tiers``
+    order.
 
     ``rollup_pipeline`` and ``feature_pipeline`` hand it to
     ``by_partition``; the resumable run applies it to each sunk
@@ -326,36 +313,28 @@ def turn_rollup_fn(
     custom-operator rule): every row of a conversation is in the
     partition."""
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
+    widths = {t.name: t.bucket_us for t in tier_objs}
     metrics = [pack_metrics] if isinstance(pack_metrics, str) else pack_metrics
     spec = DEFAULT_SPEC
 
-    def fn(g: pd.DataFrame):
-        g = _latency_per_partition(g)
-        conv = g[spec.key].to_numpy()
-        new_conv = np.ones(len(conv), dtype=bool)
-        new_conv[1:] = conv[1:] != conv[:-1]
-        conv_ord = np.cumsum(new_conv) - 1
-        ts_us = ts_to_us(g[spec.ts]).to_numpy()
-        vals = {pref: g[col].to_numpy() for col, pref in spec.values.items()}
-        segs = {}  # tier name -> its rollup columns, rows by (conv, bucket)
-        for t in tier_objs:
-            bucket = ts_us - ts_us % t.bucket_us
-            seg = new_conv.copy()
-            seg[1:] |= bucket[1:] != bucket[:-1]
-            starts = np.flatnonzero(seg)
-            cols = {spec.key: conv[starts], "bucket_us": bucket[starts],
-                    "_ord": conv_ord[starts]}
-            for pref, v in vals.items():
-                for agg, col in _segment_aggs(v, starts).items():
-                    cols[f"{pref}_{agg}"] = col
-            segs[t.name] = cols
+    def fn(t: pa.Table) -> pa.Table:
+        order, code, lat = _latency_order(t)
+        ts = sg.ts_us(t[spec.ts])[order]
+        vals = {"token_len": sg.floats(t["token_len"])[order], "latency": lat}
+        segs = _tier_segments(code, ts, vals, tier_objs)
+        key_col = t[spec.key]
         if metrics is not None:
             return _pack_tiers(
-                [(name, segs[name][spec.key], segs[name]["bucket_us"], segs[name])
+                [(name, code[segs[name]["_row"]], sg.take(key_col, order[segs[name]["_row"]]),
+                  segs[name]["bucket_us"], segs[name])
                  for name in TIERS if name in segs],
                 metrics,
             )
-        return _rollup_frame(segs, gapfill, spec)
+        rows, names = _real_rows(segs, code)
+        rows["_row"] = order[rows["_row"]]
+        key_code = np.empty_like(code)
+        key_code[order] = code  # the codes in input row order, as _row indexes
+        return _rollup_table(key_col, key_code, rows, names, spec, gapfill, widths)
 
     return fn
 
@@ -372,30 +351,33 @@ def merge_rollups(
     the INCREMENTAL INGESTION shape: yesterday's stored rollup + today's
     slice merge EXACTLY (count/sum/min/max are associative; 'last'
     carries its ordering key), so a 100 TB corpus never recomputes
-    history. Exact by construction: each keep_ord rollup row IS a
-    partial row of the same shape the per-batch aggregation emits, so
-    this reuses the identical partial->merge code path (hash-exact
-    equality with a full recompute is pinned by the
-    ``rollup_incremental_1h`` driver oracle and pytest)."""
-    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
-    tier_widths = {t.name: t.bucket_us for t in tier_objs}
+    history. One ``by_partition`` exchange on the key, then the merge
+    core (hash-exact equality with a full recompute is pinned by the
+    ``rollup_incremental_1h`` driver oracle and pytest). With
+    ``keep_ord`` the output is again a mergeable partial, so it cannot
+    be gap-filled inline, as in ``rollup()``."""
+    if keep_ord and gapfill:
+        raise ValueError(_KEEP_ORD_GAPFILL)
+    widths = {t: TIERS[t].bucket_us for t in (tiers or list(TIERS))}
 
-    def to_partial(df: pd.DataFrame) -> pd.DataFrame:
-        if "last_ord_ts" not in df.columns:
-            raise ValueError(
-                "merge_rollups needs rollups produced with keep_ord=True "
-                "(the 'last' aggregate is only mergeable when each row "
-                "carries its ordering key)"
-            )
-        return df.drop(columns=["bucket", "filled"], errors="ignore")
+    def merge(t: pa.Table) -> pa.Table:
+        return _merge_rollup(t, spec, gapfill, widths, keep_ord)
 
     ds = rollups[0]
     for other in rollups[1:]:
         ds = ds.union(other)
-    return by_partition(
-        ds.map_batches(to_partial, batch_format="pandas"), spec.key,
-        _final_merge(gapfill, tier_widths, spec, keep_ord), num_parts=num_parts,
-    )
+    return by_partition(ds, spec.key, merge, num_parts=num_parts, batch_format="pyarrow")
+
+
+def _gapfill(t: pa.Table, spec: RollupSpec = DEFAULT_SPEC) -> pa.Table:
+    """``gapfill_rollup``'s partition function: the rows in the order
+    they arrive, marked real, then every tier's gap rows."""
+    tier, names = sg.factorize(t["tier"])
+    rows = {"_row": np.arange(len(t)), "_tier": tier, "bucket_us": sg.ticks(t["bucket_us"])}
+    for c in spec.agg_cols:
+        rows[c] = t[c].to_numpy() if c.endswith("_count") else sg.floats(t[c])
+    return _rollup_table(t[spec.key], sg.codes(t[spec.key]), rows, names, spec, True,
+                         {x.name: x.bucket_us for x in TIERS.values()})
 
 
 def gapfill_rollup(
@@ -404,14 +386,7 @@ def gapfill_rollup(
     spec: RollupSpec = DEFAULT_SPEC,
 ):
     """Densify an existing (sparse) rollup Dataset."""
-    tier_widths = {t.name: t.bucket_us for t in TIERS.values()}
+    def fn(t: pa.Table) -> pa.Table:
+        return _gapfill(t, spec)
 
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        cols = [spec.key, "tier", "bucket", "bucket_us"] + spec.agg_cols + ["filled"]
-        out = _gapfill_partition(
-            g.drop(columns=["filled", "bucket", "part"]), tier_widths, spec
-        )
-        out["bucket"] = out["bucket_us"].astype("datetime64[us]")
-        return out[cols]
-
-    return by_partition(rollup_ds, spec.key, fn, num_parts=num_parts)
+    return by_partition(rollup_ds, spec.key, fn, num_parts=num_parts, batch_format="pyarrow")

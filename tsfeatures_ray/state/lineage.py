@@ -8,11 +8,12 @@ A run is split into:
   (``derived/part=<p>/``) -- the partitioned write co-locates each
   conversation. Recorded in the manifest as one record with the input
   fragment list and ``num_parts``.
-- stage B (per-partition): one Ray task per hash partition runs the
-  flagship's partition function (``turn_rollup_fn``: latency + exact
-  rollup) over ``derived/part=<p>`` only -- the same code the
-  benchmarked ``rollup_pipeline`` runs inside its exchange -- (+
-  optionally pack + features), written to a temp dir and atomically
+- stage B (per-partition): one Ray task per hash partition reads
+  ``derived/part=<p>`` with pyarrow and runs the flagship's partition
+  function over it (``turn_rollup_fn``: latency + exact rollup, Arrow in
+  and out) -- the same code the benchmarked ``rollup_pipeline`` runs
+  inside its exchange -- (+ optionally pack + features), written with
+  pyarrow to a temp dir and atomically
   renamed to ``rollup/part=<p>/``, then a manifest record {partition,
   rows, checksum, inputs} is appended (write+flush+fsync).
 
@@ -35,6 +36,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 
 class Manifest:
@@ -97,25 +99,30 @@ def _stage_b_task(
     import shutil
     import time
 
+    import pyarrow.parquet as pq
+
     from ..stages.features import FeatureKernels
     from ..stages.pack import _pack_partition
     from ..stages.rollup import turn_rollup_fn
+    from ..stages.segments import float_array
 
     if sleep_s:
         time.sleep(sleep_s)
-    df = turn_rollup_fn(tiers, gapfill)(pd.read_parquet(part_dir))
+    table = turn_rollup_fn(tiers, gapfill)(pq.read_table(part_dir))
     if os.path.exists(tmp_dir):
         shutil.rmtree(tmp_dir)  # stale temp from a killed run
     os.makedirs(tmp_dir, exist_ok=True)
-    df.to_parquet(os.path.join(tmp_dir, "data.parquet"), index=False)
+    pq.write_table(table, os.path.join(tmp_dir, "data.parquet"))
     if with_features:
-        feats = FeatureKernels()(_pack_partition("token_len_sum")(df))
-        feats.to_pandas().to_parquet(
-            os.path.join(tmp_dir, "features.parquet"), index=False
-        )
+        feats = FeatureKernels()(_pack_partition("token_len_sum")(table))
+        # NaN features as null, as the pandas -> Arrow conversion wrote them
+        feats = pa.Table.from_arrays(
+            [float_array(c.to_numpy()) if pa.types.is_floating(c.type) else c
+             for c in feats.columns], names=feats.column_names)
+        pq.write_table(feats, os.path.join(tmp_dir, "features.parquet"))
     return {
-        "rows": int(len(df)),
-        "checksum": _df_checksum(df.drop(columns=["bucket"])),
+        "rows": table.num_rows,
+        "checksum": _df_checksum(table.drop_columns(["bucket"]).to_pandas()),
     }
 
 
