@@ -2,13 +2,15 @@
 oracles of the Arrow/numpy segment layer that replaced them
 (``tsfeatures_ray/stages/segments.py``): the per-batch rollup partial
 and its final merge, the gap-fill, the compaction fold, the Gorilla
-block codec's pandas body, the packer's pandas input and derive's
-latency. The function bodies are the replaced code, unchanged; the
-module-level wrappers at the end (``rollup_partition``,
+block codec's pandas body, the packer's pandas input, derive's latency
+and ``tsfeatures()``' pandas long-panel pack (``_pack_long_partition``,
+whose frame carries the ``unique_id`` as str and a ``freq`` column, as
+its pre-map made them). The function bodies are the replaced code,
+unchanged; the module-level wrappers at the end (``rollup_partition``,
 ``merge_partition``, ``gapfill_partition``, ``compact_partial``,
-``compact_merge``) are the partition functions the
-operators ran, with the Dataset plumbing taken out, and ``BlockCodec``
-is the replaced class whole (its ``encode_block`` is the engine's)."""
+``compact_merge``) are the partition functions the operators ran, with
+the Dataset plumbing taken out, and ``BlockCodec`` is the replaced
+class whole (its ``encode_block`` is the engine's)."""
 
 from __future__ import annotations
 
@@ -334,6 +336,36 @@ def _pack_partition(metrics):
         return _pack_tiers(tiers, metrics)
 
     return fn
+
+
+# --- flagship.py: tsfeatures()' long-panel pack (long_to_wide had a copy) ----
+
+def _pack_long_partition(g: pd.DataFrame) -> pa.Table:
+    """Pack a partition of a long panel (unique_id, ds, y) into wide rows.
+
+    Per-group row order follows ``ds`` (stable sort), matching the
+    reference's reliance on pandas-groupby order preservation
+    (tsfeatures.py:971; SURVEY.md §2.7 ordering note)."""
+    g = g.sort_values(["unique_id", "ds"], kind="mergesort")
+    uid = g["unique_id"].astype(str).to_numpy()
+    yv = g["y"].to_numpy(dtype="float64")
+    first = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
+    counts = np.diff(np.r_[first, len(uid)])
+    freq = g["freq"].to_numpy()[first].astype("int32")
+    offsets = np.r_[0, np.cumsum(counts)].astype("int32")
+    y = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()),
+                                 pa.array(yv, type=pa.float64()))
+    return pa.Table.from_arrays(
+        [
+            pa.array(uid[first], type=pa.string()),
+            pa.array(["-"] * len(first), type=pa.string()),
+            pa.array(["y"] * len(first), type=pa.string()),
+            pa.array(freq, type=pa.int32()),
+            pa.array(counts, type=pa.int64()),
+            y,
+        ],
+        schema=PACKED_SCHEMA,
+    )
 
 
 # --- the operators' partition functions -----------------------------------------

@@ -72,10 +72,10 @@ def test_tsfeatures_runs_one_sort_and_no_repartition(ray_session):
 
 
 def test_tsfeatures_wide_frame_runs_as_batch_row_tasks(ray_session):
-    """A pandas frame given to tsfeatures_wide becomes BATCH_ROWS-row
-    blocks, so its kernels run as several tasks, not as one task over a
-    single block (the balancing shuffle keeps the block count and evens
-    the block sizes; map_batches bundles blocks up to BATCH_ROWS rows)."""
+    """A pandas frame given to tsfeatures_wide (one Arrow block) runs its
+    kernels as several tasks, not as one task over the single block:
+    ``features_over_packed`` re-cuts the shuffled blocks into
+    ``BATCH_ROWS``-row blocks."""
     from tsfeatures_ray.pipelines import tsfeatures_wide
     from tsfeatures_ray.stages.features import BATCH_ROWS
 
@@ -86,5 +86,36 @@ def test_tsfeatures_wide_frame_runs_as_batch_row_tasks(ray_session):
                          "y": [rng.randn(6).tolist() for _ in range(n)]})
     ds = tsfeatures_wide(wide, features=["series_length"], scale=False).materialize()
     assert sorted(ds.to_pandas()["unique_id"]) == sorted(wide["unique_id"])
+    tasks = re.findall(r"^Operator \d+ .*FeatureKernels.*?: (\d+) tasks", ds.stats(), flags=re.M)
+    assert len(tasks) == 1 and int(tasks[0]) >= 2, ds.stats()
+
+
+def test_one_block_packed_dataset_runs_as_batch_row_tasks(ray_session):
+    """A packed Dataset of ONE block (``rd.from_arrow`` of a user-packed
+    table) runs its kernels as one task per ``BATCH_ROWS`` rows, not as
+    one task over the block: the balancing shuffle keeps the block
+    count, so ``features_over_packed`` re-cuts the shuffled blocks."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from tsfeatures_ray.stages.features import BATCH_ROWS, features_over_packed
+    from tsfeatures_ray.stages.pack import PACKED_SCHEMA
+
+    n = 2 * BATCH_ROWS + 50
+    rng = np.random.RandomState(2)
+    table = pa.Table.from_arrays(
+        [
+            pa.array([f"p{i}" for i in range(n)], pa.string()),
+            pa.array(["-"] * n, pa.string()),
+            pa.array(["y"] * n, pa.string()),
+            pa.array([1] * n, pa.int32()),
+            pa.array([6] * n, pa.int64()),
+            pa.array([rng.randn(6).tolist() for _ in range(n)], pa.list_(pa.float64())),
+        ],
+        schema=PACKED_SCHEMA,
+    )
+    ds = features_over_packed(rd.from_arrow(table), features=["series_length"],
+                              scale=False).materialize()
+    assert sorted(ds.to_pandas()["unique_id"]) == sorted(table["unique_id"].to_pylist())
     tasks = re.findall(r"^Operator \d+ .*FeatureKernels.*?: (\d+) tasks", ds.stats(), flags=re.M)
     assert len(tasks) == 1 and int(tasks[0]) >= 2, ds.stats()

@@ -1,7 +1,8 @@
 """The rollup store on the Arrow segment layer: ``seg_ksum`` is pandas'
 groupby sum to the bit, ``rollup()``'s float sums do not depend on the
 input's block layout, ``merge_rollups`` refuses a gap-filled keep_ord
-output, and no pandas frame is built on the store path (AST guard)."""
+output, and no pandas frame is built on the store path or on the panel
+entry points' data path (AST guards)."""
 
 import ast
 import importlib
@@ -135,3 +136,48 @@ def test_store_path_builds_no_pandas_frame():
     assert not found, found
     assert exchanges == {"rollup", "retention", "compress", "pack"}, exchanges
 
+
+
+def test_panel_entry_points_pack_in_arrow():
+    """AST guard: ``tsfeatures``, ``tsfeatures_wide`` and ``long_to_wide``
+    construct no ``pd.DataFrame`` and call no ``sort_values`` or
+    ``groupby``, and each ``by_partition`` call there passes
+    ``batch_format="pyarrow"``; under ``tsfeatures_ray/``, only
+    ``stages/pack.py`` builds tables with ``PACKED_SCHEMA`` (passes it
+    to a call or calls one of its methods)."""
+    import pathlib
+
+    from tsfeatures_ray.pipelines import flagship
+    from tsfeatures_ray.sources import convert
+
+    found, exchanges = [], []
+    for fn in (flagship.tsfeatures, flagship.tsfeatures_wide, convert.long_to_wide):
+        for node in ast.walk(ast.parse(inspect.getsource(fn))):
+            if isinstance(node, ast.Attribute) and node.attr in ("groupby", "sort_values"):
+                found.append(f"{fn.__name__}: .{node.attr}")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "DataFrame"
+                    and getattr(func.value, "id", None) in ("pd", "pandas")):
+                found.append(f"{fn.__name__}: pd.DataFrame(...)")
+            if getattr(func, "id", None) == "by_partition":
+                exchanges.append(fn.__name__)
+                fmt = [k.value for k in node.keywords if k.arg == "batch_format"]
+                if not (fmt and isinstance(fmt[0], ast.Constant) and fmt[0].value == "pyarrow"):
+                    found.append(f"{fn.__name__}: by_partition without batch_format='pyarrow'")
+    assert not found, found
+    assert sorted(exchanges) == ["long_to_wide", "tsfeatures"], exchanges
+
+    pkg = pathlib.Path(inspect.getfile(flagship)).parents[1]
+    builders = set()
+    for path in pkg.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            args = list(node.args) + [k.value for k in node.keywords]
+            if isinstance(node.func, ast.Attribute):  # PACKED_SCHEMA.empty_table()
+                args.append(node.func.value)
+            if any(getattr(a, "id", getattr(a, "attr", None)) == "PACKED_SCHEMA" for a in args):
+                builders.add(path.relative_to(pkg).as_posix())
+    assert builders == {"stages/pack.py"}, builders

@@ -2,25 +2,29 @@
 
 ``tsfeatures`` / ``tsfeatures_wide`` mirror the reference's entry points
 (reference tsfeatures.py:930-976, 1001-1039) with a Ray Data execution
-model: long panel Dataset -> ONE per-key exchange whose partition
-function packs list<double> series and runs the kernels on them -> wide
-feature Dataset. The flagship transcript pipeline runs derive -> rollup
--> pack -> features inside its one exchange the same way.
+model, Arrow tables throughout. ``tsfeatures``: long panel Dataset ->
+ONE per-key exchange whose partition function packs the partition's
+series (``stages.pack.pack_long``) and runs the kernels on them -> wide
+feature Dataset. ``tsfeatures_wide``: wide panel -> one
+``stages.pack.pack_wide`` map -> the kernels, no exchange. A pandas
+frame given to either enters as one Arrow table. The flagship transcript
+pipeline runs derive -> rollup -> pack -> features inside its one
+exchange the same way.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
 from ..sources.synth import transcripts_path
 from ..stages.derive import _add_token_len, by_partition, derive_turn_metrics
-from ..stages.features import BATCH_ROWS, FeatureKernels, features_over_packed
-from ..stages.pack import PACKED_SCHEMA
+from ..stages.features import FeatureKernels, features_over_packed
+from ..stages.pack import pack_long, pack_wide
 from ..stages.rollup import turn_rollup_fn
 
 
@@ -99,34 +103,6 @@ def feature_pipeline(
 # tsfeatures-compatible public API over arbitrary long/wide panels
 # ---------------------------------------------------------------------------
 
-def _pack_long_partition(g: pd.DataFrame) -> pa.Table:
-    """Pack a partition of a long panel (unique_id, ds, y) into wide rows.
-
-    Per-group row order follows ``ds`` (stable sort), matching the
-    reference's reliance on pandas-groupby order preservation
-    (tsfeatures.py:971; SURVEY.md §2.7 ordering note)."""
-    g = g.sort_values(["unique_id", "ds"], kind="mergesort")
-    uid = g["unique_id"].astype(str).to_numpy()
-    yv = g["y"].to_numpy(dtype="float64")
-    first = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-    counts = np.diff(np.r_[first, len(uid)])
-    freq = g["freq"].to_numpy()[first].astype("int32")
-    offsets = np.r_[0, np.cumsum(counts)].astype("int32")
-    y = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()),
-                                 pa.array(yv, type=pa.float64()))
-    return pa.Table.from_arrays(
-        [
-            pa.array(uid[first], type=pa.string()),
-            pa.array(["-"] * len(first), type=pa.string()),
-            pa.array(["y"] * len(first), type=pa.string()),
-            pa.array(freq, type=pa.int32()),
-            pa.array(counts, type=pa.int64()),
-            y,
-        ],
-        schema=PACKED_SCHEMA,
-    )
-
-
 def infer_panel_freq(sample: pd.DataFrame, dict_freqs=None) -> int:
     """Reference-parity frequency inference (tsfeatures.py:898-913):
     ``pd.infer_freq`` on the ``ds`` column mapped through FREQS, raising
@@ -171,9 +147,9 @@ def tsfeatures(
     raising on failure) using one sampled series -- the engine otherwise
     pins seasonality per tier/config (SURVEY.md §1.3).
 
-    One by_partition exchange on unique_id: its partition function packs
-    the partition's series (``_pack_long_partition``) and runs the
-    driver-built ``FeatureKernels`` on them in ``BATCH_ROWS``-row
+    One by_partition exchange on unique_id, Arrow in and Arrow out: its
+    partition function packs the partition's series (``pack_long``) and
+    runs the driver-built ``FeatureKernels`` on them in ``BATCH_ROWS``-row
     slices. ``concurrency`` caps the exchange's concurrent partition
     tasks (None: Ray Data's default); ``threads`` is the reference's
     parallelism knob (Pool size, tsfeatures.py:970), accepted for
@@ -183,22 +159,18 @@ def tsfeatures(
     # validates feature names eagerly and probes the columns once, here
     kernels = FeatureKernels(features, scale)
     if isinstance(panel, pd.DataFrame):
-        panel = rd.from_pandas(panel)
+        panel = rd.from_arrow(pa.Table.from_pandas(panel, preserve_index=False))
     if freq is None:
-        head = panel.limit(2000).to_pandas()
-        one = head[head["unique_id"] == head["unique_id"].iloc[0]]
-        freq = infer_panel_freq(one.sort_values("ds"), dict_freqs)
+        head = panel.take_batch(2000, batch_format="pyarrow")
+        one = head.filter(pc.equal(head["unique_id"], head["unique_id"][0]))
+        freq = infer_panel_freq(one.take(pc.sort_indices(one["ds"])).to_pandas(), dict_freqs)
 
-    def add_cols(df: pd.DataFrame) -> pd.DataFrame:
-        # hash the series key as str, the type the packed rows carry
-        return df.assign(unique_id=df["unique_id"].astype(str), freq=np.int32(freq))
-
-    def panel_features(g: pd.DataFrame) -> pa.Table:
-        return kernels(_pack_long_partition(g))
+    def panel_features(t: pa.Table) -> pa.Table:
+        return kernels(pack_long(t, freq))
 
     return by_partition(
-        panel.map_batches(add_cols, batch_format="pandas"), "unique_id",
-        panel_features, num_parts=num_parts, concurrency=concurrency,
+        panel, "unique_id", panel_features, num_parts=num_parts,
+        concurrency=concurrency, batch_format="pyarrow",
     )
 
 
@@ -212,38 +184,15 @@ def tsfeatures_wide(
     """Ray-native analog of reference ``tsfeatures_wide``
     (tsfeatures.py:1001-1039): wide panel (unique_id, seasonality,
     y=list<double>) -> feature Dataset. The wide layout needs NO
-    shuffle at all -- rows are already one-per-series. ``threads`` is
-    the reference parity alias of ``concurrency``."""
+    shuffle at all -- rows are already one-per-series: one ``pack_wide``
+    map, then ``features_over_packed``. A pandas frame enters as an
+    Arrow table. ``threads`` is the reference parity alias of
+    ``concurrency``."""
     if concurrency is None and threads is not None:
         concurrency = threads
     if isinstance(panel, pd.DataFrame):
-        tbl = pa.table(
-            {
-                "unique_id": pa.array(panel["unique_id"].astype(str)),
-                "tier": pa.array(["-"] * len(panel)),
-                "metric": pa.array(["y"] * len(panel)),
-                "freq": pa.array(panel["seasonality"].astype("int32")),
-                "n_buckets": pa.array([len(v) for v in panel["y"]], type=pa.int64()),
-                "y": pa.array([list(map(float, v)) for v in panel["y"]],
-                              type=pa.list_(pa.float64())),
-            }
-        )
-        # BATCH_ROWS-row blocks: one block would run as one kernel task
-        panel = rd.from_arrow([tbl.slice(i, BATCH_ROWS)
-                               for i in range(0, max(len(tbl), 1), BATCH_ROWS)])
-    else:
-        def adapt(t: pa.Table) -> pa.Table:
-            cols = {
-                "unique_id": t["unique_id"].cast(pa.string()),
-                "tier": pa.array(["-"] * len(t)),
-                "metric": pa.array(["y"] * len(t)),
-                "freq": t["seasonality"].cast(pa.int32()),
-                "n_buckets": pa.compute.list_value_length(t["y"]).cast(pa.int64()),
-                "y": t["y"].cast(pa.list_(pa.float64())),
-            }
-            return pa.table(cols)
-
-        panel = panel.map_batches(adapt, batch_format="pyarrow")
+        panel = rd.from_arrow(pa.Table.from_pandas(panel, preserve_index=False))
     return features_over_packed(
-        panel, features=features, scale=scale, concurrency=concurrency
+        panel.map_batches(pack_wide, batch_format="pyarrow"),
+        features=features, scale=scale, concurrency=concurrency,
     )

@@ -3,8 +3,11 @@
 m4_data.py:109-115 per-series date synthesis, m4_data.py:79 ``nrows``
 truncation -> ``ds.limit``; m4_data.py:105 concat -> ``ds.union``).
 
-Ray-Data-first: melt/pack are stateless ``map_batches``/``map_groups``
-transforms; no driver-side pandas on the full data.
+Ray-Data-first, Arrow in and Arrow out: the melt (``wide_to_long``) is
+a stateless ``map_batches`` of offset arithmetic, and the pack
+(``long_to_wide``) is one ``by_partition`` exchange whose partition
+function is the engine's one long-panel packer,
+``stages.pack.pack_long``. No driver-side pandas on the full data.
 """
 
 from __future__ import annotations
@@ -12,12 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
 
+from ..stages import segments as sg
 from ..stages.derive import by_partition
-from ..stages.pack import PACKED_SCHEMA
+from ..stages.pack import pack_long, ragged
 
 
 def wide_to_long(ds: "rd.Dataset") -> "rd.Dataset":
@@ -27,19 +32,13 @@ def wide_to_long(ds: "rd.Dataset") -> "rd.Dataset":
     transform (no shuffle): each wide row carries its whole series."""
 
     def explode(t: pa.Table) -> pa.Table:
-        y = t["y"].combine_chunks() if isinstance(t["y"], pa.ChunkedArray) else t["y"]
-        if isinstance(y, pa.ChunkedArray):
-            y = y.combine_chunks()
-        offsets = y.offsets.to_numpy()
-        flat = y.values.to_numpy(zero_copy_only=False)
-        lengths = np.diff(offsets)
-        uid = np.repeat(np.asarray(t["unique_id"]), lengths)
-        step = np.concatenate([np.arange(n, dtype=np.int64) for n in lengths]) \
-            if len(lengths) else np.empty(0, dtype=np.int64)
+        off, flat = ragged(t["y"])
+        lengths = np.diff(off)
         return pa.table(
             {
-                "unique_id": pa.array(uid, type=pa.string()),
-                "ds": pa.array(step, type=pa.int64()),
+                "unique_id": sg.take(pc.cast(t["unique_id"], pa.string()),
+                                     np.repeat(np.arange(len(t)), lengths)),
+                "ds": pa.array(np.arange(off[-1]) - np.repeat(off[:-1], lengths)),
                 "y": pa.array(flat, type=pa.float64()),
             }
         )
@@ -51,40 +50,14 @@ def long_to_wide(
     ds: "rd.Dataset", seasonality: int = 1, num_parts: int | None = None
 ) -> "rd.Dataset":
     """Pack a long panel (unique_id, ds, y) into wide rows with list
-    cells -- the reference's wide format (tsfeatures.py:1014-1016).
-    One shuffle on the series key (hashed as str, the type the packed
-    rows carry)."""
+    cells -- the reference's wide format (tsfeatures.py:1014-1016). One
+    shuffle on the series key, Arrow in and Arrow out: each partition
+    packs through ``stages.pack.pack_long``."""
 
-    def as_str(df: pd.DataFrame) -> pd.DataFrame:
-        return df.assign(unique_id=df["unique_id"].astype(str))
+    def pack(t: pa.Table) -> pa.Table:
+        return pack_long(t, seasonality)
 
-    def pack(g: pd.DataFrame) -> pa.Table:
-        g = g.sort_values(["unique_id", "ds"], kind="mergesort")
-        uid = g["unique_id"].astype(str).to_numpy()
-        yv = g["y"].to_numpy(dtype="float64")
-        first = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        counts = np.diff(np.r_[first, len(uid)])
-        offsets = np.r_[0, np.cumsum(counts)].astype("int32")
-        y = pa.ListArray.from_arrays(
-            pa.array(offsets, type=pa.int32()), pa.array(yv, type=pa.float64())
-        )
-        n = len(first)
-        return pa.Table.from_arrays(
-            [
-                pa.array(uid[first], type=pa.string()),
-                pa.array(["-"] * n, type=pa.string()),
-                pa.array(["y"] * n, type=pa.string()),
-                pa.array(np.full(n, seasonality, dtype="int32")),
-                pa.array(counts, type=pa.int64()),
-                y,
-            ],
-            schema=PACKED_SCHEMA,
-        )
-
-    return by_partition(
-        ds.map_batches(as_str, batch_format="pandas"), "unique_id", pack,
-        num_parts=num_parts,
-    )
+    return by_partition(ds, "unique_id", pack, num_parts=num_parts, batch_format="pyarrow")
 
 
 def train_test_split(

@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 
 from ..kernels import ALL_FEATURES, DEFAULT_FEATURES, compute_features, per_row, scale_lanes
+from .pack import ragged
 
 # canonical output order: reference default feature list order, seasonal
 # superset (SURVEY.md §2.1; reference tsfeatures.py:932-937)
@@ -125,26 +126,11 @@ class FeatureKernels:
                 cols = list(DEFAULT_FEATURE_COLS)
             self.columns = cols
 
-    @staticmethod
-    def _extract_series(col) -> tuple[np.ndarray, np.ndarray]:
-        """The ragged batch (int64 offsets from 0, float64 values) of a
-        list column, tolerating Ray's variable-shaped tensor extension
-        (produced when a sort or pandas round-trip re-encodes the list
-        column): its storage is a struct (data: large_list, shapes)."""
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        storage = getattr(col, "storage", None)
-        if storage is not None and pa.types.is_struct(storage.type):
-            col = storage.field(0)
-        col = col.cast(pa.large_list(pa.float64()))
-        off = col.offsets.to_numpy()
-        return off - off[0], col.values.to_numpy(zero_copy_only=False)[off[0] : off[-1]]
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(batch) > BATCH_ROWS:
             return pa.concat_tables([self(batch.slice(i, BATCH_ROWS))
                                      for i in range(0, len(batch), BATCH_ROWS)])
-        off, v = self._extract_series(batch["y"])
+        off, v = ragged(batch["y"])
         freqs = batch["freq"].to_numpy().astype(np.int64)
         n = len(batch)
         # scale once per batch (each lane identical to compute_features'
@@ -175,7 +161,7 @@ def features_over_packed(
     """Run the feature kernels over a packed Dataset (one row per
     series): ONE lazy ``map_batches`` of a driver-built
     ``FeatureKernels`` in ``BATCH_ROWS``-row batches, with no
-    materialize, count or repartition before it. For packed input that
+    materialize or count before it. For packed input that
     has no exchange of its own (``tsfeatures_wide``, user-packed
     tables); the flagship and ``tsfeatures()`` run the kernels inside
     their exchange's partition function instead.
@@ -184,10 +170,13 @@ def features_over_packed(
     in series length. ``balance=True`` puts a ``random_shuffle`` of the
     packed rows first, so that input sorted by length or key does not
     turn into length-homogeneous tasks that concentrate the long-series
-    cost into one straggler. Inside a batch the lane-batched kernels run
-    every series as one ragged lane, so mixing lengths costs them
-    nothing. A single giant series is unsplittable by nature: it costs
-    its own batch's task that series' solo time, nothing more.
+    cost into one straggler, and then a streaming re-cut of any block
+    over ``BATCH_ROWS`` rows (the shuffle keeps the block count, and
+    one block would run every batch in one task). Inside a batch the
+    lane-batched kernels run every series as one ragged lane, so mixing
+    lengths costs them nothing. A single giant series is unsplittable by
+    nature: it costs its own batch's task that series' solo time,
+    nothing more.
 
     Output values do not depend on the batch composition
     (``test_composition_independence``), so neither ``balance`` nor
@@ -198,7 +187,9 @@ def features_over_packed(
     # validates feature names eagerly and probes the columns once, here
     kernels = FeatureKernels(features, scale)
     if balance:
-        packed = packed.random_shuffle(seed=7)
+        packed = packed.random_shuffle(seed=7).repartition(
+            target_num_rows_per_block=BATCH_ROWS
+        )
     return packed.map_batches(
         kernels, batch_format="pyarrow", batch_size=BATCH_ROWS, num_cpus=1,
         concurrency=concurrency,

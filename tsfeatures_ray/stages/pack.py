@@ -1,15 +1,24 @@
-"""Stage 3: pack rollup series into list<double> cells (the wide format).
+"""Stage 3: the packed-series layout (the wide format), and the one
+module that builds it.
 
 The reference's wide layout -- one row per series with a list-valued
 ``y`` cell (tsfeatures.py:1014-1016, unpacked at :990-992) -- is our
-canonical IR between the rollup and the feature kernels: Arrow
-``list_(float64())``. Packing happens per partition (same stable
-``part`` key as every other stage) and densifies each (conv_id, tier)
-series over its bucket range, gaps -> 0.0 (a quiet minute contributes
-zero tokens), fully vectorized via offset arithmetic -- no
-per-conversation Python loop, Arrow in and Arrow out. The flagship's
-fused rollup+pack (``turn_rollup_fn(pack_metrics=...)``) lays out its
-own per-tier segments with the same ``_pack_tiers``.
+canonical IR in front of the feature kernels: ``PACKED_SCHEMA``, Arrow
+``list_(float64())`` cells. ``_packed`` is its one builder, Arrow in and
+Arrow out, and every producer goes through it:
+
+- ``_pack_tiers``: rollup series (``pack_series`` and the flagship's
+  fused rollup+pack, ``turn_rollup_fn(pack_metrics=...)``), each
+  (conv_id, tier) series densified over its bucket range, gaps -> 0.0
+  (a quiet minute contributes zero tokens), by offset arithmetic;
+- ``pack_long``: a partition of a long panel (unique_id, ds, y), for
+  ``tsfeatures()`` and ``long_to_wide()``;
+- ``pack_wide``: a wide panel (unique_id, seasonality, y), for
+  ``tsfeatures_wide()``.
+
+No per-series Python loop and no pandas frame in any of them.
+``ragged`` reads the list cells back as one ragged batch (the feature
+kernels' input, ``wide_to_long``'s melt).
 """
 
 from __future__ import annotations
@@ -36,15 +45,50 @@ PACKED_SCHEMA = pa.schema(
 )
 
 
+def _packed(uid, n: np.ndarray, values: np.ndarray, freq, tier: str = "-",
+            metric: str = "y") -> pa.Table:
+    """The one builder of PACKED_SCHEMA tables: series ``i`` is keyed by
+    the string ``uid[i]`` and holds the next ``n[i]`` of the float64
+    ``values``, laid end to end. ``freq`` is one seasonal period per
+    series or one for all; ``tier`` and ``metric`` are one for all."""
+    k = len(n)
+    offsets = np.r_[0, np.cumsum(n)].astype(np.int32)
+    return pa.Table.from_arrays(
+        [
+            uid,
+            pa.array([tier] * k, pa.string()),
+            pa.array([metric] * k, pa.string()),
+            pa.array(np.broadcast_to(freq, k), pa.int32()),
+            pa.array(n, pa.int64()),
+            pa.ListArray.from_arrays(pa.array(offsets), pa.array(values, pa.float64())),
+        ],
+        schema=PACKED_SCHEMA,
+    )
+
+
+def ragged(col) -> tuple[np.ndarray, np.ndarray]:
+    """The series of a list column as one ragged batch: int64 offsets
+    from 0 and the float64 values (null as NaN). Tolerates Ray's
+    variable-shaped tensor extension (produced when a sort or pandas
+    round-trip re-encodes the list column): its storage is a struct
+    (data: large_list, shapes)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    storage = getattr(col, "storage", None)
+    if storage is not None and pa.types.is_struct(storage.type):
+        col = storage.field(0)
+    col = col.cast(pa.large_list(pa.float64()))
+    off = col.offsets.to_numpy()
+    return off - off[0], col.values.to_numpy(zero_copy_only=False)[off[0] : off[-1]]
+
+
 def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
     """PACKED_SCHEMA rows from ``tiers``: (tier name, key codes, key
     values (Arrow), bucket_us, {metric: values}) per tier, each tier's
     rows sorted by (key, bucket_us), one row per bucket. Every series is
     densified over its bucket range (``segments.series_layout``); gaps
     and NaN values are 0.0."""
-    uids, tier_out, metric_out, freq_out, n_out = [], [], [], [], []
-    offsets = [0]
-    chunks = []
+    parts = [PACKED_SCHEMA.empty_table()]
     for tname, code, keys, buck, vals in tiers:
         if len(code) == 0:
             continue
@@ -55,35 +99,38 @@ def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
             v = np.asarray(vals[metric], dtype=np.float64)
             dense = np.zeros(int(nb.sum()))
             dense[pos] = np.where(np.isnan(v), 0.0, v)
-            chunks.append(dense)
-            base = offsets[-1]
-            offsets.extend((base + np.cumsum(nb)).tolist())
-            uids.append(uid)
-            tier_out.extend([tname] * len(first))
-            metric_out.extend([metric] * len(first))
-            freq_out.extend([tier.freq] * len(first))
-            n_out.extend(nb.tolist())
-    values = np.concatenate(chunks) if chunks else np.empty(0)
-    y = pa.ListArray.from_arrays(
-        pa.array(offsets, type=pa.int32()), pa.array(values, type=pa.float64())
-    )
-    table = pa.Table.from_arrays(
-        [
-            pa.concat_arrays(uids) if uids else pa.array([], type=pa.string()),
-            pa.array(tier_out, type=pa.string()),
-            pa.array(metric_out, type=pa.string()),
-            pa.array(freq_out, type=pa.int32()),
-            pa.array(n_out, type=pa.int64()),
-            y,
-        ],
-        schema=PACKED_SCHEMA,
-    )
+            parts.append(_packed(uid, nb, dense, tier.freq, tname, metric))
+    table = pa.concat_tables(parts)
     # fixed PCG64 row permutation. It once evened the cost mix of the
     # feature stage's block slices; no slice depends on it any more, and
     # it stays only so the committed raw digests of the feature outputs
     # hold until the feature fixtures are next re-recorded
     perm = np.random.Generator(np.random.PCG64(42)).permutation(len(table))
     return table.take(pa.array(perm))
+
+
+def pack_long(t: pa.Table, freq: int) -> pa.Table:
+    """PACKED_SCHEMA rows of a long panel's rows (unique_id, ds, y, in
+    any order; other columns ignored): one row per series, keyed by
+    unique_id as a string, its y values in stable ``ds`` order -- the
+    reference's reliance on pandas-groupby order preservation
+    (tsfeatures.py:971; SURVEY.md §2.7 ordering note) -- all at the
+    seasonal period ``freq``. One ``np.lexsort`` over the codes of
+    (unique_id, ds)."""
+    uid = pc.cast(t["unique_id"], pa.string())
+    code = sg.codes(uid)
+    order = np.lexsort((sg.codes(t["ds"]), code))
+    first = np.flatnonzero(sg.changes(code[order]))
+    n = np.diff(np.append(first, len(order)))
+    return _packed(sg.take(uid, order[first]), n, sg.floats(t["y"])[order], freq)
+
+
+def pack_wide(t: pa.Table) -> pa.Table:
+    """PACKED_SCHEMA rows of a wide panel (unique_id, seasonality, y = a
+    list of numbers per series), row for row."""
+    off, v = ragged(t["y"])
+    freq = pc.cast(t["seasonality"], pa.int32()).to_numpy()
+    return _packed(pc.cast(t["unique_id"], pa.string()), np.diff(off), v, freq)
 
 
 def _pack_partition(metrics):

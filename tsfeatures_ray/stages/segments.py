@@ -47,13 +47,17 @@ def floats(col) -> np.ndarray:
 
 def codes(col) -> np.ndarray:
     """int64 codes that sort and compare like the column's values:
-    dense ranks for strings (byte order, which is code-point order), the
-    integer ticks of timestamps, the values otherwise."""
+    dense ranks for strings (byte order, which is code-point order; null
+    last), the integer ticks of timestamps, the values otherwise. A
+    string column ranks only its distinct values, through its dictionary
+    encoding."""
     t = col.type
     if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        return pc.rank(col, sort_keys="ascending", tiebreaker="dense").to_numpy().astype(np.int64)
+        enc = pc.dictionary_encode(col, null_encoding="encode")
+        rank = pc.rank(enc.dictionary, sort_keys="ascending").to_numpy().astype(np.int64)
+        return rank[enc.indices.to_numpy()]
     if pa.types.is_timestamp(t):
         return ticks(col)
     return col.to_numpy()
