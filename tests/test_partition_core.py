@@ -116,3 +116,43 @@ def test_two_column_grouped_agg_block_layout_invariant(ray_session):
     got = run(one.repartition(97))
     assert len(want) == df.groupby(keys).ngroups
     pd.testing.assert_frame_equal(got, want)
+
+
+def _stable_part_oracle(conv_ids, num_parts: int) -> np.ndarray:
+    """``stable_part`` as it hashed every row before hashing each
+    distinct Arrow value once: pandas' siphash over a Python object per
+    row."""
+    arr = np.asarray(conv_ids, dtype=object)
+    return (pd.util.hash_array(arr) % np.uint64(num_parts)).astype(np.int64)
+
+
+def test_stable_part_hashes_like_every_row():
+    """Arrow keys hash each distinct value once (dictionary encoding)
+    and give the ids of hashing every row: strings, large strings,
+    chunked columns, integers (which hash like their strings), nulls,
+    and pandas input."""
+    from tsfeatures_ray.stages.derive import stable_part
+
+    rng = np.random.default_rng(12)
+    words = [f"conv-{k}" for k in rng.integers(0, 300, 2_000)]
+    with_nulls = [w if k % 7 else None for k, w in enumerate(words)]
+    ints = rng.integers(-5, 400, 2_000)
+    cases = [
+        pa.array(words),
+        pa.array(words, pa.large_string()),
+        pa.array(with_nulls),
+        pa.chunked_array([pa.array(words[:700]), pa.array(words[700:]), pa.array([], pa.string())]),
+        pa.array(ints),
+        pa.chunked_array([pa.array(ints[:5]), pa.array(ints[5:])]),
+        pa.array([int(k) if k % 5 else None for k in ints]),
+        pa.array([None, None], pa.string()),
+        pa.array([], pa.string()),
+        pd.Series(with_nulls).to_numpy(),
+        pd.Series(ints).to_numpy(),
+    ]
+    for col in cases:
+        for num_parts in (1, 7, 64):
+            np.testing.assert_array_equal(stable_part(col, num_parts),
+                                          _stable_part_oracle(col, num_parts))
+    np.testing.assert_array_equal(stable_part(pa.array([5, 17]), 64),
+                                  stable_part(pa.array(["5", "17"]), 64))

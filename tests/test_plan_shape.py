@@ -119,3 +119,77 @@ def test_one_block_packed_dataset_runs_as_batch_row_tasks(ray_session):
     assert sorted(ds.to_pandas()["unique_id"]) == sorted(table["unique_id"].to_pylist())
     tasks = re.findall(r"^Operator \d+ .*FeatureKernels.*?: (\d+) tasks", ds.stats(), flags=re.M)
     assert len(tasks) == 1 and int(tasks[0]) >= 2, ds.stats()
+
+
+def _turns(seed: int, start_us: int = 0):
+    """Raw transcript turns of 30 conversations (Arrow, three blocks)."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    rng = np.random.RandomState(seed)
+    n = rng.randint(1, 25, size=30)
+    table = pa.table({
+        "conv_id": np.repeat([f"c{i}" for i in range(30)], n),
+        "turn_idx": pa.array(np.concatenate([np.arange(k) for k in n]), pa.int32()),
+        "ts": pa.array(start_us + np.sort(rng.randint(0, 86_400_000_000, size=n.sum())),
+                       pa.timestamp("us")),
+        "text": ["w" * int(k) for k in rng.randint(0, 40, size=n.sum())],
+    })
+    step = -(-len(table) // 3)
+    return rd.from_arrow([table.slice(i, step) for i in range(0, len(table), step)])
+
+
+def _store_sorts(ds) -> list[str]:
+    return [op for op in re.findall(r"^Operator \d+ (.+?):", ds.stats(), flags=re.M)
+            if "Sort" in op]
+
+
+def _base_and_new():
+    from tsfeatures_ray.stages.derive import derive_turn_metrics
+    from tsfeatures_ray.stages.rollup import merge_rollups, rollup
+
+    base = rollup(derive_turn_metrics(_turns(0), slim=True), keep_ord=True)
+    new = rollup(derive_turn_metrics(_turns(1, 86_400_000_000), slim=True), keep_ord=True)
+    return merge_rollups(base, new, gapfill=True)
+
+
+def test_store_operators_execute_nothing_when_called(ray_session, executions):
+    from tsfeatures_ray.stages.derive import derive_turn_metrics
+    from tsfeatures_ray.stages.rollup import rollup
+
+    plans = [_base_and_new(), rollup(derive_turn_metrics(_turns(2), slim=True))]
+    assert executions == []
+    assert plans[1].materialize().count() > 0
+
+
+def test_base_and_new_merge_runs_one_sort(ray_session):
+    """base + new-day derive -> keep_ord rollup -> gap-filled merge is ONE
+    exchange (five before same-key exchanges fused), and derive ->
+    rollup is one."""
+    from tsfeatures_ray.stages.derive import derive_turn_metrics
+    from tsfeatures_ray.stages.rollup import rollup
+
+    merged = _base_and_new().materialize()
+    assert merged.count() > 0
+    assert len(_store_sorts(merged)) == 1, merged.stats()
+    rolled = rollup(derive_turn_metrics(_turns(3), slim=True)).materialize()
+    assert len(_store_sorts(rolled)) == 1, rolled.stats()
+
+
+def test_compact_tier_over_materialized_rollup_runs_only_its_own_sort(ray_session,
+                                                                      executions):
+    """Fusion never reaches across ``materialize()``: compacting a
+    materialized merge is one execution that adds its own single Sort
+    and re-runs none of the merge's partition functions."""
+    from tsfeatures_ray.stages.retention import compact_tier
+
+    merged = _base_and_new().materialize()
+    del executions[:]
+    compacted = compact_tier(merged, "1m", "1h").materialize()
+    assert len(executions) == 1
+    assert compacted.count() > 0
+    ops = re.findall(r"^Operator \d+ (.+?):", compacted.stats(), flags=re.M)
+    before = re.findall(r"^Operator \d+ (.+?):", merged.stats(), flags=re.M)
+    assert ops[:len(before)] == before  # the merge's own (finished) execution
+    assert ops[len(before):] == ["MapBatches(partial)->MapBatches(tag)", "Sort",
+                                 "MapBatches(merge)"], ops

@@ -10,6 +10,12 @@ other: parent first on even pairs, change first on odd ones (ABBA), so
 a drift of the box over the session falls on both sides alike. Each
 pair has a fresh seed and both sides the same ``--seconds``.
 
+It prints the ``nproc`` the runs report beside the CPUs of its own
+affinity mask (``os.sched_getaffinity``), and warns when they differ:
+``nproc`` honours ``OMP_NUM_THREADS``, so the reported count, which is
+also the ``num_cpus`` perfbench gives Ray, can be below the CPUs the
+box allows.
+
 For every metric ``BENCHMARK.json`` declares (``end_to_end`` with
 ``--trace 0``, ``per_layer`` with ``--trace 1``) it prints both sides'
 medians with their quartiles, the change/parent ratio of the medians,
@@ -116,9 +122,16 @@ def main() -> int:
 
     fails = {s: (sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs))
              for s, runs in (("parent", parent), ("change", change))}
+    reported = sorted({r.get("nproc") for r in parent + change} - {None})
+    usable = len(os.sched_getaffinity(0))
     print(f"workload {args.workload}, {args.pairs} ABBA pairs from seed {args.seed}, "
           f"--seconds {args.seconds} --trace {args.trace}, nproc (as the runs report it) "
-          f"{sorted({r.get('nproc') for r in parent + change} - {None})}")
+          f"{reported}, CPUs in this process's affinity mask {usable}")
+    if reported and reported != [usable]:
+        print(f"warning: the runs report nproc {reported} but {usable} CPUs may run them; "
+              f"`nproc` honours OMP_NUM_THREADS (here {os.environ.get('OMP_NUM_THREADS')!r}), "
+              "which caps the CPU count perfbench reports and gives Ray. State the CPU count "
+              "the runs really used (the reported nproc) with every claim.")
     same = sum(bool(p["digests"]) and p["digests"] == c["digests"] for p, c in zip(parent, change))
     print(f"failed/attempted: parent {fails['parent'][0]}/{fails['parent'][1]}, "
           f"change {fails['change'][0]}/{fails['change'][1]}; "

@@ -1,4 +1,5 @@
-"""Stage 1: per-turn derived metrics (token length, inter-turn latency).
+"""Stage 1: per-turn derived metrics (token length, inter-turn latency),
+and the engine's co-partition exchange.
 
 Ray-Data-first layout:
 
@@ -7,11 +8,20 @@ Ray-Data-first layout:
 2. ``by_partition`` tags the stable partition key
    ``part = stable_hash(conv_id) % P`` -- the ONE partitioning key the
    whole engine reuses (SURVEY.md §7) -- and its
-   ``groupby("part").map_groups`` (the engine's single full-data
-   shuffle) sorts each partition by (conv_id, ts, turn_idx) and computes
-   ``latency_us = ts - lag(ts)`` per conversation with one numpy
-   lexsort and diff (no per-conversation Python calls -- one vectorized
-   pass per partition, so tiny conversations cost nothing extra).
+   ``groupby("part").map_groups`` sorts each partition by (conv_id, ts,
+   turn_idx) and computes ``latency_us = ts - lag(ts)`` per
+   conversation with one numpy lexsort and diff (no per-conversation
+   Python calls -- one vectorized pass per partition, so tiny
+   conversations cost nothing extra).
+
+One exchange per key: ``by_partition`` records the exchange behind
+each Dataset it returns. A lazy chain of Arrow exchanges on the same key
+and partition count (derive -> ``rollup()`` -> ``merge_rollups()``)
+runs as ONE exchange whose partition function applies the chain's
+functions in turn, re-tagging ``part`` in between. This holds because
+every partition function keeps each output row's key (the contract of
+``by_partition``), so the rows a later function sees are exactly the
+rows its own exchange would hand it, in the same order.
 
 Partitioning assumption (documented per SURVEY.md §2 custom-operator
 rule): all rows of one conv_id land in one partition; within a
@@ -27,19 +37,36 @@ scales to arbitrarily many conversations.
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
+from ray.data._internal.arrow_ops import transform_pyarrow
 
 from . import segments as sg
 
 
 def stable_part(conv_ids, num_parts: int) -> np.ndarray:
     """Deterministic partition id per conv_id (stable across processes;
-    pandas' fixed-key siphash, NOT Python hash())."""
+    pandas' fixed-key siphash of the values as Python objects, NOT
+    Python hash()). An Arrow column hashes each distinct value once,
+    through its dictionary encoding: the hash of a value depends only
+    on the value, so the ids are those of hashing every row."""
+    if isinstance(conv_ids, (pa.Array, pa.ChunkedArray)):
+        col = conv_ids.combine_chunks() if isinstance(conv_ids, pa.ChunkedArray) else conv_ids
+        try:
+            enc = pc.dictionary_encode(col, null_encoding="encode")
+        except pa.ArrowNotImplementedError:
+            pass
+        else:
+            h = pd.util.hash_array(np.asarray(enc.dictionary, dtype=object))
+            h = h[enc.indices.to_numpy(zero_copy_only=False)]
+            return (h % np.uint64(num_parts)).astype(np.int64)
     arr = np.asarray(conv_ids, dtype=object)
     return (pd.util.hash_array(arr) % np.uint64(num_parts)).astype(np.int64)
 
@@ -101,28 +128,121 @@ def with_part(
         num_parts = default_num_parts()
 
     def tag(batch):
-        part = _part_ids(batch, key, num_parts)
-        if isinstance(batch, pd.DataFrame):
-            if "part" in batch.columns:
-                batch["part"] = part
-            else:  # insert: no copy-of-a-slice warning on UDF outputs
-                batch.insert(batch.shape[1], "part", part)
-            return batch
-        if "part" in batch.column_names:
-            batch = batch.drop_columns(["part"])
-        return batch.append_column("part", pa.array(part, type=pa.int64()))
+        return _tag(batch, key, num_parts)
 
     return ds.map_batches(tag, batch_format=None)
 
 
+def _tag(batch, key: str | list[str], num_parts: int):
+    """``batch`` with ``part`` (re)computed from ``key``, last."""
+    part = _part_ids(batch, key, num_parts)
+    if isinstance(batch, pd.DataFrame):
+        if "part" in batch.columns:
+            batch["part"] = part
+        else:  # insert: no copy-of-a-slice warning on UDF outputs
+            batch.insert(batch.shape[1], "part", part)
+        return batch
+    if "part" in batch.column_names:
+        batch = batch.drop_columns(["part"])
+    return batch.append_column("part", pa.array(part, type=pa.int64()))
+
+
+@dataclass(frozen=True)
+class _Exchange:
+    """What an Arrow ``by_partition`` ran to produce a Dataset: the
+    tagged input its ``groupby("part")`` sorts, and the function over
+    each group."""
+
+    tagged: "ray.data.Dataset"
+    key: tuple[str, ...]
+    num_parts: int
+    fn: object
+    concurrency: int | None
+
+
+# output Dataset -> its Arrow exchange; recording executes nothing, and
+# a materialized Dataset is a new, unrecorded object
+_EXCHANGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _name(fn) -> str:
+    return getattr(fn, "__name__", type(fn).__name__)
+
+
+def _retag(fn, key: tuple[str, ...], num_parts: int, columns: list[str] | None):
+    """``t -> fn(t)``, projected to ``columns``, with ``part`` re-tagged
+    as ``with_part`` tags it, raising if a row's key no longer hashes to
+    the group's partition."""
+    def retagged(t: pa.Table) -> pa.Table:
+        group = t["part"][0].as_py()
+        out = fn(t)
+        if columns is not None:
+            out = out.select(columns)
+        out = _tag(out, list(key), num_parts)
+        if pc.any(pc.not_equal(out["part"], group)).as_py():
+            raise ValueError(
+                f"partition function {_name(fn)} returned rows whose key hashes "
+                f"outside their partition ({group}); a fused exchange would keep "
+                "them in the wrong partition")
+        return out
+
+    return retagged
+
+
+def _side_tagged(tagged: "ray.data.Dataset", side: int) -> "ray.data.Dataset":
+    """Side ``side`` of a several-input exchange: every column but
+    ``part`` renamed ``"<side>.<name>"``, plus a ``_side`` column. The
+    union of the sides then only null-fills other sides' columns and
+    never promotes a type."""
+    def prefix(t: pa.Table) -> pa.Table:
+        names = [c if c == "part" else f"{side}.{c}" for c in t.column_names]
+        return t.rename_columns(names).append_column(
+            "_side", pa.array(np.full(len(t), side, dtype=np.int64)))
+
+    return tagged.map_batches(prefix, batch_format="pyarrow")
+
+
+def _own_side(t: pa.Table, side: int) -> pa.Table:
+    """The rows and columns of side ``side`` of a group, under their own
+    names (and so their own types), ``part`` last."""
+    rows = t.filter(pc.equal(t["_side"], side))
+    pre = f"{side}."
+    cols = [c for c in t.column_names if c.startswith(pre)]
+    return rows.select(cols + ["part"]).rename_columns(
+        [c[len(pre):] for c in cols] + ["part"])
+
+
+def _group_fn(fns: list, fn, key: tuple[str, ...], num_parts: int,
+              columns: list[str] | None):
+    """The function a fused exchange runs on each group: each input's
+    own partition function (None: its rows as they are), re-tagged,
+    the inputs' rows concatenated in input order as the exchange
+    concatenates its blocks, then ``fn``."""
+    steps = [f if f is None else _retag(f, key, num_parts, columns) for f in fns]
+
+    def fused(t: pa.Table) -> pa.Table:
+        if len(steps) == 1:
+            return fn(steps[0](t))
+        outs = []
+        for side, step in enumerate(steps):
+            own = _own_side(t, side)
+            if own.num_rows:
+                outs.append(own if step is None else step(own))
+        return fn(transform_pyarrow.concat(outs, promote_types=True))
+
+    fused.__name__ = _name(fn)
+    return fused
+
+
 def by_partition(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | list[ray.data.Dataset]",
     key: str | list[str],
     fn,
     *,
     num_parts: int | None = None,
     concurrency: int | None = None,
     batch_format: str = "pandas",
+    columns: list[str] | None = None,
 ) -> "ray.data.Dataset":
     """The engine's co-partition exchange: tag ``part`` from ``key``
     (one column or a list of columns), then ONE
@@ -133,10 +253,49 @@ def by_partition(
     no pandas conversion either way across the exchange). ``part`` is
     the exchange's own column: an input column of that name is
     overwritten. ``concurrency`` caps the partition tasks that run at
-    once (None: Ray Data's default)."""
-    return with_part(ds, key, num_parts).groupby("part").map_groups(
-        fn, batch_format=batch_format, concurrency=concurrency
-    )
+    once (None: Ray Data's default). ``columns`` projects the input
+    before ``fn`` sees it.
+
+    Contract: each output row of ``fn`` keeps its key, so it hashes to
+    the partition it was computed in.
+
+    Fusion (automatic): when ``ds`` is the unmaterialized output of
+    another Arrow ``by_partition`` on the same key, partition count and
+    concurrency, no second exchange runs. The first exchange's function
+    ``fn1`` and ``fn`` run in the same group, as ``fn(retag(fn1(t)))``:
+    ``retag`` re-tags ``part`` from the key (raising ``ValueError`` if a
+    row left its partition), so ``fn`` sees the columns and the rows, in
+    their order, that its own exchange would give it (the Arrow sort is
+    stable). ``ds`` may be a list of Datasets, exchanged as their union:
+    each input's own exchange, when it fuses, becomes its side of this
+    one, and the sides' rows reach ``fn`` concatenated in input order.
+    Pandas-format exchanges never fuse (their sort is not stable)."""
+    keys = (key,) if isinstance(key, str) else tuple(key)
+    if num_parts is None:
+        num_parts = default_num_parts()
+    arrow = batch_format == "pyarrow"
+    inputs = ds if isinstance(ds, list) else [ds]
+    recs = [_EXCHANGES.get(d) if arrow else None for d in inputs]
+    recs = [r if r is not None and (r.key, r.num_parts, r.concurrency)
+            == (keys, num_parts, concurrency) else None for r in recs]
+
+    def tag(d):
+        return with_part(d if columns is None else d.select_columns(columns), key, num_parts)
+
+    if not any(recs):  # nothing to fuse: one exchange over the inputs' union
+        tagged, run = tag(inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]), fn
+    else:
+        sides = [tag(d) if r is None else r.tagged for d, r in zip(inputs, recs)]
+        tagged = sides[0]
+        if len(sides) > 1:
+            prefixed = [_side_tagged(s, i) for i, s in enumerate(sides)]
+            tagged = prefixed[0].union(*prefixed[1:])
+        run = _group_fn([r and r.fn for r in recs], fn, keys, num_parts, columns)
+    out = tagged.groupby("part").map_groups(run, batch_format=batch_format,
+                                            concurrency=concurrency)
+    if arrow:
+        _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run, concurrency)
+    return out
 
 
 def pandas_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":

@@ -18,7 +18,8 @@ sorted. There are two cores:
   ``rollup()`` run it; ``gapfill_rollup()`` shares its gap-fill.
 
 ``rollup()`` exchanges the input rows themselves, projected to the
-spec's columns, and computes no per-batch partial: on the rollup_store
+spec's columns (or, over a lazy derive, runs inside derive's exchange,
+``derive.by_partition``'s fusion), and computes no per-batch partial: on the rollup_store
 benchmark the base slice's per-batch partials were 4,318 rows x 15
 columns, and the raw turns now exchanged are 7,702 rows x 6 columns. The
 exact core then gives the same bits whatever the input's block layout
@@ -244,7 +245,9 @@ def rollup(
 ) -> "ray.data.Dataset":
     """Keyed stream Dataset -> rollup Dataset at the given tiers: the
     input projected to the spec's columns, one ``by_partition`` exchange
-    on the key, and the exact core over each partition.
+    on the key, and the exact core over each partition. Over a lazy
+    ``derive_turn_metrics`` output the exchange is derive's own: the
+    exact core runs right after the latency pass, in the same group.
 
     ``salt_window_us`` enables SALTED repartitioning for hot keys
     (SURVEY.md §4): the exact core runs per batch (a partial with its
@@ -263,12 +266,13 @@ def rollup(
         )
     if keep_ord and gapfill:
         raise ValueError(_KEEP_ORD_GAPFILL)
-    ds = ds.select_columns(list(dict.fromkeys([spec.key, spec.ts, *spec.order, *spec.values])))
+    columns = list(dict.fromkeys([spec.key, spec.ts, *spec.order, *spec.values]))
     if salt_window_us is None:
         def exact(t: pa.Table) -> pa.Table:
             return _exact_rollup(t, tier_objs, spec, gapfill, keep_ord)
 
-        return by_partition(ds, spec.key, exact, num_parts=num_parts, batch_format="pyarrow")
+        return by_partition(ds, spec.key, exact, num_parts=num_parts, batch_format="pyarrow",
+                            columns=columns)
 
     def salted_partial(t: pa.Table) -> pa.Table:
         part = _exact_rollup(t, tier_objs, spec, keep_ord=True)
@@ -280,7 +284,8 @@ def rollup(
     def merge(t: pa.Table) -> pa.Table:
         return _merge_rollup(t, spec, keep_ord=keep_ord)
 
-    partials = ds.map_batches(salted_partial, batch_format="pyarrow", batch_size=65536)
+    partials = ds.select_columns(columns).map_batches(salted_partial, batch_format="pyarrow",
+                                                      batch_size=65536)
     return by_partition(partials, "salted_key", merge, num_parts=num_parts,
                         batch_format="pyarrow")
 
@@ -351,11 +356,17 @@ def merge_rollups(
     the INCREMENTAL INGESTION shape: yesterday's stored rollup + today's
     slice merge EXACTLY (count/sum/min/max are associative; 'last'
     carries its ordering key), so a 100 TB corpus never recomputes
-    history. One ``by_partition`` exchange on the key, then the merge
-    core (hash-exact equality with a full recompute is pinned by the
-    ``rollup_incremental_1h`` driver oracle and pytest). With
-    ``keep_ord`` the output is again a mergeable partial, so it cannot
-    be gap-filled inline, as in ``rollup()``."""
+    history. One ``by_partition`` exchange on the key over all the
+    inputs, then the merge core (hash-exact equality with a full
+    recompute is pinned by the ``rollup_incremental_1h`` driver oracle
+    and pytest). An input that is itself an unmaterialized exchange on
+    the key (a lazy ``rollup()``, and the derive under it) runs its
+    partition functions inside this exchange, so base + new-day
+    ``rollup(derive_turn_metrics(...))`` chains and their merge are ONE
+    exchange. With ``keep_ord`` the output is again a mergeable partial,
+    so it cannot be gap-filled inline, as in ``rollup()``."""
+    if not rollups:
+        raise ValueError("merge_rollups needs at least one rollup")
     if keep_ord and gapfill:
         raise ValueError(_KEEP_ORD_GAPFILL)
     widths = {t: TIERS[t].bucket_us for t in (tiers or list(TIERS))}
@@ -363,10 +374,8 @@ def merge_rollups(
     def merge(t: pa.Table) -> pa.Table:
         return _merge_rollup(t, spec, gapfill, widths, keep_ord)
 
-    ds = rollups[0]
-    for other in rollups[1:]:
-        ds = ds.union(other)
-    return by_partition(ds, spec.key, merge, num_parts=num_parts, batch_format="pyarrow")
+    return by_partition(list(rollups), spec.key, merge, num_parts=num_parts,
+                        batch_format="pyarrow")
 
 
 def _gapfill(t: pa.Table, spec: RollupSpec = DEFAULT_SPEC) -> pa.Table:
