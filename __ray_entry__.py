@@ -2027,7 +2027,7 @@ def _q_compress_roundtrip(sf_dir: str):
     from tsfeatures_ray.stages.compress import compress_rollup, decode_block
 
     rolled = rollup_pipeline(sf_dir, tiers=["1h"])
-    blocks = compress_rollup(rolled, metric="token_len_sum", pre_partitioned=True)
+    blocks = compress_rollup(rolled, metric="token_len_sum")
 
     def decode(df: pd.DataFrame) -> pd.DataFrame:
         cid, ts_all, v_all = [], [], []

@@ -2,19 +2,17 @@
 """Headline benchmark: rolled-up points + feature vectors per second.
 
 Stages timed separately over $GRAFT_SF_DIR (default /root/testdata/sf0.1),
-reflecting the round-3 single-exchange architecture:
-  1. rollup:   transcripts (pruned read) -> ONE groupby(part) exchange
-               that co-locates conversations AND computes latency + the
-               exact 3-tier gap-filled rollup in the same map_groups
-               (rollup_pipeline) -> materialized (shared below) ->
-               partitioned parquet. The old derive-shuffle +
-               partial-merge-shuffle pair is gone; partial aggregation
-               runs once instead of once per consumer.
-  2. features: materialized rollup -> pack (one SMALL exchange over
-               rollup rows, ~13x fewer than input rows) -> default
-               kernel set -> parquet
+over the engine's one-exchange layout:
+  1. rollup:   transcripts (pruned read) -> ONE by_partition exchange
+               (a sort on part) whose partition function co-locates
+               conversations AND computes latency + the exact 3-tier
+               gap-filled rollup (rollup_pipeline) -> materialized
+               (shared below) -> partitioned parquet.
+  2. features: materialized rollup -> pack -> default kernel set ->
+               parquet. The rollup is already partitioned on conv_id,
+               so pack runs over its blocks with no second sort.
   3. compress: same materialized rollup -> Gorilla/delta-of-delta
-               blocks -> parquet
+               blocks -> parquet, again with no sort.
 
 Prints ONE JSON line. ``--scaling`` runs the same job in fresh processes
 at num_cpus=8 and num_cpus=32 and reports both throughputs plus the
@@ -86,18 +84,19 @@ def run_bench() -> dict:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    # the engine's ONE full-data exchange: co-locate conversations AND
-    # compute latency + the exact gap-filled rollup in the same
-    # map_groups; materialized once (orders of magnitude smaller than
-    # the input) and shared by the sink, the feature path and the codec
+    # the engine's ONE exchange: co-locate conversations AND compute
+    # latency + the exact gap-filled rollup in the same partition
+    # function; materialized once (orders of magnitude smaller than the
+    # input) and shared by the sink, the feature path and the codec
     rolled = rollup_pipeline(sf_dir, gapfill=True).materialize()
     rolled.write_parquet(rollup_dir)
     timings["rollup"] = time.perf_counter() - t0
     n_points = rolled.count()
 
     t0 = time.perf_counter()
-    # pack is the only remaining small exchange (rollup rows, ~13x fewer
-    # than input); no balancing shuffle -- pack mixes within partitions
+    # pack and compress see that the materialized rollup is already
+    # partitioned on conv_id and run no sort; no balancing shuffle --
+    # pack mixes within partitions
     packed = pack_series(rolled, metric=["token_len_sum", "latency_sum"])
     feats = features_over_packed(packed, balance=False)
     feats.write_parquet(feat_dir)
@@ -109,7 +108,7 @@ def run_bench() -> dict:
     )
 
     t0 = time.perf_counter()
-    blocks = compress_rollup(rolled, metric="token_len_sum", pre_partitioned=True)
+    blocks = compress_rollup(rolled, metric="token_len_sum")
     blocks.write_parquet(blk_dir)
     timings["compress"] = time.perf_counter() - t0
 

@@ -60,6 +60,34 @@ def test_feature_stage_has_one_dispatch_path():
     assert not keyed, f"stages/features.py groupby/map_groups at lines {keyed}"
 
 
+def _called(node: ast.AST) -> list[str]:
+    """Names of the functions and methods called under ``node``."""
+    return [
+        c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+        for c in ast.walk(node)
+        if isinstance(c, ast.Call) and isinstance(c.func, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_exchange_is_one_sort_and_co_location_is_never_declared():
+    """``by_partition`` is one Sort (taken or skipped by its own check)
+    and a per-partition map, with no ``groupby``/``map_groups``; no
+    caller declares its input partitioned with ``pre_partitioned=``."""
+    body = next(n for n in ast.walk(ast.parse(CORE.read_text()))
+                if isinstance(n, ast.FunctionDef) and n.name == "by_partition")
+    called = _called(body)
+    assert "groupby" not in called and "map_groups" not in called, called
+    assert called.count("sort") == 1, called
+    files = sorted((ROOT / "tsfeatures_ray").rglob("*.py"))
+    files += [ROOT / "bench.py", ROOT / "__ray_entry__.py"]
+    declared = [
+        f"{f.relative_to(ROOT)}:{c.lineno}"
+        for f in files for c in ast.walk(ast.parse(f.read_text()))
+        if isinstance(c, ast.Call) and any(k.arg == "pre_partitioned" for k in c.keywords)
+    ]
+    assert not declared, f"pre_partitioned= passed at {declared}"
+
+
 def _frame() -> pd.DataFrame:
     rng = np.random.default_rng(11)
     n = 500

@@ -61,14 +61,35 @@ def test_feature_entry_points_execute_nothing_when_called(ray_session, execution
     assert len(executions) >= 1
 
 
+def _ops(ds) -> list[str]:
+    return re.findall(r"^Operator \d+ (.+?):", ds.stats(), flags=re.M)
+
+
 def test_tsfeatures_runs_one_sort_and_no_repartition(ray_session):
+    """Over blocks that are not partitioned on unique_id (one series
+    lies in both blocks) the exchange is one Sort, with no Repartition."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from tsfeatures_ray.pipelines import tsfeatures
+
+    table = pa.Table.from_pandas(_panel(), preserve_index=False)
+    ds = tsfeatures(rd.from_arrow([table.slice(0, 620), table.slice(620)]), freq=12).materialize()
+    assert ds.count() == 30
+    ops = _ops(ds)
+    assert sum("Sort" in op for op in ops) == 1, ops
+    assert not any("Repartition" in op for op in ops), ops
+
+
+def test_tsfeatures_over_a_frame_runs_no_sort(ray_session):
+    """A pandas frame enters as one Arrow block, which holds every
+    partition whole: the exchange runs no Sort."""
     from tsfeatures_ray.pipelines import tsfeatures
 
     ds = tsfeatures(_panel(), freq=12).materialize()
     assert ds.count() == 30
-    ops = re.findall(r"^Operator \d+ (.+?):", ds.stats(), flags=re.M)
-    assert sum("Sort" in op for op in ops) == 1, ops
-    assert not any("Repartition" in op for op in ops), ops
+    ops = _ops(ds)
+    assert not any("Sort" in op or "Repartition" in op for op in ops), ops
 
 
 def test_tsfeatures_wide_frame_runs_as_batch_row_tasks(ray_session):

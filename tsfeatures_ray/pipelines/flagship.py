@@ -60,10 +60,10 @@ def rollup_pipeline(
 ) -> "rd.Dataset":
     """transcripts parquet -> rollup Dataset at the given tiers in ONE
     exchange: the by_partition that co-locates each conversation also
-    computes latency and the exact rollup inside the same map_groups
-    (turn_rollup_fn) -- the old derive-shuffle + partial-merge-shuffle
-    pair collapsed into one. The shuffle runs slim: payload columns
-    never enter the exchange."""
+    computes latency and the exact rollup in the same partition function
+    (turn_rollup_fn). The shuffle runs slim: payload columns never enter
+    the exchange. Materialized, the output is partitioned on conv_id,
+    so a later conv_id ``by_partition`` over it runs no sort."""
     return by_partition(
         slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, gapfill),
         num_parts=num_parts, batch_format="pyarrow",

@@ -380,18 +380,15 @@ def compress_rollup(
     pre_partitioned: bool = False,
 ) -> "ray.data.Dataset":
     """Rollup Dataset -> one Gorilla block per (key, tier), through one
-    ``by_partition`` exchange on ``key``. ``pre_partitioned=True`` skips
-    the exchange and encodes each BLOCK on its own. Partitioning
-    assumption (SURVEY.md §2 custom-operator rule): every (key, tier)
-    series lies within one block, as in a rollup straight out of its
-    map_groups; a repartition or Ray's dynamic block splitting breaks it
-    silently (a split series becomes two blocks)."""
+    ``by_partition`` exchange on ``key``. A materialized rollup that is
+    already partitioned on ``key`` (an exchange's own output) runs no
+    sort: ``by_partition`` sees that from its blocks. ``pre_partitioned``
+    is ignored; it is accepted until the benchmark's callers stop
+    passing it."""
     codec = BlockCodec(key=key, metric=metric)
 
     def encode_partition(t: pa.Table) -> pa.Table:
         return codec(t)
 
-    if pre_partitioned:
-        return rollup_ds.map_batches(encode_partition, batch_format="pyarrow", batch_size=None)
     return by_partition(rollup_ds, key, encode_partition, num_parts=num_parts,
                         batch_format="pyarrow")

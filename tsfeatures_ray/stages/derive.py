@@ -7,12 +7,12 @@ Ray-Data-first layout:
    ``token_len = utf8_length(text)``;
 2. ``by_partition`` tags the stable partition key
    ``part = stable_hash(conv_id) % P`` -- the ONE partitioning key the
-   whole engine reuses (SURVEY.md §7) -- and its
-   ``groupby("part").map_groups`` sorts each partition by (conv_id, ts,
-   turn_idx) and computes ``latency_us = ts - lag(ts)`` per
-   conversation with one numpy lexsort and diff (no per-conversation
-   Python calls -- one vectorized pass per partition, so tiny
-   conversations cost nothing extra).
+   whole engine reuses (SURVEY.md §7) -- sorts on it, and calls the
+   partition function once per partition: it orders the partition's
+   rows by (conv_id, ts, turn_idx) and computes
+   ``latency_us = ts - lag(ts)`` per conversation with one numpy
+   lexsort and diff (no per-conversation Python calls -- one vectorized
+   pass per partition, so tiny conversations cost nothing extra).
 
 One exchange per key: ``by_partition`` records the exchange behind
 each Dataset it returns. A lazy chain of Arrow exchanges on the same key
@@ -21,7 +21,11 @@ runs as ONE exchange whose partition function applies the chain's
 functions in turn, re-tagging ``part`` in between. This holds because
 every partition function keeps each output row's key (the contract of
 ``by_partition``), so the rows a later function sees are exactly the
-rows its own exchange would hand it, in the same order.
+rows its own exchange would hand it, in the same order. A materialized
+Arrow input whose blocks are already partitioned on the key (an
+exchange's own output, for one) is not sorted again: ``by_partition``
+looks at its blocks' partition ids and runs the partition function
+over them as they lie.
 
 Partitioning assumption (documented per SURVEY.md §2 custom-operator
 rule): all rows of one conv_id land in one partition; within a
@@ -47,6 +51,8 @@ import pyarrow.compute as pc
 
 import ray
 from ray.data._internal.arrow_ops import transform_pyarrow
+from ray.data.dataset import MaterializedDataset
+from ray.data.grouped_data import _apply_udf_to_groups
 
 from . import segments as sg
 
@@ -79,13 +85,9 @@ def _cluster_cpus() -> int:
         return 8
 
 
-def default_num_parts(n_rows: int | None = None) -> int:
-    """Partition count: ~2 partitions per CPU, more when the data is big
-    enough that a partition would exceed ~250k rows."""
-    parts = _cluster_cpus() * 2
-    if n_rows:
-        parts = max(parts, n_rows // 250_000)
-    return max(4, parts)
+def default_num_parts() -> int:
+    """Partition count: 2 partitions per cluster CPU, at least 4."""
+    return max(4, _cluster_cpus() * 2)
 
 
 def actor_pool_size(concurrency: int) -> int:
@@ -150,8 +152,8 @@ def _tag(batch, key: str | list[str], num_parts: int):
 @dataclass(frozen=True)
 class _Exchange:
     """What an Arrow ``by_partition`` ran to produce a Dataset: the
-    tagged input its ``groupby("part")`` sorts, and the function over
-    each group."""
+    tagged input its exchange sorts on ``part``, and the function over
+    each partition."""
 
     tagged: "ray.data.Dataset"
     key: tuple[str, ...]
@@ -234,6 +236,52 @@ def _group_fn(fns: list, fn, key: tuple[str, ...], num_parts: int,
     return fused
 
 
+@ray.remote
+def _block_parts(block, key: str | list[str], num_parts: int):
+    """The sorted distinct partition ids of one Arrow block (None for a
+    block of any other format)."""
+    if not isinstance(block, pa.Table):
+        return None
+    return np.unique(_part_ids(block, key, num_parts))
+
+
+def _co_located(ds, key: str | list[str], num_parts: int) -> bool:
+    """Whether the materialized ``ds`` is already partitioned on ``key``:
+    its blocks are Arrow, and their partition ids, in block order, are
+    strictly increasing. Each partition then lies in one block, and the
+    partitions come in the order the exchange's sort would emit them.
+    One small task per block that holds rows; no row reaches the caller
+    and no Dataset plan executes."""
+    bundles = ds._logical_plan.dag.output_data() or []
+    refs = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0]
+    ids = ray.get([_block_parts.remote(ref, key, num_parts) for ref in refs])
+    if not ids or any(i is None for i in ids):
+        return False
+    return bool(np.all(np.diff(np.concatenate(ids)) > 0))
+
+
+def _in_part_order(t: pa.Table) -> pa.Table:
+    """``t`` with its rows stably ordered by ``part``: the order the
+    exchange's stable Arrow sort gives them."""
+    part = t["part"].to_numpy()
+    if np.any(part[1:] < part[:-1]):
+        t = t.take(pa.array(np.argsort(part, kind="stable")))
+    return t
+
+
+def _each_partition(fn, batch_format: str, prep=None):
+    """The exchange's block function: ``prep`` the block (None: it is
+    already tagged and sorted on ``part``), then call ``fn`` once per
+    partition in it, in ``part`` order (Ray's own per-group loop)."""
+    def run(block):
+        if prep is not None:
+            block = prep(block)
+        yield from _apply_udf_to_groups(fn, block, ["part"], batch_format)
+
+    run.__name__ = _name(fn)
+    return run
+
+
 def by_partition(
     ds: "ray.data.Dataset | list[ray.data.Dataset]",
     key: str | list[str],
@@ -245,19 +293,27 @@ def by_partition(
     columns: list[str] | None = None,
 ) -> "ray.data.Dataset":
     """The engine's co-partition exchange: tag ``part`` from ``key``
-    (one column or a list of columns), then ONE
-    ``groupby("part").map_groups(fn)``. ``fn`` gets every row of each
-    key that hashes to its partition (plus the ``part`` column), whatever
-    the input block layout, as a pandas frame or, with
-    ``batch_format="pyarrow"``, as an Arrow table (the store operators:
-    no pandas conversion either way across the exchange). ``part`` is
-    the exchange's own column: an input column of that name is
-    overwritten. ``concurrency`` caps the partition tasks that run at
-    once (None: Ray Data's default). ``columns`` projects the input
-    before ``fn`` sees it.
+    (one column or a list of columns), sort on it, then ONE
+    ``map_batches`` over whole blocks that calls ``fn`` once per
+    partition. ``fn`` gets every row of each key that hashes to its
+    partition (plus the ``part`` column), whatever the input block
+    layout, as a pandas frame or, with ``batch_format="pyarrow"``, as an
+    Arrow table (the store operators: no pandas conversion either way
+    across the exchange). ``part`` is the exchange's own column: an
+    input column of that name is overwritten. ``concurrency`` caps the
+    partition tasks that run at once (None: Ray Data's default).
+    ``columns`` projects the input before ``fn`` sees it.
 
     Contract: each output row of ``fn`` keeps its key, so it hashes to
     the partition it was computed in.
+
+    Already partitioned (checked, never declared): a single materialized
+    Arrow-format input whose blocks are co-located on the key
+    (``_co_located``; an exchange's materialized output is) runs no
+    sort. Each block is tagged and stably ordered by ``part`` in place,
+    so ``fn`` gets the rows, in their order, that the sort would hand
+    it. Any other input is sorted; pandas-format exchanges always are,
+    since their sort is pandas' unstable one.
 
     Fusion (automatic): when ``ds`` is the unmaterialized output of
     another Arrow ``by_partition`` on the same key, partition count and
@@ -291,8 +347,18 @@ def by_partition(
             prefixed = [_side_tagged(s, i) for i, s in enumerate(sides)]
             tagged = prefixed[0].union(*prefixed[1:])
         run = _group_fn([r and r.fn for r in recs], fn, keys, num_parts, columns)
-    out = tagged.groupby("part").map_groups(run, batch_format=batch_format,
-                                            concurrency=concurrency)
+    # a materialized Dataset is one input with no exchange record
+    if arrow and isinstance(ds, MaterializedDataset) and _co_located(ds, key, num_parts):
+        def in_place(t: pa.Table) -> pa.Table:
+            return _in_part_order(_tag(t if columns is None else t.select(columns), key, num_parts))
+
+        source, per_block = ds, _each_partition(run, batch_format, in_place)
+    else:
+        source, per_block = tagged.sort("part"), _each_partition(run, batch_format)
+    out = source.map_batches(per_block, batch_size=None, batch_format=None,
+                             concurrency=concurrency)
+    if source is ds:  # keep the block order a plan with a Sort keeps
+        out.context.execution_options.preserve_order = True
     if arrow:
         _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run, concurrency)
     return out

@@ -161,9 +161,10 @@ def pack_series(
     num_parts: int | None = None,
 ) -> "ray.data.Dataset":
     """Rollup Dataset -> packed wide Dataset (PACKED_SCHEMA), one
-    ``by_partition`` exchange on conv_id over the rollup rows. Raw turns
-    pack inside the flagship's own exchange instead
-    (``turn_rollup_fn(pack_metrics=...)``)."""
+    ``by_partition`` on conv_id over the rollup rows: no sort over a
+    materialized rollup that is already partitioned on conv_id, one
+    exchange over any other. Raw turns pack inside the flagship's own
+    exchange instead (``turn_rollup_fn(pack_metrics=...)``)."""
     return by_partition(
         rollup_ds, "conv_id", _pack_partition(metric), num_parts=num_parts,
         batch_format="pyarrow",
