@@ -62,18 +62,13 @@ def _latency_per_partition(g: pd.DataFrame) -> pd.DataFrame:
 
 # --- rollup.py ---------------------------------------------------------------
 
-def _partial_one_tier(
-    df: pd.DataFrame, tier: Tier, spec: RollupSpec, presorted: bool = False
-) -> pd.DataFrame:
+def _partial_one_tier(df: pd.DataFrame, tier: Tier, spec: RollupSpec) -> pd.DataFrame:
     w = tier.bucket_us
     g = df.assign(bucket_us=df["ts_us"] - df["ts_us"] % w)
-    # sort so 'last' within each (key, bucket) is the max ordering key.
-    # presorted=True keeps an input already ordered by (key, ts,
-    # *order): turn_rollup_fn's order, its reference in the tests
-    if not presorted:
-        g = g.sort_values(
-            [spec.key, "bucket_us", "ts_us", *spec.order], kind="mergesort"
-        )
+    # sort so 'last' within each (key, bucket) is the max ordering key
+    g = g.sort_values(
+        [spec.key, "bucket_us", "ts_us", *spec.order], kind="mergesort"
+    )
     gb = g.groupby([spec.key, "bucket_us"], sort=False)
     aggs: dict[str, tuple] = {}
     for col, pref in spec.values.items():
@@ -94,14 +89,14 @@ def _partial_one_tier(
     return out
 
 
-def _partial_agg(tiers: list[Tier], spec: RollupSpec, presorted: bool = False):
+def _partial_agg(tiers: list[Tier], spec: RollupSpec):
     cols = [spec.key, spec.ts, *spec.order, *spec.values]
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         df = batch[cols].copy()
         df["ts_us"] = ts_to_us(df[spec.ts])
         return pd.concat(
-            [_partial_one_tier(df, t, spec, presorted) for t in tiers],
+            [_partial_one_tier(df, t, spec) for t in tiers],
             ignore_index=True,
         )
 

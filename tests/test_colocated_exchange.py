@@ -307,3 +307,25 @@ def test_same_key_exchange_over_a_no_sort_output_equals_over_the_sort(ray_sessio
     assert _sorts(chained) == 1  # derive's own
     _assert_same(lazy, want)
     _assert_same(chained, want)
+
+
+def test_no_sort_exchange_leaves_its_input_context_alone(ray_session):
+    """The no-Sort path keeps its output's block order on a context of the
+    output's own: building it, and executing it, leaves the input's
+    ``preserve_order`` and that of later plans built from the input as
+    they were."""
+    import ray.data as rd
+
+    from tsfeatures_ray.stages.rollup import rollup
+
+    def preserve(ds) -> bool:
+        return ds.context.execution_options.preserve_order
+
+    m = rd.from_arrow(_by_part(_arrow(_derived(6)), _default_parts()))
+    assert not preserve(m)
+    out = rollup(m)
+    assert preserve(out) and not preserve(m)
+    out = out.materialize()
+    assert _sorts(out) == 0
+    assert not preserve(m)
+    assert not preserve(m.map_batches(lambda t: t, batch_format="pyarrow"))

@@ -105,34 +105,31 @@ def test_tsfeatures_wide_api(ray_session):
 
 
 def test_rollup_packed_fused_matches_shuffle_pack(ray_session):
-    """feature_pipeline's fused rollup+pack (turn_rollup_fn with
-    pack_metrics in the one layout-independent by_partition exchange)
-    must produce exactly the series of the explicit rollup -> shuffle
-    pack path."""
-    import pandas as pd
+    """The packed series of feature_pipeline's one exchange (derive ->
+    rollup -> pack, lazy, which ``by_partition`` fuses into one Sort)
+    equal raw -- rows, their order and the schema -- those of the same
+    chain materialized between steps."""
+    import re
 
-    from tsfeatures_ray.pipelines import derived_pipeline
-    from tsfeatures_ray.pipelines.flagship import slim_turns
-    from tsfeatures_ray.stages.derive import by_partition
+    import pyarrow as pa
+    import ray
+
+    from tsfeatures_ray.pipelines import derived_pipeline, rollup_pipeline
     from tsfeatures_ray.stages.pack import pack_series
-    from tsfeatures_ray.stages.rollup import rollup, turn_rollup_fn
+    from tsfeatures_ray.stages.rollup import rollup
 
-    sf = "/root/testdata/sf0.001"
-    derived = derived_pipeline(sf, slim=True).materialize()
-    fused = by_partition(
-        slim_turns(sf), "conv_id",
-        turn_rollup_fn(["1m", "1h"], pack_metrics="token_len_sum"), batch_format="pyarrow",
-    ).to_pandas()
-    shuffled = pack_series(rollup(derived, tiers=["1m", "1h"])).to_pandas()
-    key = ["unique_id", "tier", "metric"]
-    fused = fused.sort_values(key).reset_index(drop=True)
-    shuffled = shuffled.sort_values(key).reset_index(drop=True)
-    assert len(fused) == len(shuffled)
-    pd.testing.assert_frame_equal(
-        fused[key + ["freq", "n_buckets"]], shuffled[key + ["freq", "n_buckets"]]
-    )
-    for a, b in zip(fused["y"], shuffled["y"]):
-        assert list(a) == list(b)
+    def rows(ds) -> pa.Table:
+        return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+
+    tiers = ["1m", "1h"]
+    fused = pack_series(rollup_pipeline(SF, tiers)).materialize()
+    rolled = rollup(derived_pipeline(SF, slim=True).materialize(), tiers).materialize()
+    unfused = pack_series(rolled).materialize()
+    ops = re.findall(r"^Operator \d+ (.+?):", fused.stats(), flags=re.M)
+    assert sum("Sort" in op for op in ops) == 1, ops
+    got, want = rows(fused), rows(unfused)
+    assert got.num_rows == want.num_rows > 0
+    assert got.equals(want)
 
 
 def _make_packed(lengths: dict[str, int]):

@@ -163,24 +163,30 @@ def test_salted_rollup_exact(ray_session, tpath):
 
 
 def test_rollup_colocated_single_exchange_matches_two_exchange(ray_session):
-    """The single-exchange fused path (rollup_pipeline: by_partition with
-    turn_rollup_fn) must produce exactly the rows of the two-exchange
-    derive -> rollup() composition, including gapfill."""
-    import pandas as pd
+    """rollup_pipeline -- derive -> rollup(), lazy, which ``by_partition``
+    fuses into one Sort -- equals raw (rows, their order and the schema)
+    the same chain materialized between the two steps, with and without
+    gap-fill."""
+    import re
+
+    import pyarrow as pa
+    import ray
 
     from tsfeatures_ray.pipelines import derived_pipeline, rollup_pipeline
     from tsfeatures_ray.stages.rollup import rollup
 
-    sf = "/root/testdata/sf0.001"
+    def rows(ds) -> pa.Table:
+        return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+
+    derived = derived_pipeline(SF, slim=True).materialize()
     for gapfill in (False, True):
-        two = rollup(
-            derived_pipeline(sf, slim=True), tiers=["1m", "1h"], gapfill=gapfill
-        ).to_pandas()
-        one = rollup_pipeline(sf, tiers=["1m", "1h"], gapfill=gapfill).to_pandas()
-        key = ["conv_id", "tier", "bucket_us"]
-        two = two.drop(columns=["part"], errors="ignore").sort_values(key).reset_index(drop=True)
-        one = one.drop(columns=["part"], errors="ignore").sort_values(key).reset_index(drop=True)
-        pd.testing.assert_frame_equal(one[sorted(one.columns)], two[sorted(two.columns)])
+        one = rollup_pipeline(SF, tiers=["1m", "1h"], gapfill=gapfill).materialize()
+        two = rollup(derived, tiers=["1m", "1h"], gapfill=gapfill).materialize()
+        ops = re.findall(r"^Operator \d+ (.+?):", one.stats(), flags=re.M)
+        assert sum("Sort" in op for op in ops) == 1, ops
+        got, want = rows(one), rows(two)
+        assert got.num_rows == want.num_rows > 0
+        assert got.equals(want)
 
 
 def test_merge_rollups_incremental_exactness(ray_session):

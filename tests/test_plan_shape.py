@@ -39,16 +39,12 @@ def _panel(n_series=30, n=40):
 def test_feature_entry_points_execute_nothing_when_called(ray_session, executions):
     import ray.data as rd
 
-    from tsfeatures_ray.pipelines import feature_pipeline, tsfeatures
-    from tsfeatures_ray.pipelines.flagship import slim_turns
-    from tsfeatures_ray.stages.derive import by_partition
+    from tsfeatures_ray.pipelines import feature_pipeline, rollup_pipeline, tsfeatures
     from tsfeatures_ray.stages.features import features_over_packed
-    from tsfeatures_ray.stages.rollup import turn_rollup_fn
+    from tsfeatures_ray.stages.pack import pack_series
 
     sf = "sf0.001"  # the synthetic transcripts of that scale factor
-    packed = by_partition(slim_turns(sf), "conv_id",
-                          turn_rollup_fn(["1h"], pack_metrics="token_len_sum"),
-                          batch_format="pyarrow")
+    packed = pack_series(rollup_pipeline(sf, ["1h"]), metric="token_len_sum")
     plans = [
         features_over_packed(packed),
         features_over_packed(packed, balance=False, concurrency=2),
@@ -195,6 +191,40 @@ def test_base_and_new_merge_runs_one_sort(ray_session):
     assert len(_store_sorts(merged)) == 1, merged.stats()
     rolled = rollup(derive_turn_metrics(_turns(3), slim=True)).materialize()
     assert len(_store_sorts(rolled)) == 1, rolled.stats()
+
+
+def test_flagship_pipelines_run_one_sort(ray_session):
+    """rollup_pipeline and feature_pipeline, with and without
+    ``concurrency``, are compositions of the stage operators that run
+    as ONE Sort: derive, rollup and pack + kernels share one exchange."""
+    from tsfeatures_ray.pipelines import feature_pipeline, rollup_pipeline
+
+    sf = "sf0.001"
+    feats = ["series_length"]
+    plans = [rollup_pipeline(sf, ["1h"], gapfill=True),
+             feature_pipeline(sf, tiers=["1h"], features=feats),
+             feature_pipeline(sf, tiers=["1h"], features=feats, concurrency=2)]
+    for ds in plans:
+        ds = ds.materialize()
+        assert ds.count() > 0
+        assert len(_store_sorts(ds)) == 1, ds.stats()
+
+
+def test_exchange_fusion_ignores_concurrency(ray_session):
+    """A lazy derive -> rollup under a same-key ``by_partition`` with a
+    ``concurrency`` cap is still one Sort: the fused exchange runs at
+    the outermost call's cap."""
+    from tsfeatures_ray.stages.derive import by_partition, derive_turn_metrics
+    from tsfeatures_ray.stages.rollup import rollup
+
+    def tiers_seen(t):
+        return t.group_by("conv_id").aggregate([("tier", "count_distinct")])
+
+    lazy = rollup(derive_turn_metrics(_turns(4), slim=True))
+    ds = by_partition(lazy, "conv_id", tiers_seen, concurrency=2,
+                      batch_format="pyarrow").materialize()
+    assert ds.count() == 30
+    assert len(_store_sorts(ds)) == 1, ds.stats()
 
 
 def test_compact_tier_over_materialized_rollup_runs_only_its_own_sort(ray_session,

@@ -1,12 +1,13 @@
 """The Arrow/numpy rollup-store operators (``stages/segments.py`` under
 rollup, retention, pack and compress) against the pandas operators they
 replaced (``tests/_rollup_oracles.py``) over random partitions: derive's
-latency, ``turn_rollup_fn`` (against the pandas latency -> per-batch
-partial (presorted) -> final merge -> pandas gap-fill chain, and its
-pandas packer), ``rollup()``'s exact core (default and events specs,
-``keep_ord`` on and off, salted partial/merge), ``merge_rollups`` (gap-
-fill on and off), ``gapfill_rollup`` on unsorted partitions,
-``compact_tier`` 1m -> 1h -> 1d, ``pack_series`` and
+latency; the flagship's per-partition chain, derive's latency then
+``rollup()``'s exact core then ``pack_series``' packer (against the
+pandas latency -> per-batch partial -> final merge -> pandas gap-fill
+chain, and its pandas packer); ``rollup()``'s exact core (default and
+events specs, ``keep_ord`` on and off, salted partial/merge);
+``merge_rollups`` (gap-fill on and off); ``gapfill_rollup`` on unsorted
+partitions; ``compact_tier`` 1m -> 1h -> 1d; ``pack_series`` and
 ``compress_rollup``'s blocks. Each Arrow output's ``to_pandas()`` must
 equal the oracle's frame raw (values to the bit, row order, index and
 dtypes), and its schema the oracle frame's pandas -> Arrow conversion.
@@ -26,7 +27,7 @@ from tsfeatures_ray.stages.compress import BlockCodec
 from tsfeatures_ray.stages.derive import _latency_per_partition
 from tsfeatures_ray.stages.retention import _compact_merge, _compact_partial
 from tsfeatures_ray.stages.rollup import (
-    DEFAULT_SPEC, RollupSpec, _exact_rollup, _gapfill, _merge_rollup, turn_rollup_fn,
+    DEFAULT_SPEC, RollupSpec, _exact_rollup, _gapfill, _merge_rollup,
 )
 
 EVENTS_SPEC = RollupSpec(key="user_id", ts="ts", order=("event_id",), values={"value": "value"})
@@ -49,6 +50,14 @@ def _check(got: pa.Table, want: pd.DataFrame):
             assert np.array_equal(a.view(np.int64)[~np.isnan(a)], b.view(np.int64)[~np.isnan(b)]), c
     if len(want):
         assert got.schema.equals(_arrow(want).schema, check_metadata=False), (got.schema, _arrow(want).schema)
+
+
+def _turn_rollup(t: pa.Table, tiers, gapfill: bool = False) -> pa.Table:
+    """What the flagship's one exchange runs on a partition of raw turns
+    (``rollup_pipeline``, fused): derive's latency, then ``rollup()``'s
+    exact core."""
+    tier_objs = [TIERS[x] for x in (tiers or list(TIERS))]
+    return _exact_rollup(_latency_per_partition(t), tier_objs, DEFAULT_SPEC, gapfill)
 
 
 def _pandas_latency(g: pd.DataFrame) -> pd.DataFrame:
@@ -90,7 +99,7 @@ def _pandas_gapfill(merged: pd.DataFrame, widths: dict) -> pd.DataFrame:
 def _pandas_rollup(g, tiers, gapfill):
     tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
     widths = {t.name: t.bucket_us for t in tier_objs}
-    partial = O._partial_agg(tier_objs, DEFAULT_SPEC, presorted=True)
+    partial = O._partial_agg(tier_objs, DEFAULT_SPEC)
     out = O._final_merge(False, widths, DEFAULT_SPEC)(partial(_pandas_latency(g)))
     if gapfill:
         cols = list(out.columns)
@@ -197,11 +206,10 @@ def test_turn_rollup_equals_pandas_rollup(seed):
         g["token_len"] = g["token_len"].astype("float64").where(rng.rand(len(g)) > 0.3)
     tiers = TIER_SETS[seed % len(TIER_SETS)]
     for gapfill in (False, True):
-        _check(turn_rollup_fn(tiers, gapfill)(_arrow(g)), _pandas_rollup(g.copy(), tiers, gapfill))
+        _check(_turn_rollup(_arrow(g), tiers, gapfill), _pandas_rollup(g.copy(), tiers, gapfill))
     metrics = "latency_sum" if seed % 2 else ["token_len_sum", "latency_last", "token_len_count"]
     want = _pandas_pack(_pandas_rollup(g.copy(), tiers, False), metrics)
-    got = turn_rollup_fn(tiers, pack_metrics=metrics)(_arrow(g))
-    assert got.equals(want)
+    assert pack._pack_partition(metrics)(_turn_rollup(_arrow(g), tiers)).equals(want)
     rolled = _pandas_rollup(g.copy(), tiers, True)
     assert pack._pack_partition(metrics)(_arrow(rolled)).equals(want)
     assert O._pack_partition(metrics)(rolled).equals(want)
@@ -214,7 +222,7 @@ def test_generated_partitions_cover_the_edge_cases():
     seen = {"gaps": 0, "pre1970": 0, "solo": 0, "ties": 0}
     for seed in range(40):
         g = _turns(np.random.RandomState(seed), "us")
-        seen["gaps"] += bool(turn_rollup_fn(None, True)(_arrow(g))["filled"].to_numpy().any())
+        seen["gaps"] += bool(_turn_rollup(_arrow(g), None, True)["filled"].to_numpy().any())
         seen["pre1970"] += bool((ts_to_us(g["ts"]) < 0).any())
         seen["solo"] += bool((g.groupby("conv_id").size() == 1).any())
         seen["ties"] += bool(g.duplicated(["conv_id", "ts", "turn_idx"]).any())
@@ -331,9 +339,9 @@ def test_block_codec_equals_pandas(seed):
 def test_turn_rollup_empty_partition():
     for tiers in TIER_SETS:
         for gapfill in (False, True):
-            _check(turn_rollup_fn(tiers, gapfill)(_arrow(_empty())),
+            _check(_turn_rollup(_arrow(_empty()), tiers, gapfill),
                    _pandas_rollup(_empty(), tiers, gapfill))
-        got = turn_rollup_fn(tiers, pack_metrics=["token_len_sum"])(_arrow(_empty()))
+        got = pack._pack_partition(["token_len_sum"])(_turn_rollup(_arrow(_empty()), tiers))
         assert got.equals(pack.PACKED_SCHEMA.empty_table())
         tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
         cols = ["conv_id", "ts", "turn_idx", "token_len", "latency_us"]
@@ -349,7 +357,7 @@ def test_single_turn_buckets_have_nan_latency():
     g = pd.DataFrame({"conv_id": ["a", "b", "a"], "turn_idx": np.int32([0, 0, 1]),
                       "ts": np.array([0, 5, 7_200_000_000], "datetime64[us]"),
                       "token_len": [3, 4, 5]})
-    got = turn_rollup_fn(["1h"])(_arrow(g))
+    got = _turn_rollup(_arrow(g), ["1h"])
     _check(got, _pandas_rollup(g, ["1h"], False))
     assert got["latency_count"].to_pylist() == [0, 1, 0]
     assert got["latency_last"].is_null().to_pylist() == [True, False, True]

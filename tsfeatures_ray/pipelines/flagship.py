@@ -8,8 +8,9 @@ series (``stages.pack.pack_long``) and runs the kernels on them -> wide
 feature Dataset. ``tsfeatures_wide``: wide panel -> one
 ``stages.pack.pack_wide`` map -> the kernels, no exchange. A pandas
 frame given to either enters as one Arrow table. The flagship transcript
-pipeline runs derive -> rollup -> pack -> features inside its one
-exchange the same way.
+pipeline is a composition of the stage operators, derive -> ``rollup()``
+-> pack + features, each a ``by_partition`` on conv_id, which
+``by_partition``'s fusion runs as one exchange.
 """
 
 from __future__ import annotations
@@ -22,34 +23,32 @@ import ray
 import ray.data as rd
 
 from ..sources.synth import transcripts_path
-from ..stages.derive import _add_token_len, by_partition, derive_turn_metrics
+from ..stages.derive import by_partition, derive_turn_metrics, with_token_len
 from ..stages.features import FeatureKernels, features_over_packed
-from ..stages.pack import pack_long, pack_wide
-from ..stages.rollup import turn_rollup_fn
+from ..stages.pack import _pack_partition, pack_long, pack_wide
+from ..stages.rollup import rollup
+
+
+def _transcripts(sf_dir: str, slim: bool) -> "rd.Dataset":
+    """The transcripts parquet read. ``slim`` prunes AT THE READ to what
+    the slim turn projection needs: role/tool never leave storage
+    (token_len needs text; at scale the payload columns are most of the
+    bytes, so reading them for a rollup would dominate I/O)."""
+    cols = ["conv_id", "turn_idx", "ts", "text"] if slim else None
+    return rd.read_parquet(transcripts_path(sf_dir), columns=cols)
 
 
 def derived_pipeline(
     sf_dir: str, num_parts: int | None = None, slim: bool = False
 ) -> "rd.Dataset":
-    """transcripts parquet -> per-turn derived metrics Dataset.
-
-    The slim path prunes AT THE READ: role/tool never leave storage
-    (token_len needs text; at scale the payload columns are most of the
-    bytes, so reading them for a rollup would dominate I/O)."""
-    cols = ["conv_id", "turn_idx", "ts", "text"] if slim else None
-    ds = rd.read_parquet(transcripts_path(sf_dir), columns=cols)
-    return derive_turn_metrics(ds, num_parts=num_parts, slim=slim)
+    """transcripts parquet -> per-turn derived metrics Dataset."""
+    return derive_turn_metrics(_transcripts(sf_dir, slim), num_parts=num_parts, slim=slim)
 
 
 def slim_turns(sf_dir: str) -> "rd.Dataset":
-    """Pruned read + token_len, NO exchange yet: (conv_id, turn_idx, ts,
-    token_len). The single exchange downstream both co-locates
-    conversations and computes everything that needs co-location."""
-    ds = rd.read_parquet(
-        transcripts_path(sf_dir), columns=["conv_id", "turn_idx", "ts", "text"]
-    )
-    ds = ds.map_batches(_add_token_len, batch_format="pyarrow", batch_size=65536)
-    return ds.select_columns(["conv_id", "turn_idx", "ts", "token_len"])
+    """Pruned read + token_len, NO exchange: (conv_id, turn_idx, ts,
+    token_len), what the resumable run sinks partitioned by ``part``."""
+    return with_token_len(_transcripts(sf_dir, slim=True), slim=True)
 
 
 def rollup_pipeline(
@@ -59,15 +58,12 @@ def rollup_pipeline(
     num_parts: int | None = None,
 ) -> "rd.Dataset":
     """transcripts parquet -> rollup Dataset at the given tiers in ONE
-    exchange: the by_partition that co-locates each conversation also
-    computes latency and the exact rollup in the same partition function
-    (turn_rollup_fn). The shuffle runs slim: payload columns never enter
-    the exchange. Materialized, the output is partitioned on conv_id,
-    so a later conv_id ``by_partition`` over it runs no sort."""
-    return by_partition(
-        slim_turns(sf_dir), "conv_id", turn_rollup_fn(tiers, gapfill),
-        num_parts=num_parts, batch_format="pyarrow",
-    )
+    exchange: ``rollup()`` over the lazy slim derive, which fusion runs
+    inside derive's exchange (latency, then the exact rollup, in each
+    partition). The shuffle runs slim: payload columns never enter the
+    exchange. Materialized, the output is partitioned on conv_id, so a
+    later conv_id ``by_partition`` over it runs no sort."""
+    return rollup(derived_pipeline(sf_dir, num_parts, slim=True), tiers, gapfill, num_parts)
 
 
 def feature_pipeline(
@@ -80,21 +76,22 @@ def feature_pipeline(
     concurrency=None,
 ) -> "rd.Dataset":
     """Flagship: transcripts -> rollups -> packed series -> features in
-    ONE by_partition exchange. Its partition function derives latency,
-    rolls up and packs (``turn_rollup_fn`` with ``pack_metrics``), then
-    runs the driver-built ``FeatureKernels`` on the series it just
-    packed, in ``BATCH_ROWS``-row slices: no second exchange, and no
-    materialize, count or repartition between pack and kernels. The
-    output depends only on groupby semantics, never on block layout.
-    ``concurrency`` caps the exchange's concurrent partition tasks."""
+    ONE exchange: a ``by_partition`` over the lazy ``rollup_pipeline``,
+    which fusion runs in the same groups. Each partition derives
+    latency, rolls up, packs (``_pack_partition``) and runs the
+    driver-built ``FeatureKernels`` on the series it just packed, in
+    ``BATCH_ROWS``-row slices: no second exchange, and no materialize,
+    count or repartition between pack and kernels. The output depends
+    only on groupby semantics, never on block layout. ``concurrency``
+    caps the exchange's concurrent partition tasks."""
     kernels = FeatureKernels(features, scale)
-    rollup_pack = turn_rollup_fn(tiers, pack_metrics=metric)
+    pack = _pack_partition(metric)
 
-    def turn_features(t: pa.Table) -> pa.Table:
-        return kernels(rollup_pack(t))
+    def rollup_features(t: pa.Table) -> pa.Table:
+        return kernels(pack(t))
 
     return by_partition(
-        slim_turns(sf_dir), "conv_id", turn_features,
+        rollup_pipeline(sf_dir, tiers, num_parts=num_parts), "conv_id", rollup_features,
         num_parts=num_parts, concurrency=concurrency, batch_format="pyarrow",
     )
 

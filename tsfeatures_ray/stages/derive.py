@@ -51,7 +51,7 @@ import pyarrow.compute as pc
 
 import ray
 from ray.data._internal.arrow_ops import transform_pyarrow
-from ray.data.dataset import MaterializedDataset
+from ray.data.dataset import Dataset, MaterializedDataset
 from ray.data.grouped_data import _apply_udf_to_groups
 
 from . import segments as sg
@@ -159,7 +159,6 @@ class _Exchange:
     key: tuple[str, ...]
     num_parts: int
     fn: object
-    concurrency: int | None
 
 
 # output Dataset -> its Arrow exchange; recording executes nothing, and
@@ -316,9 +315,10 @@ def by_partition(
     since their sort is pandas' unstable one.
 
     Fusion (automatic): when ``ds`` is the unmaterialized output of
-    another Arrow ``by_partition`` on the same key, partition count and
-    concurrency, no second exchange runs. The first exchange's function
-    ``fn1`` and ``fn`` run in the same group, as ``fn(retag(fn1(t)))``:
+    another Arrow ``by_partition`` on the same key and partition count,
+    no second exchange runs; the fused exchange runs at this call's
+    ``concurrency``. The first exchange's function ``fn1`` and ``fn``
+    run in the same group, as ``fn(retag(fn1(t)))``:
     ``retag`` re-tags ``part`` from the key (raising ``ValueError`` if a
     row left its partition), so ``fn`` sees the columns and the rows, in
     their order, that its own exchange would give it (the Arrow sort is
@@ -332,8 +332,8 @@ def by_partition(
     arrow = batch_format == "pyarrow"
     inputs = ds if isinstance(ds, list) else [ds]
     recs = [_EXCHANGES.get(d) if arrow else None for d in inputs]
-    recs = [r if r is not None and (r.key, r.num_parts, r.concurrency)
-            == (keys, num_parts, concurrency) else None for r in recs]
+    recs = [r if r is not None and (r.key, r.num_parts) == (keys, num_parts) else None
+            for r in recs]
 
     def tag(d):
         return with_part(d if columns is None else d.select_columns(columns), key, num_parts)
@@ -358,9 +358,11 @@ def by_partition(
     out = source.map_batches(per_block, batch_size=None, batch_format=None,
                              concurrency=concurrency)
     if source is ds:  # keep the block order a plan with a Sort keeps
+        # on a context of the output's own: the map shares ``ds``'s
+        out = Dataset.copy(out, _deep_copy=True)
         out.context.execution_options.preserve_order = True
     if arrow:
-        _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run, concurrency)
+        _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run)
     return out
 
 
@@ -380,27 +382,27 @@ def _add_token_len(batch: pa.Table) -> pa.Table:
     return batch.append_column("token_len", token_len)
 
 
-def _latency_order(t: pa.Table):
-    """The stable (conv_id, ts, turn_idx) order of a partition's rows,
-    their conv_id codes in that order, and ``latency_us`` in that order
-    = ts - the previous ts of the same conversation (NaN on its first
-    turn), in the integer unit ``ts`` holds. One ``np.lexsort`` and one
-    ``np.diff``: derive_turn_metrics and the flagship rollup
-    (``turn_rollup_fn``) both run it."""
+def _latency_per_partition(t: pa.Table) -> pa.Table:
+    """``t`` in stable (conv_id, ts, turn_idx) order plus ``latency_us``
+    = ts - the previous ts of the same conversation (float64, null on
+    its first turn), in the integer unit ``ts`` holds. One
+    ``np.lexsort`` and one ``np.diff``."""
     code = sg.codes(t["conv_id"])
     ts = sg.ticks(t["ts"])
     order = np.lexsort((t["turn_idx"].to_numpy(), ts, code))
     code, ts = code[order], ts[order]
     lat = np.diff(ts, prepend=ts[:1]).astype("float64")
     lat[sg.changes(code)] = np.nan
-    return order, code, lat
-
-
-def _latency_per_partition(t: pa.Table) -> pa.Table:
-    """``t`` in stable (conv_id, ts, turn_idx) order plus ``latency_us``
-    (float64, null on each conversation's first turn)."""
-    order, _, lat = _latency_order(t)
     return t.take(pa.array(order)).append_column("latency_us", sg.float_array(lat))
+
+
+def with_token_len(ds: "ray.data.Dataset", slim: bool = False) -> "ray.data.Dataset":
+    """Transcript rows plus ``token_len`` (a per-batch map, no
+    exchange). ``slim=True`` keeps only (conv_id, turn_idx, ts,
+    token_len): the one builder of the turn projection every rollup path
+    exchanges or sinks."""
+    ds = ds.map_batches(_add_token_len, batch_format="pyarrow", batch_size=65536)
+    return ds.select_columns(["conv_id", "turn_idx", "ts", "token_len"]) if slim else ds
 
 
 def derive_turn_metrics(
@@ -418,11 +420,8 @@ def derive_turn_metrics(
     per-turn products that must carry text (the per-row text-equality
     invariant is checked against that path).
     """
-    ds = ds.map_batches(_add_token_len, batch_format="pyarrow", batch_size=65536)
-    if slim:
-        ds = ds.select_columns(["conv_id", "turn_idx", "ts", "token_len"])
-    return by_partition(ds, "conv_id", _latency_per_partition, num_parts=num_parts,
-                        batch_format="pyarrow")
+    return by_partition(with_token_len(ds, slim), "conv_id", _latency_per_partition,
+                        num_parts=num_parts, batch_format="pyarrow")
 
 
 def _dialogue_stats_partition(g: pd.DataFrame) -> pd.DataFrame:
@@ -496,18 +495,8 @@ def dialogue_stats(
     tool-usage or turn-taking profile before feature extraction.
     """
     def slim(batch: pa.Table) -> pa.Table:
-        token_len = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
-        return pa.Table.from_arrays(
-            [
-                batch["conv_id"].combine_chunks(),
-                batch["turn_idx"].combine_chunks(),
-                batch["role"].combine_chunks(),
-                batch["tool"].combine_chunks(),
-                batch["ts"].combine_chunks(),
-                token_len,
-            ],
-            names=["conv_id", "turn_idx", "role", "tool", "ts", "token_len"],
-        )
+        return _add_token_len(batch).select(
+            ["conv_id", "turn_idx", "role", "tool", "ts", "token_len"])
 
     return by_partition(
         ds.map_batches(slim, batch_format="pyarrow", batch_size=65536),

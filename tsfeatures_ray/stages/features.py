@@ -9,9 +9,10 @@ form once (kernels/__init__: the kernel protocol), so no default kernel
 runs per series, and it cuts a larger table into ``BATCH_ROWS``-row
 slices itself, which bounds its memory. The flagship
 (``feature_pipeline``) and ``tsfeatures()`` call it inside the partition
-function of their one ``by_partition`` exchange, on the series that
-partition just packed; ``features_over_packed`` maps it over an already
-packed Dataset.
+function of their one ``by_partition`` exchange (for the flagship, the
+derive -> rollup exchange it fuses with), on the series that partition
+just packed; ``features_over_packed`` maps it over an already packed
+Dataset.
 
 Output is a wide feature table with a FIXED schema: the seasonal
 superset of the default feature set (42 feature columns, SURVEY.md

@@ -7,10 +7,10 @@ canonical IR in front of the feature kernels: ``PACKED_SCHEMA``, Arrow
 ``list_(float64())`` cells. ``_packed`` is its one builder, Arrow in and
 Arrow out, and every producer goes through it:
 
-- ``_pack_tiers``: rollup series (``pack_series`` and the flagship's
-  fused rollup+pack, ``turn_rollup_fn(pack_metrics=...)``), each
-  (conv_id, tier) series densified over its bucket range, gaps -> 0.0
-  (a quiet minute contributes zero tokens), by offset arithmetic;
+- ``_pack_partition``: rollup series (``pack_series``, and
+  ``feature_pipeline`` inside its one exchange), each (conv_id, tier)
+  series densified over its bucket range, gaps -> 0.0 (a quiet minute
+  contributes zero tokens), by offset arithmetic;
 - ``pack_long``: a partition of a long panel (unique_id, ds, y), for
   ``tsfeatures()`` and ``long_to_wide()``;
 - ``pack_wide``: a wide panel (unique_id, seasonality, y), for
@@ -82,33 +82,6 @@ def ragged(col) -> tuple[np.ndarray, np.ndarray]:
     return off - off[0], col.values.to_numpy(zero_copy_only=False)[off[0] : off[-1]]
 
 
-def _pack_tiers(tiers, metrics: list[str]) -> pa.Table:
-    """PACKED_SCHEMA rows from ``tiers``: (tier name, key codes, key
-    values (Arrow), bucket_us, {metric: values}) per tier, each tier's
-    rows sorted by (key, bucket_us), one row per bucket. Every series is
-    densified over its bucket range (``segments.series_layout``); gaps
-    and NaN values are 0.0."""
-    parts = [PACKED_SCHEMA.empty_table()]
-    for tname, code, keys, buck, vals in tiers:
-        if len(code) == 0:
-            continue
-        tier = TIERS[tname]
-        first, nb, pos = sg.series_layout(code, buck, tier.bucket_us)
-        uid = pc.cast(keys.take(pa.array(first)), pa.string())
-        for metric in metrics:
-            v = np.asarray(vals[metric], dtype=np.float64)
-            dense = np.zeros(int(nb.sum()))
-            dense[pos] = np.where(np.isnan(v), 0.0, v)
-            parts.append(_packed(uid, nb, dense, tier.freq, tname, metric))
-    table = pa.concat_tables(parts)
-    # fixed PCG64 row permutation. It once evened the cost mix of the
-    # feature stage's block slices; no slice depends on it any more, and
-    # it stays only so the committed raw digests of the feature outputs
-    # hold until the feature fixtures are next re-recorded
-    perm = np.random.Generator(np.random.PCG64(42)).permutation(len(table))
-    return table.take(pa.array(perm))
-
-
 def pack_long(t: pa.Table, freq: int) -> pa.Table:
     """PACKED_SCHEMA rows of a long panel's rows (unique_id, ds, y, in
     any order; other columns ignored): one row per series, keyed by
@@ -135,22 +108,37 @@ def pack_wide(t: pa.Table) -> pa.Table:
 
 def _pack_partition(metrics):
     """Partition function packing rollup rows (any tiers, any order; an
-    Arrow table in, PACKED_SCHEMA out)."""
+    Arrow table in, PACKED_SCHEMA out): per tier, its rows by (conv_id,
+    bucket_us), each (conv_id, tier) series densified over its bucket
+    range (``segments.series_layout``), gaps and NaN values 0.0."""
     if isinstance(metrics, str):
         metrics = [metrics]
 
     def fn(t: pa.Table) -> pa.Table:
         keys = t["conv_id"].combine_chunks()
-        code = sg.codes(keys)
+        code = sg.codes(t["conv_id"])
         buck = sg.ticks(t["bucket_us"])
         vals = {m: sg.floats(t[m]) for m in metrics}
-        tiers = []
-        for tname in TIERS:
+        parts = [PACKED_SCHEMA.empty_table()]
+        for tname, tier in TIERS.items():
             sub = np.flatnonzero(pc.equal(t["tier"], tname).to_numpy(zero_copy_only=False))
+            if len(sub) == 0:
+                continue
             sub = sub[np.lexsort((buck[sub], code[sub]))]
-            tiers.append((tname, code[sub], keys.take(pa.array(sub, type=pa.int64())), buck[sub],
-                          {m: v[sub] for m, v in vals.items()}))
-        return _pack_tiers(tiers, metrics)
+            first, nb, pos = sg.series_layout(code[sub], buck[sub], tier.bucket_us)
+            uid = pc.cast(keys.take(pa.array(sub[first], type=pa.int64())), pa.string())
+            for metric in metrics:
+                v = vals[metric][sub]
+                dense = np.zeros(int(nb.sum()))
+                dense[pos] = np.where(np.isnan(v), 0.0, v)
+                parts.append(_packed(uid, nb, dense, tier.freq, tname, metric))
+        table = pa.concat_tables(parts)
+        # fixed PCG64 row permutation. It once evened the cost mix of the
+        # feature stage's block slices; no slice depends on it any more,
+        # and it stays only so the committed raw digests of the feature
+        # outputs hold until the feature fixtures are next re-recorded
+        perm = np.random.Generator(np.random.PCG64(42)).permutation(len(table))
+        return table.take(pa.array(perm))
 
     return fn
 
@@ -163,8 +151,9 @@ def pack_series(
     """Rollup Dataset -> packed wide Dataset (PACKED_SCHEMA), one
     ``by_partition`` on conv_id over the rollup rows: no sort over a
     materialized rollup that is already partitioned on conv_id, one
-    exchange over any other. Raw turns pack inside the flagship's own
-    exchange instead (``turn_rollup_fn(pack_metrics=...)``)."""
+    exchange over any other; over a lazy rollup it runs inside the
+    rollup's own exchange (``by_partition``'s fusion), as
+    ``feature_pipeline``'s pack does."""
     return by_partition(
         rollup_ds, "conv_id", _pack_partition(metric), num_parts=num_parts,
         batch_format="pyarrow",

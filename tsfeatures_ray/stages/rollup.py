@@ -7,9 +7,9 @@ sorted. There are two cores:
 - the EXACT core, over raw rows that hold every row of their keys: one
   stable sort by (key, ts, *order), then per tier segments where (key,
   bucket) changes (bucket is monotone in ts within a key, so each (key,
-  bucket) is one contiguous run). ``turn_rollup_fn`` (the flagship's,
-  ``rollup_pipeline``'s and the resumable run's partition function) and
-  ``rollup()`` run it inside the one exchange that co-locates each key;
+  bucket) is one contiguous run). ``rollup()`` runs it inside the one
+  exchange that co-locates each key, and the resumable run over each
+  partition it sank;
 - the MERGE core, over partial rollup rows (each row carries the
   ordering key of its ``last``, ``keep_ord=True``): one stable sort by
   (key, tier, bucket_us, last_ord_ts, last_ord_tie), then segments where
@@ -18,15 +18,17 @@ sorted. There are two cores:
   ``rollup()`` run it; ``gapfill_rollup()`` shares its gap-fill.
 
 ``rollup()`` exchanges the input rows themselves, projected to the
-spec's columns (or, over a lazy derive, runs inside derive's exchange,
-``derive.by_partition``'s fusion), and computes no per-batch partial: on the rollup_store
-benchmark the base slice's per-batch partials were 4,318 rows x 15
-columns, and the raw turns now exchanged are 7,702 rows x 6 columns. The
-exact core then gives the same bits whatever the input's block layout
-(a per-batch partial changes the last bits of a float sum). A salted
-rollup keeps the partial/merge shape: a giant key's rows spread over
-many partitions, so the exact core runs per batch (with ``keep_ord``)
-and the merge core after the salted exchange.
+spec's columns, and computes no per-batch partial. Over a lazy derive
+it runs inside derive's exchange (``derive.by_partition``'s fusion):
+the flagship's ``rollup_pipeline`` is that composition, one exchange
+over the raw turns. On the rollup_store benchmark the base slice's
+per-batch partials were 4,318 rows x 15 columns, and the raw turns now
+exchanged are 7,702 rows x 6 columns. The exact core then gives the
+same bits whatever the input's block layout (a per-batch partial
+changes the last bits of a float sum). A salted rollup keeps the
+partial/merge shape: a giant key's rows spread over many partitions,
+so the exact core runs per batch (with ``keep_ord``) and the merge core
+after the salted exchange.
 
 This replaces the reference's single-shot in-memory pandas aggregation
 (reference tsfeatures.py:970-976 materializes the whole panel on the
@@ -64,8 +66,7 @@ import ray
 
 from ..schema import TIERS, Tier
 from . import segments as sg
-from .derive import _latency_order, by_partition
-from .pack import _pack_tiers
+from .derive import by_partition
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,19 @@ def _rollup_table(key_col, code: np.ndarray, rows: dict, names: list[str],
     return pa.Table.from_arrays(arrays, names=cols)
 
 
-def _tier_segments(code: np.ndarray, ts_us: np.ndarray, vals: dict,
-                   tier_objs: list[Tier]) -> dict:
-    """The exact core over rows sorted by (key, ts, ...): per tier name,
-    its segments (rows where (key, bucket) changes, ``_row``, to the row
-    before the next segment, ``_end``), ``bucket_us`` and the aggregates
-    of each value prefix, segments by (key, bucket)."""
+def _tier_rows(code: np.ndarray, ts_us: np.ndarray, vals: dict,
+               tier_objs: list[Tier]) -> tuple[dict, list[str]]:
+    """The exact core over rows sorted by (key, ts, ...): per tier, the
+    segments where (key, bucket) changes (row ``_row`` to row ``_end``),
+    their ``bucket_us`` and the aggregates of each value prefix, as one
+    set of rows by (key, tier name, bucket_us); and the tier names
+    ``_tier`` indexes."""
     new_key = sg.changes(code)
-    segs = {}
-    for t in tier_objs:
-        bucket = ts_us - ts_us % t.bucket_us
+    widths = {t.name: t.bucket_us for t in tier_objs}
+    names = sorted(widths)
+    segs = []
+    for name in names:
+        bucket = ts_us - ts_us % widths[name]
         seg = new_key.copy()
         seg[1:] |= bucket[1:] != bucket[:-1]
         starts = np.flatnonzero(seg)
@@ -155,17 +159,9 @@ def _tier_segments(code: np.ndarray, ts_us: np.ndarray, vals: dict,
         for pref, v in vals.items():
             for agg, col in sg.aggregate(v, starts).items():
                 cols[f"{pref}_{agg}"] = col
-        segs[t.name] = cols
-    return segs
-
-
-def _real_rows(segs: dict, code: np.ndarray) -> tuple[dict, list[str]]:
-    """Per-tier segments as one set of rows by (key, tier name,
-    bucket_us), and the tier names ``_tier`` indexes."""
-    names = sorted(segs)
-    sizes = [len(segs[t]["_row"]) for t in names]
-    tier = np.repeat(np.arange(len(names)), sizes)
-    rows = {c: np.concatenate([segs[t][c] for t in names]) for c in segs[names[0]]}
+        segs.append(cols)
+    tier = np.repeat(np.arange(len(names)), [len(c["_row"]) for c in segs])
+    rows = {c: np.concatenate([seg[c] for seg in segs]) for c in segs[0]}
     order = np.lexsort((tier, code[rows["_row"]]))
     rows = {c: v[order] for c, v in rows.items()}
     rows["_tier"] = tier[order]
@@ -182,7 +178,7 @@ def _exact_rollup(t: pa.Table, tier_objs: list[Tier], spec: RollupSpec,
     ts = sg.ts_us(t[spec.ts])
     order = np.lexsort([sg.codes(t[c]) for c in reversed(spec.order)] + [ts, code])
     vals = {pref: sg.floats(t[col])[order] for col, pref in spec.values.items()}
-    rows, names = _real_rows(_tier_segments(code[order], ts[order], vals, tier_objs), code[order])
+    rows, names = _tier_rows(code[order], ts[order], vals, tier_objs)
     ord_cols = None
     if keep_ord:
         last = order[rows["_end"]]  # the segment's last row: the max ordering key
@@ -288,60 +284,6 @@ def rollup(
                                                       batch_size=65536)
     return by_partition(partials, "salted_key", merge, num_parts=num_parts,
                         batch_format="pyarrow")
-
-
-def turn_rollup_fn(
-    tiers: list[str] | None = None,
-    gapfill: bool = False,
-    pack_metrics: str | list[str] | None = None,
-):
-    """Partition function of the flagship's single exchange. Over one
-    co-located partition of raw turns (conv_id, turn_idx, ts, token_len;
-    an Arrow table) it computes the EXACT rollup -- the partition holds
-    complete conversations, so no partial/merge split is needed -- and,
-    with ``pack_metrics``, packs the series to list<double> rows instead
-    of emitting rollup rows. Arrow in, Arrow out.
-
-    The pass: ``derive._latency_order``'s one stable lexsort by
-    (conv_id, ts, turn_idx) and latency diff, then the exact core
-    (``_tier_segments``) over those sorted rows; gap-fill and pack by
-    offset arithmetic over the segments (``segments.series_layout``).
-
-    Rows and schema equal derive -> ``rollup()`` over the same turns, in
-    the same order: real rows by (conv_id, tier name, bucket_us), then
-    each tier's gap rows by (conv_id, bucket_us), tiers in ``tiers``
-    order.
-
-    ``rollup_pipeline`` and ``feature_pipeline`` hand it to
-    ``by_partition``; the resumable run applies it to each sunk
-    ``derived/part=<p>``. Partitioning assumption (SURVEY.md §2
-    custom-operator rule): every row of a conversation is in the
-    partition."""
-    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
-    widths = {t.name: t.bucket_us for t in tier_objs}
-    metrics = [pack_metrics] if isinstance(pack_metrics, str) else pack_metrics
-    spec = DEFAULT_SPEC
-
-    def fn(t: pa.Table) -> pa.Table:
-        order, code, lat = _latency_order(t)
-        ts = sg.ts_us(t[spec.ts])[order]
-        vals = {"token_len": sg.floats(t["token_len"])[order], "latency": lat}
-        segs = _tier_segments(code, ts, vals, tier_objs)
-        key_col = t[spec.key]
-        if metrics is not None:
-            return _pack_tiers(
-                [(name, code[segs[name]["_row"]], sg.take(key_col, order[segs[name]["_row"]]),
-                  segs[name]["bucket_us"], segs[name])
-                 for name in TIERS if name in segs],
-                metrics,
-            )
-        rows, names = _real_rows(segs, code)
-        rows["_row"] = order[rows["_row"]]
-        key_code = np.empty_like(code)
-        key_code[order] = code  # the codes in input row order, as _row indexes
-        return _rollup_table(key_col, key_code, rows, names, spec, gapfill, widths)
-
-    return fn
 
 
 def merge_rollups(

@@ -3,9 +3,9 @@ tables in, Arrow tables out, and no pandas frame built, grouped or
 sorted in between.
 
 derive's latency, ``rollup()``, ``merge_rollups()``,
-``gapfill_rollup()``, ``compact_tier()``, ``pack_series()``,
-``compress_rollup()`` and the flagship's ``turn_rollup_fn`` are the same
-few steps over the columns of one Arrow table:
+``gapfill_rollup()``, ``compact_tier()``, ``pack_series()`` and
+``compress_rollup()`` are the same few steps over the columns of one
+Arrow table:
 
 - a stable sort: ``np.lexsort`` over ``codes`` of the sort columns;
 - segment starts where the sorted (key, [tier,] bucket) changes;

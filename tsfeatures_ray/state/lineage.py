@@ -9,13 +9,13 @@ A run is split into:
   conversation. Recorded in the manifest as one record with the input
   fragment list and ``num_parts``.
 - stage B (per-partition): one Ray task per hash partition reads
-  ``derived/part=<p>`` with pyarrow and runs the flagship's partition
-  function over it (``turn_rollup_fn``: latency + exact rollup, Arrow in
-  and out) -- the same code the benchmarked ``rollup_pipeline`` runs
-  inside its exchange -- (+ optionally pack + features), written with
-  pyarrow to a temp dir and atomically
-  renamed to ``rollup/part=<p>/``, then a manifest record {partition,
-  rows, checksum, inputs} is appended (write+flush+fsync).
+  ``derived/part=<p>`` with pyarrow and runs derive's latency then
+  ``rollup()``'s exact core over it (Arrow in and out) -- the partition
+  functions the benchmarked ``rollup_pipeline`` runs inside its one
+  exchange -- (+ optionally pack + features), written with pyarrow to a
+  temp dir and atomically renamed to ``rollup/part=<p>/``, then a
+  manifest record {partition, rows, checksum, inputs} is appended
+  (write+flush+fsync).
 
 Resume = rerun the same command with the same ``num_parts``: completed
 partitions are found in the manifest (and their output dirs exist) and
@@ -90,8 +90,8 @@ def _stage_b_task(
     with_features: bool,
     sleep_s: float = 0.0,
 ) -> dict:
-    """Stage-B body for ONE hash partition: the flagship's partition
-    function over the sunk partition, written to ``tmp_dir``; the caller
+    """Stage-B body for ONE hash partition: derive's latency and the
+    exact rollup over the sunk partition, written to ``tmp_dir``; the caller
     owns the atomic rename and the manifest append. Runs as a Ray task so
     K missing partitions recover in ~max(partition) wall, not ~sum.
     ``sleep_s`` is a test hook that makes the parallel-recovery timing
@@ -101,14 +101,18 @@ def _stage_b_task(
 
     import pyarrow.parquet as pq
 
+    from ..schema import TIERS
+    from ..stages.derive import _latency_per_partition
     from ..stages.features import FeatureKernels
     from ..stages.pack import _pack_partition
-    from ..stages.rollup import turn_rollup_fn
+    from ..stages.rollup import DEFAULT_SPEC, _exact_rollup
     from ..stages.segments import float_array
 
     if sleep_s:
         time.sleep(sleep_s)
-    table = turn_rollup_fn(tiers, gapfill)(pq.read_table(part_dir))
+    tier_objs = [TIERS[t] for t in (tiers or list(TIERS))]
+    table = _exact_rollup(_latency_per_partition(pq.read_table(part_dir)), tier_objs,
+                          DEFAULT_SPEC, gapfill)
     if os.path.exists(tmp_dir):
         shutil.rmtree(tmp_dir)  # stale temp from a killed run
     os.makedirs(tmp_dir, exist_ok=True)
