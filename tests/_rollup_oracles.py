@@ -6,11 +6,15 @@ block codec's pandas body, the packer's pandas input, derive's latency
 and ``tsfeatures()``' pandas long-panel pack (``_pack_long_partition``,
 whose frame carries the ``unique_id`` as str and a ``freq`` column, as
 its pre-map made them). The function bodies are the replaced code,
-unchanged; the module-level wrappers at the end (``rollup_partition``,
-``merge_partition``, ``gapfill_partition``, ``compact_partial``,
-``compact_merge``) are the partition functions the operators ran, with
-the Dataset plumbing taken out, and ``BlockCodec`` is the replaced
-class whole (its ``encode_block`` is the engine's)."""
+with two faults of the replaced code mended where the engine mended
+them: the rollup partial orders ns timestamps in their own unit, not by
+their microsecond floor, and the compaction fold's "no source bucket"
+is -inf, not -1 (a fine bucket may lie before 1970). The module-level
+wrappers at the end (``rollup_partition``, ``merge_partition``,
+``gapfill_partition``, ``compact_partition``) are the partition
+functions the operators ran, with the Dataset plumbing taken out, and
+``BlockCodec`` is the replaced class whole (its ``encode_block`` is the
+engine's)."""
 
 from __future__ import annotations
 
@@ -65,9 +69,10 @@ def _latency_per_partition(g: pd.DataFrame) -> pd.DataFrame:
 def _partial_one_tier(df: pd.DataFrame, tier: Tier, spec: RollupSpec) -> pd.DataFrame:
     w = tier.bucket_us
     g = df.assign(bucket_us=df["ts_us"] - df["ts_us"] % w)
-    # sort so 'last' within each (key, bucket) is the max ordering key
+    # sort so 'last' within each (key, bucket) is the max ordering key,
+    # ts in its own unit (two ns timestamps may share a microsecond)
     g = g.sort_values(
-        [spec.key, "bucket_us", "ts_us", *spec.order], kind="mergesort"
+        [spec.key, "bucket_us", spec.ts, *spec.order], kind="mergesort"
     )
     gb = g.groupby([spec.key, "bucket_us"], sort=False)
     aggs: dict[str, tuple] = {}
@@ -249,9 +254,10 @@ def _fold(df: pd.DataFrame, key: str, prefixes: list[str]) -> pd.DataFrame:
         aggs[f"{p}_min"] = (f"{p}_min", "min")
         aggs[f"{p}_max"] = (f"{p}_max", "max")
     out = gb.agg(**aggs).reset_index()
-    # per-metric last: value at max lastsrc (non-null source buckets only)
+    # per-metric last: value at max lastsrc (non-null source buckets only;
+    # a fine bucket may lie before 1970, so "none" is -inf, not -1)
     for p in prefixes:
-        src = df[f"{p}_lastsrc"].fillna(-1)
+        src = df[f"{p}_lastsrc"].fillna(-np.inf)
         tmp = df.assign(_src=src)
         idx = tmp.groupby([key, "bucket_us"], sort=False)["_src"].idxmax()
         picked = df.loc[idx.to_numpy(), [key, "bucket_us", f"{p}_last", f"{p}_lastsrc"]]
@@ -259,7 +265,7 @@ def _fold(df: pd.DataFrame, key: str, prefixes: list[str]) -> pd.DataFrame:
         out[f"{p}_last"] = picked[f"{p}_last"].to_numpy()
         out[f"{p}_lastsrc"] = picked[f"{p}_lastsrc"].to_numpy()
         out.loc[out[f"{p}_count"] == 0, f"{p}_sum"] = np.nan
-        out.loc[out[f"{p}_lastsrc"].isna() | (out[f"{p}_lastsrc"] < 0), f"{p}_last"] = np.nan
+        out.loc[out[f"{p}_lastsrc"].isna(), f"{p}_last"] = np.nan
     return out
 
 
@@ -393,9 +399,12 @@ def gapfill_partition(g: pd.DataFrame, spec: RollupSpec) -> pd.DataFrame:
     return out[cols]
 
 
-def compact_partial(df: pd.DataFrame, src_tier: str, dst_tier: str,
-                    spec: RollupSpec) -> pd.DataFrame:
-    """``compact_tier()``'s per-batch partial."""
+def compact_partition(df: pd.DataFrame, src_tier: str, dst_tier: str,
+                      spec: RollupSpec) -> pd.DataFrame:
+    """``compact_tier()``'s partition function: the real ``src_tier``
+    rows folded per (key, ``dst_tier`` bucket) in the frame's order, each
+    metric's ``last`` at its latest non-null fine bucket; rows by (key,
+    bucket_us)."""
     key = spec.key
     w_dst = TIERS[dst_tier].bucket_us
     prefixes = list(spec.values.values())
@@ -403,18 +412,9 @@ def compact_partial(df: pd.DataFrame, src_tier: str, dst_tier: str,
     if "filled" in df.columns:
         df = df[~df["filled"]]
     fine = df["bucket_us"].to_numpy()
-    g = df.assign(
-        _fine=fine, bucket_us=fine - fine % w_dst
-    )
+    g = df.assign(bucket_us=fine - fine % w_dst)
     for p in prefixes:
-        g[f"{p}_lastsrc"] = np.where(g[f"{p}_last"].notna(), g["_fine"], np.nan)
-    return _fold(g, key, prefixes)
-
-
-def compact_merge(g: pd.DataFrame, dst_tier: str, spec: RollupSpec) -> pd.DataFrame:
-    """``compact_tier()``'s partition function over the partials."""
-    key = spec.key
-    prefixes = list(spec.values.values())
+        g[f"{p}_lastsrc"] = np.where(g[f"{p}_last"].notna(), fine, np.nan)
     out = _fold(g, key, prefixes)
     out = out.drop(columns=[f"{p}_lastsrc" for p in prefixes])
     out["tier"] = dst_tier
@@ -424,7 +424,7 @@ def compact_merge(g: pd.DataFrame, dst_tier: str, spec: RollupSpec) -> pd.DataFr
         if c.endswith("_count"):
             out[c] = out[c].astype("int64")
     cols = [key, "tier", "bucket", "bucket_us"] + spec.agg_cols + ["filled"]
-    return out[cols]
+    return out[cols].sort_values([key, "bucket_us"], kind="mergesort")
 
 
 class BlockCodec:

@@ -229,9 +229,10 @@ def test_exchange_fusion_ignores_concurrency(ray_session):
 
 def test_compact_tier_over_materialized_rollup_runs_only_its_own_sort(ray_session,
                                                                       executions):
-    """Fusion never reaches across ``materialize()``: compacting a
-    materialized merge is one execution that adds its own single Sort
-    and re-runs none of the merge's partition functions."""
+    """Fusion never reaches across ``materialize()``, and a materialized
+    merge is already partitioned on the key: compacting it is one
+    execution that adds no Sort, only its own partition function, and
+    re-runs none of the merge's partition functions."""
     from tsfeatures_ray.stages.retention import compact_tier
 
     merged = _base_and_new().materialize()
@@ -242,5 +243,16 @@ def test_compact_tier_over_materialized_rollup_runs_only_its_own_sort(ray_sessio
     ops = re.findall(r"^Operator \d+ (.+?):", compacted.stats(), flags=re.M)
     before = re.findall(r"^Operator \d+ (.+?):", merged.stats(), flags=re.M)
     assert ops[:len(before)] == before  # the merge's own (finished) execution
-    assert ops[len(before):] == ["MapBatches(partial)->MapBatches(tag)", "Sort",
-                                 "MapBatches(merge)"], ops
+    assert ops[len(before):] == ["MapBatches(compact)"], ops
+
+
+def test_rollup_compact_1h_runs_one_sort(ray_session):
+    """The contract query's plan, ``compact_tier`` over the lazy
+    ``rollup_pipeline``, runs derive, the rollup and the compaction in
+    ONE Sort: compaction has no per-batch partial to exchange."""
+    from tsfeatures_ray.pipelines import rollup_pipeline
+    from tsfeatures_ray.stages.retention import compact_tier
+
+    ds = compact_tier(rollup_pipeline("sf0.001", ["1m"]), "1m", "1h").materialize()
+    assert ds.count() > 0
+    assert len(_store_sorts(ds)) == 1, ds.stats()

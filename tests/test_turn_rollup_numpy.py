@@ -25,7 +25,7 @@ from tsfeatures_ray.stages import pack
 from tsfeatures_ray.stages._util import ts_to_us
 from tsfeatures_ray.stages.compress import BlockCodec
 from tsfeatures_ray.stages.derive import _latency_per_partition
-from tsfeatures_ray.stages.retention import _compact_merge, _compact_partial
+from tsfeatures_ray.stages.retention import _compact
 from tsfeatures_ray.stages.rollup import (
     DEFAULT_SPEC, RollupSpec, _exact_rollup, _gapfill, _merge_rollup,
 )
@@ -305,21 +305,41 @@ def test_gapfill_partition_equals_pandas(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_compact_tier_equals_pandas(seed):
-    """1m -> 1h -> 1d compaction (per-batch partials, then the merge)
-    equals the pandas fold, with rows in (key, bucket) order."""
+    """1m -> 1h -> 1d compaction's partition function over whole
+    partitions in shuffled row order equals the pandas fold over the
+    partition in (key, bucket_us) order, the order the merge core sums
+    in, with rows in (key, bucket) order."""
     rng = np.random.RandomState(600 + seed)
     for spec, g in ((DEFAULT_SPEC, _derived(rng, "us")), (EVENTS_SPEC, _events(rng, "us"))):
         cols = [spec.key, spec.ts, *spec.order, *spec.values]
         fine = O.rollup_partition(g[cols], ["1m"], spec, gapfill=True)
         for src, dst in (("1m", "1h"), ("1h", "1d")):
-            batches = _batches(fine, rng)
-            want = O.compact_merge(pd.concat([O.compact_partial(b, src, dst, spec) for b in batches],
-                                             ignore_index=True), dst, spec)
-            want = want.sort_values([spec.key, "bucket_us"], kind="mergesort")
-            got = _compact_merge(pa.concat_tables(
-                [_compact_partial(_arrow(b), src, dst, spec) for b in batches]), dst, spec)
-            _check(got, want)
+            want = O.compact_partition(
+                fine.sort_values([spec.key, "bucket_us"], kind="mergesort"), src, dst, spec)
+            shuffled = fine.iloc[rng.permutation(len(fine))].reset_index(drop=True)
+            _check(_compact(_arrow(shuffled), src, dst, spec), want)
             fine = want.reset_index(drop=True)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compact_tier_before_1970_equals_direct_rollup(seed):
+    """Compacting a 1m rollup of turns before and after 1970 to 1h or 1d
+    gives the direct rollup at that tier in every count, min, max and
+    last column and in the integer sums: a ``last`` whose latest
+    non-null fine bucket lies before 1970 is kept."""
+    rng = np.random.RandomState(600 + seed)
+    for spec, g in ((DEFAULT_SPEC, _derived(rng, "us")), (EVENTS_SPEC, _events(rng, "us"))):
+        # the epoch just after the median turn: half the turns lie before it
+        g["ts"] -= pd.Timedelta(int(np.median(ts_to_us(g["ts"]))) + 1, "us")
+        cols = [spec.key, spec.ts, *spec.order, *spec.values]
+        fine = _arrow(O.rollup_partition(g[cols], ["1m"], spec, gapfill=True))
+        for dst in ("1h", "1d"):
+            got = _compact(fine, "1m", dst, spec).to_pandas()
+            want = O.rollup_partition(g[cols], [dst], spec).reset_index(drop=True)
+            exact = [c for c in want.columns if c.endswith(("_count", "_min", "_max", "_last"))]
+            if spec is DEFAULT_SPEC:  # integers held in float64: every sum is exact
+                exact += [c for c in want.columns if c.endswith("_sum")]
+            pd.testing.assert_frame_equal(got[exact], want[exact], check_exact=True)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -361,6 +381,23 @@ def test_single_turn_buckets_have_nan_latency():
     _check(got, _pandas_rollup(g, ["1h"], False))
     assert got["latency_count"].to_pylist() == [0, 1, 0]
     assert got["latency_last"].is_null().to_pylist() == [True, False, True]
+
+
+def test_exact_core_orders_ns_timestamps_in_their_own_unit():
+    """Two turns of one conversation in the same microsecond: ``last``
+    is the value at the later ns timestamp, as derive's latency orders
+    them, not the one with the greater turn_idx; buckets stay those of
+    the microsecond floor."""
+    g = pd.DataFrame({"conv_id": ["a", "a", "a"], "turn_idx": np.int32([0, 1, 2]),
+                      "ts": np.array([1_000, 5_000_900, 5_000_100], "datetime64[ns]"),
+                      "token_len": [3, 4, 5]})
+    derived = _latency_per_partition(_arrow(g))
+    assert derived["turn_idx"].to_pylist() == [0, 2, 1]
+    got = _exact_rollup(derived, [TIERS["1m"]], DEFAULT_SPEC, keep_ord=True)
+    assert got["token_len_last"].to_pylist() == [4.0]
+    assert got["latency_last"].to_pylist() == [800.0]
+    assert got["last_ord_ts"].to_pylist() == [5_000]
+    assert got["bucket_us"].to_pylist() == [0]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -5,17 +5,20 @@ segment layer (``segments.py``); no pandas frame is built, grouped or
 sorted. There are two cores:
 
 - the EXACT core, over raw rows that hold every row of their keys: one
-  stable sort by (key, ts, *order), then per tier segments where (key,
-  bucket) changes (bucket is monotone in ts within a key, so each (key,
-  bucket) is one contiguous run). ``rollup()`` runs it inside the one
-  exchange that co-locates each key, and the resumable run over each
-  partition it sank;
+  stable sort by (key, ts, *order), ts in its own unit, then per tier
+  segments where (key, bucket) changes (bucket is monotone in ts within
+  a key, so each (key, bucket) is one contiguous run). ``rollup()`` runs
+  it inside the one exchange that co-locates each key, and the resumable
+  run over each partition it sank;
 - the MERGE core, over partial rollup rows (each row carries the
   ordering key of its ``last``, ``keep_ord=True``): one stable sort by
   (key, tier, bucket_us, last_ord_ts, last_ord_tie), then segments where
   (key, tier, bucket_us) changes; counts and sums add, min/max fold and
   ``last`` is the last non-null one. ``merge_rollups()`` and the salted
-  ``rollup()`` run it; ``gapfill_rollup()`` shares its gap-fill.
+  ``rollup()`` run it; ``gapfill_rollup()`` shares its gap-fill; and
+  ``retention.compact_tier()`` runs it over a fine tier's rows
+  relabelled as coarse-tier partials (the fine bucket as
+  ``last_ord_ts``). It is the store's one fold over rollup rows.
 
 ``rollup()`` exchanges the input rows themselves, projected to the
 spec's columns, and computes no per-batch partial. Over a lazy derive
@@ -171,12 +174,15 @@ def _tier_rows(code: np.ndarray, ts_us: np.ndarray, vals: dict,
 def _exact_rollup(t: pa.Table, tier_objs: list[Tier], spec: RollupSpec,
                   gapfill: bool = False, keep_ord: bool = False) -> pa.Table:
     """The exact core over raw rows holding every row of their keys, in
-    ``rollup()``'s one stable sort by (key, ts_us, *order): its
-    partition function, and its per-batch partial when salted."""
+    ``rollup()``'s one stable sort by (key, ts, *order), ts in its own
+    unit (derive's latency order): its partition function, and its
+    per-batch partial when salted. Buckets and the ``keep_ord`` carry
+    (``last_ord_ts``) are in epoch microseconds (floor for ns)."""
     key_col = t[spec.key]
     code = sg.codes(key_col)
     ts = sg.ts_us(t[spec.ts])
-    order = np.lexsort([sg.codes(t[c]) for c in reversed(spec.order)] + [ts, code])
+    order = np.lexsort([sg.codes(t[c]) for c in reversed(spec.order)]
+                       + [sg.ticks(t[spec.ts]), code])
     vals = {pref: sg.floats(t[col])[order] for col, pref in spec.values.items()}
     rows, names = _tier_rows(code[order], ts[order], vals, tier_objs)
     ord_cols = None

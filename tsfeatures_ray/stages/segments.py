@@ -12,7 +12,10 @@ Arrow table:
 - count, min and max by ``reduceat``, ``last`` as the last non-NaN value
   of each segment, and sums by ``_steps.c``'s compensated ``seg_ksum``,
   the loop of pandas' groupby sum, so every bit equals the pandas
-  operators these replaced (``tests/_rollup_oracles.py``);
+  operators these replaced (``tests/_rollup_oracles.py``). Over raw rows
+  this is ``rollup.py``'s exact core; over rollup rows it is its merge
+  core, the one fold ``merge_rollups()``, the salted ``rollup()`` and
+  ``compact_tier()`` share;
 - gap-fill by offset arithmetic (``series_layout``);
 - one ``pa.Table.from_arrays`` for the output, with NaN written as null
   (what pandas -> Arrow conversion does).
