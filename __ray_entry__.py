@@ -3353,7 +3353,7 @@ def _q_events_burstiness(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import by_partition, pandas_blocks
+    from tsfeatures_ray.stages.derive import by_partition
 
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -3383,7 +3383,7 @@ def _q_events_burstiness(sf_dir: str):
             }
         )
 
-    out = by_partition(pandas_blocks(ds), "user_id", burst)
+    out = by_partition(ds, "user_id", burst)
     return _round_floats(out.sort("user_id"), 6)
 
 
@@ -3398,7 +3398,7 @@ def _q_events_type_entropy_rate(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import by_partition, pandas_blocks
+    from tsfeatures_ray.stages.derive import by_partition
 
     ds = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -3428,7 +3428,7 @@ def _q_events_type_entropy_rate(sf_dir: str):
         )
 
     out = (
-        by_partition(pandas_blocks(ds), "user_id", pairs)
+        by_partition(ds, "user_id", pairs)
         .groupby("__g")
         .map_groups(
             lambda d: entropy(d.drop(columns=["__g"])), batch_format="pandas"
@@ -4787,7 +4787,7 @@ def _q_events_markov_top1(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from tsfeatures_ray.stages.derive import by_partition, pandas_blocks
+    from tsfeatures_ray.stages.derive import by_partition
 
     ev = rd.read_parquet(
         os.path.join(sf_dir, "events.parquet"),
@@ -4810,7 +4810,7 @@ def _q_events_markov_top1(sf_dir: str):
         return out.astype({"n": np.int64})
 
     merged = (
-        by_partition(pandas_blocks(ev), "user_id", pairs)
+        by_partition(ev, "user_id", pairs)
         .groupby(["prev", "next"])
         .sum("n")
     )

@@ -184,3 +184,27 @@ def test_stable_part_hashes_like_every_row():
                                           _stable_part_oracle(col, num_parts))
     np.testing.assert_array_equal(stable_part(pa.array([5, 17]), 64),
                                   stable_part(pa.array(["5", "17"]), 64))
+
+
+def test_pandas_partition_function_gets_rows_in_input_order(ray_session):
+    """A pandas partition function over pandas blocks gets each key's
+    rows in input order: the exchange is the stable Arrow one whatever
+    the block format or the function's view."""
+    import ray.data as rd
+
+    from tsfeatures_ray.stages.derive import by_partition
+
+    rng = np.random.default_rng(13)
+    n = 4_000
+    df = pd.DataFrame({"k": rng.choice(["a", "b", "c", "d", "e"], n),
+                       "seq": np.arange(n, dtype=np.int64)})
+
+    def arrival(g: pd.DataFrame) -> pd.DataFrame:
+        return g.assign(arrived=np.arange(len(g), dtype=np.int64))
+
+    src = rd.from_pandas([df.iloc[: n // 2], df.iloc[n // 2:]])
+    got = by_partition(src, "k", arrival, num_parts=3).to_pandas()
+    assert len(got) == n
+    for k, g in got.groupby("k"):
+        seq = g.sort_values("arrived")["seq"].to_numpy()
+        assert np.all(np.diff(seq) > 0), k

@@ -256,3 +256,47 @@ def test_rollup_compact_1h_runs_one_sort(ray_session):
     ds = compact_tier(rollup_pipeline("sf0.001", ["1m"]), "1m", "1h").materialize()
     assert ds.count() > 0
     assert len(_store_sorts(ds)) == 1, ds.stats()
+
+
+def _keyed_frames():
+    import ray.data as rd
+
+    rng = np.random.default_rng(14)
+    df = pd.DataFrame({"k": rng.integers(0, 50, 2_000), "v": rng.normal(size=2_000)})
+    return rd.from_pandas([df.iloc[:1_000], df.iloc[1_000:]])
+
+
+def _halver():
+    """A pandas partition function (nested, so Ray workers unpickle it
+    by value)."""
+    def halve(g: pd.DataFrame) -> pd.DataFrame:
+        return g.assign(v=g["v"] / 2)
+
+    return halve
+
+
+def test_pandas_format_chain_runs_one_sort(ray_session):
+    """Two lazy pandas-format ``by_partition`` calls on one key fuse
+    into one exchange: one Sort."""
+    from tsfeatures_ray.stages.derive import by_partition
+
+    halve = _halver()
+    ds = by_partition(by_partition(_keyed_frames(), "k", halve), "k", halve).materialize()
+    assert ds.count() == 2_000
+    assert len(_store_sorts(ds)) == 1, ds.stats()
+
+
+def test_pandas_format_over_materialized_exchange_runs_no_sort(ray_session):
+    """A pandas-format ``by_partition`` over the materialized output of
+    a pandas-format exchange on the same key adds no Sort, only its own
+    partition function."""
+    from tsfeatures_ray.stages.derive import by_partition
+
+    halve = _halver()
+    first = by_partition(_keyed_frames(), "k", halve).materialize()
+    second = by_partition(first, "k", halve).materialize()
+    assert second.count() == 2_000
+    ops = re.findall(r"^Operator \d+ (.+?):", second.stats(), flags=re.M)
+    before = re.findall(r"^Operator \d+ (.+?):", first.stats(), flags=re.M)
+    assert ops[:len(before)] == before
+    assert ops[len(before):] == ["MapBatches(halve)"], ops

@@ -471,6 +471,26 @@ def test_pack_bins_ffd(ray_session):
     assert (got.drop(columns=["part"]).to_numpy() == got2.to_numpy()).all()
 
 
+def test_pack_bins_does_not_follow_the_cpu_count(ray_session, monkeypatch):
+    """``bin_id`` embeds the partition, so the default partition count is
+    pinned: the engine's CPU-derived ``default_num_parts`` leaves the
+    assignment unchanged."""
+    import ray.data as rd
+
+    from tsfeatures_ray.functions.pack import pack_bins
+    from tsfeatures_ray.stages import derive
+
+    rng = np.random.RandomState(4)
+    df = pd.DataFrame({"doc_id": np.arange(300, dtype=np.int64),
+                       "n_chars": rng.randint(20, 700, size=300).astype(np.int64)})
+    got = []
+    for parts in (8, 64):
+        monkeypatch.setattr(derive, "default_num_parts", lambda parts=parts: parts)
+        got.append(pack_bins(rd.from_pandas(df), capacity=1024, size_col="n_chars")
+                   .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got[0], got[1])
+
+
 def test_cross_source_ppl_brute(ray_session):
     """Laplace-smoothed cross-scoring vs a brute per-source trigram
     model, including an unseen-trigram path (source b contains bytes

@@ -1,7 +1,9 @@
 """Driver-simulation harness: runs every queries() entry at a given sf
 and compares row-count / schema / order-insensitive values against the
 matching oracle_sql() via DuckDB -- the same gate the round driver
-applies. Usage: python tools/check_contract.py [sf_dir] [query ...]"""
+applies. Prints one line per query, then a summary line such as
+``178/179 OK; failed: docs_packed_bins``; exits non-zero on any failure.
+Usage: python tools/check_contract.py [sf_dir] [query ...]"""
 
 from __future__ import annotations
 
@@ -139,16 +141,17 @@ def main():
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
-    failures = 0
+    failed, ran = [], 0
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        ran += 1
         t0 = time.time()
         try:
             got = to_df(fn(sf_dir))
         except Exception as e:
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
-            failures += 1
+            failed.append(name)
             continue
         dt = time.time() - t0
         if name not in oracles:
@@ -158,18 +161,19 @@ def main():
             want = con.sql(oracles[name]).df()
         except Exception as e:
             print(f"FAIL {name}: oracle raised {type(e).__name__}: {e}")
-            failures += 1
+            failed.append(name)
             continue
         errs = compare(name, got, want)
         if errs:
-            failures += 1
+            failed.append(name)
             print(f"FAIL {name} ({dt:.1f}s):")
             for e in errs:
                 print(f"      {e}")
         else:
             print(f"OK   {name}: {len(got)} rows match oracle  ({dt:.1f}s)")
     ray.shutdown()
-    sys.exit(1 if failures else 0)
+    print(f"{ran - len(failed)}/{ran} OK" + (f"; failed: {', '.join(failed)}" if failed else ""))
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":

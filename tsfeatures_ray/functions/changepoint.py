@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import by_partition, pandas_blocks
+from ..stages.derive import by_partition
 
 
 def cusum_changepoint(
@@ -110,6 +110,4 @@ def cusum_changepoint(
         })
         return out
 
-    return by_partition(
-        pandas_blocks(ds), key, per_part, num_parts=num_parts
-    )
+    return by_partition(ds, key, per_part, num_parts=num_parts)

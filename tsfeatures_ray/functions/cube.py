@@ -118,6 +118,9 @@ def grouping_sets_agg(
                 vmax=("vmax", "max"),
             )
             .reset_index()
+            # an all-null key comes back float64: keep each key's dtype,
+            # so every partition's output has one Arrow type per key
+            .astype(g[keys].dtypes.to_dict())
         )
         m["grouping_id"] = np.array(gids, dtype=np.int64)[m[_SET].to_numpy()]
         m["n"] = m["n"].astype(np.int64)

@@ -973,7 +973,7 @@ def conversation_fingerprints(
     """
     import hashlib
 
-    from ..stages.derive import by_partition, pandas_blocks
+    from ..stages.derive import by_partition
 
     sep = chr(31)
 
@@ -995,7 +995,7 @@ def conversation_fingerprints(
         return g
 
     fps = by_partition(
-        pandas_blocks(ds.select_columns([key_col, order_col, text_col])),
+        ds.select_columns([key_col, order_col, text_col]),
         key_col, fingerprint, num_parts=num_parts,
     )
     return by_partition(fps, "conv_hash", canonical, num_parts=num_parts)

@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 
 from ..stages._util import ts_to_us
-from ..stages.derive import by_partition, pandas_blocks
+from ..stages.derive import by_partition
 
 _DAY_US = 86_400_000_000
 _NAT_I64 = np.iinfo(np.int64).min  # int64 min IS datetime64 NaT
@@ -78,7 +78,7 @@ def funnel_conversion(
         out["steps_completed"] = completed
         return out
 
-    return by_partition(pandas_blocks(ds), key, funnel, num_parts=num_parts)
+    return by_partition(ds, key, funnel, num_parts=num_parts)
 
 
 def cohort_retention(
@@ -120,7 +120,7 @@ def cohort_retention(
         )
 
     return by_partition(
-        pandas_blocks(ds), key, partial, num_parts=num_parts
+        ds, key, partial, num_parts=num_parts
     ).groupby(["cohort_day", "day_offset"]).map_groups(
         merge, batch_format="pandas"
     )
@@ -181,7 +181,7 @@ def top_event_paths(
     cols = [key, type_col, ts_col, order_col]
     return (
         by_partition(
-            pandas_blocks(ds.select_columns(cols)), key, count_paths,
+            ds.select_columns(cols), key, count_paths,
             num_parts=num_parts,
         )
         .groupby("__g")
@@ -270,7 +270,7 @@ def session_cooccurrence(
     cols = [key, type_col, ts_col, order_col]
     return (
         by_partition(
-            pandas_blocks(ds.select_columns(cols)), key, pairs,
+            ds.select_columns(cols), key, pairs,
             num_parts=num_parts,
         )
         .groupby("__g")
@@ -341,9 +341,7 @@ def session_attribution(
             out[c] = out[c].astype(np.int64)
         return out
 
-    partials = by_partition(
-        pandas_blocks(ds), key, partial, num_parts=num_parts
-    )
+    partials = by_partition(ds, key, partial, num_parts=num_parts)
     merged = partials.groupby("first_touch").sum(["ns", "nc", "nconv"])
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
@@ -425,6 +423,6 @@ def scd2_build(
         )
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key, ts, order, attr])), key,
+        ds.select_columns([key, ts, order, attr]), key,
         versions, num_parts=num_parts,
     )

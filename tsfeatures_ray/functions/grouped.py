@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import by_partition, pandas_blocks
+from ..stages.derive import by_partition
 
 
 def grouped_top_k(
@@ -476,7 +476,7 @@ def grouped_quantiles(
         return out
 
     return by_partition(
-        pandas_blocks(ds.select_columns(kcols + [col])), kcols, per_part,
+        ds.select_columns(kcols + [col]), kcols, per_part,
         num_parts=num_parts,
     )
 
@@ -523,9 +523,7 @@ def winsorize(
         )
         return out
 
-    return by_partition(
-        pandas_blocks(ds), kcols, per_part, num_parts=num_parts
-    )
+    return by_partition(ds, kcols, per_part, num_parts=num_parts)
 
 
 def grouped_mode(
@@ -603,7 +601,7 @@ def grouped_pct_rank(
         return g.assign(pct_rank=pct)
 
     return by_partition(
-        pandas_blocks(ds.select_columns(cols)), group, rank,
+        ds.select_columns(cols), group, rank,
         num_parts=num_parts,
     )
 
@@ -641,7 +639,7 @@ def grouped_mad(
         return out
 
     return by_partition(
-        pandas_blocks(ds.select_columns([group, value_col])), group, mad,
+        ds.select_columns([group, value_col]), group, mad,
         num_parts=num_parts,
     )
 
@@ -697,6 +695,6 @@ def grouped_trimmed_mean(
         ).astype({"n": np.int64, "n_trimmed": np.int64})
 
     return by_partition(
-        pandas_blocks(ds.select_columns(kcols + [col])), kcols, per_part,
+        ds.select_columns(kcols + [col]), kcols, per_part,
         num_parts=num_parts,
     )

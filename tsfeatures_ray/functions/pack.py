@@ -208,6 +208,10 @@ def _key_range(ds: "rd.Dataset", id_col: str) -> tuple[int, int] | None:
     return int(agg[f"min({id_col})"]), int(agg[f"max({id_col})"])
 
 
+# bin ids embed the partition: a fixed default count, not the CPU-derived one
+_BIN_PARTS = 16
+
+
 def pack_bins(
     ds: "ray.data.Dataset",
     capacity: int,
@@ -226,8 +230,9 @@ def pack_bins(
     id), each doc takes the first open bin it fits (the classic 11/9
     OPT + 6/9 guarantee holds per partition). Bins are partition-local
     -- ``bin_id = part * 2^32 + local`` -- so no cross-partition state
-    exists and the assignment is reshard-stable (partition membership
-    is the content hash, the in-partition order is total). Docs LARGER
+    exists. The assignment depends neither on the block layout (partition
+    membership is the content hash, the in-partition order is total)
+    nor, with ``num_parts`` None (``_BIN_PARTS``), on the CPU count. Docs LARGER
     than the capacity each get a dedicated bin and ``oversize = 1``
     (the caller's policy decision; nothing is silently truncated).
 
@@ -283,5 +288,5 @@ def pack_bins(
 
     return by_partition(
         ds.map_batches(slim, batch_format="pandas"), id_col, ffd,
-        num_parts=num_parts,
+        num_parts=_BIN_PARTS if num_parts is None else num_parts,
     )

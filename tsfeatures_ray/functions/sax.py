@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import by_partition, pandas_blocks
+from ..stages.derive import by_partition
 
 # equiprobable N(0,1) breakpoints for alphabet sizes 2..8 (public SAX
 # lookup table; values are scipy.stats.norm.ppf(k/a) to 10dp)
@@ -172,7 +172,7 @@ def sax_symbolize(
         return res
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key_col, order_col, value_col])),
+        ds.select_columns([key_col, order_col, value_col]),
         key_col, symbolize, num_parts=num_parts,
     )
 
@@ -198,7 +198,7 @@ def sax_motif_buckets(
         return out
 
     return by_partition(
-        pandas_blocks(sax_ds.select_columns([key_col, "sax"])), "sax",
+        sax_ds.select_columns([key_col, "sax"]), "sax",
         annotate, num_parts=num_parts,
     )
 
@@ -261,7 +261,7 @@ def sax_bucket_pairs(
         )
 
     return by_partition(
-        pandas_blocks(sax_ds.select_columns([key_col, "sax", "paa"])), "sax",
+        sax_ds.select_columns([key_col, "sax", "paa"]), "sax",
         pairs, num_parts=num_parts,
     )
 
@@ -364,6 +364,6 @@ def sax_dtw_pairs(
         )
 
     return by_partition(
-        pandas_blocks(sax.select_columns([key_col, "sax", "z"])), "sax", pairs,
+        sax.select_columns([key_col, "sax", "z"]), "sax", pairs,
         num_parts=num_parts,
     )

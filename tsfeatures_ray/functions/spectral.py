@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..stages.derive import by_partition, pandas_blocks
+from ..stages.derive import by_partition
 
 
 def periodogram_probe(
@@ -91,6 +91,6 @@ def periodogram_probe(
         return out.astype({"k": np.int64})
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key, order, value])), key, probe,
+        ds.select_columns([key, order, value]), key, probe,
         num_parts=num_parts,
     )

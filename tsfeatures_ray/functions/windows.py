@@ -13,7 +13,7 @@ import numpy as np
 import pandas as pd
 
 from ..stages._util import ts_to_us
-from ..stages.derive import by_partition, pandas_blocks
+from ..stages.derive import by_partition
 
 
 def sessionize(
@@ -56,7 +56,7 @@ def sessionize(
         return out[[key, "session_idx", "session_start", "session_end",
                     "n_events", "value_sum"]]
 
-    return by_partition(pandas_blocks(ds), key, windows, num_parts=num_parts)
+    return by_partition(ds, key, windows, num_parts=num_parts)
 
 
 def hopping_window(
@@ -166,7 +166,7 @@ def rolling_agg(
             out[f"{c}_roll_max"] = rmax
         return out
 
-    return by_partition(pandas_blocks(ds), key, roll, num_parts=num_parts)
+    return by_partition(ds, key, roll, num_parts=num_parts)
 
 
 def rolling_corr(
@@ -223,7 +223,7 @@ def rolling_corr(
         out["corr"] = np.where(ok, cxy / np.where(den > 0.0, den, 1.0), np.nan)
         return out
 
-    return by_partition(pandas_blocks(ds), key, roll, num_parts=num_parts)
+    return by_partition(ds, key, roll, num_parts=num_parts)
 
 
 def lagged_corr(
@@ -313,7 +313,7 @@ def lagged_corr(
             }))
         return pd.concat(outs, ignore_index=True)
 
-    return by_partition(pandas_blocks(ds), key, per_part, num_parts=num_parts)
+    return by_partition(ds, key, per_part, num_parts=num_parts)
 
 
 def rolling_zscore(
@@ -377,7 +377,7 @@ def rolling_zscore(
             )
         return out
 
-    return by_partition(pandas_blocks(ds), key, roll, num_parts=num_parts)
+    return by_partition(ds, key, roll, num_parts=num_parts)
 
 
 def seasonal_naive_error(
@@ -464,7 +464,7 @@ def seasonal_naive_error(
             "mase": mase,
         })
 
-    return by_partition(pandas_blocks(ds), key, per_part, num_parts=num_parts)
+    return by_partition(ds, key, per_part, num_parts=num_parts)
 
 
 def interpolate_gaps(
@@ -526,7 +526,7 @@ def interpolate_gaps(
         out[f"{col}_interp"] = interp
         return out
 
-    return by_partition(pandas_blocks(ds), key, per_part, num_parts=num_parts)
+    return by_partition(ds, key, per_part, num_parts=num_parts)
 
 
 def theil_sen(
@@ -626,7 +626,7 @@ def theil_sen(
         )
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key_col, order_col, value_col])),
+        ds.select_columns([key_col, order_col, value_col]),
         key_col, slopes, num_parts=num_parts,
     )
 
@@ -671,7 +671,7 @@ def ewma(
         return g
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key, order, col])), key, smooth,
+        ds.select_columns([key, order, col]), key, smooth,
         num_parts=num_parts,
     )
 
@@ -725,7 +725,7 @@ def run_length_stats(
             out[c] = out[c].astype(np.int64)
         return out
 
-    return by_partition(pandas_blocks(ds), key, streaks, num_parts=num_parts)
+    return by_partition(ds, key, streaks, num_parts=num_parts)
 
 
 def time_weighted_avg(
@@ -821,7 +821,7 @@ def time_weighted_avg(
         )
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key, ts, order, value])), key, twap,
+        ds.select_columns([key, ts, order, value]), key, twap,
         num_parts=num_parts,
     )
 
@@ -888,7 +888,7 @@ def hampel_outliers(
         )
 
     return by_partition(
-        pandas_blocks(ds.select_columns([key, order, col])), key, flag,
+        ds.select_columns([key, order, col]), key, flag,
         num_parts=num_parts,
     )
 

@@ -14,18 +14,25 @@ Ray-Data-first layout:
    lexsort and diff (no per-conversation Python calls -- one vectorized
    pass per partition, so tiny conversations cost nothing extra).
 
+One exchange format: every ``by_partition`` tags in pyarrow, sorts
+with the stable Arrow sort and hands its partition function Arrow
+tables. A pandas partition function (``batch_format="pandas"``, the
+operator library) is wrapped once: it gets each partition converted to
+a frame and its frame is converted back, so its exchange is the same
+as any other.
+
 One exchange per key: ``by_partition`` records the exchange behind
-each Dataset it returns. A lazy chain of Arrow exchanges on the same key
+each Dataset it returns. A lazy chain of exchanges on the same key
 and partition count (derive -> ``rollup()`` -> ``merge_rollups()``)
 runs as ONE exchange whose partition function applies the chain's
 functions in turn, re-tagging ``part`` in between. This holds because
 every partition function keeps each output row's key (the contract of
 ``by_partition``), so the rows a later function sees are exactly the
 rows its own exchange would hand it, in the same order. A materialized
-Arrow input whose blocks are already partitioned on the key (an
-exchange's own output, for one) is not sorted again: ``by_partition``
-looks at its blocks' partition ids and runs the partition function
-over them as they lie.
+input whose blocks are already partitioned on the key (an exchange's
+own output, for one) is not sorted again: ``by_partition`` looks at
+its blocks' partition ids and runs the partition function over them as
+they lie.
 
 Partitioning assumption (documented per SURVEY.md §2 custom-operator
 rule): all rows of one conv_id land in one partition; within a
@@ -51,6 +58,7 @@ import pyarrow.compute as pc
 
 import ray
 from ray.data._internal.arrow_ops import transform_pyarrow
+from ray.data.block import BlockAccessor
 from ray.data.dataset import Dataset, MaterializedDataset
 from ray.data.grouped_data import _apply_udf_to_groups
 
@@ -97,53 +105,34 @@ def actor_pool_size(concurrency: int) -> int:
     return min(concurrency, max(1, _cluster_cpus() - 1))
 
 
-def _part_ids(batch, key: str | list[str], num_parts: int) -> np.ndarray:
-    """Partition id per row of a pandas or pyarrow batch. One column:
+def _part_ids(batch: pa.Table, key: str | list[str], num_parts: int) -> np.ndarray:
+    """Partition id per row of an Arrow table. One column:
     ``stable_part``; several: ``hash_pandas_object`` of the key columns
     (row-wise, index excluded) mod ``num_parts``."""
     keys = [key] if isinstance(key, str) else list(key)
-    pandas = isinstance(batch, pd.DataFrame)
     if len(keys) == 1:
-        col = batch[keys[0]]
-        return stable_part(col.to_numpy() if pandas else col, num_parts)
-    frame = batch[keys] if pandas else batch.select(keys).to_pandas()
-    h = pd.util.hash_pandas_object(frame, index=False).to_numpy()
+        return stable_part(batch[keys[0]], num_parts)
+    h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(), index=False).to_numpy()
     return (h % np.uint64(num_parts)).astype(np.int64)
 
 
 def with_part(
     ds: "ray.data.Dataset", key: str | list[str], num_parts: int | None = None
 ) -> "ray.data.Dataset":
-    """Tag every row with ``part = _part_ids(key)`` (a per-batch map,
-    no exchange). The one place the engine computes the partition key;
-    ``by_partition`` exchanges on it, and the resumable run sinks it as
-    ``partition_cols`` to co-locate without an exchange. A ``part``
-    column already on the input is replaced.
-
-    The tag runs in each block's native format (pyarrow for Arrow
-    blocks, pandas for pandas blocks): the exchange's sort is stable on
-    Arrow blocks but not on pandas ones, so converting would reorder the
-    rows a partition function sees within its partition. The store
-    operators' partition functions return Arrow tables, so their outputs
-    stay Arrow blocks and the next exchange over them is stable too."""
+    """Tag every row with ``part = _part_ids(key)`` (a per-batch pyarrow
+    map, no exchange; a pandas block is converted to Arrow, an Arrow
+    block is passed as it is). The one place the engine computes the
+    partition key; ``by_partition`` exchanges on it, and the resumable
+    run sinks it as ``partition_cols`` to co-locate without an exchange.
+    A ``part`` column already on the input is replaced."""
     if num_parts is None:
         num_parts = default_num_parts()
-
-    def tag(batch):
-        return _tag(batch, key, num_parts)
-
-    return ds.map_batches(tag, batch_format=None)
+    return ds.map_batches(_tag, batch_format="pyarrow", fn_args=(key, num_parts))
 
 
-def _tag(batch, key: str | list[str], num_parts: int):
+def _tag(batch: pa.Table, key: str | list[str], num_parts: int) -> pa.Table:
     """``batch`` with ``part`` (re)computed from ``key``, last."""
     part = _part_ids(batch, key, num_parts)
-    if isinstance(batch, pd.DataFrame):
-        if "part" in batch.columns:
-            batch["part"] = part
-        else:  # insert: no copy-of-a-slice warning on UDF outputs
-            batch.insert(batch.shape[1], "part", part)
-        return batch
     if "part" in batch.column_names:
         batch = batch.drop_columns(["part"])
     return batch.append_column("part", pa.array(part, type=pa.int64()))
@@ -151,9 +140,9 @@ def _tag(batch, key: str | list[str], num_parts: int):
 
 @dataclass(frozen=True)
 class _Exchange:
-    """What an Arrow ``by_partition`` ran to produce a Dataset: the
-    tagged input its exchange sorts on ``part``, and the function over
-    each partition."""
+    """What a ``by_partition`` ran to produce a Dataset: the tagged
+    input its exchange sorts on ``part``, and the function over each
+    partition (Arrow in, Arrow out)."""
 
     tagged: "ray.data.Dataset"
     key: tuple[str, ...]
@@ -161,7 +150,7 @@ class _Exchange:
     fn: object
 
 
-# output Dataset -> its Arrow exchange; recording executes nothing, and
+# output Dataset -> its exchange; recording executes nothing, and
 # a materialized Dataset is a new, unrecorded object
 _EXCHANGES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -236,27 +225,23 @@ def _group_fn(fns: list, fn, key: tuple[str, ...], num_parts: int,
 
 
 @ray.remote
-def _block_parts(block, key: str | list[str], num_parts: int):
-    """The sorted distinct partition ids of one Arrow block (None for a
-    block of any other format)."""
-    if not isinstance(block, pa.Table):
-        return None
-    return np.unique(_part_ids(block, key, num_parts))
+def _block_parts(block, key: str | list[str], num_parts: int) -> np.ndarray:
+    """The sorted distinct partition ids of one block (a pandas block is
+    read as Arrow, as the exchange reads it)."""
+    return np.unique(_part_ids(BlockAccessor.for_block(block).to_arrow(), key, num_parts))
 
 
 def _co_located(ds, key: str | list[str], num_parts: int) -> bool:
     """Whether the materialized ``ds`` is already partitioned on ``key``:
-    its blocks are Arrow, and their partition ids, in block order, are
-    strictly increasing. Each partition then lies in one block, and the
+    the partition ids of its blocks, in block order, are strictly
+    increasing. Each partition then lies in one block, and the
     partitions come in the order the exchange's sort would emit them.
     One small task per block that holds rows; no row reaches the caller
     and no Dataset plan executes."""
     bundles = ds._logical_plan.dag.output_data() or []
     refs = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0]
     ids = ray.get([_block_parts.remote(ref, key, num_parts) for ref in refs])
-    if not ids or any(i is None for i in ids):
-        return False
-    return bool(np.all(np.diff(np.concatenate(ids)) > 0))
+    return bool(ids) and bool(np.all(np.diff(np.concatenate(ids)) > 0))
 
 
 def _in_part_order(t: pa.Table) -> pa.Table:
@@ -268,14 +253,29 @@ def _in_part_order(t: pa.Table) -> pa.Table:
     return t
 
 
-def _each_partition(fn, batch_format: str, prep=None):
-    """The exchange's block function: ``prep`` the block (None: it is
-    already tagged and sorted on ``part``), then call ``fn`` once per
+def _each_partition(fn, prep=None):
+    """The exchange's block function: ``prep`` the Arrow block (None: it
+    is already tagged and sorted on ``part``), then call ``fn`` once per
     partition in it, in ``part`` order (Ray's own per-group loop)."""
-    def run(block):
+    def run(block: pa.Table):
         if prep is not None:
             block = prep(block)
-        yield from _apply_udf_to_groups(fn, block, ["part"], batch_format)
+        yield from _apply_udf_to_groups(fn, block, ["part"], "pyarrow")
+
+    run.__name__ = _name(fn)
+    return run
+
+
+def _on_pandas(fn):
+    """``fn`` over pandas frames as a function over Arrow tables: it
+    gets its partition as Ray gives any pandas UDF an Arrow block, and
+    a frame it returns goes back to Arrow without the index or pandas'
+    schema metadata (an Arrow table it returns is kept as it is)."""
+    def run(t: pa.Table) -> pa.Table:
+        out = fn(BlockAccessor.for_block(t).to_pandas())
+        if isinstance(out, pd.DataFrame):
+            out = pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata()
+        return out
 
     run.__name__ = _name(fn)
     return run
@@ -292,13 +292,15 @@ def by_partition(
     columns: list[str] | None = None,
 ) -> "ray.data.Dataset":
     """The engine's co-partition exchange: tag ``part`` from ``key``
-    (one column or a list of columns), sort on it, then ONE
-    ``map_batches`` over whole blocks that calls ``fn`` once per
-    partition. ``fn`` gets every row of each key that hashes to its
-    partition (plus the ``part`` column), whatever the input block
-    layout, as a pandas frame or, with ``batch_format="pyarrow"``, as an
-    Arrow table (the store operators: no pandas conversion either way
-    across the exchange). ``part`` is the exchange's own column: an
+    (one column or a list of columns) in pyarrow, stably sort on it,
+    then ONE ``map_batches`` over whole blocks that calls ``fn`` once
+    per partition. ``fn`` gets every row of each key that hashes to its
+    partition (plus the ``part`` column), in input order, whatever the
+    input block layout. There is one exchange format, Arrow:
+    ``batch_format`` picks only ``fn``'s view of its partition, an Arrow
+    table with ``"pyarrow"`` (the store operators), a pandas frame with
+    ``"pandas"`` (converted once per partition, and its output frame
+    converted back to Arrow). ``part`` is the exchange's own column: an
     input column of that name is overwritten. ``concurrency`` caps the
     partition tasks that run at once (None: Ray Data's default).
     ``columns`` projects the input before ``fn`` sees it.
@@ -307,16 +309,15 @@ def by_partition(
     the partition it was computed in.
 
     Already partitioned (checked, never declared): a single materialized
-    Arrow-format input whose blocks are co-located on the key
-    (``_co_located``; an exchange's materialized output is) runs no
-    sort. Each block is tagged and stably ordered by ``part`` in place,
-    so ``fn`` gets the rows, in their order, that the sort would hand
-    it. Any other input is sorted; pandas-format exchanges always are,
-    since their sort is pandas' unstable one.
+    input whose blocks are co-located on the key (``_co_located``; an
+    exchange's materialized output is) runs no sort. Each block is
+    tagged and stably ordered by ``part`` in place, so ``fn`` gets the
+    rows, in their order, that the sort would hand it. Any other input
+    is sorted.
 
     Fusion (automatic): when ``ds`` is the unmaterialized output of
-    another Arrow ``by_partition`` on the same key and partition count,
-    no second exchange runs; the fused exchange runs at this call's
+    another ``by_partition`` on the same key and partition count, no
+    second exchange runs; the fused exchange runs at this call's
     ``concurrency``. The first exchange's function ``fn1`` and ``fn``
     run in the same group, as ``fn(retag(fn1(t)))``:
     ``retag`` re-tags ``part`` from the key (raising ``ValueError`` if a
@@ -324,14 +325,14 @@ def by_partition(
     their order, that its own exchange would give it (the Arrow sort is
     stable). ``ds`` may be a list of Datasets, exchanged as their union:
     each input's own exchange, when it fuses, becomes its side of this
-    one, and the sides' rows reach ``fn`` concatenated in input order.
-    Pandas-format exchanges never fuse (their sort is not stable)."""
+    one, and the sides' rows reach ``fn`` concatenated in input order."""
     keys = (key,) if isinstance(key, str) else tuple(key)
     if num_parts is None:
         num_parts = default_num_parts()
-    arrow = batch_format == "pyarrow"
+    if batch_format == "pandas":
+        fn = _on_pandas(fn)
     inputs = ds if isinstance(ds, list) else [ds]
-    recs = [_EXCHANGES.get(d) if arrow else None for d in inputs]
+    recs = [_EXCHANGES.get(d) for d in inputs]
     recs = [r if r is not None and (r.key, r.num_parts) == (keys, num_parts) else None
             for r in recs]
 
@@ -348,32 +349,21 @@ def by_partition(
             tagged = prefixed[0].union(*prefixed[1:])
         run = _group_fn([r and r.fn for r in recs], fn, keys, num_parts, columns)
     # a materialized Dataset is one input with no exchange record
-    if arrow and isinstance(ds, MaterializedDataset) and _co_located(ds, key, num_parts):
+    if isinstance(ds, MaterializedDataset) and _co_located(ds, key, num_parts):
         def in_place(t: pa.Table) -> pa.Table:
             return _in_part_order(_tag(t if columns is None else t.select(columns), key, num_parts))
 
-        source, per_block = ds, _each_partition(run, batch_format, in_place)
+        source, per_block = ds, _each_partition(run, in_place)
     else:
-        source, per_block = tagged.sort("part"), _each_partition(run, batch_format)
-    out = source.map_batches(per_block, batch_size=None, batch_format=None,
+        source, per_block = tagged.sort("part"), _each_partition(run)
+    out = source.map_batches(per_block, batch_size=None, batch_format="pyarrow",
                              concurrency=concurrency)
     if source is ds:  # keep the block order a plan with a Sort keeps
         # on a context of the output's own: the map shares ``ds``'s
         out = Dataset.copy(out, _deep_copy=True)
         out.context.execution_options.preserve_order = True
-    if arrow:
-        _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run)
+    _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run)
     return out
-
-
-def pandas_blocks(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """``ds`` re-blocked as pandas frames (rows and columns unchanged).
-    The exchange sorts pandas blocks with pandas' unstable quicksort, so
-    a partition function then sees its rows in that order rather than in
-    the stable Arrow-sort order; the operator library's partition
-    functions emit rows in the order they receive them, and their
-    outputs are pinned to the pandas order."""
-    return ds.map_batches(pd.DataFrame.copy, batch_format="pandas")
 
 
 def _add_token_len(batch: pa.Table) -> pa.Table:
