@@ -1549,9 +1549,9 @@ def _q_docs_mixture(sf_dir: str):
 
 def _q_docs_packed(sf_dir: str):
     """Concat-and-chunk sequence packing (budget=2048 tokens, char-count
-    proxy): global token offsets via the two-pass distributed prefix
-    sum (range partition -> bounded totals -> broadcast base offsets);
-    only (id, count) partials move. Oracle: window SUM ... ROWS
+    proxy): global token offsets via the ``range_scan`` ordered scan
+    (range partition -> per-partition totals -> local cumsum plus the
+    earlier partitions' tokens); only (id, count) rows move. Oracle: window SUM ... ROWS
     UNBOUNDED PRECEDING."""
     import ray.data as rd
 
@@ -2173,8 +2173,8 @@ def _q_events_type_overlap(sf_dir: str):
 def _q_events_value_ks(sf_dir: str):
     """Distributed one-sample Kolmogorov-Smirnov test (round-5
     addition): events.value against an MLE-fitted exponential. Global
-    ranks via the contiguous range-partition + broadcast-base prefix
-    sum (the third use of the pack-style pattern); only per-partition
+    ranks via the ``range_scan`` ordered scan (the exchange under
+    pack_sequences too); only per-partition
     D+ / D- maxima reach the final reduce. Oracle: window row_number
     ECDF + GREATEST of the two sups."""
     import ray.data as rd
@@ -2445,8 +2445,8 @@ def _q_docs_vocab_stats(sf_dir: str):
 def _q_events_concurrency(sf_dir: str):
     """Sweep-line interval concurrency (round-5 addition): max number of
     simultaneously-open 30-min-gap sessions per hour. The global ordered
-    prefix sum over slim (+1/-1) boundary rows runs as the pack-style
-    two-pass RANGE partition (functions/concurrency.py) -- intervals
+    prefix sum over slim (+1/-1) boundary rows runs as the
+    ``range_scan`` ordered scan (functions/concurrency.py) -- intervals
     never shuffle, ends sort before starts at ties (half-open
     intervals). Oracle: window SUM over the boundary union, MAX/hour."""
     import ray.data as rd
@@ -2464,10 +2464,10 @@ def _q_events_concurrency(sf_dir: str):
 def _q_events_coverage_1d(sf_dir: str):
     """Interval-union coverage per day (round-5 addition): microseconds
     covered by >= 1 active 30-min-gap session -- utilization over the
-    session log, overlaps counted once. Same two-pass sweep-line
-    exchange as events_concurrency plus per-partition segment emission
-    (tail segments close against the next partition's first boundary,
-    carried with the broadcast bases). Oracle: window LEAD segments +
+    session log, overlaps counted once. Same ordered scan as
+    events_concurrency plus per-partition segment emission (tail
+    segments close against the next partition's first boundary, which
+    the scan hands each partition). Oracle: window LEAD segments +
     day-splitting UNNEST(range)."""
     import ray.data as rd
 
@@ -3624,8 +3624,8 @@ def _q_docs_dup_spans(sf_dir: str):
 def _q_events_mannwhitney(sf_dir: str):
     """Distributed Mann-Whitney U rank-sum test (round-5 addition):
     purchase vs error event values, average-rank ties, tie-corrected
-    normal z. Global ranks via the value-pure range partition +
-    broadcast prefix-sum (ties never straddle partitions); only
+    normal z. Global ranks via the ``range_scan`` value-pure range
+    partition (ties never straddle partitions); only
     (rank_sum, tie-term) partials leave each partition. Oracle:
     RANK() + per-value tie window replays the same formula."""
     import ray.data as rd
@@ -3643,7 +3643,7 @@ def _q_events_ks2(sf_dir: str):
     """Distributed two-sample Kolmogorov-Smirnov test (round-5
     addition): purchase vs error value ECDFs, D = sup|F_a - F_b|
     evaluated at every data point via per-partition cumulative counts
-    + broadcast per-cohort offsets. Oracle: window cumulative counts
+    + the per-cohort counts of the earlier partitions. Oracle: window cumulative counts
     over distinct values."""
     import ray.data as rd
 
@@ -4586,8 +4586,8 @@ def _q_events_pareto_abc(sf_dir: str):
     """Pareto/ABC concentration analysis (round-5 addition): users
     ranked by exact-cents revenue DESC with global cumulative shares
     and A/B/C classes at 80/95% -- computed WITHOUT a global sort via
-    the value-pure range partition on revenue + broadcast prefix
-    offsets (ties share a partition; each partition finishes its own
+    the ``range_scan`` value-pure range partition on revenue (ties
+    share a partition; each partition finishes its own
     contiguous rank range). Oracle: window SUM OVER (ORDER BY c DESC,
     user_id)."""
     import ray.data as rd
@@ -4604,9 +4604,9 @@ def _q_events_pareto_abc(sf_dir: str):
 def _q_events_gini(sf_dir: str):
     """Gini coefficient of the event value distribution (round-5
     addition): the rank-weighted-sum identity over ascending order
-    statistics, tie-permutation-invariant, so the value-pure range
-    partition + broadcast rank offsets computes it exactly with two
-    scalars per partition. Oracle: row_number rank-weighted SUM."""
+    statistics, tie-permutation-invariant, so the ``range_scan``
+    value-pure range partition computes it exactly with one scalar
+    per partition. Oracle: row_number rank-weighted SUM."""
     import ray.data as rd
 
     from tsfeatures_ray.functions.stats import gini_coefficient

@@ -208,3 +208,50 @@ def test_pandas_partition_function_gets_rows_in_input_order(ray_session):
     for k, g in got.groupby("k"):
         seq = g.sort_values("arrived")["seq"].to_numpy()
         assert np.all(np.diff(seq) > 0), k
+
+
+# files that may still hand-write a groupby on the partition column
+# ("part" or "ppart"), all hash-bucket sites; this list may only shrink
+GROUPBY_PART_ALLOWED = [
+    "tsfeatures_ray/functions/dedup.py",
+    "tsfeatures_ray/functions/similarity.py",
+    "tsfeatures_ray/functions/spans.py",
+]
+# the modules whose ordered scans run on stages.derive.range_scan
+RANGE_SCAN_USERS = [
+    "tsfeatures_ray/functions/concurrency.py",
+    "tsfeatures_ray/functions/pack.py",
+    "tsfeatures_ray/functions/stats.py",
+]
+
+
+def _groupby_part(path: pathlib.Path) -> list[int]:
+    """Lines of ``groupby("part")``/``groupby("ppart")`` calls (a list
+    key holding either counts too)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "groupby" and node.args):
+            arg = node.args[0]
+            keys = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg]
+            if any(isinstance(k, ast.Constant) and k.value in ("part", "ppart") for k in keys):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_groupby_on_the_partition_column_only_in_pinned_files():
+    """A range-partition prefix scan goes through
+    ``stages.derive.range_scan``: no hand-written ``groupby("part")``
+    outside the pinned hash-bucket files, and no hand-made broadcast
+    (``ray.put``) in the modules that moved onto the scan. A pinned
+    file with no site left must leave the list."""
+    assert len(GROUPBY_PART_ALLOWED) <= 3
+    found = {str(f.relative_to(ROOT)): _groupby_part(f)
+             for f in sorted((ROOT / "tsfeatures_ray").rglob("*.py"))}
+    offenders = [f"{rel}:{ln}" for rel, lines in found.items()
+                 if rel not in GROUPBY_PART_ALLOWED for ln in lines]
+    assert not offenders, f"hand-written groupby on the partition column: {offenders}"
+    stale = [rel for rel in GROUPBY_PART_ALLOWED if not found.get(rel)]
+    assert not stale, f"no groupby on the partition column left; unpin {stale}"
+    puts = [f"{rel}:{ln}" for rel in RANGE_SCAN_USERS for ln in _calls(ROOT / rel, "put")]
+    assert not puts, f"hand-made broadcast at {puts}"

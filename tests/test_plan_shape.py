@@ -300,3 +300,34 @@ def test_pandas_format_over_materialized_exchange_runs_no_sort(ray_session):
     before = re.findall(r"^Operator \d+ (.+?):", first.stats(), flags=re.M)
     assert ops[:len(before)] == before
     assert ops[len(before):] == ["MapBatches(halve)"], ops
+
+
+def test_pack_sequences_runs_no_aggregate_on_part(ray_session, monkeypatch):
+    """pack_sequences' prefix sum is ``range_scan``: its per-partition
+    totals come from one task per block, so no plan it executes holds
+    an Aggregate grouped on ``part`` (only the scan's Sort)."""
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import Aggregate, Sort
+    from ray.data._internal.plan import ExecutionPlan
+
+    from tsfeatures_ray.functions import pack_sequences
+
+    ops = []
+    create = ExecutionPlan.create_executor
+
+    def recording(self):
+        stack = [self._logical_plan.dag]
+        while stack:
+            op = stack.pop()
+            ops.append(op)
+            stack.extend(op.input_dependencies)
+        return create(self)
+
+    monkeypatch.setattr(ExecutionPlan, "create_executor", recording)
+    docs = pd.DataFrame({"doc_id": np.arange(200), "text": ["x" * k for k in range(200)]})
+    out = pack_sequences(rd.from_pandas([docs.iloc[:90], docs.iloc[90:]]), budget=64,
+                         num_parts=4).to_pandas()
+    assert out["start"].tolist() == np.concatenate(([0], np.cumsum(np.arange(199)))).tolist()
+    keys = [op._key for op in ops if isinstance(op, Aggregate)]
+    assert not [k for k in keys if "part" in ([k] if isinstance(k, str) else list(k or []))], keys
+    assert any(isinstance(op, Sort) for op in ops)

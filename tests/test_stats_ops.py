@@ -3,6 +3,7 @@ independence, Zipf slope."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 
@@ -631,3 +632,60 @@ def test_kaplan_meier_terminal_zero(ray_session):
     got = kaplan_meier(_ds(df), "dur", "event").to_pandas()
     assert got["survival"].iloc[-1] == 0.0
     assert got["survival"].iloc[0] == 0.75
+
+
+def test_rank_tests_place_infinities_by_value(ray_session):
+    """+inf ranks last and -inf first (they were ranked ahead of every
+    finite value: (inf - lo) / inf is NaN)."""
+    from tsfeatures_ray.functions.stats import ks_two_sample, mann_whitney_u
+
+    df = pd.DataFrame({"g": ["a", "a", "b", "b"], "v": [1.0, np.inf, 2.0, 3.0]})
+    mw = mann_whitney_u(_ds(df), "v", "g", "a", "b").to_pandas().iloc[0]
+    assert mw["rank_sum_a"] == 5.0
+    ks = ks_two_sample(_ds(df), "v", "g", "a", "b").to_pandas().iloc[0]
+    assert ks["ks_d"] == 0.5
+    df = pd.DataFrame({"g": ["a", "b", "a", "b", "b", "a"],
+                       "v": [1.0, -np.inf, np.inf, 2.0, 3.0, -np.inf]})
+    for num_parts in (1, 3, 16):
+        mw = mann_whitney_u(_ds(df), "v", "g", "a", "b", num_parts=num_parts)
+        want = df["v"].rank(method="average")[df["g"] == "a"].sum()
+        assert mw.to_pandas().iloc[0]["rank_sum_a"] == want
+
+
+def _with_missing(missing):
+    """Values [1, 2, missing, 3, 4, 5] (the missing one a NaN or a
+    null) with keys and cohorts, as Arrow, and the same rows without the
+    missing one."""
+    import ray.data as rd
+
+    v = [1.0, 2.0, missing, 3.0, 4.0, 5.0]
+    table = pa.table({"k": [1, 1, 2, 3, 3, 4], "g": ["a", "b", "a", "b", "a", "b"],
+                      "v": pa.array(v, pa.float64())})
+    return rd.from_arrow(table), rd.from_arrow(table.take([0, 1, 3, 4, 5]))
+
+
+@pytest.mark.parametrize("missing", [float("nan"), None], ids=["nan", "null"])
+def test_missing_values_are_skipped(ray_session, missing):
+    """Each ordered-scan operator over values with a missing one equals
+    the operator over the same rows without it, as SQL aggregates skip
+    NULL."""
+    from tsfeatures_ray.functions.stats import (
+        gini_coefficient, ks_exponential, ks_two_sample, mann_whitney_u, pareto_abc,
+    )
+
+    ops = {
+        "gini": lambda ds: gini_coefficient(ds, "v"),
+        "pareto": lambda ds: pareto_abc(ds, "k", "v", num_parts=3),
+        "ks_exponential": lambda ds: ks_exponential(ds, "v", num_parts=3),
+        "mann_whitney": lambda ds: mann_whitney_u(ds, "v", "g", "a", "b", num_parts=3),
+        "ks_two_sample": lambda ds: ks_two_sample(ds, "v", "g", "a", "b", num_parts=3),
+    }
+    with_missing, without = _with_missing(missing)
+    for name, op in ops.items():
+        got, want = op(with_missing).to_pandas(), op(without).to_pandas()
+        assert len(want) > 0, name
+        pd.testing.assert_frame_equal(
+            got.sort_values(list(got.columns)).reset_index(drop=True),
+            want.sort_values(list(want.columns)).reset_index(drop=True),
+            obj=name,
+        )

@@ -4,11 +4,12 @@ of simultaneously-open intervals (sessions).
 Classic operator the reference lacks (its surface is per-series feature
 extraction, tsfeatures/tsfeatures.py); at 100 TB the interesting shape
 is the GLOBAL ordered prefix sum over boundary events, which Ray Data
-cannot express directly. The scale plan mirrors pack_sequences'
-two-pass distributed prefix sum (functions/pack.py): only slim
-(epoch_us, +/-1) boundary rows ever move, intervals themselves never
-shuffle, and the exchange is a contiguous RANGE partition on time so
-per-partition cumsum + a broadcast base offset equals the global sweep.
+cannot express directly. Both operators run it as the engine's ordered
+scan, ``stages.derive.range_scan``, the exchange under pack_sequences
+too: only slim (epoch_us, +/-1) boundary rows ever move, intervals
+themselves never shuffle, and the scan range-partitions on time so a
+partition's own cumsum plus the deltas of every earlier partition
+equals the global sweep.
 
 Tie rule (pinned, both sides): boundaries sort by (ts, delta) with the
 -1 end boundary BEFORE the +1 start at an equal timestamp -- intervals
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..stages._util import ts_to_us
-from ..stages.derive import default_num_parts
+from ..stages.derive import range_scan
 
 _EMPTY = pd.DataFrame(
     {
@@ -30,6 +32,43 @@ _EMPTY = pd.DataFrame(
         "max_concurrency": np.array([], dtype=np.int64),
     }
 )
+
+
+def _sweep(ds, start_col: str, end_col: str, fn, num_parts: int | None):
+    """``range_scan`` over the intervals' boundary rows (eus = epoch µs,
+    d = +1 at a start, -1 at an end) with the running delta sum. ``fn``
+    gets ``(eus, conc, nxt)``: its partition's boundaries in (eus, d)
+    order, the running count after each, and the next partition's first
+    boundary. Returns (scan Dataset, boundary count)."""
+    def boundaries(df: pd.DataFrame) -> pd.DataFrame:
+        s = ts_to_us(df[start_col]).to_numpy()
+        e = ts_to_us(df[end_col]).to_numpy()
+        n = len(s)
+        return pd.DataFrame(
+            {
+                "eus": np.concatenate([s, e]),
+                "d": np.concatenate(
+                    [np.ones(n, np.int64), -np.ones(n, np.int64)]
+                ),
+            }
+        )
+
+    def scan(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        eus, d = t["eus"].to_numpy(), t["d"].to_numpy()
+        order = np.lexsort((d, eus))
+        return fn(eus[order], before["d"] + np.cumsum(d[order]), nxt)
+
+    scan.__name__ = fn.__name__
+    parts, total = range_scan(ds.map_batches(boundaries, batch_format="pandas"), "eus",
+                              scan, sums=("d",), num_parts=num_parts)
+    return parts, total["count"]
+
+
+def _per_bucket(bucket: np.ndarray, v: np.ndarray, ufunc) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct buckets, ``ufunc`` over each bucket's values) of a
+    non-decreasing ``bucket`` array."""
+    uniq, start = np.unique(bucket, return_index=True)
+    return uniq, ufunc.reduceat(v, start)
 
 
 def interval_concurrency(
@@ -44,84 +83,16 @@ def interval_concurrency(
     max_concurrency is the sweep-line running count's maximum inside the
     bucket. Buckets with no boundary carry a constant count and are
     omitted (the run-length between emitted buckets is implied)."""
-    import ray
     import ray.data as rd
 
-    if num_parts is None:
-        num_parts = default_num_parts()
+    def bucket_max(eus: np.ndarray, conc: np.ndarray, nxt) -> pa.Table:
+        bucket, mx = _per_bucket((eus // unit_us) * unit_us, conc, np.maximum)
+        return pa.table({"bucket_us": bucket, "mx": mx})
 
-    def boundaries(df: pd.DataFrame) -> pd.DataFrame:
-        s = ts_to_us(df[start_col]).to_numpy()
-        e = ts_to_us(df[end_col]).to_numpy()
-        n = len(s)
-        return pd.DataFrame(
-            {
-                "eus": np.concatenate([s, e]),
-                "d": np.concatenate(
-                    [np.ones(n, np.int64), -np.ones(n, np.int64)]
-                ),
-            }
-        )
-
-    # slim 16-byte boundary rows, materialized once for the three passes
-    slim = ds.map_batches(boundaries, batch_format="pandas").materialize()
-
-    agg = slim.aggregate(rd.aggregate.Min("eus"), rd.aggregate.Max("eus"))
-    if not agg or agg.get("min(eus)") is None:
-        import pyarrow as pa
-
+    partials, n = _sweep(ds, start_col, end_col, bucket_max, num_parts)
+    if n == 0:
         # from_pandas drops the schema of a 0-row frame; go through Arrow
         return rd.from_arrow(pa.Table.from_pandas(_EMPTY))
-    lo, hi = int(agg["min(eus)"]), int(agg["max(eus)"])
-    span = max(1, (hi - lo + num_parts) // num_parts)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["eus"].to_numpy() - lo) // span
-        return df
-
-    parted = slim.map_batches(add_part, batch_format="pandas")
-
-    # pass 1: per-range-partition delta totals (num_parts rows -> driver)
-    totals = parted.groupby("part").sum("d").to_pandas().sort_values("part")
-    base = dict(
-        zip(
-            totals["part"].to_numpy(),
-            np.concatenate(
-                ([0], np.cumsum(totals["sum(d)"].to_numpy())[:-1])
-            ),
-        )
-    )
-    base_ref = ray.put(base)
-
-    # pass 2: local ordered cumsum + broadcast base == global sweep;
-    # collapse to per-bucket maxima before the final tiny exchange
-    def scan(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {
-                    "bucket_us": np.array([], dtype=np.int64),
-                    "mx": np.array([], dtype=np.int64),
-                }
-            )
-        b = ray.get(base_ref)
-        g = g.sort_values(["eus", "d"], kind="mergesort")
-        conc = int(b[int(g["part"].iloc[0])]) + np.cumsum(
-            g["d"].to_numpy()
-        )
-        bucket = (g["eus"].to_numpy() // unit_us) * unit_us
-        out = (
-            pd.DataFrame({"bucket_us": bucket, "mx": conc})
-            .groupby("bucket_us", sort=False)["mx"]
-            .max()
-            .reset_index()
-        )
-        out["mx"] = out["mx"].astype(np.int64)
-        return out
-
-    partials = parted.groupby("part").map_groups(
-        scan, batch_format="pandas"
-    )
 
     # a bucket can straddle a range-partition edge: merge partials (the
     # cumsum values are already global, so max-of-maxes is exact)
@@ -154,89 +125,25 @@ def interval_coverage(
     counted once) -- utilization / uptime over session logs. Output:
     (bucket, covered_us), buckets with zero coverage omitted.
 
-    Same two-pass sweep as interval_concurrency (slim boundary rows,
-    contiguous time-range partition, broadcast base offsets == global
-    running count), plus per-partition segment emission: between
-    consecutive DISTINCT boundary timestamps the running count is
-    constant, so the segment contributes its (clipped) length to every
-    bucket it spans iff the count is positive. The tail segment of each
-    partition closes against the next non-empty partition's first
-    boundary (carried with the broadcast bases); equal timestamps can
-    never straddle partitions (the partition key is the timestamp)."""
-    import ray
+    Same ordered scan as interval_concurrency (slim boundary rows,
+    time-range partition, running count), plus per-partition segment
+    emission: between consecutive DISTINCT boundary timestamps the
+    running count is constant, so the segment contributes its (clipped)
+    length to every bucket it spans iff the count is positive. The tail
+    segment of each partition closes against the next non-empty
+    partition's first boundary (``range_scan``'s ``nxt``); equal
+    timestamps can never straddle partitions (the partition key is the
+    timestamp)."""
     import ray.data as rd
 
-    if num_parts is None:
-        num_parts = default_num_parts()
-
-    def boundaries(df: pd.DataFrame) -> pd.DataFrame:
-        s = ts_to_us(df[start_col]).to_numpy()
-        e = ts_to_us(df[end_col]).to_numpy()
-        n = len(s)
-        return pd.DataFrame(
-            {
-                "eus": np.concatenate([s, e]),
-                "d": np.concatenate(
-                    [np.ones(n, np.int64), -np.ones(n, np.int64)]
-                ),
-            }
-        )
-
-    slim = ds.map_batches(boundaries, batch_format="pandas").materialize()
-    agg = slim.aggregate(rd.aggregate.Min("eus"), rd.aggregate.Max("eus"))
     empty = pd.DataFrame(
         {
             "bucket": np.array([], dtype="datetime64[us]"),
             "covered_us": np.array([], dtype=np.int64),
         }
     )
-    if not agg or agg.get("min(eus)") is None:
-        import pyarrow as pa
 
-        return rd.from_arrow(pa.Table.from_pandas(empty))
-    lo, hi = int(agg["min(eus)"]), int(agg["max(eus)"])
-    span = max(1, (hi - lo + num_parts) // num_parts)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df["eus"].to_numpy() - lo) // span
-        return df
-
-    parted = slim.map_batches(add_part, batch_format="pandas")
-
-    # pass 1: per-partition (delta total, first boundary) -> exclusive
-    # prefix bases + each partition's next non-empty start
-    totals = (
-        parted.groupby("part")
-        .aggregate(rd.aggregate.Sum("d"), rd.aggregate.Min("eus"))
-        .to_pandas()
-        .sort_values("part")
-    )
-    parts = totals["part"].to_numpy()
-    bases = np.concatenate(([0], np.cumsum(totals["sum(d)"].to_numpy())[:-1]))
-    starts = totals["min(eus)"].to_numpy()
-    nxt = {}
-    for idx, p in enumerate(parts):
-        nxt[int(p)] = (
-            int(starts[idx + 1]) if idx + 1 < len(parts) else None
-        )
-    meta_ref = ray.put(
-        {int(p): (int(b), nxt[int(p)]) for p, b in zip(parts, bases)}
-    )
-
-    def scan(g: pd.DataFrame) -> pd.DataFrame:
-        out_empty = pd.DataFrame(
-            {
-                "bucket_us": np.array([], dtype=np.int64),
-                "cov": np.array([], dtype=np.int64),
-            }
-        )
-        if len(g) == 0:
-            return out_empty
-        base, nxt_start = ray.get(meta_ref)[int(g["part"].iloc[0])]
-        g = g.sort_values(["eus", "d"], kind="mergesort")
-        eus = g["eus"].to_numpy()
-        conc = base + np.cumsum(g["d"].to_numpy())
+    def bucket_cover(eus: np.ndarray, conc: np.ndarray, nxt) -> pa.Table:
         # collapse ties: running count AFTER each distinct timestamp
         last = np.r_[eus[1:] != eus[:-1], True]
         t = eus[last]
@@ -244,11 +151,9 @@ def interval_coverage(
         # segments: [t_i, t_{i+1}) inside the partition, plus the tail
         # [t_last, next partition's first boundary)
         seg_s = t
-        seg_e = np.r_[t[1:], nxt_start if nxt_start is not None else t[-1]]
+        seg_e = np.r_[t[1:], nxt if nxt is not None else t[-1]]
         keep = (c > 0) & (seg_e > seg_s)
         seg_s, seg_e = seg_s[keep], seg_e[keep]
-        if len(seg_s) == 0:
-            return out_empty
         day_lo = seg_s // unit_us
         day_hi = (seg_e - 1) // unit_us
         counts = (day_hi - day_lo + 1).astype(np.int64)
@@ -260,16 +165,14 @@ def interval_coverage(
         cov = np.minimum(seg_e[idx], (day + 1) * unit_us) - np.maximum(
             seg_s[idx], day * unit_us
         )
-        out = (
-            pd.DataFrame({"bucket_us": day * unit_us, "cov": cov})
-            .groupby("bucket_us", sort=False)["cov"]
-            .sum()
-            .reset_index()
-        )
-        out["cov"] = out["cov"].astype(np.int64)
-        return out
+        # segments are disjoint and in time order, so ``day`` never decreases
+        bucket, cov = _per_bucket(day * unit_us, cov, np.add)
+        return pa.table({"bucket_us": pa.array(bucket, pa.int64()),
+                         "cov": pa.array(cov, pa.int64())})
 
-    partials = parted.groupby("part").map_groups(scan, batch_format="pandas")
+    partials, n = _sweep(ds, start_col, end_col, bucket_cover, num_parts)
+    if n == 0:
+        return rd.from_arrow(pa.Table.from_pandas(empty))
     merged = partials.groupby("bucket_us").sum("cov")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:

@@ -10,17 +10,12 @@ From the offset follow the packing facts per doc:
     offset_in_seq = start %  budget
     n_seqs        = last_token // budget - seq_id + 1   (sequences spanned)
 
-The global prefix sum is computed scalably in two passes -- the classic
-distributed scan:
-
-  1. contiguous RANGE partitioning on the key (``part = key // span`` --
-     order-preserving, no shuffle of raw text; only (part, token_count)
-     partials are aggregated) -> per-partition token totals, a
-     ``num_parts``-row table;
-  2. the tiny totals table is prefix-summed on the driver (bounded:
-     one int per partition, independent of corpus size) and broadcast;
-     one ``groupby(part).map_groups`` then emits local cumsum + the
-     partition's base offset.
+The global prefix sum is the engine's ordered scan,
+``stages.derive.range_scan``, over the slim (id, token count)
+projection: a value-order range partition on the id, per-partition
+token totals added up on the driver (one int per partition, independent
+of corpus size), then one Sort on the partition and a local cumsum plus
+the tokens of every earlier partition. Raw text never moves.
 
 Oracle: ``SUM(tokens) OVER (ORDER BY id ROWS BETWEEN UNBOUNDED
 PRECEDING AND 1 PRECEDING)`` reproduces the offsets exactly (integer
@@ -33,7 +28,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
 import ray.data as rd
 
 
@@ -53,16 +47,12 @@ def pack_sequences(
     (id, n_tokens, start, seq_id, offset_in_seq, n_seqs).
 
     ``id_col`` values must be unique AND integer-typed -- they define
-    the global layout order, the contiguous range partitioning
-    (``(key - lo) // span``), and the pinned int64 output schema.
-    String doc ids must be mapped to an int64 ordinal (or a collision-
-    checked hash) upstream; a non-integer id column raises TypeError at
-    the first batch rather than corrupting offsets silently.
+    the global layout order, the range partitioning and the pinned int64
+    output schema. String doc ids must be mapped to an int64 ordinal (or
+    a collision-checked hash) upstream; a non-integer id column raises
+    TypeError at the first batch rather than corrupting offsets silently.
     """
-    from ..stages.derive import default_num_parts
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import range_scan
 
     def slim(df: pd.DataFrame) -> pd.DataFrame:
         ids = df[id_col].to_numpy()
@@ -86,48 +76,9 @@ def pack_sequences(
             {id_col: ids.astype(np.int64), "n_tokens": tok}
         )
 
-    # materialize the slim (id, count) projection ONCE -- 16 bytes/row,
-    # object-store resident (spills if huge); the three consumers below
-    # (key range, totals, scan) would otherwise each re-read the corpus
-    slimmed = ds.map_batches(slim, batch_format="pandas").materialize()
-
-    # contiguous range partition: order-preserving, so per-partition
-    # cumsum + partition base offset == the global prefix sum
-    rng = _key_range(slimmed, id_col)
-    if rng is None:  # empty corpus: emit the schema, zero rows
-        return rd.from_pandas(
-            pd.DataFrame(
-                {
-                    c: np.array([], dtype=np.int64)
-                    for c in (id_col, "n_tokens", "start", "seq_id",
-                              "offset_in_seq", "n_seqs")
-                }
-            )
-        )
-    lo, hi = rng
-    span = max(1, (hi - lo + num_parts) // num_parts)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (df[id_col].to_numpy() - lo) // span
-        return df
-
-    parted = slimmed.map_batches(add_part, batch_format="pandas")
-
-    # pass 1: per-partition totals (bounded num_parts rows -> driver)
-    totals = parted.groupby("part").sum("n_tokens").to_pandas()
-    totals = totals.sort_values("part")
-    base = dict(
-        zip(
-            totals["part"].to_numpy(),
-            np.concatenate(([0], np.cumsum(totals["sum(n_tokens)"].to_numpy())[:-1])),
-        )
-    )
-    base_ref = ray.put(base)
-
-    # every output block carries this exact schema (empty groups included)
-    # so the stream is schema-stable and the driver's serialization of the
-    # result cannot drift with dtype inference
+    # every output block carries this exact schema so the stream is
+    # schema-stable and the driver's serialization of the result cannot
+    # drift with dtype inference
     out_schema = pa.schema(
         [
             (id_col, pa.int64()),
@@ -139,32 +90,24 @@ def pack_sequences(
         ]
     )
 
-    # pass 2: local ordered cumsum + broadcast base offset
-    def scan(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return out_schema.empty_table()
-        b = ray.get(base_ref)
-        g = g.sort_values(id_col, kind="mergesort")
-        tok = g["n_tokens"].to_numpy()
-        start = int(b[int(g["part"].iloc[0])]) + np.concatenate(
-            ([0], np.cumsum(tok)[:-1])
-        )
+    # local ordered cumsum + the tokens of every earlier partition
+    def scan(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        t = t.sort_by(id_col)
+        tok = t["n_tokens"].to_numpy()
+        start = before["n_tokens"] + np.concatenate(([0], np.cumsum(tok)[:-1]))
         seq_id = start // budget
         last = start + np.maximum(tok, 1) - 1  # empty docs occupy their start seq
         return pa.Table.from_arrays(
-            [
-                pa.array(g[id_col].to_numpy().astype(np.int64)),
-                pa.array(tok),
-                pa.array(start),
-                pa.array(seq_id),
-                pa.array(start % budget),
-                pa.array(last // budget - seq_id + 1),
-            ],
+            [t[id_col], pa.array(tok), pa.array(start), pa.array(seq_id),
+             pa.array(start % budget), pa.array(last // budget - seq_id + 1)],
             schema=out_schema,
         )
 
-    packed = parted.groupby("part").map_groups(scan, batch_format="pandas")
-    # canonical output order: map_groups emits blocks in partition-
+    packed, total = range_scan(ds.map_batches(slim, batch_format="pandas"), id_col, scan,
+                               sums=("n_tokens",), num_parts=num_parts)
+    if total["count"] == 0:  # empty corpus: emit the schema, zero rows
+        return rd.from_arrow(out_schema.empty_table())
+    # canonical output order: the scan emits blocks in partition-
     # completion order, which is nondeterministic across runs/CPU counts;
     # ids are unique, so sorting pins a total row order for row-order-
     # sensitive consumers (the slim 6-int64-wide table keeps the sort
@@ -197,15 +140,6 @@ SELECT {id_col}, n_tokens, start,
            - start // {budget} + 1 AS BIGINT) AS n_seqs
 FROM scan
 """
-
-
-def _key_range(ds: "rd.Dataset", id_col: str) -> tuple[int, int] | None:
-    agg = ds.aggregate(
-        rd.aggregate.Min(id_col), rd.aggregate.Max(id_col)
-    )
-    if not agg or agg.get(f"min({id_col})") is None:  # empty input
-        return None
-    return int(agg[f"min({id_col})"]), int(agg[f"max({id_col})"])
 
 
 # bin ids embed the partition: a fixed default count, not the CPU-derived one

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _round6(v: np.ndarray) -> np.ndarray:
@@ -132,26 +133,29 @@ def ks_exponential(ds, col: str, num_parts: int | None = None):
     """Distributed one-sample Kolmogorov-Smirnov goodness-of-fit test of
     ``col`` against an exponential with MLE rate (1/mean): ONE row
     (n, mean_value, ks_d) with D = sup_i max(i/n - F(x_i),
-    F(x_i) - (i-1)/n). Global ranks come from the contiguous
-    range-partition + broadcast-base prefix-sum (equal values share a
-    partition, and the sup over tied rows is attained at the tie's
-    extreme ranks, so tie order cannot change D). Only per-partition
-    maxima reach the final reduce."""
-    import ray
+    F(x_i) - (i-1)/n). Global ranks come from ``range_scan``'s ordered
+    scan (equal values share a partition, and the sup over tied rows is
+    attained at the tie's extreme ranks, so tie order cannot change D).
+    Null and NaN values are skipped. Only per-partition maxima reach the
+    final reduce."""
     import ray.data as rd
 
-    from ..stages.derive import default_num_parts
+    from ..stages.derive import range_scan
 
-    if num_parts is None:
-        num_parts = default_num_parts()
+    def project(t: pa.Table) -> pa.Table:
+        return pa.table({"x": pc.cast(t[col], pa.float64())})
 
-    agg = ds.aggregate(
-        rd.aggregate.Count(),
-        rd.aggregate.Sum(col),
-        rd.aggregate.Min(col),
-        rd.aggregate.Max(col),
-    )
-    n = int(agg["count()"])
+    def local_d(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        n = total["count"]
+        x = np.sort(t["x"].to_numpy())
+        i = before["count"] + np.arange(1, len(x) + 1, dtype=np.float64)
+        f = 1.0 - np.exp(-x / (total["x"] / n))
+        return pa.table({"dp": [float(np.max(i / n - f))],
+                         "dm": [float(np.max(f - (i - 1) / n))]})
+
+    parts, total = range_scan(ds.map_batches(project, batch_format="pyarrow"), "x",
+                              local_d, sums=("x",), num_parts=num_parts)
+    n = total["count"]
     if n == 0:
         return rd.from_arrow(
             pa.schema(
@@ -159,52 +163,7 @@ def ks_exponential(ds, col: str, num_parts: int | None = None):
                  ("ks_d", pa.float64())]
             ).empty_table()
         )
-    mu = float(agg[f"sum({col})"]) / n
-    lo, hi = float(agg[f"min({col})"]), float(agg[f"max({col})"])
-    span = max((hi - lo) / num_parts, 1e-300)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        v = df[col].to_numpy(dtype=np.float64)
-        p = np.minimum(
-            np.floor((v - lo) / span), num_parts - 1
-        ).astype(np.int64)
-        return pd.DataFrame({"x": v, "part": p})
-
-    parted = ds.map_batches(add_part, batch_format="pandas").materialize()
-    counts = (
-        parted.groupby("part")
-        .count()
-        .to_pandas()
-        .sort_values("part")
-    )
-    base = dict(
-        zip(
-            counts["part"].to_numpy(),
-            np.concatenate(
-                ([0], np.cumsum(counts["count()"].to_numpy())[:-1])
-            ),
-        )
-    )
-    base_ref = ray.put(base)
-
-    def local_d(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {"dp": pd.Series([], dtype="float64"),
-                 "dm": pd.Series([], dtype="float64")}
-            )
-        b = ray.get(base_ref)[int(g["part"].iloc[0])]
-        x = np.sort(g["x"].to_numpy())
-        i = b + np.arange(1, len(x) + 1, dtype=np.float64)
-        f = 1.0 - np.exp(-x / mu)
-        return pd.DataFrame(
-            {
-                "dp": [float(np.max(i / n - f))],
-                "dm": [float(np.max(f - (i - 1) / n))],
-            }
-        )
-
-    parts = parted.groupby("part").map_groups(local_d, batch_format="pandas")
+    mu = total["x"] / n
     m = parts.aggregate(
         rd.aggregate.Max("dp"), rd.aggregate.Max("dm")
     )
@@ -219,51 +178,23 @@ def ks_exponential(ds, col: str, num_parts: int | None = None):
     return rd.from_arrow(pa.Table.from_pandas(out))
 
 
-def _two_group_parted(ds, col, group_col, group_a, group_b, num_parts):
-    """Shared front end for the two-sample rank statistics: filter to
-    the two cohorts, compute global count/min/max, then value-pure
-    range-partition (``floor((v - lo)/span)`` depends on the VALUE
-    only, so every tied value lands in exactly one partition -- the
-    invariant that makes per-partition tie handling globally exact).
-    Returns (parted_dataset, n_a, n_b, lo, span) or None when a cohort
-    is empty."""
-    import ray.data as rd
+def _two_group_scan(ds, col, group_col, group_a, group_b, fn, num_parts):
+    """Shared front end for the two-sample rank statistics: the rows of
+    the two cohorts as (x: float64 ``col``, ga: 1 in ``group_a``) through
+    ``range_scan`` on x with the running cohort-a count. Its partition
+    id depends on the VALUE only, so every tied value lands in exactly
+    one partition -- the invariant that makes per-partition tie handling
+    globally exact. Returns (scan Dataset, n_a, n_b)."""
+    from ..stages.derive import range_scan
 
-    def project(df: pd.DataFrame) -> pd.DataFrame:
-        keep = df[group_col].isin([group_a, group_b])
-        sub = df.loc[keep]
-        return pd.DataFrame(
-            {
-                "x": sub[col].to_numpy(dtype=np.float64),
-                "ga": (sub[group_col] == group_a)
-                .to_numpy()
-                .astype(np.int64),
-            }
-        )
+    def project(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_in(t[group_col], pa.array([group_a, group_b])))
+        return pa.table({"x": pc.cast(t[col], pa.float64()),
+                         "ga": pc.cast(pc.equal(t[group_col], group_a), pa.int64())})
 
-    slim = ds.map_batches(project, batch_format="pandas")
-    agg = slim.aggregate(
-        rd.aggregate.Count(),
-        rd.aggregate.Sum("ga"),
-        rd.aggregate.Min("x"),
-        rd.aggregate.Max("x"),
-    )
-    n = int(agg["count()"] or 0)
-    n_a = int(agg["sum(ga)"] or 0)
-    n_b = n - n_a
-    if n_a == 0 or n_b == 0:
-        return None
-    lo, hi = float(agg["min(x)"]), float(agg["max(x)"])
-    span = max((hi - lo) / num_parts, 1e-300)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        p = np.minimum(
-            np.floor((df["x"].to_numpy() - lo) / span), num_parts - 1
-        ).astype(np.int64)
-        return df.assign(part=p)
-
-    parted = slim.map_batches(add_part, batch_format="pandas").materialize()
-    return parted, n_a, n_b
+    parts, total = range_scan(ds.map_batches(project, batch_format="pyarrow"), "x", fn,
+                              sums=("ga",), num_parts=num_parts)
+    return parts, total["ga"], total["count"] - total["ga"]
 
 
 def mann_whitney_u(
@@ -278,67 +209,37 @@ def mann_whitney_u(
     ``group_col``: ONE row (n_a, n_b, rank_sum_a, u_a, z) with
     average-rank tie handling and the tie-corrected normal
     approximation (no continuity correction; the oracle pins the same
-    formula). Global average ranks come from the value-pure range
-    partition + broadcast prefix-sum: ties share a partition by
-    construction, so per-partition pandas average ranks + the
-    partition's global rank offset ARE the global average ranks. Only
+    formula). Global average ranks come from ``range_scan``'s value-pure
+    range partition: ties share a partition by construction, so
+    per-partition average ranks + the partition's exclusive row count
+    ARE the global average ranks. Null and NaN values are skipped. Only
     (rank_sum_a, sum(t^3 - t)) partials leave each partition."""
-    import ray
     import ray.data as rd
-
-    from ..stages.derive import default_num_parts
-
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     empty = pa.schema(
         [("n_a", pa.int64()), ("n_b", pa.int64()),
          ("rank_sum_a", pa.float64()), ("u_a", pa.float64()),
          ("z", pa.float64())]
     )
-    front = _two_group_parted(ds, col, group_col, group_a, group_b, num_parts)
-    if front is None:
-        return rd.from_arrow(empty.empty_table())
-    parted, n_a, n_b = front
-    n = n_a + n_b
 
-    counts = (
-        parted.groupby("part").count().to_pandas().sort_values("part")
-    )
-    base = dict(
-        zip(
-            counts["part"].to_numpy(),
-            np.concatenate(
-                ([0], np.cumsum(counts["count()"].to_numpy())[:-1])
-            ),
-        )
-    )
-    base_ref = ray.put(base)
-
-    def local_ranks(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {"r1": pd.Series([], dtype="float64"),
-                 "tie": pd.Series([], dtype="float64")}
-            )
-        b = float(ray.get(base_ref)[int(g["part"].iloc[0])])
-        x = g["x"].to_numpy()
-        ga = g["ga"].to_numpy()
+    def local_ranks(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        x = t["x"].to_numpy()
         order = np.argsort(x, kind="mergesort")
-        xs, gs = x[order], ga[order]
-        # average ranks within the partition (global offset b applies
+        xs, gs = x[order], t["ga"].to_numpy()[order]
+        # average ranks within the partition (the global offset applies
         # uniformly because ties never straddle partitions)
         uniq, start = np.unique(xs, return_index=True)
         cnt = np.diff(np.append(start, len(xs)))
-        avg = b + start + (cnt + 1) / 2.0  # 1-based: start is 0-based
+        avg = float(before["count"]) + start + (cnt + 1) / 2.0  # 1-based
         ranks = np.repeat(avg, cnt)
-        r1 = float(ranks[gs == 1].sum())
-        tie = float((cnt.astype(np.float64) ** 3 - cnt).sum())
-        return pd.DataFrame({"r1": [r1], "tie": [tie]})
+        return pa.table({"r1": [float(ranks[gs == 1].sum())],
+                         "tie": [float((cnt.astype(np.float64) ** 3 - cnt).sum())]})
 
-    parts = parted.groupby("part").map_groups(
-        local_ranks, batch_format="pandas"
-    )
+    parts, n_a, n_b = _two_group_scan(ds, col, group_col, group_a, group_b,
+                                      local_ranks, num_parts)
+    if n_a == 0 or n_b == 0:
+        return rd.from_arrow(empty.empty_table())
+    n = n_a + n_b
     s = parts.aggregate(rd.aggregate.Sum("r1"), rd.aggregate.Sum("tie"))
     r1 = float(s["sum(r1)"])
     tie = float(s["sum(tie)"])
@@ -370,65 +271,32 @@ def ks_two_sample(
     """Distributed two-sample Kolmogorov-Smirnov test between two
     cohorts: ONE row (n_a, n_b, ks_d) with D = sup_x |F_a(x) - F_b(x)|.
     Both ECDFs step only at sample points, so the sup is attained at a
-    data value; the value-pure range partition gives each partition its
-    global per-cohort cumulative offsets (broadcast base dict), and
-    only the per-partition max gap reaches the final reduce."""
-    import ray
+    data value; ``range_scan`` gives each partition the per-cohort
+    counts of every smaller value, and only the per-partition max gap
+    reaches the final reduce. Null and NaN values are skipped."""
     import ray.data as rd
-
-    from ..stages.derive import default_num_parts
-
-    if num_parts is None:
-        num_parts = default_num_parts()
 
     empty = pa.schema(
         [("n_a", pa.int64()), ("n_b", pa.int64()), ("ks_d", pa.float64())]
     )
-    front = _two_group_parted(ds, col, group_col, group_a, group_b, num_parts)
-    if front is None:
-        return rd.from_arrow(empty.empty_table())
-    parted, n_a, n_b = front
 
-    counts = (
-        parted.groupby("part")
-        .sum("ga")
-        .to_pandas()
-        .merge(
-            parted.groupby("part").count().to_pandas(), on="part"
-        )
-        .sort_values("part")
-    )
-    ca = counts["sum(ga)"].to_numpy(dtype=np.int64)
-    ct = counts["count()"].to_numpy(dtype=np.int64)
-    base_a = np.concatenate(([0], np.cumsum(ca)[:-1]))
-    base_b = np.concatenate(([0], np.cumsum(ct - ca)[:-1]))
-    base = {
-        int(p): (int(a), int(b))
-        for p, a, b in zip(counts["part"].to_numpy(), base_a, base_b)
-    }
-    base_ref = ray.put(base)
-
-    def local_gap(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"d": pd.Series([], dtype="float64")})
-        ba, bb = ray.get(base_ref)[int(g["part"].iloc[0])]
-        x = g["x"].to_numpy()
-        ga = g["ga"].to_numpy()
+    def local_gap(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        n_a = total["ga"]
+        n_b = total["count"] - n_a
+        x = t["x"].to_numpy()
         order = np.argsort(x, kind="mergesort")
-        xs, gs = x[order], ga[order]
+        xs, gs = x[order], t["ga"].to_numpy()[order]
         uniq, start = np.unique(xs, return_index=True)
         stop = np.append(start[1:], len(xs))
-        cum1 = np.cumsum(gs)
-        cumt = np.arange(1, len(xs) + 1)
-        c1 = cum1[stop - 1]  # cohort-a count up to and incl. each value
-        ct_ = cumt[stop - 1]
-        f1 = (ba + c1) / n_a
-        f2 = (bb + (ct_ - c1)) / n_b
-        return pd.DataFrame({"d": [float(np.max(np.abs(f1 - f2)))]})
+        c1 = np.cumsum(gs)[stop - 1]  # cohort-a count up to and incl. each value
+        f1 = (before["ga"] + c1) / n_a
+        f2 = (before["count"] - before["ga"] + (stop - c1)) / n_b
+        return pa.table({"d": [float(np.max(np.abs(f1 - f2)))]})
 
-    parts = parted.groupby("part").map_groups(
-        local_gap, batch_format="pandas"
-    )
+    parts, n_a, n_b = _two_group_scan(ds, col, group_col, group_a, group_b,
+                                      local_gap, num_parts)
+    if n_a == 0 or n_b == 0:
+        return rd.from_arrow(empty.empty_table())
     m = parts.aggregate(rd.aggregate.Max("d"))
     out = pd.DataFrame(
         {
@@ -512,30 +380,27 @@ def pareto_abc(
     each key's cumulative revenue share plus its ABC class (A while
     cum_share <= a_cut, B while <= b_cut, else C). The classic
     concentration report ("which 20% of users drive 80% of value").
+    Null and NaN values are skipped before the cents conversion.
 
-    Global descending order without a global sort: the per-key
-    aggregate range-partitions on the (value-pure) revenue itself, so
-    ties share a partition; per-partition revenue totals broadcast as
-    prefix offsets and each partition finishes its own contiguous rank
-    range locally. Cumulative sums divide exact int64 cents by the
-    exact grand total, so class boundaries cannot drift between engine
-    and oracle.
+    Global descending order without a global sort: ``range_scan``
+    range-partitions the per-key aggregate on the (value-pure) negated
+    revenue, so ties share a partition, partition 0 holds the largest
+    revenue and each partition finishes its own contiguous rank range
+    locally from the revenue of the partitions before it. Cumulative
+    sums divide exact int64 cents by the exact grand total, so class
+    boundaries cannot drift between engine and oracle.
 
     Ties in revenue order by ``key`` ascending on both sides."""
-    import ray
     import ray.data as rd
 
-    from ..stages.derive import default_num_parts
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    from ..stages.derive import range_scan
 
     def to_cents(df: pd.DataFrame) -> pd.DataFrame:
-        c = np.rint(df[value].to_numpy(dtype=np.float64) * scale).astype(
-            np.int64
-        )
+        v = df[value].to_numpy(dtype=np.float64)
+        keep = ~np.isnan(v)
+        c = np.rint(v[keep] * scale).astype(np.int64)
         g = (
-            pd.DataFrame({key: df[key], "c": c})
+            pd.DataFrame({key: df[key].to_numpy()[keep], "c": c})
             .groupby(key, sort=False)["c"]
             .sum()
             .reset_index()
@@ -547,16 +412,34 @@ def pareto_abc(
         .groupby(key)
         .sum("c")
         .map_batches(
-            lambda d: d.rename(columns={"sum(c)": "c"}),
+            lambda d: d.rename(columns={"sum(c)": "c"}).assign(neg=lambda d: -d["c"]),
             batch_format="pandas",
         )
         .materialize()
     )
-    st = agg.aggregate(
-        rd.aggregate.Sum("c"), rd.aggregate.Min("c"), rd.aggregate.Max("c")
-    )
-    total = int(st["sum(c)"] or 0)
-    if total == 0 or agg.count() == 0:
+
+    def finish(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        g = t.to_pandas().sort_values(["c", key], ascending=[False, True],
+                                      kind="mergesort")
+        c = g["c"].to_numpy(dtype=np.int64)
+        share = (before["c"] + np.cumsum(c)).astype(np.float64) / float(total["c"])
+        abc = np.where(share <= a_cut, "A",
+                       np.where(share <= b_cut, "B", "C"))
+        sh = share + 1e-7
+        return pa.Table.from_pandas(
+            pd.DataFrame(
+                {
+                    key: g[key].to_numpy(),
+                    "revenue_cents": c,
+                    "cum_share": np.floor(sh * 1e6 + 0.5) / 1e6,
+                    "abc": abc,
+                }
+            ),
+            preserve_index=False,
+        )
+
+    parts, total = range_scan(agg, "neg", finish, sums=("c",), num_parts=num_parts)
+    if total["c"] == 0 or total["count"] == 0:
         # key dtype from the (materialized) aggregate, not hardcoded
         # (_pa_type normalizes pandas-block numpy dtypes to Arrow)
         from .join import _pa_type
@@ -569,59 +452,7 @@ def pareto_abc(
                  ("cum_share", pa.float64()), ("abc", pa.string())]
             ).empty_table()
         )
-    lo, hi = float(st["min(c)"]), float(st["max(c)"])
-    span = max((hi - lo) / num_parts, 1e-300)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        # partition by NEGATED revenue so partition 0 holds the largest
-        p = np.minimum(
-            np.floor((hi - df["c"].to_numpy(dtype=np.float64)) / span),
-            num_parts - 1,
-        ).astype(np.int64)
-        return df.assign(part=p)
-
-    parted = agg.map_batches(add_part, batch_format="pandas").materialize()
-    sums = (
-        parted.groupby("part").sum("c").to_pandas().sort_values("part")
-    )
-    base = dict(
-        zip(
-            sums["part"].to_numpy(),
-            np.concatenate(
-                ([0], np.cumsum(sums["sum(c)"].to_numpy())[:-1])
-            ),
-        )
-    )
-    base_ref = ray.put(base)
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame(
-                {
-                    key: pd.Series([], dtype="int64"),
-                    "revenue_cents": pd.Series([], dtype="int64"),
-                    "cum_share": pd.Series([], dtype="float64"),
-                    "abc": pd.Series([], dtype="object"),
-                }
-            )
-        b = int(ray.get(base_ref)[int(g["part"].iloc[0])])
-        g = g.sort_values(["c", key], ascending=[False, True],
-                          kind="mergesort")
-        cum = b + np.cumsum(g["c"].to_numpy(dtype=np.int64))
-        share = cum.astype(np.float64) / float(total)
-        abc = np.where(share <= a_cut, "A",
-                       np.where(share <= b_cut, "B", "C"))
-        sh = share + 1e-7
-        return pd.DataFrame(
-            {
-                key: g[key].to_numpy(),
-                "revenue_cents": g["c"].to_numpy(),
-                "cum_share": np.floor(sh * 1e6 + 0.5) / 1e6,
-                "abc": abc,
-            }
-        )
-
-    return parted.groupby("part").map_groups(finish, batch_format="pandas")
+    return parts
 
 
 def gini_coefficient(ds, col: str, scale: int = 100):
@@ -629,32 +460,25 @@ def gini_coefficient(ds, col: str, scale: int = 100):
     (n, total, gini) with G = 2*sum(i*x_(i)) / (n*sum(x)) - (n+1)/n
     over the ascending order statistics (1-based i). The rank-weighted
     sum is invariant under permutations of tied values, so the same
-    value-pure range partition + broadcast rank offsets used by the
-    rank tests computes it exactly; per-partition partials are two
-    scalars."""
-    import ray
+    ``range_scan`` ordered scan used by the rank tests computes it
+    exactly; per-partition partials are one scalar. Null and NaN values
+    are skipped before the cents conversion."""
     import ray.data as rd
 
-    from ..stages.derive import default_num_parts
+    from ..stages.derive import range_scan
 
-    num_parts = default_num_parts()
+    def to_cents(t: pa.Table) -> pa.Table:
+        v = pc.cast(t[col], pa.float64()).to_numpy()
+        return pa.table({"c": np.rint(v[~np.isnan(v)] * scale).astype(np.int64)})
 
-    def to_cents(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "c": np.rint(
-                    df[col].to_numpy(dtype=np.float64) * scale
-                ).astype(np.int64)
-            }
-        )
+    def partial(t: pa.Table, before: dict, total: dict, nxt) -> pa.Table:
+        x = np.sort(t["c"].to_numpy()).astype(np.float64)
+        i = float(before["count"]) + np.arange(1, len(x) + 1, dtype=np.float64)
+        return pa.table({"rx": [float((i * x).sum())]})
 
-    cents = ds.map_batches(to_cents, batch_format="pandas")
-    st = cents.aggregate(
-        rd.aggregate.Count(), rd.aggregate.Sum("c"),
-        rd.aggregate.Min("c"), rd.aggregate.Max("c"),
-    )
-    n = int(st["count()"] or 0)
-    total_c = int(st["sum(c)"]) if n else 0
+    parts, total = range_scan(ds.map_batches(to_cents, batch_format="pyarrow"), "c",
+                              partial, sums=("c",))
+    n, total_c = total["count"], total["c"]
     if n == 0 or total_c == 0:  # zero total: Gini undefined, no row
         return rd.from_arrow(
             pa.schema(
@@ -662,37 +486,6 @@ def gini_coefficient(ds, col: str, scale: int = 100):
                  ("gini", pa.float64())]
             ).empty_table()
         )
-    lo, hi = float(st["min(c)"]), float(st["max(c)"])
-    span = max((hi - lo) / num_parts, 1e-300)
-
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        p = np.minimum(
-            np.floor((df["c"].to_numpy(dtype=np.float64) - lo) / span),
-            num_parts - 1,
-        ).astype(np.int64)
-        return df.assign(part=p)
-
-    parted = cents.map_batches(add_part, batch_format="pandas").materialize()
-    counts = parted.groupby("part").count().to_pandas().sort_values("part")
-    base = dict(
-        zip(
-            counts["part"].to_numpy(),
-            np.concatenate(
-                ([0], np.cumsum(counts["count()"].to_numpy())[:-1])
-            ),
-        )
-    )
-    base_ref = ray.put(base)
-
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"rx": pd.Series([], dtype="float64")})
-        b = float(ray.get(base_ref)[int(g["part"].iloc[0])])
-        x = np.sort(g["c"].to_numpy(dtype=np.int64)).astype(np.float64)
-        i = b + np.arange(1, len(x) + 1, dtype=np.float64)
-        return pd.DataFrame({"rx": [float((i * x).sum())]})
-
-    parts = parted.groupby("part").map_groups(partial, batch_format="pandas")
     rx = float(parts.aggregate(rd.aggregate.Sum("rx"))["sum(rx)"])
     gini = 2.0 * rx / (n * float(total_c)) - (n + 1) / float(n)
     out = pd.DataFrame(

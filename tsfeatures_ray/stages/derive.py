@@ -1,5 +1,7 @@
 """Stage 1: per-turn derived metrics (token length, inter-turn latency),
-and the engine's co-partition exchange.
+and the engine's two exchanges: ``by_partition``, the co-partition on a
+hashed key, and ``range_scan``, the ordered scan (a global prefix sum
+over a value-order range partition; see its docstring).
 
 Ray-Data-first layout:
 
@@ -231,6 +233,13 @@ def _block_parts(block, key: str | list[str], num_parts: int) -> np.ndarray:
     return np.unique(_part_ids(BlockAccessor.for_block(block).to_arrow(), key, num_parts))
 
 
+def _row_blocks(ds: MaterializedDataset) -> list:
+    """The refs of the materialized ``ds``'s blocks that hold rows, in
+    block order (no Dataset plan executes)."""
+    bundles = ds._logical_plan.dag.output_data() or []
+    return [ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0]
+
+
 def _co_located(ds, key: str | list[str], num_parts: int) -> bool:
     """Whether the materialized ``ds`` is already partitioned on ``key``:
     the partition ids of its blocks, in block order, are strictly
@@ -238,9 +247,7 @@ def _co_located(ds, key: str | list[str], num_parts: int) -> bool:
     partitions come in the order the exchange's sort would emit them.
     One small task per block that holds rows; no row reaches the caller
     and no Dataset plan executes."""
-    bundles = ds._logical_plan.dag.output_data() or []
-    refs = [ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0]
-    ids = ray.get([_block_parts.remote(ref, key, num_parts) for ref in refs])
+    ids = ray.get([_block_parts.remote(ref, key, num_parts) for ref in _row_blocks(ds)])
     return bool(ids) and bool(np.all(np.diff(np.concatenate(ids)) > 0))
 
 
@@ -364,6 +371,115 @@ def by_partition(
         out.context.execution_options.preserve_order = True
     _EXCHANGES[out] = _Exchange(tagged, keys, num_parts, run)
     return out
+
+
+def _present(t: pa.Table, col: str) -> pa.Table:
+    """``t`` without the rows whose ``col`` is null or NaN: a missing
+    value has no place in an order (SQL aggregates skip NULL)."""
+    missing = pc.is_null(t[col], nan_is_null=True)
+    return t.filter(pc.invert(missing)) if pc.any(missing).as_py() else t
+
+
+def _range_ids(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Range partition id of each value: the number of ``edges`` at or
+    below it. It depends only on the value and keeps value order, so
+    equal values share a partition, -inf lands first and +inf last."""
+    return np.searchsorted(edges, values, side="right")
+
+
+@ray.remote
+def _block_range(block, col: str):
+    """(min, max) of the finite values of ``col`` in one block (None:
+    it has none)."""
+    v = _present(BlockAccessor.for_block(block).to_arrow(), col)[col].to_numpy()
+    v = v[np.isfinite(v)]
+    return (v.min(), v.max()) if len(v) else None
+
+
+@ray.remote
+def _block_totals(block, col: str, sums: tuple[str, ...], edges: np.ndarray) -> dict:
+    """One block's per-partition row count, sum of each of ``sums``
+    (int64, or float64 for a float column) and smallest ``col`` value
+    (the dtype's largest value where the partition has no row)."""
+    t = _present(BlockAccessor.for_block(block).to_arrow(), col)
+    v = t[col].to_numpy()
+    part = _range_ids(v, edges)
+    out = {"count": np.bincount(part, minlength=len(edges) + 1)}
+    for s in sums:
+        x = t[s].to_numpy()
+        out[s] = np.zeros(len(out["count"]), np.float64 if x.dtype.kind == "f" else np.int64)
+        np.add.at(out[s], part, x)
+    top = np.inf if v.dtype.kind == "f" else np.iinfo(v.dtype).max
+    out["first"] = np.full(len(out["count"]), top, v.dtype)
+    np.minimum.at(out["first"], part, v)
+    return out
+
+
+def range_scan(
+    ds: "ray.data.Dataset",
+    col: str,
+    fn,
+    sums: tuple[str, ...] = (),
+    num_parts: int | None = None,
+) -> "tuple[ray.data.Dataset, dict]":
+    """The engine's ordered-scan exchange: a global prefix scan over
+    ``col`` (a numeric column) without a global sort of the rows.
+
+    It materializes ``ds`` (the caller's slim projection) once and drops
+    the rows whose ``col`` is null or NaN. Each row's partition is
+    ``_range_ids`` over ``num_parts - 1`` edges spread evenly between
+    the finite min and max of ``col``: it depends only on the value and
+    keeps value order. One task per block yields that block's
+    per-partition row count, sums of the ``sums`` columns and smallest
+    value, and the driver adds them up (no exchange). Then ONE Sort on
+    the partition id and a per-partition map, as ``by_partition`` runs:
+    ``fn(t, before, total, nxt)`` is called once per non-empty
+    partition, with
+
+    - ``t``: the partition's rows (an Arrow table, ``col`` and the
+      other columns of ``ds``, in no particular order);
+    - ``before``: the exclusive prefix, ``{"count": rows, s: sum of s}``
+      over every row in an earlier partition (every smaller value);
+    - ``total``: the same over all rows;
+    - ``nxt``: the smallest value of the next non-empty partition (None
+      for the last).
+
+    Returns the lazy Dataset of ``fn``'s outputs and ``total`` (computed
+    eagerly). Its output is not partitioned on a key, so no
+    ``by_partition`` fuses with it."""
+    if num_parts is None:
+        num_parts = default_num_parts()
+    mat = ds.materialize()
+    refs = _row_blocks(mat)
+    ranges = [r for r in ray.get([_block_range.remote(b, col) for b in refs]) if r]
+    lo = min(r[0] for r in ranges) if ranges else 0
+    hi = max(r[1] for r in ranges) if ranges else 0
+    edges = np.linspace(lo, hi, num_parts + 1)[1:-1]
+    parts = ray.get([_block_totals.remote(b, col, tuple(sums), edges) for b in refs])
+    names = ["count", *sums]
+    acc = {s: np.sum([p[s] for p in parts], axis=0) if parts else np.zeros(num_parts, np.int64)
+           for s in names}
+    total = {s: acc[s].sum().item() for s in names}
+    before = {s: (np.cumsum(acc[s]) - acc[s]).tolist() for s in names}
+    nxt: list = [None] * num_parts
+    if parts:
+        first = np.min([p["first"] for p in parts], axis=0)
+        filled = np.flatnonzero(acc["count"])
+        for p, q in zip(filled[:-1], filled[1:]):
+            nxt[p] = first[q].item()
+
+    def tag(t: pa.Table) -> pa.Table:
+        t = _present(t, col)
+        return t.append_column("part", pa.array(_range_ids(t[col].to_numpy(), edges)))
+
+    def run(t: pa.Table) -> pa.Table:
+        p = t["part"][0].as_py()
+        return fn(t.drop_columns(["part"]), {s: before[s][p] for s in names}, total, nxt[p])
+
+    run.__name__ = _name(fn)
+    out = mat.map_batches(tag, batch_format="pyarrow").sort("part").map_batches(
+        _each_partition(run), batch_size=None, batch_format="pyarrow")
+    return out, total
 
 
 def _add_token_len(batch: pa.Table) -> pa.Table:
