@@ -7,6 +7,8 @@ the candidate-generation recall was evidence-free."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
@@ -123,6 +125,29 @@ def test_cosine_near_dups_exact_and_lsh(ray_session):
     exact2 = cosine_near_dups(ds, threshold=0.4, num_parts=3).to_pandas()
     t2 = set(zip(exact2.id_a, exact2.id_b))
     assert t2 == truth
+
+
+def test_cosine_is_a_function_of_the_pair(ray_session):
+    """A pair that both cosine operators return carries the same cosine,
+    bit for bit. The exact operator meets it in a partition-pair bucket,
+    the LSH one in table buckets of other sizes, and a matmul entry's
+    last bits follow the block it was computed in."""
+    import ray.data as rd
+
+    from tsfeatures_ray.functions.similarity import (
+        cosine_near_dups,
+        cosine_near_dups_lsh,
+    )
+
+    embeddings = os.path.join(os.path.dirname(DOCS), "embeddings.parquet")
+    ds = rd.read_parquet(embeddings, columns=["vec_id", "embedding"])
+    exact = cosine_near_dups(ds, threshold=0.4).to_pandas()
+    lsh = cosine_near_dups_lsh(ds, threshold=0.4, bits=4, tables=16).to_pandas()
+    both = exact.merge(lsh, on=["id_a", "id_b"], suffixes=("_exact", "_lsh"))
+    assert len(both) > 20
+    assert both["cosine_exact"].min() >= 0.4
+    differ = both[both["cosine_exact"].to_numpy() != both["cosine_lsh"].to_numpy()]
+    assert differ.empty, differ
 
 
 def test_cosine_near_dups_tiny_corpus_and_empty_partitions(ray_session):

@@ -186,6 +186,30 @@ def test_stable_part_hashes_like_every_row():
                                   stable_part(pa.array(["5", "17"]), 64))
 
 
+def test_stable_part_integer_and_string_edges():
+    """The string/integer path (integers cast to their decimal strings
+    in Arrow, the distinct values hashed without re-factorizing) gives
+    the ids of hashing every row as a Python object: int64 extremes and
+    negatives, uint64 above 2^63, int32, string and large_string, each
+    with and without nulls."""
+    from tsfeatures_ray.stages.derive import stable_part
+
+    rng = np.random.default_rng(14)
+    i64 = [-(2**63), 2**63 - 1, -1, 0, 1] + rng.integers(-(2**63), 2**63 - 1, 300).tolist()
+    u64 = [2**63, 2**64 - 1, 0] + [int(v) for v in rng.integers(2**63, 2**64 - 1, 300, dtype=np.uint64)]
+    i32 = [-(2**31), 2**31 - 1] + rng.integers(-(2**31), 2**31 - 1, 300).tolist()
+    words = [f"w{v}" for v in i32] + ["", "é", "日本"]
+    cases = [(i64, pa.int64()), (u64, pa.uint64()), (i32, pa.int32()),
+             (words, pa.string()), (words, pa.large_string())]
+    for values, typ in cases:
+        values = values * 2  # repeated values share a dictionary entry
+        for col in (values, [v if k % 9 else None for k, v in enumerate(values)]):
+            arr = pa.array(col, typ)
+            for num_parts in (1, 7, 64):
+                np.testing.assert_array_equal(stable_part(arr, num_parts),
+                                              _stable_part_oracle(arr, num_parts))
+
+
 def test_pandas_partition_function_gets_rows_in_input_order(ray_session):
     """A pandas partition function over pandas blocks gets each key's
     rows in input order: the exchange is the stable Arrow one whatever
@@ -210,13 +234,10 @@ def test_pandas_partition_function_gets_rows_in_input_order(ray_session):
         assert np.all(np.diff(seq) > 0), k
 
 
-# files that may still hand-write a groupby on the partition column
-# ("part" or "ppart"), all hash-bucket sites; this list may only shrink
-GROUPBY_PART_ALLOWED = [
-    "tsfeatures_ray/functions/dedup.py",
-    "tsfeatures_ray/functions/similarity.py",
-    "tsfeatures_ray/functions/spans.py",
-]
+# files that may still hand-write a groupby on a partition column; this
+# list may only shrink (empty: every hash co-partition runs on
+# by_partition)
+GROUPBY_PART_ALLOWED: list[str] = []
 # the modules whose ordered scans run on stages.derive.range_scan
 RANGE_SCAN_USERS = [
     "tsfeatures_ray/functions/concurrency.py",
@@ -225,28 +246,71 @@ RANGE_SCAN_USERS = [
 ]
 
 
-def _groupby_part(path: pathlib.Path) -> list[int]:
-    """Lines of ``groupby("part")``/``groupby("ppart")`` calls (a list
-    key holding either counts too)."""
+def _string_constants(tree: ast.Module) -> dict[str, str]:
+    """Module-level names bound to a string literal (``X = "..."``,
+    ``X: str = "..."`` or ``X, Y = "...", "..."``)."""
+    consts = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        for target, value in pairs:
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs += list(zip(target.elts, value.elts))
+            elif (isinstance(target, ast.Name) and isinstance(value, ast.Constant)
+                    and isinstance(value.value, str)):
+                consts[target.id] = value.value
+    return consts
+
+
+def _groupby_part(source: str) -> list[int]:
+    """Lines of ``groupby`` calls keyed on a partition column: a key (or
+    a list key holding one) whose name ends in ``part``, written as a
+    literal or as a module-level string constant."""
+    tree = ast.parse(source)
+    consts = _string_constants(tree)
+
+    def name(k: ast.AST):
+        if isinstance(k, ast.Constant):
+            return k.value
+        return consts.get(k.id) if isinstance(k, ast.Name) else None
+
     lines = []
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "groupby" and node.args):
             arg = node.args[0]
             keys = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg]
-            if any(isinstance(k, ast.Constant) and k.value in ("part", "ppart") for k in keys):
+            if any(isinstance(name(k), str) and name(k).endswith("part") for k in keys):
                 lines.append(node.lineno)
     return lines
 
 
+def test_groupby_part_guard_resolves_constants():
+    src = (
+        '_SIDE, _PART = "__side", "__tj_part"\n'
+        'KEY: str = "ppart"\n'
+        'a = ds.groupby("part")\n'
+        'b = ds.groupby(_PART)\n'
+        'c = ds.groupby(["x", KEY])\n'
+        'd = ds.groupby(_SIDE)\n'
+        'e = ds.groupby("parts")\n'
+    )
+    assert _groupby_part(src) == [3, 4, 5]
+
+
 def test_groupby_on_the_partition_column_only_in_pinned_files():
-    """A range-partition prefix scan goes through
-    ``stages.derive.range_scan``: no hand-written ``groupby("part")``
-    outside the pinned hash-bucket files, and no hand-made broadcast
-    (``ray.put``) in the modules that moved onto the scan. A pinned
-    file with no site left must leave the list."""
-    assert len(GROUPBY_PART_ALLOWED) <= 3
-    found = {str(f.relative_to(ROOT)): _groupby_part(f)
+    """Every hash co-partition goes through ``stages.derive.by_partition``
+    and every range-partition prefix scan through
+    ``stages.derive.range_scan``: no hand-written groupby on a partition
+    column outside the pinned files (none are left), and no hand-made
+    broadcast (``ray.put``) in the modules that moved onto the scan. A
+    pinned file with no site left must leave the list."""
+    assert not GROUPBY_PART_ALLOWED, "the pinned list may only shrink"
+    found = {str(f.relative_to(ROOT)): _groupby_part(f.read_text())
              for f in sorted((ROOT / "tsfeatures_ray").rglob("*.py"))}
     offenders = [f"{rel}:{ln}" for rel, lines in found.items()
                  if rel not in GROUPBY_PART_ALLOWED for ln in lines]

@@ -2,13 +2,13 @@
 
 Ray-Data-first shapes (ray_guide patterns):
 - exact:    vectorized content hash in ``map_batches`` -> per-batch
-            partial winner per hash -> ``groupby(hash)`` over the tiny
-            partials -> global winner (min id). The full table is never
-            shuffled -- only (hash, id) pairs.
+            partial winner per hash -> ``by_partition`` on the hash over
+            the tiny partials -> global winner (min id). The full table
+            is never shuffled -- only (hash, id) pairs.
 - MinHash+LSH: shingle -> minhash signature per batch (vectorized
             numpy) -> explode to (band_id, band_hash, doc_id) rows ->
-            ``groupby(band)`` -> candidate pairs -> verify true n-gram
-            Jaccard -> connected near-dup pairs.
+            ``by_partition`` on (band, band_hash) -> candidate pairs ->
+            verify true n-gram Jaccard -> connected near-dup pairs.
 - SimHash:  64-bit simhash per batch; near-dups = equal band keys.
 - n-gram Jaccard: exact pairwise verify for a candidate pair list.
 """
@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+
+from ..stages.derive import by_partition, default_num_parts
 
 _HASH_KEY = 0x9E3779B97F4A7C15
 
@@ -43,15 +45,10 @@ def exact_dedup(
     collides with near-certainty at web-corpus scale (birthday bound at
     ~2^32 distinct docs), two independent 64-bit keys push collision
     odds below 1e-12 even at 10^12 docs. The shuffle ships only
-    (h1, h2, id) partials, never text; the exchange key is the BOUNDED
-    ``h % num_parts`` partition (never the raw hash: map_groups invokes
-    its function once per group, so grouping on a high-cardinality key
-    pays per-invocation overhead per distinct value -- measured 26s ->
-    0.9s on 5k docs)."""
-    from ..stages.derive import default_num_parts
-
-    if num_parts is None:
-        num_parts = default_num_parts()
+    (h1, h2, id) partials, never text, through one ``by_partition`` on
+    (h, h2): its function runs once per partition, not once per
+    distinct hash (a call per distinct value measured 26 s against
+    0.9 s on 5k docs)."""
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         texts = batch[text_col].to_numpy()
@@ -67,10 +64,7 @@ def exact_dedup(
         g = df.groupby(["h", "h2"], sort=False)["id"].agg(
             ["min", "size"]
         ).reset_index()
-        g = g.rename(columns={"min": "keep_id", "size": "n_copies"})
-        g["part"] = (g["h"].to_numpy().astype(np.uint64)
-                     % np.uint64(num_parts)).astype("int64")
-        return g
+        return g.rename(columns={"min": "keep_id", "size": "n_copies"})
 
     partials = ds.map_batches(partial, batch_format="pandas", batch_size=65536)
 
@@ -80,7 +74,7 @@ def exact_dedup(
         )
         return out.reset_index()[["keep_id", "n_copies"]]
 
-    return partials.groupby("part").map_groups(merge, batch_format="pandas")
+    return by_partition(partials, ["h", "h2"], merge, num_parts=num_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +192,10 @@ def minhash_lsh_candidates(
                 for c in range(seg.shape[1]):
                     h = (h ^ seg[:, c]) * np.uint64(1099511628211)
                 bh[:, j] = h
-        flat = bh.reshape(-1)
-        out = pd.DataFrame(
-            {"band": band_ids, "bh": flat.astype("int64"), "id": ids}
+        return pd.DataFrame(
+            {"band": band_ids, "bh": bh.reshape(-1).astype("int64"), "id": ids}
         )
-        # bounded exchange key (map_groups is per-group: grouping on the
-        # raw band hash would pay invocation overhead per distinct value)
-        out["part"] = (flat % np.uint64(num_parts_for_buckets)).astype("int64")
-        return out
 
-    from ..stages.derive import default_num_parts
-
-    num_parts_for_buckets = default_num_parts()
     exploded = sigs.map_batches(explode_bands, batch_format="pandas")
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -235,37 +221,25 @@ def minhash_lsh_candidates(
             {"id_a": np.concatenate(out_a), "id_b": np.concatenate(out_b)}
         ).drop_duplicates()
 
-    cand = exploded.groupby("part").map_groups(pairs, batch_format="pandas")
-    return _dedup_pairs_global(cand, num_parts_for_buckets)
+    cand = by_partition(exploded, ["band", "bh"], pairs)
+    return _dedup_pairs_global(cand)
 
 
 def _dedup_pairs_global(
-    cand: "ray.data.Dataset", num_parts: int, extra_cols: list[str] = ()
+    cand: "ray.data.Dataset", extra_cols: list[str] = ()
 ) -> "ray.data.Dataset":
     """GLOBAL (id_a, id_b) pair dedup: the same pair can surface from
     different bands/tables landing in different partitions, so per-batch
     dedup is not enough; one more (tiny -- candidate pairs only)
-    co-location on the pair hash makes it exact. pd.util.hash_array is
-    dtype-agnostic (string/object doc ids work, not just ints)."""
+    ``by_partition`` on (id_a, id_b) makes it exact, whatever the id
+    type. The first copy of a pair is kept, so ``extra_cols`` must be a
+    function of the pair."""
     cols = ["id_a", "id_b", *extra_cols]
-
-    def add_pair_part(batch: pd.DataFrame) -> pd.DataFrame:
-        key = (
-            pd.util.hash_array(batch["id_a"].to_numpy())
-            * np.uint64(_HASH_KEY)
-            ^ pd.util.hash_array(batch["id_b"].to_numpy())
-        )
-        batch["ppart"] = (key % np.uint64(num_parts)).astype("int64")
-        return batch
 
     def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(subset=["id_a", "id_b"])[cols]
 
-    return (
-        cand.map_batches(add_pair_part, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(dedup_pairs, batch_format="pandas")
-    )
+    return by_partition(cand, ["id_a", "id_b"], dedup_pairs)
 
 
 def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
@@ -672,9 +646,8 @@ def simhash_near_dups(
 
     Scale shape: signatures are 8 B/doc; the only shuffled payloads are
     (table, key, id, sig) rows -- document text never enters an
-    exchange. Both exchanges key on the bounded ``hash % num_parts``
-    partition (NEVER the raw key value: groupby().map_groups pays
-    per-group invocation overhead, see exact_dedup). ``max_bucket=None``
+    exchange. The two exchanges are ``by_partition`` on (tbl, key), then
+    on (id_a, id_b) for the global pair dedup. ``max_bucket=None``
     keeps exactness; set it to star-link degenerate boilerplate buckets
     (trades the all-pairs guarantee inside an oversized bucket for
     linear output, same rule as minhash_lsh_candidates).
@@ -710,10 +683,6 @@ def simhash_near_dups(
     shifts = np.concatenate([[0], np.cumsum(widths)[:-1]]).astype(np.uint64)
     masks = (np.uint64(1) << widths) - np.uint64(1)
 
-    from ..stages.derive import default_num_parts
-
-    num_parts = default_num_parts()
-
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         sig = np.ascontiguousarray(
             batch["simhash"].to_numpy(dtype=np.int64)
@@ -729,19 +698,12 @@ def simhash_near_dups(
                 kv |= bvals[:, b] << off
                 off += widths[b]
             keys[:, ti] = kv
-        flat = keys.reshape(-1)
-        tbl = np.tile(np.arange(n_tables, dtype=np.int64), n)
-        with np.errstate(over="ignore"):
-            part = (
-                (flat * np.uint64(_HASH_KEY)) ^ tbl.view(np.uint64)
-            ) % np.uint64(num_parts)
         return pd.DataFrame(
             {
-                "tbl": tbl,
-                "key": flat.astype("int64"),
+                "tbl": np.tile(np.arange(n_tables, dtype=np.int64), n),
+                "key": keys.reshape(-1).astype("int64"),
                 "id": np.repeat(batch[id_col].to_numpy(), n_tables),
                 "sig": np.repeat(sig, n_tables).astype("int64"),
-                "part": part.astype("int64"),
             }
         )
 
@@ -784,10 +746,8 @@ def simhash_near_dups(
             subset=["id_a", "id_b"]
         )
 
-    matched = exploded.groupby("part").map_groups(pairs, batch_format="pandas")
-    return _dedup_pairs_global(
-        matched, num_parts, extra_cols=["hamming"]
-    )
+    matched = by_partition(exploded, ["tbl", "key"], pairs)
+    return _dedup_pairs_global(matched, extra_cols=["hamming"])
 
 
 def jaccard_near_dups(
@@ -973,8 +933,6 @@ def conversation_fingerprints(
     """
     import hashlib
 
-    from ..stages.derive import by_partition
-
     sep = chr(31)
 
     def fingerprint(g: pd.DataFrame) -> pd.DataFrame:
@@ -1150,7 +1108,6 @@ def containment_pairs(
     import math
 
     from .join import partitioned_join
-    from ..stages.derive import by_partition, default_num_parts
 
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")

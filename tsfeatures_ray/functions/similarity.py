@@ -17,7 +17,12 @@ import pandas as pd
 
 import ray
 
-from ..stages.derive import with_part
+from ..stages.derive import by_partition, default_num_parts, with_part
+from .dedup import _dedup_pairs_global
+
+# far wider than a matmul entry's rounding error on unit vectors
+# (about dim x 2^-53), far narrower than any threshold step
+_MATMUL_SLACK = 1e-9
 
 
 def _to_matrix(col, dtype=np.float64) -> np.ndarray:
@@ -30,6 +35,20 @@ def _pair_cosines(m_a: np.ndarray, m_b: np.ndarray, ia, ib) -> np.ndarray:
     the entry's place in it, so two operators that meet the same pair in
     different blocks report the cosine they both compute here."""
     return np.sum(m_a[ia] * m_b[ib], axis=1)
+
+
+def _close_pairs(m_a: np.ndarray, m_b: np.ndarray, threshold: float,
+                 triangular: bool = False):
+    """The row pairs ``(ia, ib)`` of ``m_a`` x ``m_b`` (``ia < ib`` when
+    ``triangular``, one block against itself) whose ``_pair_cosines``
+    is ``>= threshold``, and that cosine. The matmul only prefilters,
+    with ``_MATMUL_SLACK``: its last bits depend on the block the pair
+    met in, so neither the decision nor the value does."""
+    near = m_a @ m_b.T >= threshold - _MATMUL_SLACK
+    ia, ib = np.nonzero(np.triu(near, k=1) if triangular else near)
+    c = _pair_cosines(m_a, m_b, ia, ib)
+    keep = c >= threshold
+    return ia[keep], ib[keep], c[keep]
 
 
 class _BruteScorer:
@@ -405,19 +424,13 @@ def cosine_near_dups(
         ids_a = a[id_col].to_numpy()
         if i == j:
             m_b, ids_b = m_a, ids_a
-            ia, ib = np.triu_indices(len(ids_a), k=1)
-            c = (m_a @ m_a.T)[ia, ib]
         else:
             b = g[g["side"] == j]
             m_b = _to_matrix(b[vec_col].to_numpy())
             m_b /= np.maximum(np.linalg.norm(m_b, axis=1, keepdims=True), 1e-12)
             ids_b = b[id_col].to_numpy()
-            sims = m_a @ m_b.T
-            ia, ib = np.nonzero(sims >= threshold)
-            c = sims[ia, ib]
-        keep = c >= threshold
-        ia, ib = ia[keep], ib[keep]
-        id_a, id_b, c = ids_a[ia], ids_b[ib], _pair_cosines(m_a, m_b, ia, ib)
+        ia, ib, c = _close_pairs(m_a, m_b, threshold, triangular=i == j)
+        id_a, id_b = ids_a[ia], ids_b[ib]
         swap = id_a > id_b
         id_a2 = np.where(swap, id_b, id_a)
         id_b2 = np.where(swap, id_a, id_b)
@@ -471,12 +484,6 @@ def cosine_near_dups_lsh(
             }
         )
         out["vec"] = list(np.repeat(m, tables, axis=0))
-        # bounded exchange key over (table, bucket); the exact fine
-        # grouping happens inside verify
-        key = (out["bucket"].to_numpy().astype(np.uint64)
-               * np.uint64(0x9E3779B97F4A7C15)
-               ^ out["table"].to_numpy().astype(np.uint64))
-        out["part"] = (key % np.uint64(64)).astype("int64")
         return out
 
     bucketize.planes = rng.normal(size=(_dim_of(ds, vec_col), tables * bits))
@@ -488,18 +495,15 @@ def cosine_near_dups_lsh(
                 continue
             m = np.stack(grp["vec"].to_numpy())
             ids = grp[id_col].to_numpy()
-            sims = m @ m.T
-            ia, ib = np.triu_indices(len(ids), k=1)
-            c = sims[ia, ib]
-            keep = c >= threshold
-            if not keep.any():
+            ia, ib, c = _close_pairs(m, m, threshold, triangular=True)
+            if not len(c):
                 continue
-            id_a, id_b = ids[ia[keep]], ids[ib[keep]]
+            id_a, id_b = ids[ia], ids[ib]
             swap = id_a > id_b
             frames.append(pd.DataFrame(
                 {"id_a": np.where(swap, id_b, id_a).astype("int64"),
                  "id_b": np.where(swap, id_a, id_b).astype("int64"),
-                 "cosine": c[keep].astype("float64")}
+                 "cosine": c.astype("float64")}
             ))
         if not frames:
             return pd.DataFrame(
@@ -509,29 +513,10 @@ def cosine_near_dups_lsh(
             )
         return pd.concat(frames, ignore_index=True)
 
-    def add_pair_part(batch: pd.DataFrame) -> pd.DataFrame:
-        # bounded dedup key: map_groups is per-group, so grouping on the
-        # raw id would pay invocation overhead per distinct pair
-        key = (batch["id_a"].to_numpy().astype(np.uint64)
-               * np.uint64(0x9E3779B97F4A7C15)
-               ^ batch["id_b"].to_numpy().astype(np.uint64))
-        batch["ppart"] = (key % np.uint64(64)).astype("int64")
-        return batch
-
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # the same pair can surface from several tables
-        return g.drop_duplicates(subset=["id_a", "id_b"])[
-            ["id_a", "id_b", "cosine"]
-        ]
-
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("part")
-        .map_groups(verify, batch_format="pandas")
-        .map_batches(add_pair_part, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(dedup_pairs, batch_format="pandas")
-    )
+    # the same pair can surface from several tables
+    bucketed = ds.map_batches(bucketize, batch_format="pandas")
+    return _dedup_pairs_global(
+        by_partition(bucketed, ["table", "bucket"], verify), extra_cols=["cosine"])
 
 
 def _dim_of(ds: "ray.data.Dataset", vec_col: str) -> int:
@@ -663,8 +648,6 @@ def kmeans_fit(
 ) -> np.ndarray:
     """Stages 1-2 of ``kmeans_cluster`` (init + distributed Lloyd
     refinement); returns the (k, dim) unit-norm centroid matrix."""
-    from ..stages.derive import default_num_parts
-
     if num_parts is None:
         num_parts = default_num_parts()
     n_total = ds.count()
@@ -695,9 +678,7 @@ def kmeans_fit(
                 sel = m[assign == j]
                 rows.append({"cluster": int(j), "n": int(len(sel)),
                              "vsum": sel.sum(axis=0).tolist()})
-            out = pd.DataFrame(rows)
-            out["part"] = out["cluster"].to_numpy() % num_parts
-            return out
+            return pd.DataFrame(rows)
 
         def merge(g: pd.DataFrame) -> pd.DataFrame:
             rows = []
@@ -713,10 +694,9 @@ def kmeans_fit(
                 rows.append({"cluster": int(j), "n": tot, "vsum": s.tolist()})
             return pd.DataFrame(rows)
 
+        partials = ds.map_batches(partial, batch_format="pandas", batch_size=8192)
         parts = (
-            ds.map_batches(partial, batch_format="pandas", batch_size=8192)
-            .groupby("part")
-            .map_groups(merge, batch_format="pandas")
+            by_partition(partials, "cluster", merge, num_parts=num_parts)
             .to_pandas()  # k rows of (cluster, n, dim doubles)
             .sort_values("cluster")
         )
@@ -793,11 +773,7 @@ def semantic_dedup(
             return _EMPTY_S.copy()
         ids = g[id_col].to_numpy()
         m = np.asarray(g["nvec"].tolist(), dtype=np.float64)
-        sims = m @ m.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        keep = sims[ia, ib] >= threshold
-        ia, ib = ia[keep], ib[keep]
-        cvals = _pair_cosines(m, m, ia, ib)
+        ia, ib, cvals = _close_pairs(m, m, threshold, triangular=True)
         id_a, id_b = ids[ia], ids[ib]
         swap = id_a > id_b
         return pd.DataFrame(
@@ -844,7 +820,6 @@ def hybrid_rrf(
     FULL OUTER partitioned join; everything upstream is the existing
     distributed machinery (bm25_score's pruned top-k pass, the
     broadcast-query cosine scorer)."""
-    from ..stages.derive import default_num_parts  # noqa: F401 (doc parity)
     from .grouped import grouped_top_k
     from .join import partitioned_join
     from .text import bm25_score

@@ -10,13 +10,13 @@ contamination document-level (exact/MinHash) dedup cannot see.
 Shape (three slim exchanges, text never shuffles):
 
 1. positions: one streaming pass emits (h128 gram hash, doc, char
-   position) rows, hash-partitioned on ``h1 % num_parts``. Equal grams
-   land in the same partition, so ONE ``groupby(part)`` both finds the
+   position) rows, and ONE ``by_partition`` on (h1, h2) co-locates
+   equal grams, so one call per partition both finds the
    cross-document grams (>= 2 distinct docs) and emits their positions
    -- no separate build/probe round trip.
-2. per-doc aggregation of the surviving dup positions, partitioned on
-   ``doc_id % num_parts``: count + exact character coverage (interval
-   union of the [pos, pos+k) windows over sorted positions).
+2. per-doc aggregation of the surviving dup positions, ``by_partition``
+   on doc: count + exact character coverage (interval union of the
+   [pos, pos+k) windows over sorted positions).
 3. a left partitioned_join back onto the per-doc base stats so every
    document gets a row (zero-dup docs included).
 
@@ -47,7 +47,7 @@ import pyarrow as pa
 
 import ray
 
-from ..stages.derive import default_num_parts
+from ..stages.derive import by_partition, default_num_parts
 
 __all__ = ["duplicated_span_stats"]
 
@@ -146,20 +146,12 @@ def duplicated_span_stats(
         if not out_h1:
             return pa.Table.from_arrays(
                 [pa.array([], type=t) for t in
-                 (pa.uint64(), pa.uint64(), pa.int64(), pa.int64(),
-                  pa.int64())],
-                names=["h1", "h2", "doc", "pos", "part"],
+                 (pa.uint64(), pa.uint64(), pa.int64(), pa.int64())],
+                names=["h1", "h2", "doc", "pos"],
             )
-        h1 = np.concatenate(out_h1)
         return pa.Table.from_arrays(
-            [
-                pa.array(h1),
-                pa.array(np.concatenate(out_h2)),
-                pa.array(np.concatenate(out_id)),
-                pa.array(np.concatenate(out_pos)),
-                pa.array((h1 % np.uint64(num_parts)).astype(np.int64)),
-            ],
-            names=["h1", "h2", "doc", "pos", "part"],
+            [pa.array(np.concatenate(c)) for c in (out_h1, out_h2, out_id, out_pos)],
+            names=["h1", "h2", "doc", "pos"],
         )
 
     pos_ds = ds.map_batches(positions, batch_format="pyarrow")
@@ -167,8 +159,6 @@ def duplicated_span_stats(
     dup_pos_schema = pa.schema([("doc", pa.int64()), ("pos", pa.int64())])
 
     def find_dup_positions(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return dup_pos_schema.empty_table()
         # grams seen in >= 2 distinct docs; equal grams are co-located
         # here by construction, so this is globally exact
         nun = g.groupby(["h1", "h2"], sort=False)["doc"].transform("nunique")
@@ -181,22 +171,14 @@ def duplicated_span_stats(
             schema=dup_pos_schema,
         )
 
-    dup_pos = pos_ds.groupby("part").map_groups(
-        find_dup_positions, batch_format="pandas"
-    )
+    dup_pos = by_partition(pos_ds, ["h1", "h2"], find_dup_positions, num_parts=num_parts)
 
     agg_schema = pa.schema(
         [("doc", pa.int64()), ("n_dup_kgrams", pa.int64()),
          ("dup_char_cover", pa.int64())]
     )
 
-    def tag_doc_part(t: pa.Table) -> pa.Table:
-        part = (t["doc"].to_numpy(zero_copy_only=False) % num_parts)
-        return t.append_column("part", pa.array(part.astype(np.int64)))
-
     def per_doc(g: pd.DataFrame) -> pa.Table:
-        if len(g) == 0:
-            return agg_schema.empty_table()
         docs_out, n_out, cov_out = [], [], []
         for d, sub in g.groupby("doc", sort=False):
             p = np.sort(sub["pos"].to_numpy(np.int64))
@@ -212,11 +194,7 @@ def duplicated_span_stats(
             schema=agg_schema,
         )
 
-    dup_agg = (
-        dup_pos.map_batches(tag_doc_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_doc, batch_format="pandas")
-    )
+    dup_agg = by_partition(dup_pos, "doc", per_doc, num_parts=num_parts)
 
     def base_stats(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)

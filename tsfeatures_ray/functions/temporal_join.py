@@ -6,9 +6,9 @@ needs and Ray Data lacks natively).
 Both are built from the same distributed primitive as
 ``partitioned_join``: unify both sides into one Arrow schema with a
 common equality-key column, co-group the union in ONE ``by_partition``
-exchange on it (a bounded ``hash % num_parts`` key -- never a raw
-high-cardinality groupby key), and do the fine-grained temporal
-matching with vectorized pandas/numpy INSIDE the partition function.
+exchange on it (``interval_join``: on it and the time band), and do
+the fine-grained temporal matching with vectorized pandas/numpy INSIDE
+the partition function.
 
 Partitioning assumption (SURVEY.md §2 custom-operator rule): all rows
 of both sides sharing an equality key land in the same partition --
@@ -46,7 +46,7 @@ import ray
 from ..stages.derive import by_partition, default_num_parts
 from .join import _pa_type
 
-_SIDE, _KEY, _PART = "__tj_side", "__tj_key", "__tj_part"
+_SIDE, _KEY = "__tj_side", "__tj_key"
 
 
 def _union(
@@ -343,8 +343,8 @@ def interval_join(
     left point belongs to exactly ONE band; each right interval is
     replicated to every band it overlaps (bounded by ``max_bands`` --
     an interval 4096x wider than the band means the band width is
-    mis-chosen, raise instead of exploding). The exchange key is
-    ``hash(key, band) % num_parts`` -- bounded, and hot keys spread
+    mis-chosen, raise instead of exploding). The exchange is
+    ``by_partition`` on (key, band), so hot keys spread
     across bands, so a single key with millions of intervals does NOT
     pin one partition (the advantage over asof/range_join's pure key
     partitioning). Inside a bucket the match is a vectorized
@@ -378,17 +378,9 @@ def interval_join(
     out_names = lnames + rnames
     key_t = types[by]
 
-    def _bucket_part(keys: np.ndarray, bands: np.ndarray) -> np.ndarray:
-        h = pd.util.hash_pandas_object(
-            pd.DataFrame({"__k": keys, "__b": bands}), index=False
-        ).to_numpy()
-        return (h % np.uint64(num_parts)).astype(np.int64)
-
     def tag_left(t: pa.Table) -> pa.Table:
         n = len(t)
-        key_col = t[by].cast(key_t)
         bands = _axis_int64(t[on].to_pandas()) // band64
-        part = _bucket_part(key_col.to_numpy(zero_copy_only=False), bands)
         arrays = [
             t[name] if name in lnames else pa.nulls(n, types[name])
             for name in out_names
@@ -396,14 +388,13 @@ def interval_join(
         arrays += [
             pa.array(np.full(n, 0, dtype=np.int8)),
             pa.array(bands, type=pa.int64()),
-            pa.array(part, type=pa.int64()),
+            t[by].cast(key_t),
         ]
         return pa.Table.from_arrays(
-            arrays, names=out_names + [_SIDE, "__tj_band", _PART]
+            arrays, names=out_names + [_SIDE, "__tj_band", _KEY]
         )
 
     def tag_right(t: pa.Table) -> pa.Table:
-        key_col = t[right_by].cast(key_t)
         lo_b = _axis_int64(t[right_lo].to_pandas()) // band64
         hi_b = _axis_int64(t[right_hi].to_pandas()) // band64
         counts = hi_b - lo_b + 1
@@ -416,9 +407,6 @@ def interval_join(
         total = int(counts.sum())
         csum = np.concatenate(([0], np.cumsum(counts)[:-1]))
         bands = np.repeat(lo_b, counts) + (np.arange(total) - np.repeat(csum, counts))
-        part = _bucket_part(
-            key_col.to_numpy(zero_copy_only=False)[idx], bands
-        )
         taken = t.take(pa.array(idx, type=pa.int64()))
         arrays = [
             taken[name] if name in rnames else pa.nulls(total, types[name])
@@ -427,15 +415,14 @@ def interval_join(
         arrays += [
             pa.array(np.full(total, 1, dtype=np.int8)),
             pa.array(bands, type=pa.int64()),
-            pa.array(part, type=pa.int64()),
+            taken[right_by].cast(key_t),
         ]
         return pa.Table.from_arrays(
-            arrays, names=out_names + [_SIDE, "__tj_band", _PART]
+            arrays, names=out_names + [_SIDE, "__tj_band", _KEY]
         )
 
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
+    both = [left.map_batches(tag_left, batch_format="pyarrow"),
+            right.map_batches(tag_right, batch_format="pyarrow")]
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         side = g[_SIDE].to_numpy()
@@ -521,4 +508,4 @@ def interval_join(
         )
         return out[out_names]
 
-    return both.groupby(_PART).map_groups(merge, batch_format="pandas")
+    return by_partition(both, [_KEY, "__tj_band"], merge, num_parts=num_parts)

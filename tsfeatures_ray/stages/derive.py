@@ -80,11 +80,27 @@ def stable_part(conv_ids, num_parts: int) -> np.ndarray:
         except pa.ArrowNotImplementedError:
             pass
         else:
-            h = pd.util.hash_array(np.asarray(enc.dictionary, dtype=object))
-            h = h[enc.indices.to_numpy(zero_copy_only=False)]
+            h = _hash_distinct(enc.dictionary)[enc.indices.to_numpy(zero_copy_only=False)]
             return (h % np.uint64(num_parts)).astype(np.int64)
     arr = np.asarray(conv_ids, dtype=object)
     return (pd.util.hash_array(arr) % np.uint64(num_parts)).astype(np.int64)
+
+
+def _hash_distinct(values: pa.Array) -> np.ndarray:
+    """``pd.util.hash_array`` of the distinct ``values`` as Python
+    objects. Strings and null-free integers skip its re-factorizing and
+    its per-value retry: such an integer hashes as its decimal string,
+    cast in Arrow here, and a null string as pandas hashes a missing
+    value (all ones). Integers with a null are floats to numpy, so they
+    keep the general path."""
+    if pa.types.is_integer(values.type) and not values.null_count:
+        values = values.cast(pa.string())
+    if not (pa.types.is_string(values.type) or pa.types.is_large_string(values.type)):
+        return pd.util.hash_array(np.asarray(values, dtype=object))
+    h = pd.util.hash_array(np.asarray(values, dtype=object), categorize=False)
+    if values.null_count:
+        h[values.is_null().to_numpy(zero_copy_only=False)] = np.iinfo(np.uint64).max
+    return h
 
 
 def _cluster_cpus() -> int:
@@ -346,10 +362,11 @@ def by_partition(
     def tag(d):
         return with_part(d if columns is None else d.select_columns(columns), key, num_parts)
 
+    # each input tags in its own last map: no task wave after the union
+    sides = [tag(d) if r is None else r.tagged for d, r in zip(inputs, recs)]
     if not any(recs):  # nothing to fuse: one exchange over the inputs' union
-        tagged, run = tag(inputs[0].union(*inputs[1:]) if len(inputs) > 1 else inputs[0]), fn
+        tagged, run = sides[0].union(*sides[1:]) if len(sides) > 1 else sides[0], fn
     else:
-        sides = [tag(d) if r is None else r.tagged for d, r in zip(inputs, recs)]
         tagged = sides[0]
         if len(sides) > 1:
             prefixed = [_side_tagged(s, i) for i, s in enumerate(sides)]
